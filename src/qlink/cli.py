@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 parse/usage error, 3 specialization pole,
 4 unwritable output path.  All output is deterministic; table entries are
-evaluated in parallel worker threads and re-sorted before the report is
-assembled.
+evaluated in order and the groups are sorted before the report is assembled.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -218,21 +216,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.with_mirrors:
         jobs += [(name + "!", mirror(w)) for name, w in table.entries]
 
-    def work(item: tuple[str, BraidWord]) -> tuple[str, str | None, str | None]:
-        name, w = item
-        try:
-            return name, _table_value(w, kind, x), None
-        except Exception as exc:  # per-entry failures land in the report
-            return name, None, str(exc)
-
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(jobs)))) as pool:
-        results = list(pool.map(work, jobs))
-
     by_value: dict[str, list[str]] = {}
     errors = []
-    for name, value, err in results:
-        if err is not None:
-            errors.append((name, err))
+    for name, w in jobs:
+        try:
+            value = _table_value(w, kind, x)
+        except Exception as exc:  # per-entry failures land in the report
+            errors.append((name, str(exc)))
         else:
             by_value.setdefault(value, []).append(name)
     groups = sorted(tuple(sorted(g)) for g in by_value.values())

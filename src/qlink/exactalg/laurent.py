@@ -38,13 +38,114 @@ def _trim(c: dict) -> dict:
     return {e: v for e, v in c.items() if v}
 
 
-class IntLaurent:
-    """Laurent polynomial in q over the integers."""
+class _Laurent:
+    """Ring-independent part of the integer Laurent polynomials.
+
+    Subclasses fix the exponent key (an int for q, an (a, q) pair for a and
+    q): the constructors, `_ONE` (the coefficient map of 1) and everything
+    that reads the key's structure.
+    """
 
     __slots__ = ("_c",)
+    _ONE: dict
 
-    def __init__(self, coeffs: dict[int, int] | None = None):
+    def __init__(self, coeffs: dict | None = None):
         self._c = _trim(coeffs) if coeffs else {}
+
+    def _new(self, c: dict):
+        out = self.__class__.__new__(self.__class__)
+        out._c = c
+        return out
+
+    # -- queries -----------------------------------------------------------
+
+    def items(self) -> Iterator[tuple]:
+        return iter(self._c.items())
+
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def is_one(self) -> bool:
+        return self._c == self._ONE
+
+    def is_monomial(self) -> bool:
+        return len(self._c) == 1
+
+    def leading_coefficient(self) -> int:
+        """Coefficient of the largest exponent key; ValueError on zero."""
+        return self._c[max(self._c)]
+
+    def content(self) -> int:
+        """Nonnegative gcd of all coefficients (0 for the zero polynomial)."""
+        g = 0
+        for v in self._c.values():
+            g = math.gcd(g, v)
+            if g == 1:
+                return 1
+        return g
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, self.__class__):
+            return NotImplemented
+        return self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._c.items()))
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def __add__(self, other):
+        c = dict(self._c)
+        for e, v in other._c.items():
+            w = c.get(e, 0) + v
+            if w:
+                c[e] = w
+            elif e in c:
+                del c[e]
+        return self._new(c)
+
+    def __sub__(self, other):
+        c = dict(self._c)
+        for e, v in other._c.items():
+            w = c.get(e, 0) - v
+            if w:
+                c[e] = w
+            elif e in c:
+                del c[e]
+        return self._new(c)
+
+    def __neg__(self):
+        return self._new({e: -v for e, v in self._c.items()})
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        out = self.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def scale(self, k: int):
+        if k == 0:
+            return self._new({})
+        return self._new({e: k * v for e, v in self._c.items()})
+
+    def divide_content(self, k: int):
+        return self._new({e: v // k for e, v in self._c.items()})
+
+
+class IntLaurent(_Laurent):
+    """Laurent polynomial in q over the integers."""
+
+    __slots__ = ()
+    _ONE = {0: 1}
 
     # -- constructors ------------------------------------------------------
 
@@ -70,20 +171,8 @@ class IntLaurent:
 
     # -- queries -----------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._c.items())
-
     def coefficient(self, exp: int) -> int:
         return self._c.get(exp, 0)
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def is_one(self) -> bool:
-        return self._c == {0: 1}
-
-    def is_monomial(self) -> bool:
-        return len(self._c) == 1
 
     def min_exp(self) -> int:
         if not self._c:
@@ -95,59 +184,7 @@ class IntLaurent:
             raise ValueError("zero polynomial has no maximal exponent")
         return max(self._c)
 
-    def leading_coefficient(self) -> int:
-        return self._c[self.max_exp()]
-
-    def content(self) -> int:
-        """Nonnegative gcd of all coefficients (0 for the zero polynomial)."""
-        g = 0
-        for v in self._c.values():
-            g = math.gcd(g, v)
-            if g == 1:
-                return 1
-        return g
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntLaurent):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: IntLaurent) -> IntLaurent:
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = w
-            elif e in c:
-                del c[e]
-        out = IntLaurent.__new__(IntLaurent)
-        out._c = c
-        return out
-
-    def __sub__(self, other: IntLaurent) -> IntLaurent:
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) - v
-            if w:
-                c[e] = w
-            elif e in c:
-                del c[e]
-        out = IntLaurent.__new__(IntLaurent)
-        out._c = c
-        return out
-
-    def __neg__(self) -> IntLaurent:
-        out = IntLaurent.__new__(IntLaurent)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
 
     def __mul__(self, other: IntLaurent) -> IntLaurent:
         a, b = self._c, other._c
@@ -164,45 +201,15 @@ class IntLaurent:
                     c[e] = w
                 elif e in c:
                     del c[e]
-        out = IntLaurent.__new__(IntLaurent)
-        out._c = c
-        return out
-
-    def __pow__(self, n: int) -> IntLaurent:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = IntLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def scale(self, k: int) -> IntLaurent:
-        if k == 0:
-            return IntLaurent()
-        out = IntLaurent.__new__(IntLaurent)
-        out._c = {e: k * v for e, v in self._c.items()}
-        return out
+        return self._new(c)
 
     def shift(self, k: int) -> IntLaurent:
         """Multiply by q^k."""
-        out = IntLaurent.__new__(IntLaurent)
-        out._c = {e + k: v for e, v in self._c.items()}
-        return out
-
-    def divide_content(self, k: int) -> IntLaurent:
-        out = IntLaurent.__new__(IntLaurent)
-        out._c = {e: v // k for e, v in self._c.items()}
-        return out
+        return self._new({e + k: v for e, v in self._c.items()})
 
     def subs_qinv(self) -> IntLaurent:
         """Substitute q -> q^-1."""
-        out = IntLaurent.__new__(IntLaurent)
-        out._c = {-e: v for e, v in self._c.items()}
-        return out
+        return self._new({-e: v for e, v in self._c.items()})
 
     def evaluate(self, q0: Fraction) -> Fraction:
         """Exact evaluation at a nonzero rational point."""
@@ -218,16 +225,14 @@ class IntLaurent:
         return f"IntLaurent({format_laurent(self)})"
 
 
-class IntLaurent2:
+class IntLaurent2(_Laurent):
     """Laurent polynomial in a and q over the integers.
 
     Exponent keys are (a-exponent, q-exponent) pairs.
     """
 
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
-        self._c = _trim(coeffs) if coeffs else {}
+    __slots__ = ()
+    _ONE = {(0, 0): 1}
 
     # -- constructors ------------------------------------------------------
 
@@ -249,18 +254,6 @@ class IntLaurent2:
 
     # -- queries -----------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        return iter(self._c.items())
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def is_one(self) -> bool:
-        return self._c == {(0, 0): 1}
-
-    def is_monomial(self) -> bool:
-        return len(self._c) == 1
-
     def min_exps(self) -> tuple[int, int]:
         if not self._c:
             raise ValueError("zero polynomial has no minimal exponents")
@@ -270,61 +263,7 @@ class IntLaurent2:
         """Set of a-exponents mod 2 present in the support."""
         return {d & 1 for d, _ in self._c}
 
-    def leading_key(self) -> tuple[int, int]:
-        return max(self._c)
-
-    def leading_coefficient(self) -> int:
-        return self._c[max(self._c)]
-
-    def content(self) -> int:
-        g = 0
-        for v in self._c.values():
-            g = math.gcd(g, v)
-            if g == 1:
-                return 1
-        return g
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntLaurent2):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: IntLaurent2) -> IntLaurent2:
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = w
-            elif e in c:
-                del c[e]
-        out = IntLaurent2.__new__(IntLaurent2)
-        out._c = c
-        return out
-
-    def __sub__(self, other: IntLaurent2) -> IntLaurent2:
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) - v
-            if w:
-                c[e] = w
-            elif e in c:
-                del c[e]
-        out = IntLaurent2.__new__(IntLaurent2)
-        out._c = c
-        return out
-
-    def __neg__(self) -> IntLaurent2:
-        out = IntLaurent2.__new__(IntLaurent2)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
 
     def __mul__(self, other: IntLaurent2) -> IntLaurent2:
         a, b = self._c, other._c
@@ -341,45 +280,15 @@ class IntLaurent2:
                     c[k] = w
                 elif k in c:
                     del c[k]
-        out = IntLaurent2.__new__(IntLaurent2)
-        out._c = c
-        return out
-
-    def __pow__(self, n: int) -> IntLaurent2:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = IntLaurent2.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def scale(self, k: int) -> IntLaurent2:
-        if k == 0:
-            return IntLaurent2()
-        out = IntLaurent2.__new__(IntLaurent2)
-        out._c = {e: k * v for e, v in self._c.items()}
-        return out
+        return self._new(c)
 
     def shift(self, da: int, dq: int) -> IntLaurent2:
         """Multiply by a^da q^dq."""
-        out = IntLaurent2.__new__(IntLaurent2)
-        out._c = {(d + da, e + dq): v for (d, e), v in self._c.items()}
-        return out
-
-    def divide_content(self, k: int) -> IntLaurent2:
-        out = IntLaurent2.__new__(IntLaurent2)
-        out._c = {e: v // k for e, v in self._c.items()}
-        return out
+        return self._new({(d + da, e + dq): v for (d, e), v in self._c.items()})
 
     def subs_bar(self) -> IntLaurent2:
         """Substitute a -> a^-1, q -> q^-1 (mirror involution)."""
-        out = IntLaurent2.__new__(IntLaurent2)
-        out._c = {(-d, -e): v for (d, e), v in self._c.items()}
-        return out
+        return self._new({(-d, -e): v for (d, e), v in self._c.items()})
 
     def subs_a_power_of_q(self, n: int) -> IntLaurent:
         """Substitute a = q^n."""
@@ -394,14 +303,6 @@ class IntLaurent2:
         out = IntLaurent.__new__(IntLaurent)
         out._c = c
         return out
-
-    def split_a_parity(self) -> tuple[IntLaurent2, IntLaurent2]:
-        """Split into the parts with even and odd a-exponents."""
-        even: dict[tuple[int, int], int] = {}
-        odd: dict[tuple[int, int], int] = {}
-        for (d, e), v in self._c.items():
-            (even if d % 2 == 0 else odd)[(d, e)] = v
-        return IntLaurent2(even), IntLaurent2(odd)
 
     def __repr__(self) -> str:
         from .textio import format_laurent2

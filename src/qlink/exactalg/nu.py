@@ -61,12 +61,6 @@ class NuValue:
     def is_zero(self) -> bool:
         return self.even.is_zero() and self.odd.is_zero()
 
-    def is_even(self) -> bool:
-        return self.odd.is_zero()
-
-    def is_odd(self) -> bool:
-        return self.even.is_zero() and not self.odd.is_zero()
-
     def is_homogeneous(self) -> bool:
         """Exactly one of the two components vanishes (zero counts as even)."""
         return self.even.is_zero() or self.odd.is_zero()

@@ -21,6 +21,7 @@ run on the small cofactors actually at risk of sharing a factor.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .laurent import (
@@ -48,77 +49,73 @@ class PoleError(ZeroDivisionError):
     """Evaluation or specialization hit a vanishing denominator."""
 
 
-def _content_sign_1(num: IntLaurent, den: IntLaurent) -> tuple[IntLaurent, IntLaurent]:
-    import math
+class _Fraction:
+    """Canonical-form logic shared by the q and the (a, q) fractions.
 
-    cg = math.gcd(num.content(), den.content())
-    if cg > 1:
-        num = num.divide_content(cg)
-        den = den.divide_content(cg)
-    if den.leading_coefficient() < 0:
-        num, den = -num, -den
-    return num, den
-
-
-class RatFun:
-    """Canonical fraction of integer Laurent polynomials in q."""
+    A subclass supplies its polynomial type `_POLY`, its gcd `_gcd` and exact
+    division `_div`, `_drop_low` (divide numerator and denominator by the
+    lowest monomial of the denominator) and its substitutions.  It binds
+    `__add__` and `__mul__` in its own namespace, so that each class's
+    arithmetic can be patched or profiled on its own, and its `_gcd`/`_div`
+    look the kernels up in module globals on every call.
+    """
 
     __slots__ = ("num", "den")
+    _POLY: type
 
-    def __init__(self, num: IntLaurent, den: IntLaurent | None = None):
+    def __init__(self, num, den=None):
         if den is None:
-            den = IntLaurent.one()
-        reduced = normalize(num, den)
+            den = self._POLY.one()
+        reduced = self._reduced(num, den, coprime=False)
         self.num = reduced.num
         self.den = reduced.den
 
     # -- construction --------------------------------------------------------
 
-    @staticmethod
-    def _make(num: IntLaurent, den: IntLaurent) -> RatFun:
-        out = RatFun.__new__(RatFun)
+    @classmethod
+    def _make(cls, num, den):
+        out = cls.__new__(cls)
         out.num = num
         out.den = den
         return out
 
-    @staticmethod
-    def _reduced(num: IntLaurent, den: IntLaurent) -> RatFun:
-        """Canonicalize a fraction already known to be gcd-free.
+    @classmethod
+    def _reduced(cls, num, den, coprime: bool = True):
+        """Canonical fraction num/den.
 
-        Only the monomial shift, shared integer content and denominator sign
-        are normalized; the caller guarantees numerator and denominator have
-        no common polynomial factor.
+        With `coprime` (the default) the caller guarantees that numerator and
+        denominator have no common polynomial factor, and only the monomial
+        shift, shared integer content and denominator sign are normalized.
         """
         if den.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if num.is_zero():
-            return RatFun._make(IntLaurent.zero(), IntLaurent.one())
-        m = den.min_exp()
-        if m:
-            den = den.shift(-m)
-            num = num.shift(-m)
-        num, den = _content_sign_1(num, den)
-        return RatFun._make(num, den)
+            return cls.zero()
+        num, den = cls._drop_low(num, den)
+        if not (coprime or den.is_monomial()):
+            g = cls._gcd(num, den)
+            if not g.is_one():
+                num = cls._div(num, g)
+                den = cls._div(den, g)
+        cg = math.gcd(num.content(), den.content())
+        if cg > 1:
+            num = num.divide_content(cg)
+            den = den.divide_content(cg)
+        if den.leading_coefficient() < 0:
+            num, den = -num, -den
+        return cls._make(num, den)
 
-    @staticmethod
-    def zero() -> RatFun:
-        return RatFun._make(IntLaurent.zero(), IntLaurent.one())
+    @classmethod
+    def zero(cls):
+        return cls._make(cls._POLY.zero(), cls._POLY.one())
 
-    @staticmethod
-    def one() -> RatFun:
-        return RatFun._make(IntLaurent.one(), IntLaurent.one())
+    @classmethod
+    def one(cls):
+        return cls._make(cls._POLY.one(), cls._POLY.one())
 
-    @staticmethod
-    def from_int(n: int) -> RatFun:
-        return RatFun._make(IntLaurent.from_int(n), IntLaurent.one())
-
-    @staticmethod
-    def from_laurent(p: IntLaurent) -> RatFun:
-        return RatFun._make(p, IntLaurent.one())
-
-    @staticmethod
-    def q_power(e: int) -> RatFun:
-        return RatFun._make(IntLaurent.q_power(e), IntLaurent.one())
+    @classmethod
+    def from_int(cls, n: int):
+        return cls._make(cls._POLY.term(n), cls._POLY.one())
 
     # -- queries -------------------------------------------------------------
 
@@ -128,16 +125,13 @@ class RatFun:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_laurent(self) -> bool:
-        return self.den.is_one()
-
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = RatFun.from_int(other)
-        if not isinstance(other, RatFun):
+            other = self.from_int(other)
+        if not isinstance(other, self.__class__):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -146,78 +140,80 @@ class RatFun:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other: RatFun | int) -> RatFun:
+    def __add__(self, other):
         if isinstance(other, int):
-            other = RatFun.from_int(other)
+            other = self.from_int(other)
         a, b, c, d = self.num, self.den, other.num, other.den
         if d.is_one():
-            return RatFun._reduced(a + c * b, b)
+            return self._reduced(a + c * b, b)
         if b.is_one():
-            return RatFun._reduced(c + a * d, d)
-        g = laurent_gcd(b, d)
+            return self._reduced(c + a * d, d)
+        gcd, div = self._gcd, self._div
+        if b == d:
+            t = a + c
+            h = gcd(t, b)
+            if not h.is_one():
+                t = div(t, h)
+                b = div(b, h)
+            return self._reduced(t, b)
+        g = gcd(b, d)
         if g.is_one():
-            return RatFun._reduced(a * d + c * b, b * d)
-        db = laurent_divide_exact(b, g)
-        dd = laurent_divide_exact(d, g)
+            return self._reduced(a * d + c * b, b * d)
+        db = div(b, g)
+        dd = div(d, g)
         t = a * dd + c * db
-        h = laurent_gcd(t, g)
+        h = gcd(t, g)
         if not h.is_one():
-            t = laurent_divide_exact(t, h)
-            g = laurent_divide_exact(g, h)
-        return RatFun._reduced(t, db * dd * g)
+            t = div(t, h)
+            g = div(g, h)
+        return self._reduced(t, db * dd * g)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: RatFun | int) -> RatFun:
+    def __sub__(self, other):
         if isinstance(other, int):
-            other = RatFun.from_int(other)
+            other = self.from_int(other)
         return self + (-other)
 
-    def __rsub__(self, other: RatFun | int) -> RatFun:
+    def __rsub__(self, other):
         return (-self) + other
 
-    def __neg__(self) -> RatFun:
-        return RatFun._make(-self.num, self.den)
+    def __neg__(self):
+        return self._make(-self.num, self.den)
 
-    def __mul__(self, other: RatFun | int) -> RatFun:
+    def __mul__(self, other):
         if isinstance(other, int):
-            other = RatFun.from_int(other)
+            other = self.from_int(other)
         a, b, c, d = self.num, self.den, other.num, other.den
         if a.is_zero() or c.is_zero():
-            return RatFun.zero()
-        g1 = IntLaurent.one() if d.is_one() else laurent_gcd(a, d)
-        g2 = IntLaurent.one() if b.is_one() else laurent_gcd(c, b)
-        if not g1.is_one():
-            a = laurent_divide_exact(a, g1)
-            d = laurent_divide_exact(d, g1)
-        if not g2.is_one():
-            c = laurent_divide_exact(c, g2)
-            b = laurent_divide_exact(b, g2)
-        return RatFun._reduced(a * c, b * d)
+            return self.zero()
+        if b.is_one() and d.is_one():
+            return self._reduced(a * c, b)
+        gcd, div = self._gcd, self._div
+        if not d.is_one():
+            g1 = gcd(a, d)
+            if not g1.is_one():
+                a = div(a, g1)
+                d = div(d, g1)
+        if not b.is_one():
+            g2 = gcd(c, b)
+            if not g2.is_one():
+                c = div(c, g2)
+                b = div(b, g2)
+        return self._reduced(a * c, b * d)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RatFun | int) -> RatFun:
+    def __truediv__(self, other):
         if isinstance(other, int):
-            other = RatFun.from_int(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return self * RatFun._reduced(other.den, other.num)
+            other = self.from_int(other)
+        return self * other.inverse()
 
-    def __rtruediv__(self, other: RatFun | int) -> RatFun:
-        if isinstance(other, int):
-            other = RatFun.from_int(other)
-        return other / self
-
-    def inverse(self) -> RatFun:
+    def inverse(self):
         if self.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun._reduced(self.den, self.num)
+        return self._reduced(self.den, self.num)
 
-    def __pow__(self, n: int) -> RatFun:
+    def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = RatFun.one()
+        out = self.one()
         base = self
         while n:
             if n & 1:
@@ -225,6 +221,44 @@ class RatFun:
             base = base * base
             n >>= 1
         return out
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}({self})"
+
+
+class RatFun(_Fraction):
+    """Canonical fraction of integer Laurent polynomials in q."""
+
+    __slots__ = ()
+    _POLY = IntLaurent
+    __add__ = __radd__ = _Fraction.__add__
+    __mul__ = __rmul__ = _Fraction.__mul__
+
+    @staticmethod
+    def _gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
+        return laurent_gcd(f, g)
+
+    @staticmethod
+    def _div(f: IntLaurent, g: IntLaurent) -> IntLaurent:
+        return laurent_divide_exact(f, g)
+
+    @staticmethod
+    def _drop_low(num: IntLaurent, den: IntLaurent) -> tuple[IntLaurent, IntLaurent]:
+        m = den.min_exp()
+        return (num.shift(-m), den.shift(-m)) if m else (num, den)
+
+    @staticmethod
+    def from_laurent(p: IntLaurent) -> RatFun:
+        return RatFun._make(p, IntLaurent.one())
+
+    @staticmethod
+    def q_power(e: int) -> RatFun:
+        return RatFun._make(IntLaurent.q_power(e), IntLaurent.one())
+
+    def __rtruediv__(self, other: RatFun | int) -> RatFun:
+        if isinstance(other, int):
+            other = RatFun.from_int(other)
+        return other / self
 
     # -- substitutions ----------------------------------------------------------
 
@@ -246,11 +280,6 @@ class RatFun:
     def to_ratfun2(self) -> RatFun2:
         return RatFun2._make(IntLaurent2.from_q(self.num), IntLaurent2.from_q(self.den))
 
-    def __repr__(self) -> str:
-        from .textio import format_ratfun
-
-        return f"RatFun({format_ratfun(self)})"
-
     def __str__(self) -> str:
         from .textio import format_ratfun
 
@@ -259,24 +288,7 @@ class RatFun:
 
 def normalize(num: IntLaurent, den: IntLaurent) -> RatFun:
     """Canonical fraction num/den; the denominator must be nonzero."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
-        return RatFun._make(IntLaurent.zero(), IntLaurent.one())
-    m = den.min_exp()
-    if m:
-        den = den.shift(-m)
-        num = num.shift(-m)
-    if not den.is_monomial():
-        t = num.min_exp()
-        num0 = num.shift(-t) if t else num
-        g = laurent_gcd(num0, den)
-        if not g.is_one():
-            num0 = laurent_divide_exact(num0, g)
-            den = laurent_divide_exact(den, g)
-        num = num0.shift(t) if t else num0
-    num, den = _content_sign_1(num, den)
-    return RatFun._make(num, den)
+    return RatFun._reduced(num, den, coprime=False)
 
 
 def field_op(kind: str, f: RatFun, g: RatFun) -> RatFun:
@@ -305,181 +317,32 @@ def evaluate_at(f: RatFun, q0: Fraction | int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _content_sign_2(num: IntLaurent2, den: IntLaurent2) -> tuple[IntLaurent2, IntLaurent2]:
-    import math
-
-    cg = math.gcd(num.content(), den.content())
-    if cg > 1:
-        num = num.divide_content(cg)
-        den = den.divide_content(cg)
-    if den.leading_coefficient() < 0:
-        num, den = -num, -den
-    return num, den
-
-
-class RatFun2:
+class RatFun2(_Fraction):
     """Canonical fraction of integer Laurent polynomials in a and q."""
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: IntLaurent2, den: IntLaurent2 | None = None):
-        if den is None:
-            den = IntLaurent2.one()
-        reduced = normalize2(num, den)
-        self.num = reduced.num
-        self.den = reduced.den
+    __slots__ = ()
+    _POLY = IntLaurent2
+    __add__ = __radd__ = _Fraction.__add__
+    __mul__ = __rmul__ = _Fraction.__mul__
 
     @staticmethod
-    def _make(num: IntLaurent2, den: IntLaurent2) -> RatFun2:
-        out = RatFun2.__new__(RatFun2)
-        out.num = num
-        out.den = den
-        return out
+    def _gcd(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2:
+        return laurent2_gcd(f, g)
 
     @staticmethod
-    def _reduced(num: IntLaurent2, den: IntLaurent2) -> RatFun2:
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if num.is_zero():
-            return RatFun2._make(IntLaurent2.zero(), IntLaurent2.one())
+    def _div(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2:
+        return laurent2_divide_exact(f, g)
+
+    @staticmethod
+    def _drop_low(num: IntLaurent2, den: IntLaurent2) -> tuple[IntLaurent2, IntLaurent2]:
         da, dq = den.min_exps()
-        if da or dq:
-            den = den.shift(-da, -dq)
-            num = num.shift(-da, -dq)
-        num, den = _content_sign_2(num, den)
-        return RatFun2._make(num, den)
-
-    @staticmethod
-    def zero() -> RatFun2:
-        return RatFun2._make(IntLaurent2.zero(), IntLaurent2.one())
-
-    @staticmethod
-    def one() -> RatFun2:
-        return RatFun2._make(IntLaurent2.one(), IntLaurent2.one())
-
-    @staticmethod
-    def from_int(n: int) -> RatFun2:
-        return RatFun2._make(IntLaurent2.term(n), IntLaurent2.one())
-
-    @staticmethod
-    def from_laurent2(p: IntLaurent2) -> RatFun2:
-        return RatFun2._make(p, IntLaurent2.one())
+        return (num.shift(-da, -dq), den.shift(-da, -dq)) if da or dq else (num, den)
 
     @staticmethod
     def monomial(coeff: int, a_exp: int = 0, q_exp: int = 0) -> RatFun2:
         if coeff == 0:
             return RatFun2.zero()
         return RatFun2._make(IntLaurent2.term(coeff, a_exp, q_exp), IntLaurent2.one())
-
-    # -- queries -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
-
-    def is_laurent(self) -> bool:
-        return self.den.is_one()
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero()
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = RatFun2.from_int(other)
-        if not isinstance(other, RatFun2):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other: RatFun2 | int) -> RatFun2:
-        if isinstance(other, int):
-            other = RatFun2.from_int(other)
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if d.is_one():
-            return RatFun2._reduced(a + c * b, b)
-        if b.is_one():
-            return RatFun2._reduced(c + a * d, d)
-        if b == d:
-            t = a + c
-            h = laurent2_gcd(t, b)
-            if not h.is_one():
-                t = laurent2_divide_exact(t, h)
-                b = laurent2_divide_exact(b, h)
-            return RatFun2._reduced(t, b)
-        g = laurent2_gcd(b, d)
-        if g.is_one():
-            return RatFun2._reduced(a * d + c * b, b * d)
-        db = laurent2_divide_exact(b, g)
-        dd = laurent2_divide_exact(d, g)
-        t = a * dd + c * db
-        h = laurent2_gcd(t, g)
-        if not h.is_one():
-            t = laurent2_divide_exact(t, h)
-            g = laurent2_divide_exact(g, h)
-        return RatFun2._reduced(t, db * dd * g)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: RatFun2 | int) -> RatFun2:
-        if isinstance(other, int):
-            other = RatFun2.from_int(other)
-        return self + (-other)
-
-    def __rsub__(self, other: RatFun2 | int) -> RatFun2:
-        return (-self) + other
-
-    def __neg__(self) -> RatFun2:
-        return RatFun2._make(-self.num, self.den)
-
-    def __mul__(self, other: RatFun2 | int) -> RatFun2:
-        if isinstance(other, int):
-            other = RatFun2.from_int(other)
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if a.is_zero() or c.is_zero():
-            return RatFun2.zero()
-        if b.is_one() and d.is_one():
-            return RatFun2._reduced(a * c, IntLaurent2.one())
-        g1 = IntLaurent2.one() if d.is_one() else laurent2_gcd(a, d)
-        g2 = IntLaurent2.one() if b.is_one() else laurent2_gcd(c, b)
-        if not g1.is_one():
-            a = laurent2_divide_exact(a, g1)
-            d = laurent2_divide_exact(d, g1)
-        if not g2.is_one():
-            c = laurent2_divide_exact(c, g2)
-            b = laurent2_divide_exact(b, g2)
-        return RatFun2._reduced(a * c, b * d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RatFun2 | int) -> RatFun2:
-        if isinstance(other, int):
-            other = RatFun2.from_int(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return self * RatFun2._reduced(other.den, other.num)
-
-    def inverse(self) -> RatFun2:
-        if self.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun2._reduced(self.den, self.num)
-
-    def __pow__(self, n: int) -> RatFun2:
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = RatFun2.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- substitutions ----------------------------------------------------------
 
@@ -503,11 +366,6 @@ class RatFun2:
         pd = self.den.a_parities()
         return {(x - y) % 2 for x in pn for y in pd}
 
-    def __repr__(self) -> str:
-        from .textio import format_ratfun2
-
-        return f"RatFun2({format_ratfun2(self)})"
-
     def __str__(self) -> str:
         from .textio import format_ratfun2
 
@@ -516,21 +374,4 @@ class RatFun2:
 
 def normalize2(num: IntLaurent2, den: IntLaurent2) -> RatFun2:
     """Canonical fraction num/den over Z[a^{±1}, q^{±1}]."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
-        return RatFun2._make(IntLaurent2.zero(), IntLaurent2.one())
-    da, dq = den.min_exps()
-    if da or dq:
-        den = den.shift(-da, -dq)
-        num = num.shift(-da, -dq)
-    if not den.is_monomial():
-        ta, tq = num.min_exps()
-        num0 = num.shift(-ta, -tq) if (ta or tq) else num
-        g = laurent2_gcd(num0, den)
-        if not g.is_one():
-            num0 = laurent2_divide_exact(num0, g)
-            den = laurent2_divide_exact(den, g)
-        num = num0.shift(ta, tq) if (ta or tq) else num0
-    num, den = _content_sign_2(num, den)
-    return RatFun2._make(num, den)
+    return RatFun2._reduced(num, den, coprime=False)

@@ -144,7 +144,7 @@ class TraceParams:
     d: RatFun2
     mu: RatFun2
     # basis-element traces, keyed by one-line permutation; values are
-    # immutable and inserts idempotent, so concurrent workers may share it
+    # immutable and inserts idempotent
     _basis_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod

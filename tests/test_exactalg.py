@@ -94,6 +94,24 @@ def test_division_by_zero():
         field_op("div", RatFun.one(), RatFun.zero())
 
 
+def test_rings_stay_apart_and_hash_consistently():
+    # the q and (a, q) types share their arithmetic code but not their values
+    assert IntLaurent.one() != IntLaurent2.one()
+    assert IntLaurent.zero() != IntLaurent2.zero()
+    assert RatFun.one() != RatFun2.one()
+    assert RatFun.zero() != RatFun2.zero()
+    for n in (0, 1, -3):
+        assert RatFun.from_int(n) == n and n == RatFun.from_int(n)
+        assert RatFun2.from_int(n) == n and n == RatFun2.from_int(n)
+    assert hash(rf({0: 1, 2: 1}) - 1) == hash(RatFun.q_power(2))
+    a = IntLaurent2.term(1, 1, 0)
+    built = RatFun2(a * a - IntLaurent2.one(), a - IntLaurent2.one())  # (a^2 - 1)/(a - 1)
+    assert built == RatFun2(a + IntLaurent2.one())
+    assert hash(built) == hash(RatFun2(a + IntLaurent2.one()))
+    assert hash(L({0: 1, 3: -2})) == hash(IntLaurent.term(-2, 3) + IntLaurent.one())
+    assert hash(IntLaurent2({(1, 2): 5})) == hash(IntLaurent2.term(5, 1, 2))
+
+
 def test_invert_q_examples():
     f = rf({0: 1, 2: 1})
     assert f.invert_q() == rf({0: 1, 2: 1}, {2: 1})
