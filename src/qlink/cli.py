@@ -143,22 +143,25 @@ def _cmd_qrat(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _invariant_text(w: BraidWord, kind: str, x: Fraction | None, normalized: bool) -> str:
+    """Canonical text of the invariant; `normalized` removes the framing."""
+    if kind == "homfly":
+        value = homfly(w)
+        if normalized:
+            # each positive kink carries q^-1 a
+            value = value * RatFun2.monomial(1, -1, 1) ** w.writhe
+        return format_ratfun2(value)
+    ctx = x_context(x) if kind == "x" else flat_context(x)
+    if normalized:
+        return format_ratfun(normalized_invariant(w, ctx))
+    return format_nu(x_invariant(w, ctx).value)
+
+
 def _cmd_inv(args: argparse.Namespace) -> int:
     w = _braid_from_args(args)
     kind, x = _parse_mode(args.mode)
-    if kind == "homfly":
-        value = homfly(w)
-        if args.normalized:
-            # remove the framing: each positive kink carries q^-1 a
-            value = value * RatFun2.monomial(1, -1, 1) ** w.writhe
-        print(format_ratfun2(value))
-        return EXIT_OK
     try:
-        ctx = x_context(x) if kind == "x" else flat_context(x)
-        if args.normalized:
-            print(format_ratfun(normalized_invariant(w, ctx)))
-        else:
-            print(format_nu(x_invariant(w, ctx).value))
+        print(_invariant_text(w, kind, x, args.normalized))
     except PoleError as exc:
         raise CliError(f"specialization pole: {exc}", EXIT_POLE) from None
     except ValueError as exc:
@@ -194,15 +197,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _table_value(w: BraidWord, kind: str, x: Fraction | None) -> str:
-    """Canonical text of the framing-corrected invariant used for grouping."""
-    if kind == "homfly":
-        value = homfly(w) * RatFun2.monomial(1, -1, 1) ** w.writhe
-        return format_ratfun2(value)
-    ctx = x_context(x) if kind == "x" else flat_context(x)
-    return format_ratfun(normalized_invariant(w, ctx))
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.file is None:
         table = builtin_mini_table()
@@ -220,7 +214,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     errors = []
     for name, w in jobs:
         try:
-            value = _table_value(w, kind, x)
+            value = _invariant_text(w, kind, x, normalized=True)
         except Exception as exc:  # per-entry failures land in the report
             errors.append((name, str(exc)))
         else:

@@ -495,10 +495,6 @@ def _a_primitive(p: dict[int, IntLaurent]) -> tuple[dict[int, IntLaurent], IntLa
     return {d: laurent_divide_exact(c, cont) for d, c in p.items()}, cont
 
 
-def _a_scale(p: dict[int, IntLaurent], s: IntLaurent) -> dict[int, IntLaurent]:
-    return {d: c * s for d, c in p.items()}
-
-
 def _a_prem(f: dict[int, IntLaurent], g: dict[int, IntLaurent]) -> dict[int, IntLaurent]:
     """Fraction-free pseudo-remainder of f by g with respect to a."""
     df, dg = max(f), max(g)

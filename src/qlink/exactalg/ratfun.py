@@ -136,6 +136,10 @@ class _Fraction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # n/1 equals the plain int n (see __eq__), so it must hash like n
+        n = self.num.leading_coefficient() if self.num else 0
+        if self.den.is_one() and self.num == self._POLY.term(n):
+            return hash(n)
         return hash((self.num, self.den))
 
     # -- arithmetic ------------------------------------------------------------

@@ -6,7 +6,8 @@ Two independent evaluators are provided and cross-checked in the tests:
   to the T-basis generators, which satisfy g^2 = (1 - q^2) g + q^2 and
   g^-1 = q^-2 g - (q^-2 - 1); the trace tau is the Markov trace with
   tau(T_e) = 1 and tau(x g_n y) = z tau(x y), computed by the
-  distinguished-coset recursion.  The invariant of the closure of a word w
+  distinguished-coset recursion over Z[q^+-1], as a polynomial in z that is
+  evaluated once at the end.  The invariant of the closure of a word w
   on n strands with writhe e is   mu^n * d^e * tau(w).
 
 * `rt_invariant` contracts an explicit R-matrix on the n-dimensional
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 
 from .braid import BraidWord
 from .exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2
@@ -55,10 +56,10 @@ __all__ = [
 ]
 
 # Hecke structure constants for g^2 = (1 - q^2) g + q^2.
-_Q2 = RatFun2.monomial(1, 0, 2)
-_QM2 = RatFun2.monomial(1, 0, -2)
-_ONE_MINUS_Q2 = RatFun2.from_int(1) - _Q2
-_ONE_MINUS_QM2 = RatFun2.from_int(1) - _QM2
+_Q2 = IntLaurent.q_power(2)
+_QM2 = IntLaurent.q_power(-2)
+_ONE_MINUS_Q2 = IntLaurent({0: 1, 2: -1})
+_ONE_MINUS_QM2 = IntLaurent({0: 1, -2: -1})
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,11 @@ class HeckeElement:
     """
 
     strands: int
-    terms: dict[tuple[int, ...], RatFun2]
+    terms: dict[tuple[int, ...], IntLaurent]
 
     @staticmethod
     def identity(n: int) -> HeckeElement:
-        return HeckeElement(n, {tuple(range(1, n + 1)): RatFun2.one()})
+        return HeckeElement(n, {tuple(range(1, n + 1)): IntLaurent.one()})
 
     @staticmethod
     def from_braid(w: BraidWord) -> HeckeElement:
@@ -89,7 +90,7 @@ class HeckeElement:
         return self.strands == other.strands and self.terms == other.terms
 
 
-def _add_term(terms: dict, w: tuple[int, ...], c: RatFun2) -> None:
+def _add_term(terms: dict, w: tuple[int, ...], c: IntLaurent) -> None:
     cur = terms.get(w)
     s = c if cur is None else cur + c
     if s.is_zero():
@@ -109,25 +110,18 @@ def hecke_mul_gen(e: HeckeElement, i: int, sign: int) -> HeckeElement:
         raise ValueError(f"generator index {i} out of range for {e.strands} strands")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out: dict[tuple[int, ...], RatFun2] = {}
+    swap, keep = (_Q2, _ONE_MINUS_Q2) if sign == 1 else (_QM2, _ONE_MINUS_QM2)
+    out: dict[tuple[int, ...], IntLaurent] = {}
     k = i - 1
     for w, c in e.terms.items():
         ws = list(w)
         ws[k], ws[k + 1] = ws[k + 1], ws[k]
         ws = tuple(ws)
-        length_up = w[k] < w[k + 1]
-        if sign == 1:
-            if length_up:
-                _add_term(out, ws, c)
-            else:
-                _add_term(out, ws, c * _Q2)
-                _add_term(out, w, c * _ONE_MINUS_Q2)
+        if (w[k] < w[k + 1]) == (sign == 1):  # T_w g = T_ws going up, T_w g^-1 = T_ws down
+            _add_term(out, ws, c)
         else:
-            if length_up:
-                _add_term(out, ws, c * _QM2)
-                _add_term(out, w, c * _ONE_MINUS_QM2)
-            else:
-                _add_term(out, ws, c)
+            _add_term(out, ws, c * swap)
+            _add_term(out, w, c * keep)
     return HeckeElement(e.strands, out)
 
 
@@ -143,8 +137,8 @@ class TraceParams:
     z: RatFun2
     d: RatFun2
     mu: RatFun2
-    # basis-element traces, keyed by one-line permutation; values are
-    # immutable and inserts idempotent
+    # basis-element traces as z-coefficient tuples in Z[q^+-1], keyed by
+    # one-line permutation; values are params-free, inserts idempotent
     _basis_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
@@ -170,7 +164,8 @@ class TraceParams:
         pos = self.mu * self.d * self.z
         if pos != a * q.inverse():
             raise AssertionError("positive stabilization factor is not q^-1 a")
-        tau_gen_inv = _QM2 * self.z - (_QM2 - RatFun2.from_int(1))
+        qm2 = RatFun2.monomial(1, 0, -2)
+        tau_gen_inv = qm2 * self.z - (qm2 - RatFun2.from_int(1))
         neg = self.mu * self.d.inverse() * tau_gen_inv
         if neg != q * a.inverse():
             raise AssertionError("negative stabilization factor is not q a^-1")
@@ -186,29 +181,33 @@ def default_trace_params() -> TraceParams:
     return _DEFAULT_PARAMS
 
 
-def _trace_basis(w: tuple[int, ...], params: TraceParams) -> RatFun2:
-    """Markov trace of a T-basis element, by the coset recursion: write
-    w = y * s_{n-1} ... s_j with y fixing strand n; then
-    tau_n(T_w) = z * tau_{n-1}(T_y T_{s_{n-2}} ... T_{s_j})."""
+def _add_scaled(acc: tuple, c: IntLaurent, coeffs: tuple) -> tuple:
+    """acc + c * coeffs, coefficientwise in z."""
+    return tuple(x + c * t for x, t in zip_longest(acc, coeffs, fillvalue=IntLaurent.zero()))
+
+
+def _trace_basis(w: tuple[int, ...], params: TraceParams) -> tuple[IntLaurent, ...]:
+    """Markov trace of a T-basis element as its coefficients of z^0, z^1, ...
+    by the coset recursion: write w = y * s_{n-1} ... s_j with y fixing
+    strand n; then tau_n(T_w) = z * tau_{n-1}(T_y T_{s_{n-2}} ... T_{s_j})."""
     n = len(w)
     if n <= 1:
-        return RatFun2.one()
+        return (IntLaurent.one(),)
     cached = params._basis_cache.get(w)
     if cached is not None:
         return cached
     if w[-1] == n:
         val = _trace_basis(w[:-1], params)
-        params._basis_cache[w] = val
-        return val
-    j = w.index(n) + 1
-    y = tuple(v for v in w if v != n)
-    elem = HeckeElement(n - 1, {y: RatFun2.one()})
-    for i in range(n - 2, j - 1, -1):
-        elem = hecke_mul_gen(elem, i, 1)
-    acc = RatFun2.zero()
-    for w2, c2 in elem.terms.items():
-        acc = acc + c2 * _trace_basis(w2, params)
-    val = params.z * acc
+    else:
+        j = w.index(n) + 1
+        y = tuple(v for v in w if v != n)
+        elem = HeckeElement(n - 1, {y: IntLaurent.one()})
+        for i in range(n - 2, j - 1, -1):
+            elem = hecke_mul_gen(elem, i, 1)
+        acc: tuple[IntLaurent, ...] = ()
+        for w2, c2 in elem.terms.items():
+            acc = _add_scaled(acc, c2, _trace_basis(w2, params))
+        val = (IntLaurent.zero(), *acc)
     params._basis_cache[w] = val
     return val
 
@@ -217,10 +216,13 @@ def ocneanu_trace(e: HeckeElement, params: TraceParams | None = None) -> RatFun2
     """Markov trace, linear over the T-basis with tau(T_e) = 1."""
     if params is None:
         params = default_trace_params()
-    acc = RatFun2.zero()
+    acc: tuple[IntLaurent, ...] = ()
     for w, c in e.terms.items():
-        acc = acc + c * _trace_basis(w, params)
-    return acc
+        acc = _add_scaled(acc, c, _trace_basis(w, params))
+    value = RatFun2.zero()
+    for c in reversed(acc):
+        value = value * params.z + RatFun2(IntLaurent2.from_q(c))
+    return value
 
 
 def homfly(w: BraidWord, params: TraceParams | None = None) -> RatFun2:

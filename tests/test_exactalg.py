@@ -101,8 +101,13 @@ def test_rings_stay_apart_and_hash_consistently():
     assert RatFun.one() != RatFun2.one()
     assert RatFun.zero() != RatFun2.zero()
     for n in (0, 1, -3):
-        assert RatFun.from_int(n) == n and n == RatFun.from_int(n)
-        assert RatFun2.from_int(n) == n and n == RatFun2.from_int(n)
+        for f in (RatFun.from_int(n), RatFun2.from_int(n)):
+            assert f == n and n == f
+            # equal values must meet in sets and dicts
+            assert n in {f} and f in {n}
+            assert {n: "v"}.get(f) == "v" and {f: "v"}.get(n) == "v"
+    assert 1 in {rf({0: 1, 2: 1}) - RatFun.q_power(2)}
+    assert -1 in {RatFun2.monomial(1, 1, 0) * RatFun2.monomial(-1, -1, 0)}
     assert hash(rf({0: 1, 2: 1}) - 1) == hash(RatFun.q_power(2))
     a = IntLaurent2.term(1, 1, 0)
     built = RatFun2(a * a - IntLaurent2.one(), a - IntLaurent2.one())  # (a^2 - 1)/(a - 1)

@@ -1,11 +1,13 @@
 """Hecke algebra, Markov trace, HOMFLY-PT values and the R-matrix oracle."""
 
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
 from qlink.braid import BraidWord, closure_stats, mirror, parse_braid
-from qlink.exactalg import RatFun, RatFun2
+from qlink.exactalg import IntLaurent, RatFun, RatFun2
 from qlink.homfly import (
     HeckeElement,
     TraceParams,
@@ -41,20 +43,20 @@ def random_word(rng: random.Random, max_len: int, max_strands: int) -> BraidWord
 def test_hecke_generator_on_identity():
     e = HeckeElement.identity(2)
     ge = hecke_mul_gen(e, 1, 1)
-    assert ge.terms == {(2, 1): ONE}
+    assert ge.terms == {(2, 1): IntLaurent.one()}
 
 
 def test_hecke_quadratic_relation():
     g = hecke_mul_gen(HeckeElement.identity(2), 1, 1)
     g2 = hecke_mul_gen(g, 1, 1)
-    q2 = RatFun2.monomial(1, 0, 2)
-    assert g2.terms == {(1, 2): q2, (2, 1): ONE - q2}
+    q2 = IntLaurent.q_power(2)
+    assert g2.terms == {(1, 2): q2, (2, 1): IntLaurent.one() - q2}
 
 
 def test_hecke_inverse_formula():
     e = hecke_mul_gen(HeckeElement.identity(2), 1, -1)
-    qm2 = RatFun2.monomial(1, 0, -2)
-    assert e.terms == {(2, 1): qm2, (1, 2): ONE - qm2}
+    qm2 = IntLaurent.q_power(-2)
+    assert e.terms == {(2, 1): qm2, (1, 2): IntLaurent.one() - qm2}
 
 
 def test_hecke_generator_inverse_cancels():
@@ -116,6 +118,80 @@ def test_trace_markov_property():
         assert ocneanu_trace(stabilized, params) == params.z * ocneanu_trace(
             HeckeElement.from_braid(w), params
         )
+
+
+def _reference_trace(e: HeckeElement, params: TraceParams, cache: dict) -> RatFun2:
+    """The Markov trace over the fraction field: the same coset recursion, but
+    every coefficient is a canonical fraction and z is multiplied in at every
+    level instead of once at the end."""
+
+    def basis(w):
+        n = len(w)
+        if n <= 1:
+            return ONE
+        if w not in cache:
+            if w[-1] == n:
+                cache[w] = basis(w[:-1])
+            else:
+                j = w.index(n) + 1
+                elem = HeckeElement(n - 1, {tuple(v for v in w if v != n): IntLaurent.one()})
+                for i in range(n - 2, j - 1, -1):
+                    elem = hecke_mul_gen(elem, i, 1)
+                cache[w] = params.z * combination(elem)
+        return cache[w]
+
+    def combination(elem):
+        acc = RatFun2.zero()
+        for w, c in elem.terms.items():
+            acc = acc + RatFun.from_laurent(c).to_ratfun2() * basis(w)
+        return acc
+
+    return combination(e)
+
+
+def test_trace_matches_fraction_field_reference():
+    params = default_trace_params()
+    cache: dict = {}
+    words = [
+        BraidWord(letters, 3)
+        for length in range(5)
+        for letters in product((1, -1, 2, -2), repeat=length)
+    ]
+    rng = random.Random(73)
+    words += [random_word(rng, 6, 5) for _ in range(30)]
+    for w in words:
+        e = HeckeElement.from_braid(w)
+        assert ocneanu_trace(e, params) == _reference_trace(e, params, cache), w
+
+
+def test_hecke_and_trace_stay_in_the_polynomial_ring(monkeypatch):
+    # Hecke arithmetic and the basis traces run no fraction operation and no
+    # polynomial gcd; only the final evaluation at z does.
+    import qlink.exactalg.ratfun as ratfun
+    from qlink.homfly import _trace_basis
+
+    params = TraceParams.default()  # a fresh, empty basis cache
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("laurent_gcd", "laurent2_gcd"):
+        monkeypatch.setattr(ratfun, name, counted(name, getattr(ratfun, name)))
+    for name in ("__add__", "__mul__"):
+        monkeypatch.setattr(RatFun2, name, counted(name, getattr(RatFun2, name)))
+    rng = random.Random(79)
+    for _ in range(10):
+        e = HeckeElement.from_braid(random_word(rng, 6, 5))
+        for w in e.terms:
+            _trace_basis(w, params)
+    assert params._basis_cache and not calls
+    ocneanu_trace(e, params)
+    assert calls["laurent2_gcd"] > 0  # the counters do see the evaluation
 
 
 def test_calibration_is_asserted():
