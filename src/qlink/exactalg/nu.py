@@ -7,13 +7,14 @@ never mix: combining them is a hard error rather than a silent coercion.
 `specialize_a` is the bridge from two-variable fractions: substituting
 a = q*v*delta sends a^2 to q^2*delta and each leftover single power of a
 to q*delta*v, turning a two-variable fraction into a NuValue of its
-context.
+context.  It runs in Z[q^±1]: each v-parity of a polynomial's image is
+one polynomial over a common power of delta's numerator and denominator.
 """
 
 from __future__ import annotations
 
 from .laurent import IntLaurent
-from .ratfun import PoleError, RatFun, RatFun2
+from .ratfun import PoleError, RatFun, RatFun2, normalize
 
 __all__ = ["NuValue", "nu_op", "nu_power", "specialize_a", "SpecializationError"]
 
@@ -75,7 +76,7 @@ class NuValue:
 
     def norm(self) -> RatFun:
         """Field norm e^2 - o^2/delta."""
-        return self.even * self.even - self.odd * self.odd / self.delta
+        return self.even ** 2 - self.odd ** 2 / self.delta
 
     def conjugate(self) -> NuValue:
         return NuValue(self.even, -self.odd, self.delta)
@@ -177,43 +178,46 @@ def nu_power(delta: RatFun, k: int) -> NuValue:
     return NuValue(scale, RatFun.zero(), delta)
 
 
-def _specialize_poly(p, delta: RatFun, powers: dict[int, RatFun]) -> NuValue:
-    """Substitute a = q*v*delta into a two-variable integer Laurent polynomial."""
+def _specialize_poly(p, delta: RatFun) -> NuValue:
+    """Substitute a = q*v*delta into a two-variable integer Laurent polynomial.
 
-    def q2delta_power(m: int) -> RatFun:
-        f = powers.get(m)
-        if f is None:
-            f = (RatFun.q_power(2) * delta) ** m
-            powers[m] = f
-        return f
-
-    even = RatFun.zero()
-    odd = RatFun.zero()
-    qdelta = None
-    for (d, e), v in p.items():
-        base = RatFun._make(IntLaurent.term(v, e), IntLaurent.one())
-        if d % 2 == 0:
-            even = even + base * q2delta_power(d // 2)
-        else:
-            if qdelta is None:
-                qdelta = RatFun.q_power(1) * delta
-            odd = odd + base * q2delta_power((d - 1) // 2) * qdelta
-    return NuValue(even, odd, delta)
+    a^d q^e goes to q^(d+e) delta^m v^(d mod 2) with m = ceil(d/2).  With
+    delta = P/Q and lo <= 0 <= hi bounding m, each parity's sum of C_m delta^m
+    is one polynomial over P^-lo Q^hi, built by Horner in P.
+    """
+    parts: tuple[dict[int, dict[int, int]], ...] = ({}, {})
+    for (d, e), c in p.items():
+        # parity and m fix d, so d + e never repeats within one C_m
+        parts[d & 1].setdefault(-(-d // 2), {})[d + e] = c
+    P, Q = delta.num, delta.den
+    values = []
+    for coeffs in parts:
+        lo, hi = min((0, *coeffs)), max((0, *coeffs))
+        acc, q_pow = IntLaurent.zero(), IntLaurent.one()
+        for m in range(hi, lo - 1, -1):
+            acc = acc * P
+            if m in coeffs:
+                acc = acc + IntLaurent(coeffs[m]) * q_pow
+            q_pow = q_pow * Q
+        values.append(normalize(acc, P ** -lo * Q ** hi))
+    return NuValue(*values, delta)
 
 
 def specialize_a(F: RatFun2, delta: RatFun) -> NuValue:
     """Specialize a two-variable fraction at a = q*v*delta.
 
-    Returns the value as an element of the quadratic extension attached to
-    delta.  Raises SpecializationError when the denominator specializes to
-    zero (a pole of the specialization).
+    Numerator and denominator map to polynomials over a common power of
+    delta's numerator and denominator (see `_specialize_poly`); the value is
+    their quotient in the quadratic extension attached to delta.  Raises
+    SpecializationError when the denominator specializes to zero or to a
+    value of zero norm (a pole of the specialization).
     """
-    powers: dict[int, RatFun] = {0: RatFun.one()}
-    num = _specialize_poly(F.num, delta, powers)
-    den = _specialize_poly(F.den, delta, powers)
+    num = _specialize_poly(F.num, delta)
+    den = _specialize_poly(F.den, delta)
     if den.is_zero():
         raise SpecializationError("denominator vanishes under the a = q*v*delta specialization")
     norm = den.norm()
     if norm.is_zero():
         raise SpecializationError("denominator has zero norm under the a = q*v*delta specialization")
-    return num / den
+    # num / den, with the norm computed once: 1/den = conjugate(den) / norm(den)
+    return num * den.conjugate() * norm.inverse()

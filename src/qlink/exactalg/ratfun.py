@@ -217,14 +217,8 @@ class _Fraction:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        # powers of coprime polynomials stay coprime: no gcd is needed
+        return self._reduced(self.num ** n, self.den ** n)
 
     def __repr__(self) -> str:
         return f"{self.__class__.__name__}({self})"

@@ -59,6 +59,40 @@ def test_inv_x_mode_outputs_nu_value(capsys):
     assert out.strip() == "(1+q^2) + (0)*v"
 
 
+SPECIALIZED_TEXTS = [
+    (
+        ("1 1 1", "--mode", "x:2/3"),
+        "((q^-2+q^4+q^6+2*q^8+q^10)/(1+q^2+2*q^4+2*q^6+2*q^8+q^10)) + (0)*v",
+    ),
+    (
+        ("1 1 1", "--mode", "x:2/3", "--normalized"),
+        "(1+q^6+q^8+2*q^10+q^12)/(1+2*q^4+2*q^6+q^8+2*q^10+q^12)",
+    ),
+    (
+        ("1 1 1", "--mode", "flat:5/2", "--normalized", "--mirror"),
+        "(q^2+q^4+3*q^6+3*q^8+4*q^10+5*q^12+3*q^14+2*q^16+2*q^18-2*q^22-q^26-q^28)"
+        "/(1+3*q^4+3*q^8+q^12)",
+    ),
+    (
+        ("1 -2 1 -2", "--mode", "flat:5/2"),
+        "(0) + ((q^-4+3+q^2+3*q^4+2*q^6+q^8+q^10+2*q^12+q^16+3*q^18+q^22+q^24)"
+        "/(1+2*q^4+q^6+q^8+2*q^10+q^14))*v",
+    ),
+    (
+        ("1 -2 1 -2", "--mode", "x:-3/4", "--normalized"),
+        "(-q^-2-3-5*q^2-7*q^4-9*q^6-10*q^8-7*q^10-5*q^12-q^14-q^16+q^18)"
+        "/(1+3*q^2+6*q^4+9*q^6+11*q^8+11*q^10+9*q^12+7*q^14+4*q^16+2*q^18+q^20)",
+    ),
+]
+
+
+def test_inv_specialized_texts_are_pinned(capsys):
+    # the exact canonical text of specialized values, in both contexts
+    for argv, text in SPECIALIZED_TEXTS:
+        code, out, err = run(capsys, "inv", *argv)
+        assert (code, out, err) == (0, text + "\n", ""), argv
+
+
 def test_inv_trefoil_mirror_pair_differ(capsys):
     code1, out1, _ = run(capsys, "inv", "1 1 1", "--mode", "x:2/3")
     code2, out2, _ = run(capsys, "inv", "1 1 1", "--mode", "x:2/3", "--mirror")

@@ -1,11 +1,15 @@
 """Exact-arithmetic substrate: canonical fractions, series, quadratic extension."""
 
+import math
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlink.braid import BraidWord, mirror, parse_braid
 from qlink.exactalg import (
     IntLaurent,
     IntLaurent2,
@@ -27,7 +31,8 @@ from qlink.exactalg import (
     specialize_a,
 )
 from qlink.exactalg.textio import format_nu, format_ratfun, format_ratfun2
-from qlink.qnum import qdelta, qrational
+from qlink.homfly import homfly
+from qlink.qnum import left_qdelta, qdelta, qrational
 
 
 def L(d):
@@ -36,6 +41,31 @@ def L(d):
 
 def rf(num, den=None):
     return RatFun(L(num), L(den) if den is not None else None)
+
+
+def count_calls(monkeypatch, owner, names) -> Counter:
+    """Wrap `owner.<name>` for each name with a call counter."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
+
+
+def repeated_product(f, n):
+    """f ** n as |n| products of f, or of f.inverse() when n < 0."""
+    base = f if n >= 0 else f.inverse()
+    out = f.one()
+    for _ in range(abs(n)):
+        out = out * base
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +302,90 @@ def test_specialize_pole():
         specialize_a(F, delta)
 
 
+def _reference_image(p: IntLaurent2, delta: RatFun) -> NuValue:
+    """Image of a polynomial under a = q*v*delta, one monomial at a time in
+    the fraction field: a^d q^e -> q^e (q^2 delta)^(d // 2), times q*delta*v
+    when d is odd."""
+    even = odd = RatFun.zero()
+    for (d, e), c in p.items():
+        term = RatFun.from_laurent(IntLaurent.term(c, e))
+        term = term * repeated_product(RatFun.q_power(2) * delta, d // 2)
+        if d % 2 == 0:
+            even = even + term
+        else:
+            odd = odd + term * RatFun.q_power(1) * delta
+    return NuValue(even, odd, delta)
+
+
+def _reference_specialize(F: RatFun2, delta: RatFun) -> NuValue:
+    """specialize_a by per-monomial fraction arithmetic (the differential oracle)."""
+    num = _reference_image(F.num, delta)
+    den = _reference_image(F.den, delta)
+    if den.is_zero():
+        raise SpecializationError("denominator vanishes under the a = q*v*delta specialization")
+    if den.norm().is_zero():
+        raise SpecializationError("denominator has zero norm under the a = q*v*delta specialization")
+    return num / den
+
+
+def _outcome(specialize, F: RatFun2, delta: RatFun):
+    try:
+        return specialize(F, delta)
+    except ZeroDivisionError as exc:  # SpecializationError included
+        return type(exc), str(exc)
+
+
+SPECIALIZE_XS = (Fraction(2), Fraction(-3), Fraction(2, 3), Fraction(5, 2), Fraction(-3, 4))
+
+
+def test_specialize_matches_per_monomial_reference():
+    words = [
+        BraidWord(letters, 3)
+        for length in range(5)
+        for letters in product((1, -1, 2, -2), repeat=length)
+    ]
+    for text in ("1 1 1", "1 -2 1 -2", "1 1 1 1 1"):
+        words += [parse_braid(text), mirror(parse_braid(text))]
+    values = {homfly(w) for w in words}
+    # integer x makes the right delta a monomial; the flat one is not
+    for x in SPECIALIZE_XS:
+        for delta in (qdelta(x), left_qdelta(x)):
+            for F in values:
+                assert _outcome(specialize_a, F, delta) == _outcome(_reference_specialize, F, delta)
+
+
+def test_specialize_pole_messages_match_reference():
+    delta = qdelta(Fraction(2))
+    vanishing = F2({(0, 0): 1}, {(2, 0): 1, (0, 4): -1})  # a^2 - q^4 -> 0
+    zero_norm = F2({(0, 0): 1}, {(1, 0): 1, (0, 2): 1})  # a + q^2 -> q^2 + q^3 v
+    for F, words in ((vanishing, "denominator vanishes"), (zero_norm, "zero norm")):
+        got = _outcome(specialize_a, F, delta)
+        assert got[0] is SpecializationError and words in got[1]
+        assert got == _outcome(_reference_specialize, F, delta)
+
+
+def test_specialize_substitutes_without_fraction_arithmetic(monkeypatch):
+    # the images are built in Z[q^±1]; fraction sums and products run only
+    # in the final quotient
+    import qlink.exactalg.nu as nu
+
+    calls = count_calls(monkeypatch, RatFun, ("__add__", "__mul__"))
+    inside = []  # fraction operations seen during each substitution
+    substitute = nu._specialize_poly
+
+    def tracked(*args):
+        before = sum(calls.values())
+        out = substitute(*args)
+        inside.append(sum(calls.values()) - before)
+        return out
+
+    monkeypatch.setattr(nu, "_specialize_poly", tracked)
+    for x in (Fraction(5, 2), Fraction(-3, 4)):
+        specialize_a(homfly(parse_braid("1 -2 1 -2")), qdelta(x))
+    assert inside == [0, 0, 0, 0]
+    assert calls["__mul__"] > 0  # the counters do see the quotient
+
+
 # ---------------------------------------------------------------------------
 # text grammar
 # ---------------------------------------------------------------------------
@@ -396,6 +510,51 @@ def test_specialize_a_homomorphism_random(f, g):
     except (SpecializationError, ZeroDivisionError):
         return  # pole of the specialization: nothing to compare
     assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(ratfun2s, st.sampled_from(SPECIALIZE_XS), st.sampled_from((qdelta, left_qdelta)))
+def test_specialize_a_matches_reference_random(f, x, context):
+    delta = context(x)
+    assert _outcome(specialize_a, f, delta) == _outcome(_reference_specialize, f, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ratfuns, ratfun2s), st.integers(-3, 4))
+def test_power_is_repeated_product_in_canonical_form(f, n):
+    if f.is_zero() and n < 0:
+        with pytest.raises(ZeroDivisionError):
+            f ** n
+        return
+    g = f ** n
+    assert g == repeated_product(f, n)
+    # the canonical-form conditions that need no gcd (normalize2 on a fourth
+    # power can take minutes); coprimality follows from the equality above
+    low = g.den.min_exp() if isinstance(g, RatFun) else g.den.min_exps()
+    assert low in (0, (0, 0)) and g.den.leading_coefficient() > 0
+    assert math.gcd(g.num.content(), g.den.content()) == 1
+
+
+def test_power_of_zero():
+    for zero in (RatFun.zero(), RatFun2.zero()):
+        assert zero ** 0 == 1
+        assert zero ** 3 == 0
+        with pytest.raises(ZeroDivisionError):
+            zero ** -2
+
+
+def test_power_runs_no_gcd(monkeypatch):
+    import qlink.exactalg.ratfun as ratfun
+
+    f = rf({0: 1, 1: 2, 3: -1}, {0: 2, 2: 1, 5: 3})
+    g = F2({(1, 0): 1, (0, 1): -2}, {(0, 0): 1, (2, 1): 1})
+    calls = count_calls(monkeypatch, ratfun, ("laurent_gcd", "laurent2_gcd"))
+    for h in (f, g):
+        for n in range(-3, 5):
+            h ** n
+    assert not calls
+    f * f, g * g
+    assert calls["laurent_gcd"] and calls["laurent2_gcd"]  # the counters see products
 
 
 @settings(max_examples=50, deadline=None)
