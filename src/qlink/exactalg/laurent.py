@@ -5,12 +5,27 @@ with arbitrary-precision integer coefficients; zero coefficients are never
 stored.  Values are immutable after construction: every operation returns a
 fresh object, so they are safe to share between threads.
 
-The gcd helpers at the bottom back the canonical-fraction machinery in
-`ratfun`.  One-variable gcds run the rational-coefficient Euclidean
-algorithm, with a modular degree certificate to shortcut the (very common)
-coprime case on large operands.  Two-variable gcds treat a polynomial in
-(a, q) as a polynomial in a with q-Laurent coefficients and run a primitive
-pseudo-remainder sequence, which avoids any multivariate factorization.
+The gcd and exact-division kernels at the bottom back the canonical-fraction
+machinery in `ratfun`, and work on plain integers:
+
+  * Exact division is integer long division on dense coefficient lists,
+    `divmod` by the divisor's leading coefficient; it stops at the first
+    inexact step.  Two-variable operands are first mapped to one variable
+    by the Kronecker substitution a = q^k.
+  * One-variable gcds run the heuristic integer gcd GCDHEU (Char, Geddes &
+    Gonnet, J. Symb. Comp. 7, 1989) on the primitive parts: evaluate both at
+    an integer xi > 2 min(|f|, |g|) + 1, take the integer gcd, rebuild a
+    polynomial from its symmetric xi-adic digits and accept its primitive
+    part only if it divides both operands, which proves it is the gcd (a
+    rebuilt 1 proves coprimality).  After a few evaluation points it falls
+    back to the Euclidean algorithm over `Fraction`.
+  * Two-variable gcds run the same heuristic in a: the gcd in Z[q] of the
+    values at a = xi, rebuilt digit by digit in a.  The fallback is a
+    primitive pseudo-remainder sequence in a over Z[q^{±1}].
+
+The trial divisions of the heuristics go through the private `*_or_none`
+helpers, so only the divisions asked for through the public names show up
+when those are counted.
 """
 
 from __future__ import annotations
@@ -28,10 +43,9 @@ __all__ = [
     "laurent2_divide_exact",
 ]
 
-# Primes for the gcd-degree certificate.  Any prime works as long as it does
-# not kill a leading coefficient; we try a few before giving up.
-_CERT_PRIMES = (2147483647, 2147483629, 2147483587)
-_CERT_DEGREE_CUTOFF = 48
+# Evaluation points GCDHEU tries before the gcds fall back to the Euclidean
+# algorithm (as in sympy's `dup_zz_heu_gcd`).
+_HEU_TRIES = 6
 
 
 def _trim(c: dict) -> dict:
@@ -311,62 +325,96 @@ class IntLaurent2(_Laurent):
 
 
 # ---------------------------------------------------------------------------
-# One-variable gcd machinery
+# One-variable kernels on dense integer coefficient lists
 # ---------------------------------------------------------------------------
 
 
 def _poly_list(p: IntLaurent) -> list[int]:
-    """Dense coefficient list of a min-exponent-0 polynomial."""
-    top = p.max_exp()
-    out = [0] * (top + 1)
+    """Dense coefficient list of p divided by q^min_exp (lowest entry nonzero)."""
+    m, top = p.min_exp(), p.max_exp()
+    out = [0] * (top - m + 1)
     for e, v in p.items():
-        out[e] = v
+        out[e - m] = v
     return out
 
 
-def _shift_to_poly(p: IntLaurent) -> IntLaurent:
-    """Divide by the monomial q^min_exp so the result has min exponent 0."""
-    m = p.min_exp()
-    return p.shift(-m) if m else p
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its integer content and by its power of q (a nonzero)."""
+    while not a[0]:
+        a = a[1:]
+    c = math.gcd(*a)
+    return a if c == 1 else [v // c for v in a]
 
 
-def _modp_gcd_is_trivial(fa: list[int], fb: list[int]) -> bool:
-    """True if a modular image certifies gcd(f, g) = 1 over the rationals.
+def _ldiv(a: list[int], b: list[int]) -> list[int] | None:
+    """Quotient a / b of dense integer polynomials, or None if b does not
+    divide a in Z[q].  `a` is nonzero, `b` has a nonzero leading entry."""
+    db = len(b) - 1
+    n = len(a) - 1 - db
+    if n < 0 or (b[0] and a[0] % b[0]):
+        return None
+    a = list(a)
+    lead = b[-1]
+    quot = [0] * (n + 1)
+    for i in range(n, -1, -1):
+        c = a[i + db]
+        if c:
+            c, r = divmod(c, lead)
+            if r:
+                return None
+            quot[i] = c
+            a[i : i + db] = [x - c * y for x, y in zip(a[i : i + db], b)]
+    return None if any(a[:db]) else quot
 
-    deg gcd_Q(f, g) <= deg gcd_{F_p}(f mod p, g mod p) whenever p divides
-    neither leading coefficient, so a degree-0 modular gcd is a proof of
-    coprimality.  Returns False when no certificate was obtained (which only
-    means the caller must run the exact Euclidean algorithm).
+
+def _eval(a: list[int], xi: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * xi + c
+    return v
+
+
+def _digits(h: int, xi: int) -> list[int]:
+    """Symmetric xi-adic digits of h, lowest first."""
+    out = []
+    half = xi // 2
+    while h:
+        d = h % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        h = (h - d) // xi
+    return out
+
+
+def _heu_xi(norm_f: int, norm_g: int):
+    """The evaluation points of GCDHEU: 2 min(|f|, |g|) + 29, then grown by
+    73794/27011 times its fourth root each time, as sympy does."""
+    xi = 2 * min(norm_f, norm_g) + 29
+    for _ in range(_HEU_TRIES):
+        yield xi
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+
+
+def _heu_gcd(a: list[int], b: list[int]) -> list[int] | None:
+    """Gcd of primitive dense polynomials by GCDHEU, or None if it gives up.
+
+    A candidate rebuilt from the integer gcd of the values at xi is accepted
+    only if it divides both operands; since xi > 2 min(|a|, |b|) + 1, such a
+    divisor is the gcd (Char, Geddes & Gonnet 1989).
     """
-    for p in _CERT_PRIMES:
-        if fa[-1] % p == 0 or fb[-1] % p == 0:
-            continue
-        a = [v % p for v in fa]
-        b = [v % p for v in fb]
-        while True:
-            while b and b[-1] == 0:
-                b.pop()
-            if not b:
-                break
-            if len(b) == 1:
-                return True  # unit gcd mod p
-            inv = pow(b[-1], p - 2, p)
-            b = [v * inv % p for v in b]
-            # reduce a mod b
-            for i in range(len(a) - 1, len(b) - 2, -1):
-                c = a[i]
-                if c:
-                    a[i] = 0
-                    off = i - len(b) + 1
-                    for j in range(len(b) - 1):
-                        a[off + j] = (a[off + j] - c * b[j]) % p
-            a, b = b, a
-        return False  # nontrivial common factor mod p: inconclusive for us
-    return False
+    for xi in _heu_xi(max(map(abs, a)), max(map(abs, b))):
+        h = _primitive(_digits(math.gcd(_eval(a, xi), _eval(b, xi)), xi))
+        if len(h) == 1 or (_ldiv(a, h) is not None and _ldiv(b, h) is not None):
+            return h
+    return None
 
 
 def _frac_gcd(fa: list[int], fb: list[int]) -> list[Fraction]:
-    """Monic gcd over Q via the Euclidean algorithm on coefficient lists."""
+    """Monic gcd over Q via the Euclidean algorithm on coefficient lists.
+
+    The fallback of `laurent_gcd` when GCDHEU gives up, and its test oracle.
+    """
     a = [Fraction(v) for v in fa]
     b = [Fraction(v) for v in fb]
     while True:
@@ -389,6 +437,12 @@ def _frac_gcd(fa: list[int], fb: list[int]) -> list[Fraction]:
     return a
 
 
+def _cleared(monic: list[Fraction]) -> list[int]:
+    """The primitive integer multiple of a polynomial over Q."""
+    den_lcm = math.lcm(*(v.denominator for v in monic))
+    return _primitive([int(v * den_lcm) for v in monic])
+
+
 def laurent_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
     """Gcd up to units, normalized to min exponent 0, positive leading
     coefficient and primitive integer content.  gcd(0, 0) = 0."""
@@ -397,35 +451,19 @@ def laurent_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
     if f.is_zero():
         f, g = g, f
     if g.is_zero():
-        p = _shift_to_poly(f)
-        c = p.content()
-        p = p.divide_content(c)
-        return -p if p.leading_coefficient() < 0 else p
-    if f.is_monomial() or g.is_monomial():
+        h = _primitive(_poly_list(f))
+    elif f.is_monomial() or g.is_monomial():
         return IntLaurent.one()
-    fp, gp = _shift_to_poly(f), _shift_to_poly(g)
-    fa, fb = _poly_list(fp), _poly_list(gp)
-    if min(len(fa), len(fb)) > _CERT_DEGREE_CUTOFF and _modp_gcd_is_trivial(fa, fb):
-        return IntLaurent.one()
-    monic = _frac_gcd(fa, fb)
-    if len(monic) <= 1:
-        return IntLaurent.one()
-    # clear denominators, make primitive with positive leading coefficient
-    den_lcm = 1
-    for v in monic:
-        den_lcm = den_lcm * v.denominator // math.gcd(den_lcm, v.denominator)
-    ints = [int(v * den_lcm) for v in monic]
-    g0 = math.gcd(*ints) if len(ints) > 1 else abs(ints[0])
-    ints = [v // g0 for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return IntLaurent({e: v for e, v in enumerate(ints) if v})
+    else:
+        fa, fb = _primitive(_poly_list(f)), _primitive(_poly_list(g))
+        h = _heu_gcd(fa, fb) or _cleared(_frac_gcd(fa, fb))
+    if h[-1] < 0:
+        h = [-v for v in h]
+    return IntLaurent({e: v for e, v in enumerate(h) if v})
 
 
-def laurent_divide_exact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
-    """Exact division f / g in Z[q^{±1}]; raises if not divisible."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
+def _divide_or_none(f: IntLaurent, g: IntLaurent) -> IntLaurent | None:
+    """f / g in Z[q^{±1}] for nonzero g, or None if g does not divide f."""
     if f.is_zero():
         return IntLaurent.zero()
     if g.is_monomial():
@@ -434,31 +472,29 @@ def laurent_divide_exact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
         for e, v in f.items():
             q, r = divmod(v, v0)
             if r:
-                raise ArithmeticError("inexact polynomial division")
+                return None
             out[e - e0] = q
         return IntLaurent(out)
+    quot = _ldiv(_poly_list(f), _poly_list(g))
+    if quot is None:
+        return None
     shift = f.min_exp() - g.min_exp()
-    fp, gp = _shift_to_poly(f), _shift_to_poly(g)
-    a = [Fraction(v) for v in _poly_list(fp)]
-    b = _poly_list(gp)
-    db = len(b) - 1
-    lead = Fraction(b[-1])
-    quot: dict[int, Fraction] = {}
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            c = c / lead
-            quot[i - db] = c
-            a[i] = Fraction(0)
-            for j in range(db):
-                a[i - db + j] -= c * b[j]
-    if any(a) or any(v.denominator != 1 for v in quot.values()):
+    return IntLaurent({e + shift: v for e, v in enumerate(quot) if v})
+
+
+def laurent_divide_exact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
+    """Exact division f / g in Z[q^{±1}]; raises if not divisible."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    quot = _divide_or_none(f, g)
+    if quot is None:
         raise ArithmeticError("inexact polynomial division")
-    return IntLaurent({e + shift: int(v) for e, v in quot.items() if v})
+    return quot
 
 
 # ---------------------------------------------------------------------------
-# Two-variable gcd machinery (primitive pseudo-remainder sequences in a)
+# Two-variable gcd machinery (GCDHEU in a, primitive pseudo-remainder
+# sequences in a as the fallback)
 # ---------------------------------------------------------------------------
 
 
@@ -515,24 +551,9 @@ def _a_prem(f: dict[int, IntLaurent], g: dict[int, IntLaurent]) -> dict[int, Int
     return r
 
 
-def laurent2_gcd(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2:
-    """Gcd up to units in Z[a^{±1}, q^{±1}], normalized to min exponents 0,
-    positive leading (lexicographic) coefficient, primitive content."""
-    if f.is_zero() and g.is_zero():
-        return IntLaurent2.zero()
-    if f.is_zero() or g.is_zero():
-        h = g if f.is_zero() else f
-        da, dq = h.min_exps()
-        h = h.shift(-da, -dq)
-        c = h.content()
-        h = h.divide_content(c)
-        return -h if h.leading_coefficient() < 0 else h
-    if f.is_monomial() or g.is_monomial():
-        return IntLaurent2.one()
-    da, dq = f.min_exps()
-    fp = f.shift(-da, -dq)
-    da, dq = g.min_exps()
-    gp = g.shift(-da, -dq)
+def _prs_gcd2(fp: IntLaurent2, gp: IntLaurent2) -> IntLaurent2:
+    """Gcd up to units of f, g with min exponents 0 by a primitive
+    pseudo-remainder sequence in a: the fallback of `laurent2_gcd`."""
     pf, pg = _to_a_poly(fp), _to_a_poly(gp)
     pf, cf = _a_primitive(pf)
     pg, cg = _a_primitive(pg)
@@ -554,21 +575,73 @@ def laurent2_gcd(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2:
         pf, pg = pg, r
     prim, _ = _a_primitive(prim)
     out = _from_a_poly(prim)
-    if not cont.is_one():
-        out = out * IntLaurent2.from_q(cont)
-    da, dq = out.min_exps()
-    out = out.shift(-da, -dq)
-    c = out.content()
-    out = out.divide_content(c)
-    if out.leading_coefficient() < 0:
-        out = -out
-    return out
+    return out if cont.is_one() else out * IntLaurent2.from_q(cont)
 
 
-def laurent2_divide_exact(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2:
-    """Exact division f / g in Z[a^{±1}, q^{±1}]; raises if not divisible."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
+def _norm(f: IntLaurent2) -> int:
+    return max(abs(v) for _, v in f.items())
+
+
+def _primitive2(f: IntLaurent2) -> IntLaurent2:
+    """f divided by its integer content and its lowest monomial (f nonzero)."""
+    f = f.shift(*(-m for m in f.min_exps()))
+    return f.divide_content(f.content())
+
+
+def _eval_a(f: IntLaurent2, xi: int) -> IntLaurent:
+    """f at a = xi (f has nonnegative a-exponents)."""
+    powers = [1]
+    for _ in range(max(d for (d, _), _ in f.items())):
+        powers.append(powers[-1] * xi)
+    c: dict[int, int] = {}
+    for (d, e), v in f.items():
+        c[e] = c.get(e, 0) + v * powers[d]
+    return IntLaurent(c)
+
+
+def _heu_gcd2(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2 | None:
+    """Gcd up to sign of primitive f, g with min exponents 0 by GCDHEU in a
+    over the one-variable gcd in Z[q], or None if it gives up."""
+    for xi in _heu_xi(_norm(f), _norm(g)):
+        ff, gg = _eval_a(f, xi), _eval_a(g, xi)
+        h = laurent_gcd(ff, gg).scale(math.gcd(ff.content(), gg.content()))
+        c = {}
+        for e, v in h.items():
+            for d, digit in enumerate(_digits(v, xi)):
+                if digit:
+                    c[(d, e)] = digit
+        cand = _primitive2(IntLaurent2(c))
+        if cand.is_one() or (
+            _divide2_or_none(f, cand) is not None and _divide2_or_none(g, cand) is not None
+        ):
+            return cand
+    return None
+
+
+def laurent2_gcd(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2:
+    """Gcd up to units in Z[a^{±1}, q^{±1}], normalized to min exponents 0,
+    positive leading (lexicographic) coefficient, primitive content."""
+    if f.is_zero() and g.is_zero():
+        return IntLaurent2.zero()
+    if f.is_zero() or g.is_zero():
+        out = g if f.is_zero() else f
+    elif f.is_monomial() or g.is_monomial():
+        return IntLaurent2.one()
+    else:
+        f, g = _primitive2(f), _primitive2(g)
+        out = _heu_gcd2(f, g) or _prs_gcd2(f, g)
+    out = _primitive2(out)
+    return -out if out.leading_coefficient() < 0 else out
+
+
+def _divide2_or_none(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2 | None:
+    """f / g in Z[a^{±1}, q^{±1}] for nonzero g, or None if g does not divide f.
+
+    Both are shifted to min exponents 0 and mapped to Z[q] by a -> q^k, with
+    k past the q-degree of f; `_ldiv` divides the images.  A quotient whose
+    q-degrees stay within deg_q f - deg_q g is exact, because the map is
+    injective on polynomials of q-degree below k.
+    """
     if f.is_zero():
         return IntLaurent2.zero()
     if g.is_monomial():
@@ -577,28 +650,39 @@ def laurent2_divide_exact(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2:
         for (d, e), v in f.items():
             q, r = divmod(v, v0)
             if r:
-                raise ArithmeticError("inexact polynomial division")
+                return None
             out[(d - d0, e - e0)] = q
         return IntLaurent2(out)
-    fa, fq = f.min_exps()
-    ga, gq = g.min_exps()
-    pf = _to_a_poly(f.shift(-fa, -fq))
-    pg = _to_a_poly(g.shift(-ga, -gq))
-    dg = max(pg)
-    lg = pg[dg]
-    quot: dict[int, IntLaurent] = {}
-    r = dict(pf)
-    while r:
-        dr = max(r)
-        if dr < dg:
-            raise ArithmeticError("inexact polynomial division")
-        c = laurent_divide_exact(r[dr], lg)
-        quot[dr - dg] = c
-        for d, coeff in pg.items():
-            dd = d + dr - dg
-            w = r.get(dd, IntLaurent.zero()) - coeff * c
-            if w.is_zero():
-                r.pop(dd, None)
-            else:
-                r[dd] = w
-    return _from_a_poly(quot).shift(fa - ga, fq - gq)
+    (fa, fq), (ga, gq) = f.min_exps(), g.min_exps()
+    k = max(e for (_, e), _ in f.items()) - fq + 1
+    top = k - 1 - max(e for (_, e), _ in g.items()) + gq
+    quot = _ldiv(_kronecker(f, fa, fq, k), _kronecker(g, ga, gq, k))
+    if quot is None:
+        return None
+    out = {}
+    for i, v in enumerate(quot):
+        if v:
+            d, e = divmod(i, k)
+            if e > top:
+                return None
+            out[(d + fa - ga, e + fq - gq)] = v
+    return IntLaurent2(out)
+
+
+def _kronecker(f: IntLaurent2, da: int, dq: int, k: int) -> list[int]:
+    """Dense list of f / (a^da q^dq) at a = q^k."""
+    c = {(d - da) * k + e - dq: v for (d, e), v in f.items()}
+    out = [0] * (max(c) + 1)
+    for i, v in c.items():
+        out[i] = v
+    return out
+
+
+def laurent2_divide_exact(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2:
+    """Exact division f / g in Z[a^{±1}, q^{±1}]; raises if not divisible."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    quot = _divide2_or_none(f, g)
+    if quot is None:
+        raise ArithmeticError("inexact polynomial division")
+    return quot

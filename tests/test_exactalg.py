@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlink.exactalg.laurent as laurent
 from qlink.braid import BraidWord, mirror, parse_braid
 from qlink.exactalg import (
     IntLaurent,
@@ -21,7 +22,10 @@ from qlink.exactalg import (
     TruncSeries,
     evaluate_at,
     field_op,
+    laurent2_gcd,
+    laurent_gcd,
     normalize,
+    normalize2,
     nu_op,
     nu_power,
     parse_nu,
@@ -30,6 +34,7 @@ from qlink.exactalg import (
     series_expand,
     specialize_a,
 )
+from qlink.exactalg.laurent import laurent2_divide_exact, laurent_divide_exact
 from qlink.exactalg.textio import format_nu, format_ratfun, format_ratfun2
 from qlink.homfly import homfly
 from qlink.qnum import left_qdelta, qdelta, qrational
@@ -528,11 +533,7 @@ def test_power_is_repeated_product_in_canonical_form(f, n):
         return
     g = f ** n
     assert g == repeated_product(f, n)
-    # the canonical-form conditions that need no gcd (normalize2 on a fourth
-    # power can take minutes); coprimality follows from the equality above
-    low = g.den.min_exp() if isinstance(g, RatFun) else g.den.min_exps()
-    assert low in (0, (0, 0)) and g.den.leading_coefficient() > 0
-    assert math.gcd(g.num.content(), g.den.content()) == 1
+    assert (normalize if isinstance(g, RatFun) else normalize2)(g.num, g.den) == g
 
 
 def test_power_of_zero():
@@ -569,3 +570,258 @@ def test_grammar2_round_trip_random(f):
     from qlink.exactalg.textio import format_ratfun2 as fmt2
 
     assert parse_ratfun2(fmt2(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# L0 kernels: GCDHEU and integer division against the Fraction Euclid
+# ---------------------------------------------------------------------------
+
+
+def _dense(p: IntLaurent) -> list[int]:
+    lo = p.min_exp()
+    return [p.coefficient(e) for e in range(lo, p.max_exp() + 1)]
+
+
+def _reference_gcd(f: IntLaurent, g: IntLaurent) -> IntLaurent:
+    """The monic Euclidean gcd over Q, scaled to a primitive integer polynomial."""
+    monic = laurent._frac_gcd(_dense(f), _dense(g))
+    den = math.lcm(*(v.denominator for v in monic))
+    ints = [int(v * den) for v in monic]
+    return IntLaurent({e: v // math.gcd(*ints) for e, v in enumerate(ints) if v})
+
+
+def _reference_divide(f: IntLaurent, g: IntLaurent) -> IntLaurent:
+    """The long division over Fraction that `laurent_divide_exact` replaced."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if f.is_zero():
+        return IntLaurent.zero()
+    a = [Fraction(v) for v in _dense(f)]
+    b = _dense(g)
+    db = len(b) - 1
+    quot: dict[int, Fraction] = {}
+    for i in range(len(a) - 1, db - 1, -1):
+        if a[i]:
+            c = quot[i - db] = a[i] / b[-1]
+            for j in range(db + 1):
+                a[i - db + j] -= c * b[j]
+    if any(a) or any(v.denominator != 1 for v in quot.values()):
+        raise ArithmeticError("inexact polynomial division")
+    shift = f.min_exp() - g.min_exp()
+    return IntLaurent({e + shift: int(v) for e, v in quot.items() if v})
+
+
+def _division_outcome(divide, f, g):
+    try:
+        return divide(f, g)
+    except ArithmeticError as exc:  # ZeroDivisionError included
+        return type(exc), str(exc)
+
+
+def _polys(max_deg: int, bound: int, max_shift: int = 3):
+    """Nonzero Laurent polynomials in q of degree span up to max_deg."""
+    return st.builds(
+        lambda coeffs, shift: IntLaurent({e + shift: v for e, v in enumerate(coeffs) if v}),
+        st.lists(st.integers(-bound, bound), min_size=1, max_size=max_deg + 1).filter(any),
+        st.integers(-max_shift, max_shift),
+    )
+
+
+def _polys2(bound: int):
+    """Nonzero Laurent polynomials in (a, q) with a small support."""
+    return st.dictionaries(
+        st.tuples(st.integers(-1, 3), st.integers(-1, 4)), st.integers(-bound, bound), max_size=5
+    ).map(IntLaurent2).filter(bool)
+
+
+def _give_up(*_args):
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(14, 10**6), _polys(26, 10**6), _polys(26, 10**6))
+def test_gcd_matches_euclid_on_planted_factors(h, u, v):
+    f, g = h * u, h * v
+    out = laurent_gcd(f, g)
+    assert out == _reference_gcd(f, g)
+    assert laurent_divide_exact(f, out) * out == f and laurent_divide_exact(g, out) * out == g
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_heu_gcd", _give_up)
+        assert laurent_gcd(f, g) == out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys(12, 50), _polys(12, 50), _polys(4, 50), st.integers(2, 6), st.integers(0, 2))
+def test_division_matches_fraction_long_division(g, h, r, c, kind):
+    if kind == 0:  # divisible
+        f, d = g * h, g
+    elif kind == 1:  # a remainder is left unless g divides r
+        f, d = g * h + r, g
+    else:  # divisible over Q; the quotient h / c is fractional unless c divides h
+        f, d = g * h, g.scale(c)
+    assert _division_outcome(laurent_divide_exact, f, d) == _division_outcome(_reference_divide, f, d)
+
+
+def test_division_edge_cases_match_fraction_long_division():
+    cases = [
+        (L({0: 1}), L({})),  # zero divisor
+        (L({}), L({0: 1, 1: 1})),  # zero dividend
+        (L({2: 6, 5: -4}), L({1: 2})),  # monomial divisor
+        (L({2: 6, 5: -3}), L({1: 2})),  # monomial divisor, inexact
+        (L({0: 1, 1: 1}), L({0: 1, 1: 1, 2: 1})),  # divisor of higher degree
+        (L({0: 1, 2: -1}), L({0: 1, 1: 1})),
+        (L({0: 1, 2: 1}), L({0: 1, 1: 1})),
+        (L({0: 3, 1: 3}), L({0: 2, 1: 2})),
+    ]
+    for f, g in cases:
+        assert _division_outcome(laurent_divide_exact, f, g) == _division_outcome(_reference_divide, f, g)
+
+
+def _reference_divide2(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2:
+    """Long division in a with exact divisions of the q-coefficients: the
+    two-variable division that the Kronecker substitution replaced."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    (fa, fq), (ga, gq) = f.min_exps() if f else (0, 0), g.min_exps()
+    r, pg = {}, {}
+    for p, low, out in ((f, (fa, fq), r), (g, (ga, gq), pg)):
+        for (d, e), v in p.items():
+            out.setdefault(d - low[0], {})[e - low[1]] = v
+    r = {d: IntLaurent(c) for d, c in r.items()}
+    pg = {d: IntLaurent(c) for d, c in pg.items()}
+    dg = max(pg)
+    quot = {}
+    while r:
+        dr = max(r)
+        if dr < dg:
+            raise ArithmeticError("inexact polynomial division")
+        c = quot[dr - dg] = _reference_divide(r[dr], pg[dg])
+        for d, coeff in pg.items():
+            w = r.pop(d + dr - dg, IntLaurent.zero()) - coeff * c
+            if w:
+                r[d + dr - dg] = w
+    out = {(d + fa - ga, e + fq - gq): v for d, c in quot.items() for e, v in c.items()}
+    return IntLaurent2(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys2(20), _polys2(20), _polys2(20), st.integers(2, 5), st.integers(0, 3))
+def test_division2_matches_long_division_in_a(g, h, r, c, kind):
+    d = g.scale(c) if kind == 2 else g
+    f = {0: g * h, 1: g * h + r, 2: g * h, 3: r}[kind]
+    assert _division_outcome(laurent2_divide_exact, f, d) == _division_outcome(_reference_divide2, f, d)
+
+
+def test_division2_edge_cases_match_long_division_in_a():
+    a, q, one = F2({(1, 0): 1}).num, F2({(0, 1): 1}).num, IntLaurent2.one()
+    cases = [
+        (one + a, one + q),  # the images at a = q^k agree, the polynomials do not
+        ((one + a) * (one - q), one + q),
+        ((a - q) * (a + q * q), a + q * q),
+        (a * q, q.shift(2, 0)),  # monomial divisor
+        (IntLaurent2.zero(), one + a),
+        (one + a, IntLaurent2.zero()),
+    ]
+    for f, g in cases:
+        assert _division_outcome(laurent2_divide_exact, f, g) == _division_outcome(_reference_divide2, f, g)
+
+
+def test_heuristics_reject_unlucky_evaluation_points():
+    # the first evaluation point is 2 * 2 + 29 = 33, where q - 2 and q + 29 are
+    # 31 and 62: the rebuilt q - 2 must fail the trial division
+    assert laurent_gcd(L({0: -2, 1: 1}), L({0: 29, 1: 1})).is_one()
+    # the first point is 31, where q - a and q - 31 agree
+    assert laurent2_gcd(F2({(0, 1): 1, (1, 0): -1}).num, F2({(0, 1): 1, (0, 0): -31}).num).is_one()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys2(40), _polys2(40), _polys2(40))
+def test_gcd2_matches_pseudo_remainder_sequence(h, u, v):
+    f, g = h * u, h * v
+    out = laurent2_gcd(f, g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_heu_gcd2", _give_up)
+        assert laurent2_gcd(f, g) == out
+    assert laurent2_divide_exact(f, out) * out == f and laurent2_divide_exact(g, out) * out == g
+
+
+def test_fallbacks_run_and_agree_with_the_heuristics(monkeypatch):
+    pairs = [
+        (F2({(0, 4): 5, (2, 0): -3, (4, 1): 1}), F2({(0, 0): 1, (1, 0): -4, (2, 2): 2})),
+        (F2({(0, 0): 1, (2, 2): -1}), F2({(0, 0): 1, (1, 1): 1})),
+        (F2({(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 2): -1}), F2({(1, 0): 1, (0, 0): 1, (0, 1): 1})),
+        (F2({(1, -1): 1, (-1, 1): -1}), F2({(0, 1): 1, (0, -1): -1})),
+    ]
+    pairs = [(f.num, g.num) for f, g in pairs] + [(f.num ** 3, (f.num * g.num) ** 2) for f, g in pairs]
+    expected = [laurent2_gcd(f, g) for f, g in pairs]
+    assert any(not e.is_one() for e in expected)
+    fallbacks = count_calls(monkeypatch, laurent, ("_frac_gcd", "_prs_gcd2"))
+    assert [laurent2_gcd(f, g) for f, g in pairs] == expected and not fallbacks
+    monkeypatch.setattr(laurent, "_heu_gcd", _give_up)
+    monkeypatch.setattr(laurent, "_heu_gcd2", _give_up)
+    assert [laurent2_gcd(f, g) for f, g in pairs] == expected
+    assert fallbacks["_frac_gcd"] and fallbacks["_prs_gcd2"] == len(pairs)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_normalize2_of_coprime_powers(n):
+    f = F2({(0, 4): 5, (2, 0): -3, (4, 1): 1}, {(0, 0): 1, (1, 0): -4, (2, 2): 2})
+    g = f ** n
+    assert normalize2(g.num, g.den) == g
+
+
+def test_integer_kernels_run_no_fraction_operation(monkeypatch):
+    def no_fractions(*_args):
+        raise AssertionError("Fraction used")
+
+    f = L({0: 3, 1: -7, 4: 2, 9: 11}) * L({0: 1, 2: -5, 3: 4})
+    g = L({0: 3, 1: -7, 4: 2, 9: 11}) * L({-2: 6, 1: 1, 5: -1})
+    f2 = F2({(0, 1): 2, (1, 0): -1, (2, 3): 4}).num * F2({(0, 0): 1, (3, 1): -2}).num
+    g2 = F2({(0, 1): 2, (1, 0): -1, (2, 3): 4}).num * F2({(1, 0): 7, (0, 2): 1}).num
+    divisions = count_calls(monkeypatch, laurent, ("laurent_divide_exact", "laurent2_divide_exact"))
+    monkeypatch.setattr(laurent, "Fraction", no_fractions)
+    h = laurent_gcd(f, g)
+    h2 = laurent2_gcd(f2, g2)
+    assert h == L({0: 3, 1: -7, 4: 2, 9: 11}) and h2 == F2({(0, 1): 2, (1, 0): -1, (2, 3): 4}).num
+    assert not divisions  # trial divisions are not counted as divisions
+    assert laurent.laurent_divide_exact(f, h) * h == f
+    with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+        laurent.laurent_divide_exact(f + L({0: 1}), h)
+    assert laurent.laurent2_divide_exact(f2, h2) * h2 == f2
+    assert divisions == {"laurent_divide_exact": 2, "laurent2_divide_exact": 1}
+
+
+def _sympy_gcd(sympy, f, g):
+    """sympy's gcd of two Laurent polynomials, made primitive, with min exponent(s) 0."""
+    two = isinstance(f, IntLaurent2)
+    gens = sympy.symbols("a q") if two else (sympy.Symbol("q"),)
+    polys = []
+    for p in (f, g):
+        low = p.min_exps() if two else (p.min_exp(),)
+        terms = {}
+        for k, v in p.items():
+            k = k if two else (k,)
+            terms[tuple(x - m for x, m in zip(k, low))] = v
+        polys.append(sympy.Poly.from_dict(terms, *gens))
+    out = sympy.gcd(polys[0], polys[1]).as_dict()
+    out = IntLaurent2(out) if two else IntLaurent({k[0]: v for k, v in out.items()})
+    return out.divide_content(out.content())  # qlink's gcds are primitive
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys2(30), _polys2(30), _polys2(30), _polys(10, 1000), _polys(10, 1000), _polys(10, 1000))
+def test_gcds_match_sympy(h, u, v, h1, u1, v1):
+    sympy = pytest.importorskip("sympy")
+    for f, g, gcd in ((h * u, h * v, laurent2_gcd), (h1 * u1, h1 * v1, laurent_gcd)):
+        out = gcd(f, g)
+        assert out in (_sympy_gcd(sympy, f, g), -_sympy_gcd(sympy, f, g))
+
+
+def test_gcd2_matches_sympy_on_fixed_pairs():
+    sympy = pytest.importorskip("sympy")
+    f = F2({(0, 4): 5, (2, 0): -3, (4, 1): 1}).num
+    g = F2({(0, 0): 1, (1, 0): -4, (2, 2): 2}).num
+    t = F2({(1, 1): 1, (0, 0): -1, (2, 0): 3}).num
+    for p, r in ((f ** 3, g ** 3), (f * t ** 2, g * t), (f * g * t, f * t.subs_bar().shift(2, 1))):
+        out = laurent2_gcd(p, r)
+        assert out in (_sympy_gcd(sympy, p, r), -_sympy_gcd(sympy, p, r))
