@@ -231,7 +231,12 @@ class IntLaurent(_Laurent):
             if self._c and self.min_exp() < 0:
                 raise ZeroDivisionError("evaluation at q = 0 of negative-exponent terms")
             return Fraction(self._c.get(0, 0))
-        return sum((Fraction(v) * q0**e for e, v in self._c.items()), Fraction(0))
+        # sum v (r/s)^e = r^lo s^-hi sum v r^(e-lo) s^(hi-e), in integers
+        r, s = q0.numerator, q0.denominator
+        lo, hi = min(self._c, default=0), max(self._c, default=0)
+        total = sum(v * r ** (e - lo) * s ** (hi - e) for e, v in self._c.items())
+        num, den = total * r ** max(lo, 0), s ** max(hi, 0) * r ** max(-lo, 0)
+        return Fraction(num * s ** max(-hi, 0), den)
 
     def __repr__(self) -> str:  # debugging aid; canonical text lives in textio
         from .textio import format_laurent

@@ -6,9 +6,10 @@ Two independent evaluators are provided and cross-checked in the tests:
   to the T-basis generators, which satisfy g^2 = (1 - q^2) g + q^2 and
   g^-1 = q^-2 g - (q^-2 - 1); the trace tau is the Markov trace with
   tau(T_e) = 1 and tau(x g_n y) = z tau(x y), computed by the
-  distinguished-coset recursion over Z[q^+-1], as a polynomial in z that is
-  evaluated once at the end.  The invariant of the closure of a word w
-  on n strands with writhe e is   mu^n * d^e * tau(w).
+  distinguished-coset recursion over Z[q^+-1], as a polynomial in z.  The
+  invariant mu^n * d^e * tau(w) of the closure of a word w on n strands with
+  writhe e and c components is built in Z[a^+-1, q^+-1] over its denominator
+  (q^2 - 1)^c, known from Lickorish & Millett (Topology 26, 1987).
 
 * `rt_invariant` contracts an explicit R-matrix on the n-dimensional
   vector representation against quantum-trace weights, and must agree with
@@ -39,8 +40,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product, zip_longest
 
-from .braid import BraidWord
-from .exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2
+from .braid import BraidWord, closure_stats
+from .exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2, normalize2
+from .exactalg.laurent import _divide2_or_none, laurent2_divide_exact
 from .qnum import qfactorial
 
 __all__ = [
@@ -60,6 +62,12 @@ _Q2 = IntLaurent.q_power(2)
 _QM2 = IntLaurent.q_power(-2)
 _ONE_MINUS_Q2 = IntLaurent({0: 1, 2: -1})
 _ONE_MINUS_QM2 = IntLaurent({0: 1, -2: -1})
+
+# The calibration in Z[a^+-1, q^+-1]: z = U / W, mu = q W / (q^2 - 1), d = -q^-2.
+_W = IntLaurent2({(1, 0): 1, (-1, 0): -1})  # a - a^-1
+_U = IntLaurent2({(1, 0): 1, (1, 2): -1})  # -q a (q - q^-1)
+_Q2_MINUS_1 = IntLaurent2({(0, 2): 1, (0, 0): -1})
+_Q_MINUS_PLUS_1 = (IntLaurent2({(0, 1): 1, (0, 0): -1}), IntLaurent2({(0, 1): 1, (0, 0): 1}))
 
 
 @dataclass(frozen=True)
@@ -137,20 +145,14 @@ class TraceParams:
     z: RatFun2
     d: RatFun2
     mu: RatFun2
-    # basis-element traces as z-coefficient tuples in Z[q^+-1], keyed by
-    # one-line permutation; values are params-free, inserts idempotent
+    # the only field the trace and `homfly` read: basis-element traces as z-coefficient
+    # tuples in Z[q^+-1], keyed by one-line permutation; params-free, inserts idempotent
     _basis_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def default() -> TraceParams:
-        a = IntLaurent2.term(1, 1, 0)
-        a_inv = IntLaurent2.term(1, -1, 0)
-        q = IntLaurent2.term(1, 0, 1)
-        q_inv = IntLaurent2.term(1, 0, -1)
-        mu = RatFun2(a - a_inv, q - q_inv)
-        z = RatFun2(-(IntLaurent2.term(1, 1, 1) * (q - q_inv)), a - a_inv)
-        d = RatFun2.monomial(-1, 0, -2)
-        params = TraceParams(z=z, d=d, mu=mu)
+        mu = RatFun2(_W.shift(0, 1), _Q2_MINUS_1)
+        params = TraceParams(z=RatFun2(_U, _W), d=RatFun2.monomial(-1, 0, -2), mu=mu)
         params.verify_calibration()
         return params
 
@@ -212,26 +214,39 @@ def _trace_basis(w: tuple[int, ...], params: TraceParams) -> tuple[IntLaurent, .
     return val
 
 
-def ocneanu_trace(e: HeckeElement, params: TraceParams | None = None) -> RatFun2:
-    """Markov trace, linear over the T-basis with tau(T_e) = 1."""
-    if params is None:
-        params = default_trace_params()
+def _trace_coeffs(e: HeckeElement, params: TraceParams) -> tuple[IntLaurent, ...]:
+    """Markov trace of e as its coefficients of z^0, z^1, ..."""
     acc: tuple[IntLaurent, ...] = ()
     for w, c in e.terms.items():
         acc = _add_scaled(acc, c, _trace_basis(w, params))
-    value = RatFun2.zero()
-    for c in reversed(acc):
-        value = value * params.z + RatFun2(IntLaurent2.from_q(c))
-    return value
+    return acc
+
+
+def _times_mu_power(coeffs: tuple[IntLaurent, ...], m: int) -> IntLaurent2:
+    """sum_k c_k U^k W^(m-k) = (q - q^-1)^m mu^m sum_k c_k z^k (m >= k), by Horner in U."""
+    acc, wk = IntLaurent2.zero(), _W ** (m + 1 - len(coeffs))
+    for c in reversed(coeffs):
+        acc = acc * _U + IntLaurent2.from_q(c) * wk
+        wk = wk * _W
+    return acc
+
+
+def ocneanu_trace(e: HeckeElement, params: TraceParams | None = None) -> RatFun2:
+    """Markov trace at the calibrated z; `params` supplies only the basis cache."""
+    coeffs = _trace_coeffs(e, params or default_trace_params())
+    k = max(len(coeffs) - 1, 0)
+    return normalize2(_times_mu_power(coeffs, k), _W**k)
 
 
 def homfly(w: BraidWord, params: TraceParams | None = None) -> RatFun2:
-    """Framed HOMFLY-PT polynomial of the closure of a braid word."""
-    if params is None:
-        params = default_trace_params()
-    e = HeckeElement.from_braid(w)
-    tau = ocneanu_trace(e, params)
-    return params.mu ** w.strands * params.d ** w.writhe * tau
+    """Framed HOMFLY-PT polynomial of the closure of a braid word, with the
+    calibrated z, d and mu; `params` supplies only the basis cache."""
+    # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and (q^2 - 1)^(n-c) divides N
+    n, e, c = w.strands, w.writhe, closure_stats(w).components
+    tau = _trace_coeffs(HeckeElement.from_braid(w), params or default_trace_params())
+    num = laurent2_divide_exact(_times_mu_power(tau, n).shift(0, n - 2 * e), _Q2_MINUS_1**(n - c))
+    coprime = all(_divide2_or_none(num, f) is None for f in _Q_MINUS_PLUS_1)
+    return RatFun2._reduced(-num if e % 2 else num, _Q2_MINUS_1**c, coprime=coprime)
 
 
 def mirror_substitution(f: RatFun2) -> RatFun2:

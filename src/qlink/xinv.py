@@ -127,12 +127,18 @@ class XValue:
         return self.context == other.context and self.value == other.value
 
 
-def x_invariant(w: BraidWord, ctx: XContext) -> XValue:
-    """Specialization of the HOMFLY-PT polynomial of the closure of w."""
-    value = specialize_a(homfly(w), ctx.delta)
+def _specialized(h: RatFun2, ctx: XContext, writhe: int | None = None) -> XValue:
+    """A closure's HOMFLY-PT value h at a = q v delta_x; given the writhe,
+    framing-corrected by v^writhe."""
+    value = specialize_a(h, ctx.delta)
     if not value.is_homogeneous():
         raise AssertionError("specialized closure value is not homogeneous in v")
-    return XValue(value, ctx)
+    return XValue(value if writhe is None else value * ctx.nu_pow(writhe), ctx)
+
+
+def x_invariant(w: BraidWord, ctx: XContext) -> XValue:
+    """Specialization of the HOMFLY-PT polynomial of the closure of w."""
+    return _specialized(homfly(w), ctx)
 
 
 def flat_invariant(w: BraidWord, x: Fraction | int) -> XValue:
@@ -149,9 +155,7 @@ def normalized_invariant(w: BraidWord, ctx: XContext) -> RatFun:
     Its v-parity equals the component count mod 2 (odd for knots), hence
     the value returned is the component of that parity.
     """
-    raw = x_invariant(w, ctx)
-    corrected = raw.value * ctx.nu_pow(w.writhe)
-    return XValue(corrected, ctx).nu_free_part()
+    return _specialized(homfly(w), ctx, w.writhe).nu_free_part()
 
 
 def colored_unknot_u(ctx: XContext, k: int) -> XValue:
@@ -234,15 +238,16 @@ def numeric_sweep(
         raise ValueError("q0 must be nonzero")
     rows: list[SweepRow] = []
     diagnostics: list[str] = []
+    h = homfly(w)
     for x in xs:
         x = Fraction(x)
         try:
             ctx = x_context(x) if flavor == "right" else flat_context(x)
             if normalized:
-                f = normalized_invariant(w, ctx)
+                f = _specialized(h, ctx, w.writhe).nu_free_part()
                 rows.append(SweepRow(x, f.evaluate(q0), ""))
             else:
-                v = x_invariant(w, ctx)
+                v = _specialized(h, ctx)
                 if v.odd.is_zero():
                     rows.append(SweepRow(x, v.even.evaluate(q0), ""))
                 else:

@@ -42,6 +42,17 @@ def test_qrat_bad_rational(capsys):
     assert "bad rational" in err
 
 
+def test_arguments_starting_with_a_dash_follow_a_double_dash(capsys):
+    code, out, _ = run(capsys, "qrat", "--", "-1/2")
+    assert (code, out) == (0, "(-q^-2)/(1+q^2)\n")
+    code, out, err = run(capsys, "qrat", "-1/2")
+    assert code == 2 and not out
+    assert "the following arguments are required" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "inv", "--", "-1,2")
+    assert (code, out) == (0, run(capsys, "inv", "-1 2")[1])
+    assert run(capsys, "inv", "-1,2")[0] == 2
+
+
 # ---------------------------------------------------------------------------
 # inv
 # ---------------------------------------------------------------------------

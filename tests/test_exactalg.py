@@ -170,6 +170,17 @@ def test_evaluate_at_examples():
         evaluate_at(rf({-2: 1}), 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(-7, 7), st.integers(-10**6, 10**6), max_size=6),
+    st.integers(-50, 50).filter(bool),
+    st.integers(1, 50),
+)
+def test_integer_evaluation_matches_fraction_sum(coeffs, r, s):
+    p, q0 = IntLaurent(coeffs), Fraction(r, s)
+    assert p.evaluate(q0) == sum((Fraction(v) * q0**e for e, v in p.items()), Fraction(0))
+
+
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------

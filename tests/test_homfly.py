@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from qlink.braid import BraidWord, closure_stats, mirror, parse_braid
-from qlink.exactalg import IntLaurent, RatFun, RatFun2
+from qlink.exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2
 from qlink.homfly import (
     HeckeElement,
     TraceParams,
@@ -311,6 +311,95 @@ def test_a_parity_matches_strand_count():
         assert parities == {w.strands % 2}
         stats = closure_stats(w)
         assert (stats.components + stats.writhe) % 2 == w.strands % 2
+
+
+def _reference_homfly(w: BraidWord, params: TraceParams) -> RatFun2:
+    """The closure value over the fraction field: the trace's z-coefficients
+    evaluated by Horner at params.z, times the prefactor mu^n d^writhe."""
+    from qlink.homfly import _trace_coeffs
+
+    tau = RatFun2.zero()
+    for c in reversed(_trace_coeffs(HeckeElement.from_braid(w), params)):
+        tau = tau * params.z + RatFun2(IntLaurent2.from_q(c))
+    return params.mu ** w.strands * params.d ** w.writhe * tau
+
+
+def _oracle_words() -> list[BraidWord]:
+    """All three-strand words up to length 4, 50 random words on 2-6 strands
+    and the twist words (1..n-1)^3 (-1..-(n-1)) for n = 4..7."""
+    words = [
+        BraidWord(letters, 3)
+        for length in range(5)
+        for letters in product((1, -1, 2, -2), repeat=length)
+    ]
+    rng = random.Random(83)
+    words += [random_word(rng, 8, 6) for _ in range(50)]
+    for n in range(4, 8):
+        up = tuple(range(1, n))
+        words.append(BraidWord(up * 3 + tuple(-i for i in up), n))
+    return words
+
+
+def test_homfly_matches_fraction_field_reference():
+    params = default_trace_params()
+    q2_minus_1 = IntLaurent2({(0, 2): 1, (0, 0): -1})
+    words = _oracle_words()
+    assert len(words) == 341 + 50 + 4
+    for w in words:
+        h = homfly(w, params)
+        assert h == _reference_homfly(w, params), w
+        assert h.den == q2_minus_1 ** closure_stats(w).components, w
+
+
+def _count_gcds_and_fraction_ops(monkeypatch) -> Counter:
+    import qlink.exactalg.laurent as laurent
+    import qlink.exactalg.ratfun as ratfun
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for owner in (laurent, ratfun):
+        for name in ("laurent_gcd", "laurent2_gcd"):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    for name in ("__add__", "__mul__"):
+        monkeypatch.setattr(RatFun2, name, counted(name, getattr(RatFun2, name)))
+    return calls
+
+
+def test_homfly_runs_no_gcd_and_no_fraction_arithmetic(monkeypatch):
+    params = TraceParams.default()  # a fresh basis cache; calibration checked before counting
+    calls = _count_gcds_and_fraction_ops(monkeypatch)
+    for w in _oracle_words():
+        homfly(w, params)
+    assert not calls
+
+
+def test_homfly_falls_back_to_a_gcd_when_the_certificate_fails(monkeypatch):
+    # Overstating the component count by 1 leaves a factor q^2 - 1 in the
+    # numerator: the certificate must fail and the gcd in `_reduced` mend it.
+    import dataclasses
+    import importlib
+
+    homfly_module = importlib.import_module("qlink.homfly")  # `qlink.homfly` is also the function
+    params = default_trace_params()
+    words = [w for w in _oracle_words() if closure_stats(w).components < w.strands]
+    expected = [_reference_homfly(w, params) for w in words]
+
+    def overstated(w):
+        stats = closure_stats(w)
+        return dataclasses.replace(stats, components=stats.components + 1)
+
+    monkeypatch.setattr(homfly_module, "closure_stats", overstated)
+    calls = _count_gcds_and_fraction_ops(monkeypatch)
+    assert [homfly(w, params) for w in words] == expected
+    assert calls["laurent2_gcd"] == len(words)
+    assert not (calls["__add__"] or calls["__mul__"])
 
 
 # ---------------------------------------------------------------------------

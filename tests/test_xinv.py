@@ -334,3 +334,38 @@ def test_sweep_evaluates_at_classical_point():
     assert by_x[Fraction(1, 2)].value == Fraction(1, 2)
     assert by_x[Fraction(2)].value == 2
     assert not diagnostics
+
+
+def _per_point_sweep(w, q0, xs, normalized, flavor):
+    """The sweep as one invariant per x, each with its own `homfly` call."""
+    rows, diagnostics = [], []
+    for x in xs:
+        try:
+            ctx = x_context(x) if flavor == "right" else flat_context(x)
+            if normalized:
+                rows.append((x, normalized_invariant(w, ctx).evaluate(q0), ""))
+                continue
+            v = x_invariant(w, ctx)
+            if v.odd.is_zero():
+                rows.append((x, v.even.evaluate(q0), ""))
+            else:
+                rows.append((x, (v.odd * v.odd / ctx.delta).evaluate(q0), "squared"))
+        except (ZeroDivisionError, ValueError) as exc:
+            diagnostics.append(f"x={x}: {exc}")
+    return rows, diagnostics
+
+
+def test_sweep_computes_one_homfly_value(monkeypatch):
+    import qlink.xinv as xinv
+
+    xs = [Fraction(-3, 2), Fraction(0), Fraction(1, 3), Fraction(2), Fraction(7, 5)]
+    calls = []
+    monkeypatch.setattr(xinv, "homfly", lambda w: calls.append(w) or homfly(w))
+    for w in (TREFOIL, FIG8, UNKNOT, HOPF):
+        for normalized in (False, True):
+            for flavor in ("right", "flat"):
+                calls.clear()
+                rows, diagnostics = numeric_sweep(w, Fraction(-2, 3), xs, normalized, flavor)
+                assert calls == [w]
+                expected = _per_point_sweep(w, Fraction(-2, 3), xs, normalized, flavor)
+                assert ([(r.x, r.value, r.flag) for r in rows], diagnostics) == expected
