@@ -19,7 +19,7 @@ from .braid import BraidWord, mirror, parse_braid
 from .exactalg import PoleError, RatFun2, format_ratfun, format_ratfun2, format_nu
 from .homfly import homfly
 from .qnum import left_qrational, qrational
-from .xinv import flat_context, normalized_invariant, numeric_sweep, x_context, x_invariant
+from .xinv import flat_context, numeric_sweep, specialize_closure, x_context
 
 __all__ = ["main", "KnotTable", "CollisionReport", "load_knot_table", "builtin_mini_table"]
 
@@ -143,25 +143,23 @@ def _cmd_qrat(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _invariant_text(w: BraidWord, kind: str, x: Fraction | None, normalized: bool) -> str:
-    """Canonical text of the invariant; `normalized` removes the framing."""
+def _invariant_text(h: RatFun2, writhe: int, kind: str, x: Fraction | None, normalized: bool) -> str:
+    """Canonical text of the invariant of a closure of value h; `normalized` removes the framing."""
     if kind == "homfly":
-        value = homfly(w)
         if normalized:
             # each positive kink carries q^-1 a
-            value = value * RatFun2.monomial(1, -1, 1) ** w.writhe
-        return format_ratfun2(value)
+            h = h * RatFun2.monomial(1, -1, 1) ** writhe
+        return format_ratfun2(h)
     ctx = x_context(x) if kind == "x" else flat_context(x)
-    if normalized:
-        return format_ratfun(normalized_invariant(w, ctx))
-    return format_nu(x_invariant(w, ctx).value)
+    value = specialize_closure(h, ctx, writhe if normalized else 0)
+    return format_ratfun(value.nu_free_part()) if normalized else format_nu(value.value)
 
 
 def _cmd_inv(args: argparse.Namespace) -> int:
     w = _braid_from_args(args)
     kind, x = _parse_mode(args.mode)
     try:
-        print(_invariant_text(w, kind, x, args.normalized))
+        print(_invariant_text(homfly(w), w.writhe, kind, x, args.normalized))
     except PoleError as exc:
         raise CliError(f"specialization pole: {exc}", EXIT_POLE) from None
     except ValueError as exc:
@@ -206,19 +204,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot load table: {exc}", EXIT_PARSE) from None
     kind, x = _parse_mode(args.mode)
-    jobs = [(name, w) for name, w in table.entries]
-    if args.with_mirrors:
-        jobs += [(name + "!", mirror(w)) for name, w in table.entries]
-
     by_value: dict[str, list[str]] = {}
     errors = []
-    for name, w in jobs:
-        try:
-            value = _invariant_text(w, kind, x, normalized=True)
-        except Exception as exc:  # per-entry failures land in the report
-            errors.append((name, str(exc)))
-        else:
-            by_value.setdefault(value, []).append(name)
+    for name, w in table.entries:
+        h = None
+        for n, sign in ((name, 1), (name + "!", -1)) if args.with_mirrors else ((name, 1),):
+            try:
+                h = homfly(w) if h is None else h
+                # the mirror's value is h under a -> a^-1, q -> q^-1; its writhe is -writhe
+                text = _invariant_text(h if sign == 1 else h.subs_bar(), sign * w.writhe, kind, x, True)
+            except Exception as exc:  # per-entry failures land in the report
+                errors.append((n, str(exc)))
+            else:
+                by_value.setdefault(text, []).append(n)
     groups = sorted(tuple(sorted(g)) for g in by_value.values())
     if args.collisions:
         groups = [g for g in groups if len(g) > 1]

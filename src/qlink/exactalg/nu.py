@@ -7,8 +7,10 @@ never mix: combining them is a hard error rather than a silent coercion.
 `specialize_a` is the bridge from two-variable fractions: substituting
 a = q*v*delta sends a^2 to q^2*delta and each leftover single power of a
 to q*delta*v, turning a two-variable fraction into a NuValue of its
-context.  It runs in Z[q^±1]: each v-parity of a polynomial's image is
-one polynomial over a common power of delta's numerator and denominator.
+context, times a framing power v^k if asked.  It runs in Z[q^±1]: each
+v-parity of a polynomial's image is one polynomial over a common power of
+delta's numerator and denominator, and over the fraction's denominator
+itself when that is free of a (as every closure value's is).
 """
 
 from __future__ import annotations
@@ -178,17 +180,18 @@ def nu_power(delta: RatFun, k: int) -> NuValue:
     return NuValue(scale, RatFun.zero(), delta)
 
 
-def _specialize_poly(p, delta: RatFun) -> NuValue:
-    """Substitute a = q*v*delta into a two-variable integer Laurent polynomial.
+def _specialize_poly(p, delta: RatFun, framing: int = 0, den: IntLaurent = IntLaurent.one()) -> NuValue:
+    """Substitute a = q*v*delta into an integer Laurent polynomial p in a and
+    q, times v^k (k = framing), over the q-polynomial `den`.
 
-    a^d q^e goes to q^(d+e) delta^m v^(d mod 2) with m = ceil(d/2).  With
-    delta = P/Q and lo <= 0 <= hi bounding m, each parity's sum of C_m delta^m
-    is one polynomial over P^-lo Q^hi, built by Horner in P.
+    a^d q^e v^k goes to q^(d+e) delta^m v^((d+k) mod 2), m = d - floor((d+k)/2).
+    With delta = P/Q and lo <= 0 <= hi bounding m, each parity's sum of
+    C_m delta^m is one polynomial over P^-lo Q^hi den, built by Horner in P.
     """
     parts: tuple[dict[int, dict[int, int]], ...] = ({}, {})
     for (d, e), c in p.items():
         # parity and m fix d, so d + e never repeats within one C_m
-        parts[d & 1].setdefault(-(-d // 2), {})[d + e] = c
+        parts[(d + framing) & 1].setdefault(d - (d + framing) // 2, {})[d + e] = c
     P, Q = delta.num, delta.den
     values = []
     for coeffs in parts:
@@ -199,20 +202,22 @@ def _specialize_poly(p, delta: RatFun) -> NuValue:
             if m in coeffs:
                 acc = acc + IntLaurent(coeffs[m]) * q_pow
             q_pow = q_pow * Q
-        values.append(normalize(acc, P ** -lo * Q ** hi))
+        values.append(normalize(acc, P ** -lo * Q ** hi * den))
     return NuValue(*values, delta)
 
 
-def specialize_a(F: RatFun2, delta: RatFun) -> NuValue:
-    """Specialize a two-variable fraction at a = q*v*delta.
+def specialize_a(F: RatFun2, delta: RatFun, framing: int = 0) -> NuValue:
+    """Specialize a two-variable fraction at a = q*v*delta, times v^framing.
 
-    Numerator and denominator map to polynomials over a common power of
-    delta's numerator and denominator (see `_specialize_poly`); the value is
-    their quotient in the quadratic extension attached to delta.  Raises
-    SpecializationError when the denominator specializes to zero or to a
-    value of zero norm (a pole of the specialization).
+    A denominator free of a is its own image: only the numerator is
+    substituted (see `_specialize_poly`) and no pole can occur.  Otherwise
+    the value is the quotient of both images in the quadratic extension;
+    SpecializationError is raised when the denominator's image is zero or
+    has zero norm (a pole of the specialization).
     """
-    num = _specialize_poly(F.num, delta)
+    if all(d == 0 for (d, _), _ in F.den.items()):
+        return _specialize_poly(F.num, delta, framing, F.den.subs_a_power_of_q(0))
+    num = _specialize_poly(F.num, delta, framing)
     den = _specialize_poly(F.den, delta)
     if den.is_zero():
         raise SpecializationError("denominator vanishes under the a = q*v*delta specialization")

@@ -42,7 +42,7 @@ from itertools import product, zip_longest
 
 from .braid import BraidWord, closure_stats
 from .exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2, normalize2
-from .exactalg.laurent import _divide2_or_none, laurent2_divide_exact
+from .exactalg.laurent import laurent2_divide_exact
 from .qnum import qfactorial
 
 __all__ = [
@@ -67,7 +67,6 @@ _ONE_MINUS_QM2 = IntLaurent({0: 1, -2: -1})
 _W = IntLaurent2({(1, 0): 1, (-1, 0): -1})  # a - a^-1
 _U = IntLaurent2({(1, 0): 1, (1, 2): -1})  # -q a (q - q^-1)
 _Q2_MINUS_1 = IntLaurent2({(0, 2): 1, (0, 0): -1})
-_Q_MINUS_PLUS_1 = (IntLaurent2({(0, 1): 1, (0, 0): -1}), IntLaurent2({(0, 1): 1, (0, 0): 1}))
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,9 @@ def hecke_mul_gen(e: HeckeElement, i: int, sign: int) -> HeckeElement:
 class TraceParams:
     """Markov-trace parameters together with the unknot value.
 
-    The defaults satisfy the three calibration conditions: unknot value mu,
-    positive stabilization factor q^-1 a, negative stabilization factor
-    q a^-1 (checked once at construction).
+    Only the calibrated values are accepted: unknot value mu, positive
+    stabilization factor q^-1 a, negative stabilization factor q a^-1
+    (checked at construction).
     """
 
     z: RatFun2
@@ -152,9 +151,7 @@ class TraceParams:
     @staticmethod
     def default() -> TraceParams:
         mu = RatFun2(_W.shift(0, 1), _Q2_MINUS_1)
-        params = TraceParams(z=RatFun2(_U, _W), d=RatFun2.monomial(-1, 0, -2), mu=mu)
-        params.verify_calibration()
-        return params
+        return TraceParams(z=RatFun2(_U, _W), d=RatFun2.monomial(-1, 0, -2), mu=mu)
 
     def verify_calibration(self) -> None:
         """Assert the unknot and the two framed stabilization conditions."""
@@ -171,6 +168,8 @@ class TraceParams:
         neg = self.mu * self.d.inverse() * tau_gen_inv
         if neg != q * a.inverse():
             raise AssertionError("negative stabilization factor is not q a^-1")
+
+    __post_init__ = verify_calibration
 
 
 _DEFAULT_PARAMS: TraceParams | None = None
@@ -241,12 +240,21 @@ def ocneanu_trace(e: HeckeElement, params: TraceParams | None = None) -> RatFun2
 def homfly(w: BraidWord, params: TraceParams | None = None) -> RatFun2:
     """Framed HOMFLY-PT polynomial of the closure of a braid word, with the
     calibrated z, d and mu; `params` supplies only the basis cache."""
-    # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and (q^2 - 1)^(n-c) divides N
+    # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and (q^2 - 1)^(n-c) divides N;
+    # a quotient not certified free of q -+ 1 by evaluation gets a gcd in `_reduced`
     n, e, c = w.strands, w.writhe, closure_stats(w).components
     tau = _trace_coeffs(HeckeElement.from_braid(w), params or default_trace_params())
     num = laurent2_divide_exact(_times_mu_power(tau, n).shift(0, n - 2 * e), _Q2_MINUS_1**(n - c))
-    coprime = all(_divide2_or_none(num, f) is None for f in _Q_MINUS_PLUS_1)
-    return RatFun2._reduced(-num if e % 2 else num, _Q2_MINUS_1**c, coprime=coprime)
+    return RatFun2._reduced(-num if e % 2 else num, _Q2_MINUS_1**c, coprime=_coprime_to_q2_minus_1(num))
+
+
+def _coprime_to_q2_minus_1(num: IntLaurent2) -> bool:
+    """Certificate that q -+ 1 does not divide num: num(a, +-1) != 0 in Z[a^+-1]."""
+    at_one, at_minus_one = {}, {}
+    for (i, k), c in num.items():
+        at_one[i] = at_one.get(i, 0) + c
+        at_minus_one[i] = at_minus_one.get(i, 0) + (-c if k & 1 else c)
+    return any(at_one.values()) and any(at_minus_one.values())
 
 
 def mirror_substitution(f: RatFun2) -> RatFun2:

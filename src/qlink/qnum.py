@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .exactalg import IntLaurent, RatFun, TruncSeries, series_expand
+from .exactalg import IntLaurent, RatFun, TruncSeries, normalize, series_expand
 
 __all__ = [
     "EvenCF",
@@ -147,18 +147,23 @@ def left_qrational(x: Fraction | int) -> RatFun:
     return _ladder(even_cf(x).terms, _LEFT_SEED)
 
 
+def _delta(f: RatFun) -> RatFun:
+    """((q^2 - 1) f + 1) / q^2 as one canonical fraction."""
+    return normalize(f.num.shift(2) - f.num + f.den, f.den.shift(2))
+
+
 @lru_cache(maxsize=8192)
 def qdelta(x: Fraction | int) -> RatFun:
-    """delta_x = {x} - {x - 1}; reduces to q^(2n-2) at integers."""
-    x = Fraction(x)
-    return qrational(x) - qrational(x - 1)
+    """delta_x = {x} - {x - 1} = ((q^2 - 1) {x} + 1) / q^2 by the shift
+    identity {x} = q^2 {x - 1} + 1; reduces to q^(2n-2) at integers."""
+    return _delta(qrational(Fraction(x)))
 
 
 @lru_cache(maxsize=8192)
 def left_qdelta(x: Fraction | int) -> RatFun:
-    """The left analogue {x}^b - {x-1}^b."""
-    x = Fraction(x)
-    return left_qrational(x) - left_qrational(x - 1)
+    """The left analogue {x}^b - {x-1}^b = ((q^2 - 1) {x}^b + 1) / q^2: the
+    shift identity passes to the q-adic limit, so it holds for {x}^b too."""
+    return _delta(left_qrational(Fraction(x)))
 
 
 def qfactorial(k: int) -> RatFun:

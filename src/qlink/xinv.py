@@ -51,6 +51,7 @@ __all__ = [
     "verify_uniqueness_constraint",
     "numeric_sweep",
     "SweepRow",
+    "specialize_closure",
 ]
 
 
@@ -127,18 +128,18 @@ class XValue:
         return self.context == other.context and self.value == other.value
 
 
-def _specialized(h: RatFun2, ctx: XContext, writhe: int | None = None) -> XValue:
-    """A closure's HOMFLY-PT value h at a = q v delta_x; given the writhe,
-    framing-corrected by v^writhe."""
-    value = specialize_a(h, ctx.delta)
+def specialize_closure(h: RatFun2, ctx: XContext, writhe: int = 0) -> XValue:
+    """A closure's HOMFLY-PT value h at a = q v delta_x, framing-corrected
+    by v^writhe."""
+    value = specialize_a(h, ctx.delta, writhe)
     if not value.is_homogeneous():
         raise AssertionError("specialized closure value is not homogeneous in v")
-    return XValue(value if writhe is None else value * ctx.nu_pow(writhe), ctx)
+    return XValue(value, ctx)
 
 
 def x_invariant(w: BraidWord, ctx: XContext) -> XValue:
     """Specialization of the HOMFLY-PT polynomial of the closure of w."""
-    return _specialized(homfly(w), ctx)
+    return specialize_closure(homfly(w), ctx)
 
 
 def flat_invariant(w: BraidWord, x: Fraction | int) -> XValue:
@@ -155,7 +156,7 @@ def normalized_invariant(w: BraidWord, ctx: XContext) -> RatFun:
     Its v-parity equals the component count mod 2 (odd for knots), hence
     the value returned is the component of that parity.
     """
-    return _specialized(homfly(w), ctx, w.writhe).nu_free_part()
+    return specialize_closure(homfly(w), ctx, w.writhe).nu_free_part()
 
 
 def colored_unknot_u(ctx: XContext, k: int) -> XValue:
@@ -244,15 +245,18 @@ def numeric_sweep(
         try:
             ctx = x_context(x) if flavor == "right" else flat_context(x)
             if normalized:
-                f = _specialized(h, ctx, w.writhe).nu_free_part()
+                f = specialize_closure(h, ctx, w.writhe).nu_free_part()
                 rows.append(SweepRow(x, f.evaluate(q0), ""))
             else:
-                v = _specialized(h, ctx)
+                v = specialize_closure(h, ctx)
                 if v.odd.is_zero():
                     rows.append(SweepRow(x, v.even.evaluate(q0), ""))
                 else:
-                    sq = v.odd * v.odd / ctx.delta
-                    rows.append(SweepRow(x, sq.evaluate(q0), "squared"))
+                    try:  # (odd^2 / delta)(q0) wherever odd, delta are regular and delta(q0) != 0
+                        sq = v.odd.evaluate(q0) ** 2 / ctx.delta.evaluate(q0)
+                    except ZeroDivisionError:  # PoleError included
+                        sq = (v.odd * v.odd / ctx.delta).evaluate(q0)
+                    rows.append(SweepRow(x, sq, "squared"))
         except (PoleError, ZeroDivisionError, ValueError) as exc:
             diagnostics.append(f"x={x}: {exc}")
     return rows, diagnostics

@@ -197,6 +197,32 @@ def test_table_x2_groups_figure_eight_with_mirror(capsys):
     assert frozenset({"4_1", "4_1!"}) in groups
 
 
+def test_table_mirrors_match_traced_mirrors(tmp_path, capsys, monkeypatch):
+    # each mirror's value is derived from its braid's HOMFLY-PT value; the
+    # reference traces the mirror braid itself and normalizes by its writhe
+    import qlink.cli as cli
+    from qlink.braid import mirror, parse_braid
+    from qlink.homfly import homfly
+
+    entries = {"3_1": "1 1 1", "4_1": "1 -2 1 -2", "hopf": "1 1", "kinked": "1 2 -1 2 2", "split": "1 1 1 3"}
+    path = tmp_path / "knots.csv"
+    path.write_text("".join(f'{n},"{b}"\n' for n, b in entries.items()))
+    calls = []
+    monkeypatch.setattr(cli, "homfly", lambda w: calls.append(w) or homfly(w))
+    for mode in ("homfly", "x:2", "x:1/2", "flat:2", "flat:-3/2"):
+        calls.clear()
+        code, out, _ = run(capsys, "table", str(path), "--mode", mode, "--with-mirrors")
+        assert code == 0 and len(calls) == len(entries)
+        kind, x = cli._parse_mode(mode)
+        by_value = {}
+        for name, text in entries.items():
+            for n, w in ((name, parse_braid(text)), (name + "!", mirror(parse_braid(text)))):
+                by_value.setdefault(cli._invariant_text(homfly(w), w.writhe, kind, x, True), []).append(n)
+        label = mode + (" normalized" if kind != "homfly" else "")
+        groups = tuple(sorted(tuple(sorted(g)) for g in by_value.values()))
+        assert out == CollisionReport(label, groups, ()).to_json() + "\n"
+
+
 def test_table_collisions_filter(capsys):
     code, out, _ = run(capsys, "table", "--mode", "x:2", "--with-mirrors", "--collisions")
     report = CollisionReport.from_json(out)

@@ -35,6 +35,7 @@ from qlink.exactalg import (
     specialize_a,
 )
 from qlink.exactalg.laurent import laurent2_divide_exact, laurent_divide_exact
+from qlink.exactalg.nu import _specialize_poly
 from qlink.exactalg.textio import format_nu, format_ratfun, format_ratfun2
 from qlink.homfly import homfly
 from qlink.qnum import left_qdelta, qdelta, qrational
@@ -380,9 +381,45 @@ def test_specialize_pole_messages_match_reference():
         assert got == _outcome(_reference_specialize, F, delta)
 
 
+def _general_specialize(F: RatFun2, delta: RatFun) -> NuValue:
+    """specialize_a without the a-free shortcut: numerator and denominator
+    both substituted and divided in the extension (the differential oracle)."""
+    num = _specialize_poly(F.num, delta)
+    den = _specialize_poly(F.den, delta)
+    if den.is_zero():
+        raise SpecializationError("denominator vanishes under the a = q*v*delta specialization")
+    norm = den.norm()
+    if norm.is_zero():
+        raise SpecializationError("denominator has zero norm under the a = q*v*delta specialization")
+    return num * den.conjugate() * norm.inverse()
+
+
+def _framed_outcomes(F: RatFun2, delta: RatFun, k: int):
+    """specialize_a(F, delta, k) and the general path times v^k."""
+    return (
+        _outcome(lambda F, delta: specialize_a(F, delta, k), F, delta),
+        _outcome(lambda F, delta: _general_specialize(F, delta) * nu_power(delta, k), F, delta),
+    )
+
+
+def test_framed_specialization_matches_general_path():
+    # closure values have the a-free denominators (q^2 - 1)^c
+    words = [BraidWord(letters, 3) for length in range(4) for letters in product((1, -1, 2, -2), repeat=length)]
+    words += [parse_braid("1 1 1 1 1"), parse_braid("1 -2 1 -2"), parse_braid("", strands=1)]
+    values = {homfly(w) for w in words}
+    assert all(d == 0 for F in values for (d, _), _ in F.den.items())
+    for x in SPECIALIZE_XS:
+        for delta in (qdelta(x), left_qdelta(x)):
+            for F in values:
+                for k in range(-3, 4):
+                    got, expected = _framed_outcomes(F, delta, k)
+                    assert got == expected, (F, x, k)
+
+
 def test_specialize_substitutes_without_fraction_arithmetic(monkeypatch):
-    # the images are built in Z[q^±1]; fraction sums and products run only
-    # in the final quotient
+    # the images are built in Z[q^±1]; a denominator free of a (a closure
+    # value's) is not substituted and no fraction arithmetic runs at all; a
+    # denominator in a is substituted too and divided out as a quotient
     import qlink.exactalg.nu as nu
 
     calls = count_calls(monkeypatch, RatFun, ("__add__", "__mul__"))
@@ -398,6 +435,9 @@ def test_specialize_substitutes_without_fraction_arithmetic(monkeypatch):
     monkeypatch.setattr(nu, "_specialize_poly", tracked)
     for x in (Fraction(5, 2), Fraction(-3, 4)):
         specialize_a(homfly(parse_braid("1 -2 1 -2")), qdelta(x))
+    assert inside == [0, 0]
+    assert not calls
+    specialize_a(F2({(1, 0): 2, (0, 2): 1}, {(0, 0): 1, (2, 0): 1}), qdelta(Fraction(5, 2)))
     assert inside == [0, 0, 0, 0]
     assert calls["__mul__"] > 0  # the counters do see the quotient
 
@@ -533,6 +573,21 @@ def test_specialize_a_homomorphism_random(f, g):
 def test_specialize_a_matches_reference_random(f, x, context):
     delta = context(x)
     assert _outcome(specialize_a, f, delta) == _outcome(_reference_specialize, f, delta)
+
+
+a_free_ratfun2s = st.builds(lambda n, d: RatFun2(n, IntLaurent2.from_q(d)), small_laurent2, nonzero_laurent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(a_free_ratfun2s, ratfun2s),
+    st.sampled_from(SPECIALIZE_XS),
+    st.sampled_from((qdelta, left_qdelta)),
+    st.integers(-3, 3),
+)
+def test_framed_specialization_matches_general_path_random(f, x, context, k):
+    got, expected = _framed_outcomes(f, context(x), k)
+    assert got == expected
 
 
 @settings(max_examples=60, deadline=None)

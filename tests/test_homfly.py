@@ -1,5 +1,6 @@
 """Hecke algebra, Markov trace, HOMFLY-PT values and the R-matrix oracle."""
 
+import dataclasses
 import random
 from collections import Counter
 from itertools import product
@@ -194,6 +195,16 @@ def test_hecke_and_trace_stay_in_the_polynomial_ring(monkeypatch):
     assert calls["laurent2_gcd"] > 0  # the counters do see the evaluation
 
 
+def test_trace_params_accept_only_the_calibration():
+    params = default_trace_params()
+    assert TraceParams(params.z, params.d, params.mu) == params
+    with pytest.raises(AssertionError):
+        TraceParams(z=ONE, d=ONE, mu=ONE)
+    for field in ("z", "d", "mu"):
+        with pytest.raises(AssertionError):
+            dataclasses.replace(params, **{field: ONE})
+
+
 def test_calibration_is_asserted():
     TraceParams.default()  # raises on any violated condition
     bad = TraceParams.__new__(TraceParams)
@@ -378,6 +389,24 @@ def test_homfly_runs_no_gcd_and_no_fraction_arithmetic(monkeypatch):
     for w in _oracle_words():
         homfly(w, params)
     assert not calls
+
+
+def test_certificate_by_evaluation_matches_trial_division():
+    from qlink.exactalg.laurent import _divide2_or_none
+    from qlink.homfly import _coprime_to_q2_minus_1, _times_mu_power, _trace_coeffs
+
+    params = default_trace_params()
+    factors = (IntLaurent2({(0, 1): 1, (0, 0): -1}), IntLaurent2({(0, 1): 1, (0, 0): 1}))
+    seen = Counter()
+    for w in _oracle_words():
+        h = homfly(w, params)
+        # the trace polynomial before the exact division keeps (q^2 - 1)^(n - c)
+        raw = _times_mu_power(_trace_coeffs(HeckeElement.from_braid(w), params), w.strands)
+        for num in (h.num, raw, *(h.num * f for f in factors)):
+            expected = all(_divide2_or_none(num, f) is None for f in factors)
+            assert _coprime_to_q2_minus_1(num) == expected, w
+            seen[expected] += 1
+    assert seen[True] and seen[False]
 
 
 def test_homfly_falls_back_to_a_gcd_when_the_certificate_fails(monkeypatch):

@@ -132,6 +132,16 @@ def test_qdelta_examples():
     )
 
 
+def test_qdelta_matches_difference_of_qrationals():
+    # integers, negatives, x = 0 and 1 (where {x} or {x - 1} is 0) and long
+    # continued fractions
+    xs = {Fraction(p, r) for r in range(1, 7) for p in range(-13, 14)}
+    xs |= {Fraction(355, 113), Fraction(-89, 55), Fraction(1, 12), Fraction(-23, 7)}
+    for x in sorted(xs):
+        assert qdelta(x) == qrational(x) - qrational(x - 1), x
+        assert left_qdelta(x) == left_qrational(x) - left_qrational(x - 1), x
+
+
 def gaussian_binomial(n: int, k: int) -> RatFun:
     """Classical product formula over integer q-integers only."""
     out = RatFun.one()

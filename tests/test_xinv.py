@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from qlink.braid import BraidWord, closure_stats, parse_braid
-from qlink.exactalg import IntLaurent, RatFun, specialize_a
+from qlink.exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2, specialize_a
 from qlink.homfly import homfly, homfly_twist_coeff
 from qlink.qnum import left_qdelta, left_qrational, qbinomial, qdelta, qint, qrational
 from qlink.xinv import (
+    XContext,
     colored_stab_unknot,
     colored_unknot_u,
     digon_specialize,
@@ -353,6 +354,33 @@ def _per_point_sweep(w, q0, xs, normalized, flavor):
         except (ZeroDivisionError, ValueError) as exc:
             diagnostics.append(f"x={x}: {exc}")
     return rows, diagnostics
+
+
+def test_sweep_squared_row_falls_back_to_the_fraction(monkeypatch):
+    # No closure value and context on the tested grids has such a point, so
+    # both are crafted: a / ((q - 2)(q - 3)) under delta = (q - 2)^2 has the
+    # odd part q (q - 2) / (q - 3).  At q0 = 2 odd(q0)^2 / delta(q0) is 0/0
+    # and the fraction odd^2 / delta = q^2 / (q - 3)^2 reads 4; at q0 = 3 both
+    # raise.
+    import qlink.xinv as xinv
+
+    F = RatFun2(IntLaurent2({(1, 0): 1}), IntLaurent2({(0, 2): 1, (0, 1): -5, (0, 0): 6}))
+    delta = RatFun(IntLaurent({0: 4, 1: -4, 2: 1}))
+    monkeypatch.setattr(xinv, "homfly", lambda w: F)
+    monkeypatch.setattr(xinv, "x_context", lambda x: XContext(Fraction(x), "right", delta))
+    odd = specialize_a(F, delta).odd
+    outcomes = []
+    for q0 in (Fraction(2), Fraction(3)):
+        with pytest.raises(ZeroDivisionError):
+            odd.evaluate(q0) ** 2 / delta.evaluate(q0)
+        rows, diagnostics = numeric_sweep(UNKNOT, q0, [Fraction(1, 2)])
+        try:
+            expected = ([(Fraction(1, 2), (odd * odd / delta).evaluate(q0), "squared")], [])
+        except ZeroDivisionError as exc:
+            expected = ([], [f"x=1/2: {exc}"])
+        assert ([(r.x, r.value, r.flag) for r in rows], diagnostics) == expected
+        outcomes.append(expected)
+    assert outcomes == [([(Fraction(1, 2), Fraction(4), "squared")], []), ([], ["x=1/2: pole at q = 3"])]
 
 
 def test_sweep_computes_one_homfly_value(monkeypatch):
