@@ -8,8 +8,12 @@ Two independent evaluators are provided and cross-checked in the tests:
   tau(T_e) = 1 and tau(x g_n y) = z tau(x y), computed by the
   distinguished-coset recursion over Z[q^+-1], as a polynomial in z.  The
   invariant mu^n * d^e * tau(w) of the closure of a word w on n strands with
-  writhe e and c components is built in Z[a^+-1, q^+-1] over its denominator
-  (q^2 - 1)^c, known from Lickorish & Millett (Topology 26, 1987).
+  writhe e and c components has denominator (q^2 - 1)^c (Lickorish & Millett,
+  Topology 26, 1987).  Its numerator is built one power of a at a time, as
+  dense integer lists in q^2: each coefficient of a is a binomial sum of the
+  z-coefficients of tau(w) times powers of q^2 - 1, from which (q^2 - 1)^(n-c)
+  is divided out synthetically.  Unless the quotient's certificate fails, no
+  two-variable product, division or gcd runs.
 
 * `rt_invariant` contracts an explicit R-matrix on the n-dimensional
   vector representation against quantum-trace weights, and must agree with
@@ -38,11 +42,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import accumulate, product, zip_longest
+from math import comb
 
 from .braid import BraidWord, closure_stats
 from .exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2, normalize2
-from .exactalg.laurent import laurent2_divide_exact
 from .qnum import qfactorial
 
 __all__ = [
@@ -66,7 +70,6 @@ _ONE_MINUS_QM2 = IntLaurent({0: 1, -2: -1})
 # The calibration in Z[a^+-1, q^+-1]: z = U / W, mu = q W / (q^2 - 1), d = -q^-2.
 _W = IntLaurent2({(1, 0): 1, (-1, 0): -1})  # a - a^-1
 _U = IntLaurent2({(1, 0): 1, (1, 2): -1})  # -q a (q - q^-1)
-_Q2_MINUS_1 = IntLaurent2({(0, 2): 1, (0, 0): -1})
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,7 @@ class TraceParams:
 
     @staticmethod
     def default() -> TraceParams:
-        mu = RatFun2(_W.shift(0, 1), _Q2_MINUS_1)
+        mu = RatFun2(_W.shift(0, 1), _q2_minus_1_power(1))
         return TraceParams(z=RatFun2(_U, _W), d=RatFun2.monomial(-1, 0, -2), mu=mu)
 
     def verify_calibration(self) -> None:
@@ -213,48 +216,96 @@ def _trace_basis(w: tuple[int, ...], params: TraceParams) -> tuple[IntLaurent, .
     return val
 
 
-def _trace_coeffs(e: HeckeElement, params: TraceParams) -> tuple[IntLaurent, ...]:
-    """Markov trace of e as its coefficients of z^0, z^1, ..."""
-    acc: tuple[IntLaurent, ...] = ()
+def _trace_terms(e: HeckeElement, params: TraceParams) -> dict[tuple[int, int], int]:
+    """Markov trace of e as {(z-power, q-exponent): coefficient}, summed in one
+    flat map from the cached basis traces; no zero coefficients are stored."""
+    acc: dict[tuple[int, int], int] = {}
     for w, c in e.terms.items():
-        acc = _add_scaled(acc, c, _trace_basis(w, params))
-    return acc
+        terms = list(c.items())
+        for k, t in enumerate(_trace_basis(w, params)):
+            for e2, v2 in t.items():
+                for e1, v1 in terms:
+                    key = (k, e1 + e2)
+                    acc[key] = acc.get(key, 0) + v1 * v2
+    return {key: v for key, v in acc.items() if v}
 
 
-def _times_mu_power(coeffs: tuple[IntLaurent, ...], m: int) -> IntLaurent2:
-    """sum_k c_k U^k W^(m-k) = (q - q^-1)^m mu^m sum_k c_k z^k (m >= k), by Horner in U."""
-    acc, wk = IntLaurent2.zero(), _W ** (m + 1 - len(coeffs))
-    for c in reversed(coeffs):
-        acc = acc * _U + IntLaurent2.from_q(c) * wk
-        wk = wk * _W
-    return acc
+def _divide_by_t_minus_1(p: list[int]) -> list[int]:
+    """p / (t - 1) for a dense coefficient list p in t, by synthetic division
+    from the top, b_i = p_(i+1) + b_(i+1); raises unless the remainder
+    p_0 + b_0 = p(1) is 0."""
+    b = list(accumulate(reversed(p)))
+    if b and b[-1]:
+        raise ArithmeticError("inexact polynomial division")
+    return b[-2::-1]
+
+
+def _closure_numerator(
+    tau: dict[tuple[int, int], int], n: int, r: int, dq: int = 0, sign: int = 1
+) -> tuple[IntLaurent2, bool]:
+    """sign q^dq N / (q^2 - 1)^r with N = sum_k c_k U^k W^(n-k), for tau = sum_k c_k z^k
+    as `_trace_terms` gives it and n at least its z-degree, and the certificate
+    that neither q - 1 nor q + 1 divides it.
+
+    The a^(n-2j) coefficient of N is (-1)^j sum_(k <= n-j) (-1)^k C(n-k, j) c_k (q^2 - 1)^k.
+    It is built by Horner in t - 1, t = q^2, on dense integer lists, one for each
+    parity of the q-exponents (closure traces have one), and divided r times by
+    t - 1; an inexact division raises ArithmeticError.  The certificate is that
+    some row's coefficient sum, and some row's alternating sum, is nonzero: the
+    quotient at q = +-1 is nonzero in Z[a^+-1].
+    """
+    if not tau:
+        return IntLaurent2.zero(), False
+    lo = min(e for _, e in tau)
+    top = max(k for k, _ in tau)
+    width = (max(e for _, e in tau) - lo) // 2 + 1
+    # tau = sum_s q^(lo + s) sum_k rows[s][k](t) z^k, each row padded for top Horner steps
+    rows = {s: [[0] * (width + top) for _ in range(top + 1)] for s in {(e - lo) & 1 for _, e in tau}}
+    for (k, e), v in tau.items():
+        rows[(e - lo) & 1][k][(e - lo) >> 1] = v
+    out: dict[tuple[int, int], int] = {}
+    at_one = at_minus_one = False
+    for j in range(n + 1):
+        at = [0, 0]  # the row's parts at t = 1
+        for s, cs in rows.items():
+            p = [0] * (width - 1)
+            for k in range(min(top, n - j), -1, -1):
+                m = -comb(n - k, j) if (j + k) & 1 else comb(n - k, j)
+                # p <- p (t - 1) + m c_k
+                p = [x - y + m * c for x, y, c in zip([0, *p], [*p, 0], cs[k])]
+            for _ in range(r):
+                p = _divide_by_t_minus_1(p)
+            a, e0 = n - 2 * j, lo + dq + s
+            out.update({(a, e0 + 2 * i): sign * v for i, v in enumerate(p) if v})
+            at[s] = sum(p)
+        at_one = at_one or at[0] + at[1] != 0
+        at_minus_one = at_minus_one or at[0] != at[1]
+    return IntLaurent2(out), at_one and at_minus_one
+
+
+@lru_cache(maxsize=128)
+def _q2_minus_1_power(c: int) -> IntLaurent2:
+    """(q^2 - 1)^c, the denominator of a c-component closure value."""
+    return IntLaurent2({(0, 2 * i): -comb(c, i) if (c - i) & 1 else comb(c, i) for i in range(c + 1)})
 
 
 def ocneanu_trace(e: HeckeElement, params: TraceParams | None = None) -> RatFun2:
     """Markov trace at the calibrated z; `params` supplies only the basis cache."""
-    coeffs = _trace_coeffs(e, params or default_trace_params())
-    k = max(len(coeffs) - 1, 0)
-    return normalize2(_times_mu_power(coeffs, k), _W**k)
+    tau = _trace_terms(e, params or default_trace_params())
+    top = max((k for k, _ in tau), default=0)
+    return normalize2(_closure_numerator(tau, top, 0)[0], _W**top)
 
 
 def homfly(w: BraidWord, params: TraceParams | None = None) -> RatFun2:
     """Framed HOMFLY-PT polynomial of the closure of a braid word, with the
     calibrated z, d and mu; `params` supplies only the basis cache."""
-    # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and (q^2 - 1)^(n-c) divides N;
-    # a quotient not certified free of q -+ 1 by evaluation gets a gcd in `_reduced`
+    # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and (q^2 - 1)^(n-c) divides N:
+    # `_closure_numerator` divides it out of each a-power's coefficient in integer
+    # lists; a quotient it does not certify free of q -+ 1 gets a gcd in `_reduced`
     n, e, c = w.strands, w.writhe, closure_stats(w).components
-    tau = _trace_coeffs(HeckeElement.from_braid(w), params or default_trace_params())
-    num = laurent2_divide_exact(_times_mu_power(tau, n).shift(0, n - 2 * e), _Q2_MINUS_1**(n - c))
-    return RatFun2._reduced(-num if e % 2 else num, _Q2_MINUS_1**c, coprime=_coprime_to_q2_minus_1(num))
-
-
-def _coprime_to_q2_minus_1(num: IntLaurent2) -> bool:
-    """Certificate that q -+ 1 does not divide num: num(a, +-1) != 0 in Z[a^+-1]."""
-    at_one, at_minus_one = {}, {}
-    for (i, k), c in num.items():
-        at_one[i] = at_one.get(i, 0) + c
-        at_minus_one[i] = at_minus_one.get(i, 0) + (-c if k & 1 else c)
-    return any(at_one.values()) and any(at_minus_one.values())
+    tau = _trace_terms(HeckeElement.from_braid(w), params or default_trace_params())
+    num, coprime = _closure_numerator(tau, n, n - c, n - 2 * e, -1 if e % 2 else 1)
+    return RatFun2._reduced(num, _q2_minus_1_power(c), coprime=coprime)
 
 
 def mirror_substitution(f: RatFun2) -> RatFun2:

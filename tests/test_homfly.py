@@ -6,6 +6,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlink.braid import BraidWord, closure_stats, mirror, parse_braid
 from qlink.exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2
@@ -324,11 +326,40 @@ def test_a_parity_matches_strand_count():
         assert (stats.components + stats.writhe) % 2 == w.strands % 2
 
 
+def _trace_coeffs(e: HeckeElement, params: TraceParams) -> tuple[IntLaurent, ...]:
+    """Markov trace of e as its coefficients of z^0, z^1, ..., summed as
+    polynomials: the oracle of the flat sum `_trace_terms`."""
+    from qlink.homfly import _add_scaled, _trace_basis
+
+    acc: tuple[IntLaurent, ...] = ()
+    for w, c in e.terms.items():
+        acc = _add_scaled(acc, c, _trace_basis(w, params))
+    return acc
+
+
+def _flat(coeffs) -> dict:
+    """z-coefficient tuple -> {(z-power, q-exponent): coefficient}, as `_trace_terms` gives."""
+    return {(k, e): v for k, c in enumerate(coeffs) for e, v in c.items()}
+
+
+Q2_MINUS_1 = IntLaurent2({(0, 2): 1, (0, 0): -1})
+
+
+def _times_mu_power(coeffs: tuple[IntLaurent, ...], m: int) -> IntLaurent2:
+    """sum_k c_k U^k W^(m-k) = (q - q^-1)^m mu^m sum_k c_k z^k (m >= k), by Horner
+    in U over IntLaurent2 products: the oracle of `_closure_numerator`."""
+    from qlink.homfly import _U, _W
+
+    acc, wk = IntLaurent2.zero(), _W ** (m + 1 - len(coeffs))
+    for c in reversed(coeffs):
+        acc = acc * _U + IntLaurent2.from_q(c) * wk
+        wk = wk * _W
+    return acc
+
+
 def _reference_homfly(w: BraidWord, params: TraceParams) -> RatFun2:
     """The closure value over the fraction field: the trace's z-coefficients
     evaluated by Horner at params.z, times the prefactor mu^n d^writhe."""
-    from qlink.homfly import _trace_coeffs
-
     tau = RatFun2.zero()
     for c in reversed(_trace_coeffs(HeckeElement.from_braid(w), params)):
         tau = tau * params.z + RatFun2(IntLaurent2.from_q(c))
@@ -353,13 +384,12 @@ def _oracle_words() -> list[BraidWord]:
 
 def test_homfly_matches_fraction_field_reference():
     params = default_trace_params()
-    q2_minus_1 = IntLaurent2({(0, 2): 1, (0, 0): -1})
     words = _oracle_words()
     assert len(words) == 341 + 50 + 4
     for w in words:
         h = homfly(w, params)
         assert h == _reference_homfly(w, params), w
-        assert h.den == q2_minus_1 ** closure_stats(w).components, w
+        assert h.den == Q2_MINUS_1 ** closure_stats(w).components, w
 
 
 def _count_gcds_and_fraction_ops(monkeypatch) -> Counter:
@@ -392,21 +422,125 @@ def test_homfly_runs_no_gcd_and_no_fraction_arithmetic(monkeypatch):
 
 
 def test_certificate_by_evaluation_matches_trial_division():
+    # the certificate read from the quotient rows is exact: it holds if and only
+    # if neither q - 1 nor q + 1 divides the quotient, on the closure numerators,
+    # on the trace polynomials before the exact division (r = 0, which keep
+    # (q^2 - 1)^(n - c)) and on both times q - 1 and times q + 1
     from qlink.exactalg.laurent import _divide2_or_none
-    from qlink.homfly import _coprime_to_q2_minus_1, _times_mu_power, _trace_coeffs
+    from qlink.homfly import _closure_numerator
 
     params = default_trace_params()
-    factors = (IntLaurent2({(0, 1): 1, (0, 0): -1}), IntLaurent2({(0, 1): 1, (0, 0): 1}))
+    factors = (IntLaurent({1: 1, 0: -1}), IntLaurent({1: 1, 0: 1}))
     seen = Counter()
     for w in _oracle_words():
-        h = homfly(w, params)
-        # the trace polynomial before the exact division keeps (q^2 - 1)^(n - c)
-        raw = _times_mu_power(_trace_coeffs(HeckeElement.from_braid(w), params), w.strands)
-        for num in (h.num, raw, *(h.num * f for f in factors)):
-            expected = all(_divide2_or_none(num, f) is None for f in factors)
-            assert _coprime_to_q2_minus_1(num) == expected, w
-            seen[expected] += 1
+        n, e, c = w.strands, w.writhe, closure_stats(w).components
+        coeffs = _trace_coeffs(HeckeElement.from_braid(w), params)
+        for scaled in (coeffs, *(tuple(t * f for t in coeffs) for f in factors)):
+            for r in (n - c, 0):
+                num, certified = _closure_numerator(_flat(scaled), n, r, n - 2 * e)
+                expected = all(_divide2_or_none(num, IntLaurent2.from_q(f)) is None for f in factors)
+                assert certified == expected, (w, r)
+                seen[expected] += 1
     assert seen[True] and seen[False]
+
+
+def test_flat_trace_sum_matches_polynomial_sum():
+    from qlink.homfly import _trace_terms
+
+    params = default_trace_params()
+    for w in _oracle_words():
+        e = HeckeElement.from_braid(w)
+        assert _trace_terms(e, params) == _flat(_trace_coeffs(e, params)), w
+
+
+def test_closure_numerator_matches_products_and_kronecker_division():
+    from qlink.exactalg.laurent import laurent2_divide_exact
+    from qlink.homfly import _closure_numerator
+
+    params = default_trace_params()
+    for w in _oracle_words():
+        n, e, c = w.strands, w.writhe, closure_stats(w).components
+        coeffs = _trace_coeffs(HeckeElement.from_braid(w), params)
+        expected = laurent2_divide_exact(
+            _times_mu_power(coeffs, n).shift(0, n - 2 * e), Q2_MINUS_1 ** (n - c)
+        )
+        assert _closure_numerator(_flat(coeffs), n, n - c, n - 2 * e)[0] == expected, w
+        assert _closure_numerator(_flat(coeffs), n, n - c, n - 2 * e, -1)[0] == -expected, w
+
+
+def test_closure_numerator_raises_on_an_inexact_division():
+    from qlink.homfly import _closure_numerator
+
+    with pytest.raises(ArithmeticError):
+        _closure_numerator({(0, 0): 1}, 1, 1)  # N = W = a - a^-1
+    with pytest.raises(ArithmeticError):
+        _closure_numerator({(0, 1): 1, (1, 0): 1}, 2, 1)  # N = q W^2 + U W, both q-parities
+    assert _closure_numerator({(1, 0): 1}, 1, 1)[0] == IntLaurent2.term(-1, 1, 0)  # U / (q^2 - 1)
+
+
+laurents = st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=4).map(IntLaurent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(laurents, min_size=1, max_size=n + 1))
+    ),
+    st.integers(0, 4),
+    st.integers(-4, 4),
+    st.sampled_from((1, -1)),
+)
+@example((3, [IntLaurent(), IntLaurent()]), 2, 0, 1)  # all zero
+@example((2, [IntLaurent({-3: 1}), IntLaurent({1: 2, 2: -1})]), 1, 1, -1)  # odd exponents
+def test_closure_numerator_on_random_coefficients(n_coeffs, r, dq, sign):
+    # with a planted factor (q^2 - 1)^r the quotient is the undivided sum of
+    # the original coefficients; without it, the builder raises exactly when
+    # the Kronecker division does
+    from qlink.exactalg.laurent import laurent2_divide_exact
+    from qlink.homfly import _closure_numerator
+
+    n, coeffs = n_coeffs
+    planted = IntLaurent({0: -1, 2: 1}) ** r
+    got, _ = _closure_numerator(_flat(tuple(c * planted for c in coeffs)), n, r, dq, sign)
+    assert got == _times_mu_power(coeffs, n).shift(0, dq).scale(sign)
+    try:
+        expected = laurent2_divide_exact(_times_mu_power(coeffs, n).shift(0, dq), Q2_MINUS_1**r)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            _closure_numerator(_flat(coeffs), n, r, dq, sign)
+    else:
+        assert _closure_numerator(_flat(coeffs), n, r, dq, sign)[0] == expected.scale(sign)
+
+
+def test_homfly_runs_no_kronecker_division_and_no_two_variable_product(monkeypatch):
+    import sys
+
+    import qlink.exactalg.laurent as laurent
+
+    params = TraceParams.default()  # a fresh basis cache; calibration checked before counting
+    calls = Counter()
+    divide = laurent.laurent2_divide_exact
+
+    def counted_divide(*args):
+        calls["laurent2_divide_exact"] += 1
+        return divide(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qlink") and getattr(module, "laurent2_divide_exact", None) is divide:
+            monkeypatch.setattr(module, "laurent2_divide_exact", counted_divide)
+    mul = IntLaurent2.__mul__
+
+    def counted_mul(*args):
+        calls["IntLaurent2.__mul__"] += 1
+        return mul(*args)
+
+    monkeypatch.setattr(IntLaurent2, "__mul__", counted_mul)
+    for w in _oracle_words():
+        homfly(w, params)
+    assert not calls
+    RatFun2._div(Q2_MINUS_1, Q2_MINUS_1)
+    Q2_MINUS_1 * Q2_MINUS_1
+    assert calls == {"laurent2_divide_exact": 1, "IntLaurent2.__mul__": 1}  # the counters work
 
 
 def test_homfly_falls_back_to_a_gcd_when_the_certificate_fails(monkeypatch):
