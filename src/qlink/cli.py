@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,6 +98,22 @@ def builtin_mini_table() -> KnotTable:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _exact_output():
+    """Lift the interpreter's limit on int -> str digits while exact values are
+    printed: a value at q = Q0, or at a sweep point, may have any length.
+    Parsing keeps the limit, so an over-long number on input stays a usage
+    error."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -137,7 +154,8 @@ def _cmd_qrat(args: argparse.Namespace) -> int:
     if args.at is not None:
         q0 = _parse_rational(args.at)
         try:
-            print(f.evaluate(q0))
+            with _exact_output():
+                print(f.evaluate(q0))
         except PoleError as exc:
             raise CliError(str(exc), EXIT_POLE) from None
     return EXIT_OK
@@ -179,14 +197,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if q0 == 0:
         raise CliError("q0 must be nonzero", EXIT_PARSE)
     xs = [lo + (hi - lo) * Fraction(i, args.steps) for i in range(args.steps + 1)]
-    rows, diagnostics = numeric_sweep(w, q0, xs, normalized=args.normalized)
-    for line in diagnostics:
-        print(f"sweep: skipped {line}", file=sys.stderr)
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["x", "value", "flag"])
-    for row in rows:
-        writer.writerow([str(row.x), str(row.value), row.flag])
+    with _exact_output():
+        rows, diagnostics = numeric_sweep(w, q0, xs, normalized=args.normalized)
+        for line in diagnostics:
+            print(f"sweep: skipped {line}", file=sys.stderr)
+        writer = csv.writer(buf)
+        writer.writerow(["x", "value", "flag"])
+        for row in rows:
+            writer.writerow([str(row.x), str(row.value), row.flag])
     try:
         with open(args.out, "w", newline="") as fh:
             fh.write(buf.getvalue())

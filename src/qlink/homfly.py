@@ -6,24 +6,26 @@ Two independent evaluators are provided and cross-checked in the tests:
   to the T-basis generators, which satisfy g^2 = (1 - q^2) g + q^2 and
   g^-1 = q^-2 g - (q^-2 - 1); the trace tau is the Markov trace with
   tau(T_e) = 1 and tau(x g_n y) = z tau(x y), computed by the
-  distinguished-coset recursion over Z[q^+-1], as a polynomial in z.  The
-  invariant mu^n * d^e * tau(w) of the closure of a word w on n strands with
-  writhe e and c components has denominator (q^2 - 1)^c (Lickorish & Millett,
-  Topology 26, 1987).  Its numerator is built one power of a at a time, as
-  dense integer lists in q^2: each coefficient of a is a binomial sum of the
-  z-coefficients of tau(w) times powers of q^2 - 1, from which (q^2 - 1)^(n-c)
-  is divided out synthetically.  Unless the quotient's certificate fails, no
-  two-variable product, division or gcd runs.
+  distinguished-coset recursion.  A trace has one form throughout: its integer
+  coefficients of z^k q^e as (k, e, coefficient) triples; the traces of T-basis
+  elements are cached in `TraceParams`.  The invariant mu^n * d^e * tau(w) of
+  the closure of a word w on n strands with writhe e and c components has
+  denominator (q^2 - 1)^c (Lickorish & Millett, Topology 26, 1987).  Its
+  numerator is built one power of a at a time, as dense integer lists in q^2:
+  each coefficient of a is a binomial sum of the z-coefficients of tau(w) times
+  powers of q^2 - 1, from which (q^2 - 1)^(n-c) is divided out synthetically.
+  Unless the quotient's certificate fails, no two-variable product, division
+  or gcd runs.
 
 * `rt_invariant` contracts an explicit R-matrix on the n-dimensional
   vector representation against quantum-trace weights, and must agree with
   homfly under a = q^n.
 
-Normalization.  The calibration is pinned by three conditions: the empty
-word on one strand evaluates to mu = (a - a^-1)/(q - q^-1); appending a
-positive stabilization letter multiplies the value by q^-1 a; appending a
-negative one multiplies it by q a^-1.  Solving these against the quadratic
-relation gives
+Normalization.  The calibration is pinned by three conditions, which the
+tests check: the empty word on one strand evaluates to
+mu = (a - a^-1)/(q - q^-1); appending a positive stabilization letter
+multiplies the value by q^-1 a; appending a negative one multiplies it by
+q a^-1.  Solving these against the quadratic relation gives
 
     z = -q a (q - q^-1) / (a - a^-1),        d = -q^-2,
 
@@ -40,9 +42,9 @@ choices; tests pin the one above through the stabilized-unknot value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product, zip_longest
+from itertools import accumulate, product
 from math import comb
 
 from .braid import BraidWord, closure_stats
@@ -58,7 +60,6 @@ __all__ = [
     "rt_invariant",
     "mu_colored",
     "homfly_twist_coeff",
-    "mirror_substitution",
 ]
 
 # Hecke structure constants for g^2 = (1 - q^2) g + q^2.
@@ -67,9 +68,7 @@ _QM2 = IntLaurent.q_power(-2)
 _ONE_MINUS_Q2 = IntLaurent({0: 1, 2: -1})
 _ONE_MINUS_QM2 = IntLaurent({0: 1, -2: -1})
 
-# The calibration in Z[a^+-1, q^+-1]: z = U / W, mu = q W / (q^2 - 1), d = -q^-2.
-_W = IntLaurent2({(1, 0): 1, (-1, 0): -1})  # a - a^-1
-_U = IntLaurent2({(1, 0): 1, (1, 2): -1})  # -q a (q - q^-1)
+_W = IntLaurent2({(1, 0): 1, (-1, 0): -1})  # a - a^-1, the denominator of z
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,6 @@ class HeckeElement:
         for v in w.letters:
             e = hecke_mul_gen(e, abs(v), 1 if v > 0 else -1)
         return e
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.strands == other.strands and self.terms == other.terms
 
 
 def _add_term(terms: dict, w: tuple[int, ...], c: IntLaurent) -> None:
@@ -135,68 +129,46 @@ def hecke_mul_gen(e: HeckeElement, i: int, sign: int) -> HeckeElement:
     return HeckeElement(e.strands, out)
 
 
-@dataclass(frozen=True)
 class TraceParams:
-    """Markov-trace parameters together with the unknot value.
+    """The Markov trace's basis cache: the trace of each T-basis element, keyed
+    by one-line permutation.  The entries do not depend on the calibration, and
+    inserts are idempotent, so one cache serves every caller."""
 
-    Only the calibrated values are accepted: unknot value mu, positive
-    stabilization factor q^-1 a, negative stabilization factor q a^-1
-    (checked at construction).
-    """
+    __slots__ = ("_basis_cache",)
 
-    z: RatFun2
-    d: RatFun2
-    mu: RatFun2
-    # the only field the trace and `homfly` read: basis-element traces as z-coefficient
-    # tuples in Z[q^+-1], keyed by one-line permutation; params-free, inserts idempotent
-    _basis_cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @staticmethod
-    def default() -> TraceParams:
-        mu = RatFun2(_W.shift(0, 1), _q2_minus_1_power(1))
-        return TraceParams(z=RatFun2(_U, _W), d=RatFun2.monomial(-1, 0, -2), mu=mu)
-
-    def verify_calibration(self) -> None:
-        """Assert the unknot and the two framed stabilization conditions."""
-        a = RatFun2.monomial(1, 1, 0)
-        q = RatFun2.monomial(1, 0, 1)
-        mu_expected = (a - a.inverse()) / (q - q.inverse())
-        if self.mu != mu_expected:
-            raise AssertionError("unknot value is not (a - a^-1)/(q - q^-1)")
-        pos = self.mu * self.d * self.z
-        if pos != a * q.inverse():
-            raise AssertionError("positive stabilization factor is not q^-1 a")
-        qm2 = RatFun2.monomial(1, 0, -2)
-        tau_gen_inv = qm2 * self.z - (qm2 - RatFun2.from_int(1))
-        neg = self.mu * self.d.inverse() * tau_gen_inv
-        if neg != q * a.inverse():
-            raise AssertionError("negative stabilization factor is not q a^-1")
-
-    __post_init__ = verify_calibration
+    def __init__(self) -> None:
+        self._basis_cache: dict[tuple[int, ...], tuple[tuple[int, int, int], ...]] = {}
 
 
-_DEFAULT_PARAMS: TraceParams | None = None
+_DEFAULT_PARAMS = TraceParams()
 
 
 def default_trace_params() -> TraceParams:
-    global _DEFAULT_PARAMS
-    if _DEFAULT_PARAMS is None:
-        _DEFAULT_PARAMS = TraceParams.default()
     return _DEFAULT_PARAMS
 
 
-def _add_scaled(acc: tuple, c: IntLaurent, coeffs: tuple) -> tuple:
-    """acc + c * coeffs, coefficientwise in z."""
-    return tuple(x + c * t for x, t in zip_longest(acc, coeffs, fillvalue=IntLaurent.zero()))
+def _scaled_sum(pairs, shift: int) -> tuple[tuple[int, int, int], ...]:
+    """z^shift sum_(c, t) c t over pairs of c in Z[q^+-1] and a trace t, where a
+    trace is a tuple of (z-power, q-exponent, coefficient) triples with no zero
+    coefficient."""
+    acc: dict[tuple[int, int], int] = {}
+    for c, t in pairs:
+        terms = list(c.items())
+        for k, e2, v2 in t:
+            k += shift
+            for e1, v1 in terms:
+                key = (k, e1 + e2)
+                acc[key] = acc.get(key, 0) + v1 * v2
+    return tuple((k, e, v) for (k, e), v in acc.items() if v)
 
 
-def _trace_basis(w: tuple[int, ...], params: TraceParams) -> tuple[IntLaurent, ...]:
-    """Markov trace of a T-basis element as its coefficients of z^0, z^1, ...
-    by the coset recursion: write w = y * s_{n-1} ... s_j with y fixing
+def _trace_basis(w: tuple[int, ...], params: TraceParams) -> tuple[tuple[int, int, int], ...]:
+    """Markov trace of a T-basis element as (z-power, q-exponent, coefficient)
+    triples, by the coset recursion: write w = y * s_{n-1} ... s_j with y fixing
     strand n; then tau_n(T_w) = z * tau_{n-1}(T_y T_{s_{n-2}} ... T_{s_j})."""
     n = len(w)
     if n <= 1:
-        return (IntLaurent.one(),)
+        return ((0, 0, 1),)
     cached = params._basis_cache.get(w)
     if cached is not None:
         return cached
@@ -208,26 +180,18 @@ def _trace_basis(w: tuple[int, ...], params: TraceParams) -> tuple[IntLaurent, .
         elem = HeckeElement(n - 1, {y: IntLaurent.one()})
         for i in range(n - 2, j - 1, -1):
             elem = hecke_mul_gen(elem, i, 1)
-        acc: tuple[IntLaurent, ...] = ()
+        # a loop, not a comprehension, and the sum after the recursion: one frame per level
+        pairs = []
         for w2, c2 in elem.terms.items():
-            acc = _add_scaled(acc, c2, _trace_basis(w2, params))
-        val = (IntLaurent.zero(), *acc)
+            pairs.append((c2, _trace_basis(w2, params)))
+        val = _scaled_sum(pairs, 1)
     params._basis_cache[w] = val
     return val
 
 
-def _trace_terms(e: HeckeElement, params: TraceParams) -> dict[tuple[int, int], int]:
-    """Markov trace of e as {(z-power, q-exponent): coefficient}, summed in one
-    flat map from the cached basis traces; no zero coefficients are stored."""
-    acc: dict[tuple[int, int], int] = {}
-    for w, c in e.terms.items():
-        terms = list(c.items())
-        for k, t in enumerate(_trace_basis(w, params)):
-            for e2, v2 in t.items():
-                for e1, v1 in terms:
-                    key = (k, e1 + e2)
-                    acc[key] = acc.get(key, 0) + v1 * v2
-    return {key: v for key, v in acc.items() if v}
+def _trace_terms(e: HeckeElement, params: TraceParams) -> tuple[tuple[int, int, int], ...]:
+    """Markov trace of e as (z-power, q-exponent, coefficient) triples."""
+    return _scaled_sum(((c, _trace_basis(w, params)) for w, c in e.terms.items()), 0)
 
 
 def _divide_by_t_minus_1(p: list[int]) -> list[int]:
@@ -241,7 +205,7 @@ def _divide_by_t_minus_1(p: list[int]) -> list[int]:
 
 
 def _closure_numerator(
-    tau: dict[tuple[int, int], int], n: int, r: int, dq: int = 0, sign: int = 1
+    tau: tuple[tuple[int, int, int], ...], n: int, r: int, dq: int = 0, sign: int = 1
 ) -> tuple[IntLaurent2, bool]:
     """sign q^dq N / (q^2 - 1)^r with N = sum_k c_k U^k W^(n-k), for tau = sum_k c_k z^k
     as `_trace_terms` gives it and n at least its z-degree, and the certificate
@@ -256,12 +220,12 @@ def _closure_numerator(
     """
     if not tau:
         return IntLaurent2.zero(), False
-    lo = min(e for _, e in tau)
-    top = max(k for k, _ in tau)
-    width = (max(e for _, e in tau) - lo) // 2 + 1
+    lo = min(e for _, e, _ in tau)
+    top = max(k for k, _, _ in tau)
+    width = (max(e for _, e, _ in tau) - lo) // 2 + 1
     # tau = sum_s q^(lo + s) sum_k rows[s][k](t) z^k, each row padded for top Horner steps
-    rows = {s: [[0] * (width + top) for _ in range(top + 1)] for s in {(e - lo) & 1 for _, e in tau}}
-    for (k, e), v in tau.items():
+    rows = {s: [[0] * (width + top) for _ in range(top + 1)] for s in {(e - lo) & 1 for _, e, _ in tau}}
+    for k, e, v in tau:
         rows[(e - lo) & 1][k][(e - lo) >> 1] = v
     out: dict[tuple[int, int], int] = {}
     at_one = at_minus_one = False
@@ -292,7 +256,7 @@ def _q2_minus_1_power(c: int) -> IntLaurent2:
 def ocneanu_trace(e: HeckeElement, params: TraceParams | None = None) -> RatFun2:
     """Markov trace at the calibrated z; `params` supplies only the basis cache."""
     tau = _trace_terms(e, params or default_trace_params())
-    top = max((k for k, _ in tau), default=0)
+    top = max((k for k, _, _ in tau), default=0)
     return normalize2(_closure_numerator(tau, top, 0)[0], _W**top)
 
 
@@ -306,11 +270,6 @@ def homfly(w: BraidWord, params: TraceParams | None = None) -> RatFun2:
     tau = _trace_terms(HeckeElement.from_braid(w), params or default_trace_params())
     num, coprime = _closure_numerator(tau, n, n - c, n - 2 * e, -1 if e % 2 else 1)
     return RatFun2._reduced(num, _q2_minus_1_power(c), coprime=coprime)
-
-
-def mirror_substitution(f: RatFun2) -> RatFun2:
-    """a -> a^-1, q -> q^-1: the HOMFLY-PT value of the mirror closure."""
-    return f.subs_bar()
 
 
 # ---------------------------------------------------------------------------

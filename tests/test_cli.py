@@ -1,6 +1,13 @@
 """Command-line surface: outputs, exit codes, CSV and JSON artifacts."""
 
+import contextlib
+import io
+import sys
+import tempfile
 from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlink.cli import CollisionReport, builtin_mini_table, main
 from qlink.qnum import qrational
@@ -34,6 +41,19 @@ def test_qrat_at(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines == ["(q^2)/(1+q^2)", "4/5"]
+
+
+def test_qrat_at_prints_a_value_of_any_length(capsys):
+    # {1000} at q = 1000 is sum_(k < 1000) 10^(6k), 5,995 digits: more than the
+    # interpreter converts to text by default, which still holds for parsing
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "qrat", "1000", "--at", "1000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "1" + "000001" * 999
+    assert sys.get_int_max_str_digits() == limit
+    code, out, err = run(capsys, "qrat", "1" * 5000)
+    assert code == 2 and not out
+    assert err.startswith("qlink: bad rational") and err.count("\n") == 1
 
 
 def test_qrat_bad_rational(capsys):
@@ -141,6 +161,24 @@ def test_sweep_csv(tmp_path, capsys):
     assert rows["1"] == "1"
     assert rows["1/4"] == str(qrational(Fraction(1, 4)).evaluate(2))
     assert len(lines) == 6  # header + 5 sample points
+
+
+def test_sweep_writes_values_of_any_length(tmp_path, capsys):
+    out_path = tmp_path / "big.csv"
+    code, _, err = run(
+        capsys, "sweep", "1", "--q0", "1000", "--from", "999", "--to", "1000", "--steps", "1",
+        "--out", str(out_path),
+    )
+    assert (code, err) == (0, "")
+    lines = out_path.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["x", "999", "1000"]
+    value = lines[2].split(",")[1]
+    assert len(value) > 4300 and value.isdigit()
+    code, _, err = run(
+        capsys, "sweep", "1", "--q0", "1" * 5000, "--from", "0", "--to", "1", "--steps", "1",
+        "--out", str(out_path),
+    )
+    assert code == 2 and err.startswith("qlink: bad rational") and err.count("\n") == 1
 
 
 def test_sweep_zero_steps(capsys, tmp_path):
@@ -260,3 +298,78 @@ def test_table_duplicate_names_rejected(tmp_path, capsys):
 def test_load_builtin_mini_table():
     table = builtin_mini_table()
     assert [n for n, _ in table.entries] == ["3_1", "4_1", "5_1"]
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz
+# ---------------------------------------------------------------------------
+
+RATIONALS = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(0, 6)),
+    st.sampled_from(["1e3", "-2e1", "5e-1", "1.5e2", "1E2", "1/0", "1e", "x", ""]),
+)
+MODES = st.one_of(
+    st.just("homfly"),
+    st.builds("{}:{}".format, st.sampled_from(["x", "flat", "y"]), RATIONALS),
+)
+
+
+@st.composite
+def braid_args(draw) -> list[str]:
+    """A braid word on at most 6 strands, with its strand count or without,
+    or a malformed one; ends in the positional braid after `--`."""
+    n = draw(st.integers(1, 6))
+    letters = draw(st.lists(st.integers(1 - n, n - 1).filter(bool), max_size=8)) if n > 1 else []
+    text = draw(st.one_of(st.just(" ".join(map(str, letters))), st.sampled_from(["0", "1 x", "3", ""])))
+    strands = draw(st.sampled_from([[], [f"--strands={n}"]]))
+    flags = draw(st.lists(st.sampled_from(["--normalized", "--mirror"]), unique=True))
+    return strands + flags + ["--", text]
+
+
+def _opt(name: str, value: str) -> str:
+    return f"{name}={value}"  # one token, so that values starting with a dash stay values
+
+
+@st.composite
+def cli_argv(draw) -> tuple[list[str], list[tuple[str, str]] | None]:
+    """argv for one subcommand, with `{dir}` standing for a temporary directory,
+    and the rows of the knot table that `table` reads from `{dir}/t.csv`."""
+    command = draw(st.sampled_from(["qrat", "inv", "sweep", "table"]))
+    if command == "qrat":
+        argv = ["qrat"] + draw(st.sampled_from([[], ["--flavor=left"], ["--flavor=right"]]))
+        if draw(st.booleans()):
+            argv.append(_opt("--at", draw(RATIONALS)))
+        return argv + ["--", draw(RATIONALS)], None
+    if command == "inv":
+        return ["inv", _opt("--mode", draw(MODES))] + draw(braid_args()), None
+    if command == "sweep":
+        out = draw(st.sampled_from(["{dir}/s.csv", "{dir}/missing/s.csv"]))
+        opts = [_opt(name, draw(RATIONALS)) for name in ("--q0", "--from", "--to")]
+        steps = _opt("--steps", str(draw(st.integers(-1, 4))))
+        return ["sweep", *opts, steps, _opt("--out", out)] + draw(braid_args()), None
+    argv = ["table", _opt("--mode", draw(MODES))]
+    argv += draw(st.lists(st.sampled_from(["--with-mirrors", "--collisions"]), unique=True))
+    rows = draw(st.one_of(st.none(), st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["1 1 1", "1 -2 1 -2", "-1", "2 x"])),
+        max_size=3,
+    )))
+    return argv + (["{dir}/t.csv"] if rows is not None else []), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+@example((["qrat", "--at=1e3", "--", "1e3"], None))
+@example((["sweep", "--q0=1e3", "--from=999", "--to=1e3", "--steps=1", "--out={dir}/s.csv", "--", "1"], None))
+@example((["qrat", "--", "1/0"], None))
+def test_cli_exits_with_a_documented_code_and_no_traceback(case):
+    argv, rows = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if rows is not None:
+            with open(f"{tmp}/t.csv", "w") as fh:
+                fh.writelines(f'{name},"{braid}"\n' for name, braid in rows)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.replace("{dir}", tmp) for a in argv])
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

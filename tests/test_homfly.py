@@ -1,9 +1,9 @@
 """Hecke algebra, Markov trace, HOMFLY-PT values and the R-matrix oracle."""
 
-import dataclasses
 import random
+import sys
 from collections import Counter
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +18,6 @@ from qlink.homfly import (
     hecke_mul_gen,
     homfly,
     homfly_twist_coeff,
-    mirror_substitution,
     mu_colored,
     ocneanu_trace,
     rt_invariant,
@@ -28,7 +27,14 @@ from qlink.qnum import qint
 A = RatFun2.monomial(1, 1, 0)
 Q = RatFun2.monomial(1, 0, 1)
 ONE = RatFun2.from_int(1)
-MU = (A - A.inverse()) / (Q - Q.inverse())
+
+# The calibration in Z[a^+-1, q^+-1]: z = U / W, d = -q^-2, mu = q W / (q^2 - 1).
+W = IntLaurent2({(1, 0): 1, (-1, 0): -1})  # a - a^-1
+U = IntLaurent2({(1, 0): 1, (1, 2): -1})  # -q a (q - q^-1)
+Q2_MINUS_1 = IntLaurent2({(0, 2): 1, (0, 0): -1})
+Z = RatFun2(U, W)
+D = RatFun2.monomial(-1, 0, -2)
+MU = RatFun2(W.shift(0, 1), Q2_MINUS_1)
 
 
 def random_word(rng: random.Random, max_len: int, max_strands: int) -> BraidWord:
@@ -89,6 +95,15 @@ def test_hecke_index_range():
 # ---------------------------------------------------------------------------
 
 
+def test_calibration():
+    # the unknot value, and the framed stabilization factors q^-1 a and q a^-1
+    # (tau(g^-1) = q^-2 z - (q^-2 - 1))
+    assert MU == (A - A.inverse()) / (Q - Q.inverse())
+    assert MU * D * Z == Q.inverse() * A
+    qm2 = Q.inverse() ** 2
+    assert MU * D.inverse() * (qm2 * Z - (qm2 - ONE)) == Q * A.inverse()
+
+
 def test_trace_normalization():
     params = default_trace_params()
     for n in range(1, 5):
@@ -98,14 +113,14 @@ def test_trace_normalization():
 def test_trace_of_generator_is_z():
     params = default_trace_params()
     e = hecke_mul_gen(HeckeElement.identity(2), 1, 1)
-    assert ocneanu_trace(e, params) == params.z
+    assert ocneanu_trace(e, params) == Z
 
 
 def test_trace_of_cubed_generator():
     params = default_trace_params()
     e = HeckeElement.from_braid(parse_braid("1 1 1"))
     q2 = RatFun2.monomial(1, 0, 2)
-    expected = ((ONE - q2) ** 2 + q2) * params.z + q2 * (ONE - q2)
+    expected = ((ONE - q2) ** 2 + q2) * Z + q2 * (ONE - q2)
     assert ocneanu_trace(e, params) == expected
 
 
@@ -118,12 +133,12 @@ def test_trace_markov_property():
         w = random_word(rng, 5, n)
         e = HeckeElement.from_braid(BraidWord(w.letters, n + 1))
         stabilized = hecke_mul_gen(e, n, 1)
-        assert ocneanu_trace(stabilized, params) == params.z * ocneanu_trace(
+        assert ocneanu_trace(stabilized, params) == Z * ocneanu_trace(
             HeckeElement.from_braid(w), params
         )
 
 
-def _reference_trace(e: HeckeElement, params: TraceParams, cache: dict) -> RatFun2:
+def _reference_trace(e: HeckeElement, cache: dict) -> RatFun2:
     """The Markov trace over the fraction field: the same coset recursion, but
     every coefficient is a canonical fraction and z is multiplied in at every
     level instead of once at the end."""
@@ -140,7 +155,7 @@ def _reference_trace(e: HeckeElement, params: TraceParams, cache: dict) -> RatFu
                 elem = HeckeElement(n - 1, {tuple(v for v in w if v != n): IntLaurent.one()})
                 for i in range(n - 2, j - 1, -1):
                     elem = hecke_mul_gen(elem, i, 1)
-                cache[w] = params.z * combination(elem)
+                cache[w] = Z * combination(elem)
         return cache[w]
 
     def combination(elem):
@@ -164,7 +179,7 @@ def test_trace_matches_fraction_field_reference():
     words += [random_word(rng, 6, 5) for _ in range(30)]
     for w in words:
         e = HeckeElement.from_braid(w)
-        assert ocneanu_trace(e, params) == _reference_trace(e, params, cache), w
+        assert ocneanu_trace(e, params) == _reference_trace(e, cache), w
 
 
 def test_hecke_and_trace_stay_in_the_polynomial_ring(monkeypatch):
@@ -173,7 +188,7 @@ def test_hecke_and_trace_stay_in_the_polynomial_ring(monkeypatch):
     import qlink.exactalg.ratfun as ratfun
     from qlink.homfly import _trace_basis
 
-    params = TraceParams.default()  # a fresh, empty basis cache
+    params = TraceParams()  # a fresh, empty basis cache
     calls = Counter()
 
     def counted(name, fn):
@@ -197,25 +212,21 @@ def test_hecke_and_trace_stay_in_the_polynomial_ring(monkeypatch):
     assert calls["laurent2_gcd"] > 0  # the counters do see the evaluation
 
 
-def test_trace_params_accept_only_the_calibration():
-    params = default_trace_params()
-    assert TraceParams(params.z, params.d, params.mu) == params
-    with pytest.raises(AssertionError):
-        TraceParams(z=ONE, d=ONE, mu=ONE)
-    for field in ("z", "d", "mu"):
-        with pytest.raises(AssertionError):
-            dataclasses.replace(params, **{field: ONE})
-
-
-def test_calibration_is_asserted():
-    TraceParams.default()  # raises on any violated condition
-    bad = TraceParams.__new__(TraceParams)
-    object.__setattr__(bad, "z", RatFun2.one())
-    object.__setattr__(bad, "d", RatFun2.one())
-    object.__setattr__(bad, "mu", MU)
-    object.__setattr__(bad, "_basis_cache", {})
-    with pytest.raises(AssertionError):
-        bad.verify_calibration()
+def test_trace_recursion_takes_one_frame_per_strand():
+    # the basis recursion descends one strand per Python frame: 150 frames of
+    # headroom cover a 121-strand closure, two frames per strand would not.
+    # "120" descends through the identity at every level, the Coxeter word
+    # 1 2 ... 120 through a Hecke product and a sum.
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        for word in ("120", " ".join(map(str, range(1, 121)))):
+            homfly(parse_braid(word), TraceParams())
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +321,7 @@ def test_mirror_symmetry():
     rng = random.Random(61)
     for _ in range(15):
         w = random_word(rng, 6, 4)
-        assert homfly(mirror(w)) == mirror_substitution(homfly(w))
+        assert homfly(mirror(w)) == homfly(w).subs_bar()
 
 
 def test_a_parity_matches_strand_count():
@@ -326,44 +337,68 @@ def test_a_parity_matches_strand_count():
         assert (stats.components + stats.writhe) % 2 == w.strands % 2
 
 
-def _trace_coeffs(e: HeckeElement, params: TraceParams) -> tuple[IntLaurent, ...]:
+def _add_scaled(acc: tuple, c: IntLaurent, coeffs: tuple) -> tuple:
+    """acc + c * coeffs, coefficientwise in z."""
+    return tuple(x + c * t for x, t in zip_longest(acc, coeffs, fillvalue=IntLaurent.zero()))
+
+
+_BASIS_COEFFS: dict = {}
+
+
+def _basis_coeffs(w: tuple[int, ...]) -> tuple[IntLaurent, ...]:
+    """Markov trace of a T-basis element as its coefficients of z^0, z^1, ...,
+    by the same coset recursion summed as polynomials: the oracle of the flat
+    basis traces."""
+    n = len(w)
+    if n <= 1:
+        return (IntLaurent.one(),)
+    if w not in _BASIS_COEFFS:
+        if w[-1] == n:
+            val = _basis_coeffs(w[:-1])
+        else:
+            j = w.index(n) + 1
+            elem = HeckeElement(n - 1, {tuple(v for v in w if v != n): IntLaurent.one()})
+            for i in range(n - 2, j - 1, -1):
+                elem = hecke_mul_gen(elem, i, 1)
+            acc: tuple[IntLaurent, ...] = ()
+            for w2, c2 in elem.terms.items():
+                acc = _add_scaled(acc, c2, _basis_coeffs(w2))
+            val = (IntLaurent.zero(), *acc)
+        _BASIS_COEFFS[w] = val
+    return _BASIS_COEFFS[w]
+
+
+def _trace_coeffs(e: HeckeElement) -> tuple[IntLaurent, ...]:
     """Markov trace of e as its coefficients of z^0, z^1, ..., summed as
     polynomials: the oracle of the flat sum `_trace_terms`."""
-    from qlink.homfly import _add_scaled, _trace_basis
-
     acc: tuple[IntLaurent, ...] = ()
     for w, c in e.terms.items():
-        acc = _add_scaled(acc, c, _trace_basis(w, params))
+        acc = _add_scaled(acc, c, _basis_coeffs(w))
     return acc
 
 
-def _flat(coeffs) -> dict:
-    """z-coefficient tuple -> {(z-power, q-exponent): coefficient}, as `_trace_terms` gives."""
-    return {(k, e): v for k, c in enumerate(coeffs) for e, v in c.items()}
-
-
-Q2_MINUS_1 = IntLaurent2({(0, 2): 1, (0, 0): -1})
+def _flat(coeffs) -> tuple:
+    """z-coefficient tuple -> (z-power, q-exponent, coefficient) triples, the flat form."""
+    return tuple((k, e, v) for k, c in enumerate(coeffs) for e, v in c.items())
 
 
 def _times_mu_power(coeffs: tuple[IntLaurent, ...], m: int) -> IntLaurent2:
     """sum_k c_k U^k W^(m-k) = (q - q^-1)^m mu^m sum_k c_k z^k (m >= k), by Horner
     in U over IntLaurent2 products: the oracle of `_closure_numerator`."""
-    from qlink.homfly import _U, _W
-
-    acc, wk = IntLaurent2.zero(), _W ** (m + 1 - len(coeffs))
+    acc, wk = IntLaurent2.zero(), W ** (m + 1 - len(coeffs))
     for c in reversed(coeffs):
-        acc = acc * _U + IntLaurent2.from_q(c) * wk
-        wk = wk * _W
+        acc = acc * U + IntLaurent2.from_q(c) * wk
+        wk = wk * W
     return acc
 
 
-def _reference_homfly(w: BraidWord, params: TraceParams) -> RatFun2:
+def _reference_homfly(w: BraidWord) -> RatFun2:
     """The closure value over the fraction field: the trace's z-coefficients
-    evaluated by Horner at params.z, times the prefactor mu^n d^writhe."""
+    evaluated by Horner at z, times the prefactor mu^n d^writhe."""
     tau = RatFun2.zero()
-    for c in reversed(_trace_coeffs(HeckeElement.from_braid(w), params)):
-        tau = tau * params.z + RatFun2(IntLaurent2.from_q(c))
-    return params.mu ** w.strands * params.d ** w.writhe * tau
+    for c in reversed(_trace_coeffs(HeckeElement.from_braid(w))):
+        tau = tau * Z + RatFun2(IntLaurent2.from_q(c))
+    return MU ** w.strands * D ** w.writhe * tau
 
 
 def _oracle_words() -> list[BraidWord]:
@@ -388,7 +423,7 @@ def test_homfly_matches_fraction_field_reference():
     assert len(words) == 341 + 50 + 4
     for w in words:
         h = homfly(w, params)
-        assert h == _reference_homfly(w, params), w
+        assert h == _reference_homfly(w), w
         assert h.den == Q2_MINUS_1 ** closure_stats(w).components, w
 
 
@@ -414,7 +449,7 @@ def _count_gcds_and_fraction_ops(monkeypatch) -> Counter:
 
 
 def test_homfly_runs_no_gcd_and_no_fraction_arithmetic(monkeypatch):
-    params = TraceParams.default()  # a fresh basis cache; calibration checked before counting
+    params = TraceParams()  # a fresh basis cache
     calls = _count_gcds_and_fraction_ops(monkeypatch)
     for w in _oracle_words():
         homfly(w, params)
@@ -429,12 +464,11 @@ def test_certificate_by_evaluation_matches_trial_division():
     from qlink.exactalg.laurent import _divide2_or_none
     from qlink.homfly import _closure_numerator
 
-    params = default_trace_params()
     factors = (IntLaurent({1: 1, 0: -1}), IntLaurent({1: 1, 0: 1}))
     seen = Counter()
     for w in _oracle_words():
         n, e, c = w.strands, w.writhe, closure_stats(w).components
-        coeffs = _trace_coeffs(HeckeElement.from_braid(w), params)
+        coeffs = _trace_coeffs(HeckeElement.from_braid(w))
         for scaled in (coeffs, *(tuple(t * f for t in coeffs) for f in factors)):
             for r in (n - c, 0):
                 num, certified = _closure_numerator(_flat(scaled), n, r, n - 2 * e)
@@ -444,23 +478,31 @@ def test_certificate_by_evaluation_matches_trial_division():
     assert seen[True] and seen[False]
 
 
+def test_flat_basis_traces_match_polynomial_recursion():
+    from qlink.homfly import _trace_basis
+
+    params = TraceParams()  # a fresh basis cache
+    for w in _oracle_words():
+        for b in HeckeElement.from_braid(w).terms:
+            assert sorted(_trace_basis(b, params)) == sorted(_flat(_basis_coeffs(b))), b
+
+
 def test_flat_trace_sum_matches_polynomial_sum():
     from qlink.homfly import _trace_terms
 
     params = default_trace_params()
     for w in _oracle_words():
         e = HeckeElement.from_braid(w)
-        assert _trace_terms(e, params) == _flat(_trace_coeffs(e, params)), w
+        assert sorted(_trace_terms(e, params)) == sorted(_flat(_trace_coeffs(e))), w
 
 
 def test_closure_numerator_matches_products_and_kronecker_division():
     from qlink.exactalg.laurent import laurent2_divide_exact
     from qlink.homfly import _closure_numerator
 
-    params = default_trace_params()
     for w in _oracle_words():
         n, e, c = w.strands, w.writhe, closure_stats(w).components
-        coeffs = _trace_coeffs(HeckeElement.from_braid(w), params)
+        coeffs = _trace_coeffs(HeckeElement.from_braid(w))
         expected = laurent2_divide_exact(
             _times_mu_power(coeffs, n).shift(0, n - 2 * e), Q2_MINUS_1 ** (n - c)
         )
@@ -472,10 +514,10 @@ def test_closure_numerator_raises_on_an_inexact_division():
     from qlink.homfly import _closure_numerator
 
     with pytest.raises(ArithmeticError):
-        _closure_numerator({(0, 0): 1}, 1, 1)  # N = W = a - a^-1
+        _closure_numerator(((0, 0, 1),), 1, 1)  # N = W = a - a^-1
     with pytest.raises(ArithmeticError):
-        _closure_numerator({(0, 1): 1, (1, 0): 1}, 2, 1)  # N = q W^2 + U W, both q-parities
-    assert _closure_numerator({(1, 0): 1}, 1, 1)[0] == IntLaurent2.term(-1, 1, 0)  # U / (q^2 - 1)
+        _closure_numerator(((0, 1, 1), (1, 0, 1)), 2, 1)  # N = q W^2 + U W, both q-parities
+    assert _closure_numerator(((1, 0, 1),), 1, 1)[0] == IntLaurent2.term(-1, 1, 0)  # U / (q^2 - 1)
 
 
 laurents = st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=4).map(IntLaurent)
@@ -517,7 +559,7 @@ def test_homfly_runs_no_kronecker_division_and_no_two_variable_product(monkeypat
 
     import qlink.exactalg.laurent as laurent
 
-    params = TraceParams.default()  # a fresh basis cache; calibration checked before counting
+    params = TraceParams()  # a fresh basis cache
     calls = Counter()
     divide = laurent.laurent2_divide_exact
 
@@ -552,7 +594,7 @@ def test_homfly_falls_back_to_a_gcd_when_the_certificate_fails(monkeypatch):
     homfly_module = importlib.import_module("qlink.homfly")  # `qlink.homfly` is also the function
     params = default_trace_params()
     words = [w for w in _oracle_words() if closure_stats(w).components < w.strands]
-    expected = [_reference_homfly(w, params) for w in words]
+    expected = [_reference_homfly(w) for w in words]
 
     def overstated(w):
         stats = closure_stats(w)
