@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .exactalg.textio import quote_input
+
 __all__ = ["BraidWord", "ClosureStats", "parse_braid", "mirror", "closure_stats"]
 
 
@@ -72,7 +74,7 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
         try:
             v = int(t)
         except ValueError:
-            raise ValueError(f"bad braid letter {t!r}") from None
+            raise ValueError(f"bad braid letter {quote_input(t)}") from None
         if v == 0:
             raise ValueError("braid letters must be nonzero")
         letters.append(v)

@@ -1,8 +1,9 @@
 """Command-line surface: qrat | inv | sweep | table.
 
-Exit codes: 0 success, 2 parse/usage error, 3 specialization pole,
-4 unwritable output path.  All output is deterministic; table entries are
-evaluated in order and the groups are sorted before the report is assembled.
+Exit codes: 0 success, 2 parse/usage error or a cap exceeded (MAX_STEPS,
+`qnum.MAX_QDEGREE`), 3 specialization pole, 4 unwritable output path.  All
+output is deterministic; table entries are evaluated in order and the groups
+are sorted before the report is assembled.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 from .braid import BraidWord, mirror, parse_braid
 from .exactalg import PoleError, RatFun2, format_ratfun, format_ratfun2, format_nu
+from .exactalg.textio import quote_input
 from .homfly import homfly
 from .qnum import left_qrational, qrational
 from .xinv import flat_context, numeric_sweep, specialize_closure, x_context
@@ -28,6 +31,9 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_POLE = 3
 EXIT_UNWRITABLE = 4
+
+# The largest `sweep --steps`: the steps + 1 rows are all held in memory.
+MAX_STEPS = 1000
 
 
 class CliError(Exception):
@@ -115,12 +121,15 @@ def _exact_output():
 
 
 def _parse_rational(text: str) -> Fraction:
+    s = text.strip()
     try:
-        return Fraction(text.strip())
+        return Fraction(s)
     except ZeroDivisionError:
-        raise CliError(f"bad rational {text!r}: zero denominator", EXIT_PARSE) from None
+        raise CliError(f"bad rational {quote_input(text)}: zero denominator", EXIT_PARSE) from None
     except ValueError as exc:
-        raise CliError(f"bad rational {text!r}: {exc}", EXIT_PARSE) from None
+        # Fraction's own message repeats the input
+        reason = str(exc).replace(repr(s), quote_input(s))
+        raise CliError(f"bad rational {quote_input(text)}: {reason}", EXIT_PARSE) from None
 
 
 def _parse_mode(text: str) -> tuple[str, Fraction | None]:
@@ -129,7 +138,7 @@ def _parse_mode(text: str) -> tuple[str, Fraction | None]:
     for prefix, kind in (("x:", "x"), ("flat:", "flat")):
         if text.startswith(prefix):
             return kind, _parse_rational(text[len(prefix) :])
-    raise CliError(f"bad mode {text!r} (expected homfly, x:RAT or flat:RAT)", EXIT_PARSE)
+    raise CliError(f"bad mode {quote_input(text)} (expected homfly, x:RAT or flat:RAT)", EXIT_PARSE)
 
 
 def _braid_from_args(args: argparse.Namespace) -> BraidWord:
@@ -149,7 +158,10 @@ def _braid_from_args(args: argparse.Namespace) -> BraidWord:
 
 def _cmd_qrat(args: argparse.Namespace) -> int:
     x = _parse_rational(args.x)
-    f = qrational(x) if args.flavor == "right" else left_qrational(x)
+    try:
+        f = qrational(x) if args.flavor == "right" else left_qrational(x)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_PARSE) from None
     print(format_ratfun(f))
     if args.at is not None:
         q0 = _parse_rational(args.at)
@@ -192,6 +204,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     hi = _parse_rational(args.to)
     if args.steps < 1:
         raise CliError("steps must be >= 1", EXIT_PARSE)
+    if args.steps > MAX_STEPS:
+        raise CliError(f"steps must be <= {MAX_STEPS}", EXIT_PARSE)
     if not lo < hi:
         raise CliError("empty sweep range (need from < to)", EXIT_PARSE)
     if q0 == 0:
@@ -248,8 +262,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every argument that starts with `-` and a digit, or `-.` and a
+    digit, as a value: negative rationals such as -1/2 or -2e1, and braid
+    words such as -1,2.  No qlink option is spelled that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d.*", re.DOTALL)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qlink",
         description="Exact q-rational numbers and link invariants of braid closures.",
     )

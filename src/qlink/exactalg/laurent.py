@@ -179,10 +179,6 @@ class IntLaurent(_Laurent):
     def q_power(exp: int) -> IntLaurent:
         return IntLaurent({exp: 1})
 
-    @staticmethod
-    def from_int(n: int) -> IntLaurent:
-        return IntLaurent({0: n})
-
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, exp: int) -> int:
@@ -471,15 +467,6 @@ def _divide_or_none(f: IntLaurent, g: IntLaurent) -> IntLaurent | None:
     """f / g in Z[q^{±1}] for nonzero g, or None if g does not divide f."""
     if f.is_zero():
         return IntLaurent.zero()
-    if g.is_monomial():
-        e0, v0 = next(g.items())
-        out: dict[int, int] = {}
-        for e, v in f.items():
-            q, r = divmod(v, v0)
-            if r:
-                return None
-            out[e - e0] = q
-        return IntLaurent(out)
     quot = _ldiv(_poly_list(f), _poly_list(g))
     if quot is None:
         return None
@@ -649,15 +636,6 @@ def _divide2_or_none(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2 | None:
     """
     if f.is_zero():
         return IntLaurent2.zero()
-    if g.is_monomial():
-        (d0, e0), v0 = next(g.items())
-        out: dict[tuple[int, int], int] = {}
-        for (d, e), v in f.items():
-            q, r = divmod(v, v0)
-            if r:
-                return None
-            out[(d - d0, e - e0)] = q
-        return IntLaurent2(out)
     (fa, fq), (ga, gq) = f.min_exps(), g.min_exps()
     k = max(e for (_, e), _ in f.items()) - fq + 1
     top = k - 1 - max(e for (_, e), _ in g.items()) + gq

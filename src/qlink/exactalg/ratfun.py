@@ -148,18 +148,7 @@ class _Fraction:
         if isinstance(other, int):
             other = self.from_int(other)
         a, b, c, d = self.num, self.den, other.num, other.den
-        if d.is_one():
-            return self._reduced(a + c * b, b)
-        if b.is_one():
-            return self._reduced(c + a * d, d)
         gcd, div = self._gcd, self._div
-        if b == d:
-            t = a + c
-            h = gcd(t, b)
-            if not h.is_one():
-                t = div(t, h)
-                b = div(b, h)
-            return self._reduced(t, b)
         g = gcd(b, d)
         if g.is_one():
             return self._reduced(a * d + c * b, b * d)
@@ -189,19 +178,15 @@ class _Fraction:
         a, b, c, d = self.num, self.den, other.num, other.den
         if a.is_zero() or c.is_zero():
             return self.zero()
-        if b.is_one() and d.is_one():
-            return self._reduced(a * c, b)
         gcd, div = self._gcd, self._div
-        if not d.is_one():
-            g1 = gcd(a, d)
-            if not g1.is_one():
-                a = div(a, g1)
-                d = div(d, g1)
-        if not b.is_one():
-            g2 = gcd(c, b)
-            if not g2.is_one():
-                c = div(c, g2)
-                b = div(b, g2)
+        g1 = gcd(a, d)
+        if not g1.is_one():
+            a = div(a, g1)
+            d = div(d, g1)
+        g2 = gcd(c, b)
+        if not g2.is_one():
+            c = div(c, g2)
+            b = div(b, g2)
         return self._reduced(a * c, b * d)
 
     def __truediv__(self, other):

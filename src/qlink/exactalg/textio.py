@@ -25,7 +25,19 @@ __all__ = [
     "parse_ratfun",
     "parse_ratfun2",
     "parse_nu",
+    "quote_input",
 ]
+
+# Characters of user input that an error message repeats.
+_QUOTE_LIMIT = 40
+
+
+def quote_input(text: str) -> str:
+    """repr of user input for an error message: past _QUOTE_LIMIT characters,
+    the repr of a prefix and the input's length."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 def _format_term(coeff: int, vars_part: str) -> str:

@@ -277,7 +277,6 @@ def homfly(w: BraidWord, params: TraceParams | None = None) -> RatFun2:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def mu_colored(k: int) -> RatFun2:
     """Value of a k-labeled circle:
     prod_{j=0}^{k-1} (a q^-j - a^-1 q^j)/(q - q^-1) * q^(k(k-1)/2) / {k}!."""

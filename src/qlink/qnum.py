@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .exactalg import IntLaurent, RatFun, TruncSeries, normalize, series_expand
@@ -39,7 +38,13 @@ __all__ = [
     "left_qrational",
     "left_qdelta",
     "q_adic_limit",
+    "MAX_QDEGREE",
 ]
+
+# The largest q-degree of a q-deformation that `qrational` and `left_qrational`
+# build.  {x} and {x}^b span at most 2 (|a1| + ... + |a2m|) powers of q, with
+# [a1, ..., a2m] the even continued fraction of x: about 2n for x = n or 1/n.
+MAX_QDEGREE = 4000
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,8 @@ def _ladder(terms: tuple[int, ...], seed: tuple[IntLaurent, IntLaurent] | None) 
     {a}_{q^-2}.  The intermediate fractions generated here are coprime up
     to monomials by construction, so the final fraction skips the gcd.
     """
+    if 2 * sum(map(abs, terms)) > MAX_QDEGREE:
+        raise ValueError(f"q-deformation too large: its q-degree may exceed {MAX_QDEGREE}")
     n = len(terms)
     if seed is None:
         num = qint(terms[-1]).subs_qinv()
@@ -128,7 +135,6 @@ def _ladder(terms: tuple[int, ...], seed: tuple[IntLaurent, IntLaurent] | None) 
     return RatFun._reduced(num, den)
 
 
-@lru_cache(maxsize=16384)
 def qrational(x: Fraction | int) -> RatFun:
     """The q-deformation {x} of a rational number."""
     x = Fraction(x)
@@ -140,7 +146,6 @@ def qrational(x: Fraction | int) -> RatFun:
 _LEFT_SEED = (IntLaurent.one(), IntLaurent({0: 1, 2: -1}))
 
 
-@lru_cache(maxsize=16384)
 def left_qrational(x: Fraction | int) -> RatFun:
     """The left q-deformation {x}^b: the q-adic limit of {x - 1/k}."""
     x = Fraction(x)
@@ -152,14 +157,12 @@ def _delta(f: RatFun) -> RatFun:
     return normalize(f.num.shift(2) - f.num + f.den, f.den.shift(2))
 
 
-@lru_cache(maxsize=8192)
 def qdelta(x: Fraction | int) -> RatFun:
     """delta_x = {x} - {x - 1} = ((q^2 - 1) {x} + 1) / q^2 by the shift
     identity {x} = q^2 {x - 1} + 1; reduces to q^(2n-2) at integers."""
     return _delta(qrational(Fraction(x)))
 
 
-@lru_cache(maxsize=8192)
 def left_qdelta(x: Fraction | int) -> RatFun:
     """The left analogue {x}^b - {x-1}^b = ((q^2 - 1) {x}^b + 1) / q^2: the
     shift identity passes to the q-adic limit, so it holds for {x}^b too."""

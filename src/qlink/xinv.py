@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .braid import BraidWord
 from .exactalg import (
@@ -77,13 +76,11 @@ class XContext:
         return nu_power(self.delta, k)
 
 
-@lru_cache(maxsize=4096)
 def x_context(x: Fraction | int) -> XContext:
     x = Fraction(x)
     return XContext(x, "right", qdelta(x))
 
 
-@lru_cache(maxsize=4096)
 def flat_context(x: Fraction | int) -> XContext:
     x = Fraction(x)
     return XContext(x, "flat", left_qdelta(x))
@@ -121,11 +118,6 @@ class XValue:
             raise ValueError("only right contexts at integer x collapse to rational functions")
         n = int(self.context.x)
         return self.value.substitute_nu(RatFun.q_power(1 - n))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, XValue):
-            return NotImplemented
-        return self.context == other.context and self.value == other.value
 
 
 def specialize_closure(h: RatFun2, ctx: XContext, writhe: int = 0) -> XValue:

@@ -9,8 +9,8 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlink.cli import CollisionReport, builtin_mini_table, main
-from qlink.qnum import qrational
+from qlink.cli import MAX_STEPS, CollisionReport, builtin_mini_table, main
+from qlink.qnum import MAX_QDEGREE, qrational
 
 
 def run(capsys, *argv):
@@ -62,15 +62,50 @@ def test_qrat_bad_rational(capsys):
     assert "bad rational" in err
 
 
-def test_arguments_starting_with_a_dash_follow_a_double_dash(capsys):
-    code, out, _ = run(capsys, "qrat", "--", "-1/2")
-    assert (code, out) == (0, "(-q^-2)/(1+q^2)\n")
-    code, out, err = run(capsys, "qrat", "-1/2")
-    assert code == 2 and not out
-    assert "the following arguments are required" in err and "Traceback" not in err
-    code, out, _ = run(capsys, "inv", "--", "-1,2")
-    assert (code, out) == (0, run(capsys, "inv", "-1 2")[1])
-    assert run(capsys, "inv", "-1,2")[0] == 2
+def test_arguments_starting_with_a_dash_and_a_digit_are_values(capsys, tmp_path):
+    for argv in (("qrat", "-1/2"), ("qrat", "--", "-1/2"), ("qrat", "-.5"), ("qrat", "-5e-1")):
+        assert run(capsys, *argv) == (0, "(-q^-2)/(1+q^2)\n", ""), argv
+    assert run(capsys, "qrat", "1/2", "--at", "-1/2") == (0, "(q^2)/(1+q^2)\n1/5\n", "")
+    expected = run(capsys, "inv", "-1 2")
+    assert expected[0] == 0 and run(capsys, "inv", "-1,2") == expected == run(capsys, "inv", "--", "-1,2")
+    out_path = tmp_path / "s.csv"
+    code, _, err = run(capsys, "sweep", "1", "--q0", "-2", "--from", "-1/2", "--to", "1", "--steps", "2",
+                       "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out_path.read_text().splitlines()] == ["x", "-1/2", "1/4", "1"]
+    # options, `--` and unknown options are read as before
+    code, out, _ = run(capsys, "qrat", "-h")
+    assert code == 0 and out.startswith("usage: qlink qrat")
+    code, out, err = run(capsys, "qrat", "-x")
+    assert code == 2 and not out and "the following arguments are required: x" in err
+
+
+def test_error_lines_quote_a_bounded_prefix_of_the_input(capsys):
+    long = "1" * 5000
+    for argv in (("qrat", long), ("qrat", "x" * 5000), ("qrat", long + "/0"), ("inv", "1", "--mode", "x" * 5000),
+                 ("inv", "1", "--mode", "x:" + "y" * 5000), ("inv", "1 " + "y" * 5000)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[:2]
+        assert err.count("\n") == 1 and len(err) < 300, err[:300]
+        assert " characters)" in err, err
+    assert run(capsys, "qrat", "x")[2] == "qlink: bad rational 'x': Invalid literal for Fraction: 'x'\n"
+
+
+def test_q_deformations_and_sweeps_over_their_caps_exit_2(capsys, tmp_path):
+    half = MAX_QDEGREE // 2  # {n} and {1/n} have q-degree bound 2n
+    assert run(capsys, "qrat", str(half))[0] == 0
+    over = f"qlink: q-deformation too large: its q-degree may exceed {MAX_QDEGREE}\n"
+    for argv in (("qrat", str(half + 1)), ("qrat", f"1/{half + 1}", "--flavor", "left"),
+                 ("inv", "1", "--mode", f"x:{half + 1}"), ("inv", "1 1 1", "--mode", f"flat:-1/{half + 1}")):
+        assert run(capsys, *argv) == (2, "", over), argv
+    sweep = ["sweep", "1", "--q0", "2", "--from", "0", "--to", "1", "--out", str(tmp_path / "s.csv")]
+    assert run(capsys, *sweep, "--steps", str(MAX_STEPS + 1)) == (2, "", f"qlink: steps must be <= {MAX_STEPS}\n")
+    assert not (tmp_path / "s.csv").exists()
+    # a sweep point over the cap is skipped like a pole
+    code, _, err = run(capsys, "sweep", "1", "--q0", "2", "--from", str(half), "--to", str(half + 1),
+                       "--steps", "1", "--out", str(tmp_path / "s.csv"))
+    assert code == 0 and err == f"sweep: skipped x={half + 1}: " + over[len("qlink: "):]
+    assert (tmp_path / "s.csv").read_text().splitlines()[1:] == [f"{half},{qrational(half).evaluate(2)},"]
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +339,12 @@ def test_load_builtin_mini_table():
 # argv fuzz
 # ---------------------------------------------------------------------------
 
+OVER = MAX_QDEGREE // 2 + 1  # {OVER}, {1/OVER} and {OVER - 1/2} are just over MAX_QDEGREE
 RATIONALS = st.one_of(
     st.integers(-30, 30).map(str),
     st.builds("{}/{}".format, st.integers(-30, 30), st.integers(0, 6)),
-    st.sampled_from(["1e3", "-2e1", "5e-1", "1.5e2", "1E2", "1/0", "1e", "x", ""]),
+    st.sampled_from(["1e3", "-2e1", "5e-1", "-.5", "1.5e2", "1E2", "1/0", "1e", "x", ""]),
+    st.sampled_from([f"{OVER}", f"-{OVER}", f"1/{OVER}", f"-1/{OVER}", f"{OVER}e0", f"{2 * OVER - 1}/2"]),
 )
 MODES = st.one_of(
     st.just("homfly"),
@@ -318,17 +355,13 @@ MODES = st.one_of(
 @st.composite
 def braid_args(draw) -> list[str]:
     """A braid word on at most 6 strands, with its strand count or without,
-    or a malformed one; ends in the positional braid after `--`."""
+    or a malformed one; ends in the positional braid, after `--` or not."""
     n = draw(st.integers(1, 6))
     letters = draw(st.lists(st.integers(1 - n, n - 1).filter(bool), max_size=8)) if n > 1 else []
     text = draw(st.one_of(st.just(" ".join(map(str, letters))), st.sampled_from(["0", "1 x", "3", ""])))
-    strands = draw(st.sampled_from([[], [f"--strands={n}"]]))
+    strands = draw(st.sampled_from([[], ["--strands", str(n)]]))
     flags = draw(st.lists(st.sampled_from(["--normalized", "--mirror"]), unique=True))
-    return strands + flags + ["--", text]
-
-
-def _opt(name: str, value: str) -> str:
-    return f"{name}={value}"  # one token, so that values starting with a dash stay values
+    return strands + flags + draw(st.sampled_from([[], ["--"]])) + [text]
 
 
 @st.composite
@@ -337,18 +370,18 @@ def cli_argv(draw) -> tuple[list[str], list[tuple[str, str]] | None]:
     and the rows of the knot table that `table` reads from `{dir}/t.csv`."""
     command = draw(st.sampled_from(["qrat", "inv", "sweep", "table"]))
     if command == "qrat":
-        argv = ["qrat"] + draw(st.sampled_from([[], ["--flavor=left"], ["--flavor=right"]]))
+        argv = ["qrat"] + draw(st.sampled_from([[], ["--flavor", "left"], ["--flavor", "right"]]))
         if draw(st.booleans()):
-            argv.append(_opt("--at", draw(RATIONALS)))
-        return argv + ["--", draw(RATIONALS)], None
+            argv += ["--at", draw(RATIONALS)]
+        return argv + [draw(RATIONALS)], None
     if command == "inv":
-        return ["inv", _opt("--mode", draw(MODES))] + draw(braid_args()), None
+        return ["inv", "--mode", draw(MODES)] + draw(braid_args()), None
     if command == "sweep":
         out = draw(st.sampled_from(["{dir}/s.csv", "{dir}/missing/s.csv"]))
-        opts = [_opt(name, draw(RATIONALS)) for name in ("--q0", "--from", "--to")]
-        steps = _opt("--steps", str(draw(st.integers(-1, 4))))
-        return ["sweep", *opts, steps, _opt("--out", out)] + draw(braid_args()), None
-    argv = ["table", _opt("--mode", draw(MODES))]
+        opts = [token for name in ("--q0", "--from", "--to") for token in (name, draw(RATIONALS))]
+        steps = str(draw(st.one_of(st.integers(-1, 4), st.sampled_from([MAX_STEPS + 1, MAX_STEPS + 2]))))
+        return ["sweep", *opts, "--steps", steps, "--out", out] + draw(braid_args()), None
+    argv = ["table", "--mode", draw(MODES)]
     argv += draw(st.lists(st.sampled_from(["--with-mirrors", "--collisions"]), unique=True))
     rows = draw(st.one_of(st.none(), st.lists(
         st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["1 1 1", "1 -2 1 -2", "-1", "2 x"])),
@@ -359,9 +392,11 @@ def cli_argv(draw) -> tuple[list[str], list[tuple[str, str]] | None]:
 
 @settings(max_examples=150, deadline=None)
 @given(cli_argv())
-@example((["qrat", "--at=1e3", "--", "1e3"], None))
-@example((["sweep", "--q0=1e3", "--from=999", "--to=1e3", "--steps=1", "--out={dir}/s.csv", "--", "1"], None))
-@example((["qrat", "--", "1/0"], None))
+@example((["qrat", "--at", "1e3", "1e3"], None))
+@example((["sweep", "--q0", "1e3", "--from", "999", "--to", "1e3", "--steps", "1", "--out", "{dir}/s.csv", "1"], None))
+@example((["qrat", "1/0"], None))
+@example((["sweep", "--q0", "-2", "--from", f"{OVER - 1}", "--to", f"{OVER}", "--steps", "1", "--out", "{dir}/s.csv", "-1"],
+          None))
 def test_cli_exits_with_a_documented_code_and_no_traceback(case):
     argv, rows = case
     out, err = io.StringIO(), io.StringIO()

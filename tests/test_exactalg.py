@@ -541,6 +541,40 @@ def test_two_variable_ring_axioms(f, g, h):
     assert f * (g + h) == f * g + f * h
 
 
+def _shared_unit_or_int(draw, f, polys, norm, kind):
+    """A second operand with f's denominator, with denominator 1, or an int."""
+    if kind == "int":
+        return draw(st.integers(-3, 3))
+    c = draw(polys)
+    if kind == "unit":
+        return norm(c, f.den.one())
+    g = norm(c * f.den + f.num, f.den)  # gcd(c d + a, d) = gcd(a, d) = 1
+    assert g.is_zero() or g.den == f.den
+    return g
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(["q", "aq"]), st.sampled_from(["same", "unit", "int"]), st.booleans())
+def test_arithmetic_with_shared_unit_or_int_denominators(data, ring, kind, swap):
+    """Sums, differences, products and quotients against the fraction the
+    textbook formulas normalize, on the operands that had shortcut branches."""
+    polys, nonzero, norm = (
+        (small_laurent, nonzero_laurent, normalize) if ring == "q" else (small_laurent2, nonzero_laurent2, normalize2)
+    )
+    f = norm(data.draw(polys), data.draw(nonzero))
+    g = _shared_unit_or_int(data.draw, f, polys, norm, kind)
+    one = f.den.one()
+    (a, b), (c, d) = [(one.scale(h), one) if isinstance(h, int) else (h.num, h.den) for h in (f, g)]
+    if swap:
+        f, g, a, b, c, d = g, f, c, d, a, b
+    cases = [(f + g, a * d + c * b, b * d), (f - g, a * d - c * b, b * d), (f * g, a * c, b * d)]
+    if c and not isinstance(f, int):  # RatFun2 has no int / fraction
+        cases.append((f / g, a * d, b * c))
+    for got, num, den in cases:
+        want = norm(num, den)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
 @settings(max_examples=40, deadline=None)
 @given(ratfun2s)
 def test_two_variable_canonical_form(f):
@@ -734,6 +768,7 @@ def test_division_edge_cases_match_fraction_long_division():
         (L({}), L({0: 1, 1: 1})),  # zero dividend
         (L({2: 6, 5: -4}), L({1: 2})),  # monomial divisor
         (L({2: 6, 5: -3}), L({1: 2})),  # monomial divisor, inexact
+        (L({-3: 6, 2: -4}), L({-1: -2})),  # monomial divisor, negative exponents
         (L({0: 1, 1: 1}), L({0: 1, 1: 1, 2: 1})),  # divisor of higher degree
         (L({0: 1, 2: -1}), L({0: 1, 1: 1})),
         (L({0: 1, 2: 1}), L({0: 1, 1: 1})),
@@ -785,6 +820,9 @@ def test_division2_edge_cases_match_long_division_in_a():
         ((one + a) * (one - q), one + q),
         ((a - q) * (a + q * q), a + q * q),
         (a * q, q.shift(2, 0)),  # monomial divisor
+        (IntLaurent2({(-1, 2): 6, (2, -3): -4}), IntLaurent2({(-2, -1): 2})),  # negative exponents
+        (IntLaurent2({(-1, 2): 6, (2, -3): -3}), IntLaurent2({(-2, -1): -2})),  # monomial divisor, inexact
+        (IntLaurent2({(0, 0): 5, (1, 1): 10}), IntLaurent2({(1, -1): 5})),
         (IntLaurent2.zero(), one + a),
         (one + a, IntLaurent2.zero()),
     ]
