@@ -27,7 +27,6 @@ from .exactalg import (
 )
 from .homfly import (
     HeckeElement,
-    TraceParams,
     hecke_mul_gen,
     homfly,
     homfly_twist_coeff,

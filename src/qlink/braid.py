@@ -16,7 +16,11 @@ from dataclasses import dataclass
 
 from .exactalg.textio import quote_input
 
-__all__ = ["BraidWord", "ClosureStats", "parse_braid", "mirror", "closure_stats"]
+__all__ = ["BraidWord", "ClosureStats", "MAX_STRANDS", "parse_braid", "mirror", "closure_stats"]
+
+# The most strands `parse_braid` accepts.  One letter on 2,000 strands takes
+# about 0.5 s to trace, and its value prints as some 1.8 MB.
+MAX_STRANDS = 2000
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,8 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     """Parse whitespace- or comma-separated signed letters.
 
     With no explicit strand count the braid lives on max|letter| + 1
-    strands (one strand for the empty word).
+    strands (one strand for the empty word).  Either count may be at most
+    MAX_STRANDS.
     """
     tokens = [t for t in text.replace(",", " ").split() if t]
     letters = []
@@ -80,6 +85,8 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
         letters.append(v)
     if strands is None:
         strands = max((abs(v) for v in letters), default=0) + 1
+    if strands > MAX_STRANDS:
+        raise ValueError(f"more than {MAX_STRANDS} strands")
     return BraidWord(tuple(letters), strands)
 
 

@@ -1,9 +1,9 @@
 """Command-line surface: qrat | inv | sweep | table.
 
 Exit codes: 0 success, 2 parse/usage error or a cap exceeded (MAX_STEPS,
-`qnum.MAX_QDEGREE`), 3 specialization pole, 4 unwritable output path.  All
-output is deterministic; table entries are evaluated in order and the groups
-are sorted before the report is assembled.
+MAX_EXPONENT, `braid.MAX_STRANDS`, `qnum.MAX_QDEGREE`), 3 specialization pole,
+4 unwritable output path.  All output is deterministic; table entries are
+evaluated in order and the groups are sorted before the report is assembled.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ EXIT_UNWRITABLE = 4
 
 # The largest `sweep --steps`: the steps + 1 rows are all held in memory.
 MAX_STEPS = 1000
+
+# The largest decimal exponent of a rational (the interpreter's default digit
+# limit): `Fraction` would expand 1e<huge> before any cap looks at the value.
+MAX_EXPONENT = 4300
 
 
 class CliError(Exception):
@@ -122,6 +126,10 @@ def _exact_output():
 
 def _parse_rational(text: str) -> Fraction:
     s = text.strip()
+    exponent = re.search(r"e[-+]?([\d_]+)$", s, re.IGNORECASE)
+    # five leading digits, after any leading zeros, decide the comparison
+    if exponent and int(exponent[1].replace("_", "").lstrip("0")[:5] or 0) > MAX_EXPONENT:
+        raise CliError(f"bad rational {quote_input(text)}: exponent magnitude over {MAX_EXPONENT}", EXIT_PARSE)
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -265,11 +273,21 @@ def _cmd_table(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reads every argument that starts with `-` and a digit, or `-.` and a
     digit, as a value: negative rationals such as -1/2 or -2e1, and braid
-    words such as -1,2.  No qlink option is spelled that way."""
+    words such as -1,2.  No qlink option is spelled that way.  Its "invalid
+    int value" and "invalid choice" errors quote a bounded prefix of the value."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d.*", re.DOTALL)
+
+    def _get_values(self, action, arg_strings):
+        try:
+            return super()._get_values(action, arg_strings)
+        except argparse.ArgumentError as exc:
+            message = exc.message
+            for text in arg_strings:
+                message = message.replace(repr(text), quote_input(text))
+            raise argparse.ArgumentError(action, message) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

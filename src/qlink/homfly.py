@@ -5,10 +5,12 @@ Two independent evaluators are provided and cross-checked in the tests:
 * `homfly` runs an Iwahori-Hecke-algebra Markov trace.  Braid letters map
   to the T-basis generators, which satisfy g^2 = (1 - q^2) g + q^2 and
   g^-1 = q^-2 g - (q^-2 - 1); the trace tau is the Markov trace with
-  tau(T_e) = 1 and tau(x g_n y) = z tau(x y), computed by the
-  distinguished-coset recursion.  A trace has one form throughout: its integer
-  coefficients of z^k q^e as (k, e, coefficient) triples; the traces of T-basis
-  elements are cached in `TraceParams`.  The invariant mu^n * d^e * tau(w) of
+  tau(T_e) = 1 and tau(x g_n y) = z tau(x y).  It is Ocneanu's trace
+  E_2 o ... o E_n (Jones, Ann. Math. 126, 1987), computed level by level: the
+  conditional expectation E_m: H_m -> H_(m-1)[z] is applied to the whole
+  element, for m = n down to 2, and terms are merged after each level.  Hecke
+  coefficients and traces have one form: integer maps {(k, e): c} for the
+  coefficients c of z^k q^e.  The invariant mu^n * d^e * tau(w) of
   the closure of a word w on n strands with writhe e and c components has
   denominator (q^2 - 1)^c (Lickorish & Millett, Topology 26, 1987).  Its
   numerator is built one power of a at a time, as dense integer lists in q^2:
@@ -53,7 +55,6 @@ from .qnum import qfactorial
 
 __all__ = [
     "HeckeElement",
-    "TraceParams",
     "hecke_mul_gen",
     "ocneanu_trace",
     "homfly",
@@ -62,29 +63,34 @@ __all__ = [
     "homfly_twist_coeff",
 ]
 
-# Hecke structure constants for g^2 = (1 - q^2) g + q^2.
-_Q2 = IntLaurent.q_power(2)
-_QM2 = IntLaurent.q_power(-2)
-_ONE_MINUS_Q2 = IntLaurent({0: 1, 2: -1})
-_ONE_MINUS_QM2 = IntLaurent({0: 1, -2: -1})
-
 _W = IntLaurent2({(1, 0): 1, (-1, 0): -1})  # a - a^-1, the denominator of z
+
+Coeff = dict[tuple[int, int], int]  # {(z-power, q-exponent): integer}, in Hecke elements and traces
+
+# The benchmark harness (`perfbench/`) still calls `default_trace_params()` and
+# reads `_DEFAULT_PARAMS` as a basis cache; the trace keeps no state to hand it.
+_DEFAULT_PARAMS = None
+
+
+def default_trace_params() -> None:
+    return None
 
 
 @dataclass(frozen=True)
 class HeckeElement:
     """Linear combination of T-basis elements of the Hecke algebra H_n.
 
-    Permutations are one-line tuples (w(1), ..., w(n)); no zero
-    coefficients are stored.
+    Permutations are one-line tuples (w(1), ..., w(n)).  Coefficients are
+    `Coeff` maps, of z-power 0 in the image of a braid; no zero coefficient
+    and no zero entry is stored.
     """
 
     strands: int
-    terms: dict[tuple[int, ...], IntLaurent]
+    terms: dict[tuple[int, ...], Coeff]
 
     @staticmethod
     def identity(n: int) -> HeckeElement:
-        return HeckeElement(n, {tuple(range(1, n + 1)): IntLaurent.one()})
+        return HeckeElement(n, {tuple(range(1, n + 1)): {(0, 0): 1}})
 
     @staticmethod
     def from_braid(w: BraidWord) -> HeckeElement:
@@ -94,13 +100,24 @@ class HeckeElement:
         return e
 
 
-def _add_term(terms: dict, w: tuple[int, ...], c: IntLaurent) -> None:
+def _add(terms: dict, w: tuple[int, ...], c: Coeff) -> None:
+    """terms[w] += c, dropping zeros.  A stored map is never changed, only
+    replaced, so maps are shared freely."""
     cur = terms.get(w)
-    s = c if cur is None else cur + c
-    if s.is_zero():
-        terms.pop(w, None)
+    if cur is None:
+        terms[w] = c
+        return
+    cur = dict(cur)
+    for key, v in c.items():
+        v += cur.get(key, 0)
+        if v:
+            cur[key] = v
+        else:
+            del cur[key]
+    if cur:
+        terms[w] = cur
     else:
-        terms[w] = s
+        del terms[w]
 
 
 def hecke_mul_gen(e: HeckeElement, i: int, sign: int) -> HeckeElement:
@@ -114,84 +131,45 @@ def hecke_mul_gen(e: HeckeElement, i: int, sign: int) -> HeckeElement:
         raise ValueError(f"generator index {i} out of range for {e.strands} strands")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    swap, keep = (_Q2, _ONE_MINUS_Q2) if sign == 1 else (_QM2, _ONE_MINUS_QM2)
-    out: dict[tuple[int, ...], IntLaurent] = {}
-    k = i - 1
+    out: dict[tuple[int, ...], Coeff] = {}
+    k, s = i - 1, 2 * sign
     for w, c in e.terms.items():
-        ws = list(w)
-        ws[k], ws[k + 1] = ws[k + 1], ws[k]
-        ws = tuple(ws)
+        ws = w[:k] + (w[k + 1], w[k]) + w[k + 2 :]
         if (w[k] < w[k + 1]) == (sign == 1):  # T_w g = T_ws going up, T_w g^-1 = T_ws down
-            _add_term(out, ws, c)
+            _add(out, ws, c)
         else:
-            _add_term(out, ws, c * swap)
-            _add_term(out, w, c * keep)
+            cs = {(z, x + s): v for (z, x), v in c.items()}
+            _add(out, ws, cs)
+            _add(out, w, c)
+            _add(out, w, {key: -v for key, v in cs.items()})
     return HeckeElement(e.strands, out)
 
 
-class TraceParams:
-    """The Markov trace's basis cache: the trace of each T-basis element, keyed
-    by one-line permutation.  The entries do not depend on the calibration, and
-    inserts are idempotent, so one cache serves every caller."""
+def _trace(e: HeckeElement) -> Coeff:
+    """Markov trace of e as a `Coeff` map: Ocneanu's trace E_2 o ... o E_n, each
+    conditional expectation E_m: H_m -> H_(m-1)[z] applied to the whole element.
 
-    __slots__ = ("_basis_cache",)
-
-    def __init__(self) -> None:
-        self._basis_cache: dict[tuple[int, ...], tuple[tuple[int, int, int], ...]] = {}
-
-
-_DEFAULT_PARAMS = TraceParams()
-
-
-def default_trace_params() -> TraceParams:
-    return _DEFAULT_PARAMS
-
-
-def _scaled_sum(pairs, shift: int) -> tuple[tuple[int, int, int], ...]:
-    """z^shift sum_(c, t) c t over pairs of c in Z[q^+-1] and a trace t, where a
-    trace is a tuple of (z-power, q-exponent, coefficient) triples with no zero
-    coefficient."""
-    acc: dict[tuple[int, int], int] = {}
-    for c, t in pairs:
-        terms = list(c.items())
-        for k, e2, v2 in t:
-            k += shift
-            for e1, v1 in terms:
-                key = (k, e1 + e2)
-                acc[key] = acc.get(key, 0) + v1 * v2
-    return tuple((k, e, v) for (k, e), v in acc.items() if v)
-
-
-def _trace_basis(w: tuple[int, ...], params: TraceParams) -> tuple[tuple[int, int, int], ...]:
-    """Markov trace of a T-basis element as (z-power, q-exponent, coefficient)
-    triples, by the coset recursion: write w = y * s_{n-1} ... s_j with y fixing
-    strand n; then tau_n(T_w) = z * tau_{n-1}(T_y T_{s_{n-2}} ... T_{s_j})."""
-    n = len(w)
-    if n <= 1:
-        return ((0, 0, 1),)
-    cached = params._basis_cache.get(w)
-    if cached is not None:
-        return cached
-    if w[-1] == n:
-        val = _trace_basis(w[:-1], params)
-    else:
-        j = w.index(n) + 1
-        y = tuple(v for v in w if v != n)
-        elem = HeckeElement(n - 1, {y: IntLaurent.one()})
-        for i in range(n - 2, j - 1, -1):
-            elem = hecke_mul_gen(elem, i, 1)
-        # a loop, not a comprehension, and the sum after the recursion: one frame per level
-        pairs = []
-        for w2, c2 in elem.terms.items():
-            pairs.append((c2, _trace_basis(w2, params)))
-        val = _scaled_sum(pairs, 1)
-    params._basis_cache[w] = val
-    return val
-
-
-def _trace_terms(e: HeckeElement, params: TraceParams) -> tuple[tuple[int, int, int], ...]:
-    """Markov trace of e as (z-power, q-exponent, coefficient) triples."""
-    return _scaled_sum(((c, _trace_basis(w, params)) for w, c in e.terms.items()), 0)
+    E_m fixes T_w when w(m) = m.  Otherwise, with m in position j (counted from
+    1) and y = w without m, it maps T_w to z T_y T_(s_(m-2)) ... T_(s_j); the
+    terms with the same j are multiplied as one element."""
+    terms = e.terms
+    for m in range(e.strands, 1, -1):
+        out: dict[tuple[int, ...], Coeff] = {}
+        moved: dict[int, dict[tuple[int, ...], Coeff]] = {}
+        for w, c in terms.items():
+            if w[-1] == m:
+                _add(out, w[:-1], c)
+            else:
+                j = w.index(m) + 1
+                moved.setdefault(j, {})[w[: j - 1] + w[j:]] = {(k + 1, x): v for (k, x), v in c.items()}
+        for j, ys in moved.items():
+            part = HeckeElement(m - 1, ys)
+            for i in range(m - 2, j - 1, -1):
+                part = hecke_mul_gen(part, i, 1)
+            for y, c in part.terms.items():
+                _add(out, y, c)
+        terms = out
+    return next(iter(terms.values()), {})
 
 
 def _divide_by_t_minus_1(p: list[int]) -> list[int]:
@@ -204,11 +182,9 @@ def _divide_by_t_minus_1(p: list[int]) -> list[int]:
     return b[-2::-1]
 
 
-def _closure_numerator(
-    tau: tuple[tuple[int, int, int], ...], n: int, r: int, dq: int = 0, sign: int = 1
-) -> tuple[IntLaurent2, bool]:
+def _closure_numerator(tau: Coeff, n: int, r: int, dq: int = 0, sign: int = 1) -> tuple[IntLaurent2, bool]:
     """sign q^dq N / (q^2 - 1)^r with N = sum_k c_k U^k W^(n-k), for tau = sum_k c_k z^k
-    as `_trace_terms` gives it and n at least its z-degree, and the certificate
+    as `_trace` gives it and n at least its z-degree, and the certificate
     that neither q - 1 nor q + 1 divides it.
 
     The a^(n-2j) coefficient of N is (-1)^j sum_(k <= n-j) (-1)^k C(n-k, j) c_k (q^2 - 1)^k.
@@ -220,12 +196,12 @@ def _closure_numerator(
     """
     if not tau:
         return IntLaurent2.zero(), False
-    lo = min(e for _, e, _ in tau)
-    top = max(k for k, _, _ in tau)
-    width = (max(e for _, e, _ in tau) - lo) // 2 + 1
+    lo = min(e for _, e in tau)
+    top = max(k for k, _ in tau)
+    width = (max(e for _, e in tau) - lo) // 2 + 1
     # tau = sum_s q^(lo + s) sum_k rows[s][k](t) z^k, each row padded for top Horner steps
-    rows = {s: [[0] * (width + top) for _ in range(top + 1)] for s in {(e - lo) & 1 for _, e, _ in tau}}
-    for k, e, v in tau:
+    rows = {s: [[0] * (width + top) for _ in range(top + 1)] for s in {(e - lo) & 1 for _, e in tau}}
+    for (k, e), v in tau.items():
         rows[(e - lo) & 1][k][(e - lo) >> 1] = v
     out: dict[tuple[int, int], int] = {}
     at_one = at_minus_one = False
@@ -253,21 +229,21 @@ def _q2_minus_1_power(c: int) -> IntLaurent2:
     return IntLaurent2({(0, 2 * i): -comb(c, i) if (c - i) & 1 else comb(c, i) for i in range(c + 1)})
 
 
-def ocneanu_trace(e: HeckeElement, params: TraceParams | None = None) -> RatFun2:
-    """Markov trace at the calibrated z; `params` supplies only the basis cache."""
-    tau = _trace_terms(e, params or default_trace_params())
-    top = max((k for k, _, _ in tau), default=0)
+def ocneanu_trace(e: HeckeElement) -> RatFun2:
+    """Markov trace at the calibrated z."""
+    tau = _trace(e)
+    top = max((k for k, _ in tau), default=0)
     return normalize2(_closure_numerator(tau, top, 0)[0], _W**top)
 
 
-def homfly(w: BraidWord, params: TraceParams | None = None) -> RatFun2:
+def homfly(w: BraidWord) -> RatFun2:
     """Framed HOMFLY-PT polynomial of the closure of a braid word, with the
-    calibrated z, d and mu; `params` supplies only the basis cache."""
+    calibrated z, d and mu."""
     # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and (q^2 - 1)^(n-c) divides N:
     # `_closure_numerator` divides it out of each a-power's coefficient in integer
     # lists; a quotient it does not certify free of q -+ 1 gets a gcd in `_reduced`
     n, e, c = w.strands, w.writhe, closure_stats(w).components
-    tau = _trace_terms(HeckeElement.from_braid(w), params or default_trace_params())
+    tau = _trace(HeckeElement.from_braid(w))
     num, coprime = _closure_numerator(tau, n, n - c, n - 2 * e, -1 if e % 2 else 1)
     return RatFun2._reduced(num, _q2_minus_1_power(c), coprime=coprime)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlink.braid import BraidWord, closure_stats, mirror, parse_braid
+from qlink.braid import MAX_STRANDS, BraidWord, closure_stats, mirror, parse_braid
 
 
 def test_parse_examples():
@@ -26,6 +26,12 @@ def test_parse_errors():
         parse_braid("1 2", strands=2)
     with pytest.raises(ValueError):
         parse_braid("1 x 2")
+    # the strand cap, inferred or explicit, is checked before a word is built
+    assert parse_braid(str(MAX_STRANDS - 1)).strands == MAX_STRANDS
+    assert parse_braid("1", strands=MAX_STRANDS).strands == MAX_STRANDS
+    for text, strands in ((str(MAX_STRANDS), None), ("1", MAX_STRANDS + 1), ("1", 10**9)):
+        with pytest.raises(ValueError, match=f"more than {MAX_STRANDS} strands"):
+            parse_braid(text, strands)
 
 
 def test_parse_empty_word():

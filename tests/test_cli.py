@@ -9,7 +9,8 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlink.cli import MAX_STEPS, CollisionReport, builtin_mini_table, main
+from qlink.braid import MAX_STRANDS
+from qlink.cli import MAX_EXPONENT, MAX_STEPS, CollisionReport, builtin_mini_table, main
 from qlink.qnum import MAX_QDEGREE, qrational
 
 
@@ -89,6 +90,16 @@ def test_error_lines_quote_a_bounded_prefix_of_the_input(capsys):
         assert err.count("\n") == 1 and len(err) < 300, err[:300]
         assert " characters)" in err, err
     assert run(capsys, "qrat", "x")[2] == "qlink: bad rational 'x': Invalid literal for Fraction: 'x'\n"
+    # argparse's own "invalid int value" and "invalid choice" lines, after its usage line
+    sweep = ["sweep", "1", "--q0", "2", "--from", "0", "--to", "1", "--out", "s.csv"]
+    for argv in ((*sweep, "--steps", long), ("inv", "1", "--strands", long), ("inv", "1", "--strands", "x" * 5000),
+                 ("qrat", "1", "--flavor", "x" * 5000), ("x" * 5000, "1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[:2]
+        assert len(err) < 400 and " characters)" in err, err[:400]
+    assert run(capsys, "qrat", "1", "--flavor", "up")[2].endswith(
+        "error: argument --flavor: invalid choice: 'up' (choose from 'right', 'left')\n"
+    )
 
 
 def test_q_deformations_and_sweeps_over_their_caps_exit_2(capsys, tmp_path):
@@ -106,6 +117,25 @@ def test_q_deformations_and_sweeps_over_their_caps_exit_2(capsys, tmp_path):
                        "--steps", "1", "--out", str(tmp_path / "s.csv"))
     assert code == 0 and err == f"sweep: skipped x={half + 1}: " + over[len("qlink: "):]
     assert (tmp_path / "s.csv").read_text().splitlines()[1:] == [f"{half},{qrational(half).evaluate(2)},"]
+
+
+def test_strand_and_exponent_caps_exit_2_before_any_work(capsys, tmp_path, monkeypatch):
+    import qlink.cli as cli
+
+    monkeypatch.setattr(cli, "homfly", None)  # no trace may start
+    over = f"qlink: bad braid: more than {MAX_STRANDS} strands\n"
+    sweep = ["sweep", "--q0", "2", "--from", "0", "--to", "1", "--steps", "1", "--out", str(tmp_path / "s.csv")]
+    for argv in (("inv", str(MAX_STRANDS)), ("inv", "1", "--strands", str(MAX_STRANDS + 1)),
+                 ("inv", "1", "--strands", str(10**9)), (*sweep, "1", "--strands", str(MAX_STRANDS + 1)),
+                 (*sweep, str(MAX_STRANDS + 1))):
+        assert run(capsys, *argv) == (2, "", over), argv
+    (tmp_path / "t.csv").write_text(f'a,"1 {MAX_STRANDS}"\n')
+    table_over = f"qlink: cannot load table: more than {MAX_STRANDS} strands\n"
+    assert run(capsys, "table", str(tmp_path / "t.csv")) == (2, "", table_over)
+    for x in (f"1e{MAX_EXPONENT + 1}", "1e999999999", f"-2.5E-{MAX_EXPONENT + 1}", f"1e0_{MAX_EXPONENT + 1}"):
+        bad = f"qlink: bad rational {x!r}: exponent magnitude over {MAX_EXPONENT}\n"
+        assert run(capsys, "qrat", "--", x) == (2, "", bad), x
+        assert run(capsys, "inv", "1", "--mode", f"x:{x}") == (2, "", bad), x
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +374,10 @@ RATIONALS = st.one_of(
     st.integers(-30, 30).map(str),
     st.builds("{}/{}".format, st.integers(-30, 30), st.integers(0, 6)),
     st.sampled_from(["1e3", "-2e1", "5e-1", "-.5", "1.5e2", "1E2", "1/0", "1e", "x", ""]),
-    st.sampled_from([f"{OVER}", f"-{OVER}", f"1/{OVER}", f"-1/{OVER}", f"{OVER}e0", f"{2 * OVER - 1}/2"]),
+    st.sampled_from([f"{OVER}", f"-{OVER}", f"1/{OVER}", f"-1/{OVER}", f"{OVER}e0", f"{2 * OVER - 1}/2",
+                     f"1e{MAX_EXPONENT + 1}", "1e999999999", f"-1E-{MAX_EXPONENT + 1}"]),
 )
+LONG = "9" * 5000  # argparse would repeat a bad value whole
 MODES = st.one_of(
     st.just("homfly"),
     st.builds("{}:{}".format, st.sampled_from(["x", "flat", "y"]), RATIONALS),
@@ -355,11 +387,13 @@ MODES = st.one_of(
 @st.composite
 def braid_args(draw) -> list[str]:
     """A braid word on at most 6 strands, with its strand count or without,
-    or a malformed one; ends in the positional braid, after `--` or not."""
+    or a malformed one, or one over MAX_STRANDS; ends in the positional braid,
+    after `--` or not."""
     n = draw(st.integers(1, 6))
     letters = draw(st.lists(st.integers(1 - n, n - 1).filter(bool), max_size=8)) if n > 1 else []
-    text = draw(st.one_of(st.just(" ".join(map(str, letters))), st.sampled_from(["0", "1 x", "3", ""])))
-    strands = draw(st.sampled_from([[], ["--strands", str(n)]]))
+    malformed = st.sampled_from(["0", "1 x", "3", "", str(MAX_STRANDS)])
+    text = draw(st.one_of(st.just(" ".join(map(str, letters))), malformed))
+    strands = draw(st.sampled_from([[], ["--strands", str(n)], ["--strands", str(10**9)], ["--strands", LONG]]))
     flags = draw(st.lists(st.sampled_from(["--normalized", "--mirror"]), unique=True))
     return strands + flags + draw(st.sampled_from([[], ["--"]])) + [text]
 
@@ -370,16 +404,19 @@ def cli_argv(draw) -> tuple[list[str], list[tuple[str, str]] | None]:
     and the rows of the knot table that `table` reads from `{dir}/t.csv`."""
     command = draw(st.sampled_from(["qrat", "inv", "sweep", "table"]))
     if command == "qrat":
-        argv = ["qrat"] + draw(st.sampled_from([[], ["--flavor", "left"], ["--flavor", "right"]]))
+        flavors = [[], ["--flavor", "left"], ["--flavor", "right"], ["--flavor", LONG]]
+        argv = ["qrat"] + draw(st.sampled_from(flavors))
         if draw(st.booleans()):
             argv += ["--at", draw(RATIONALS)]
         return argv + [draw(RATIONALS)], None
     if command == "inv":
+        if draw(st.integers(0, 9)) == 9:  # one letter on MAX_STRANDS - 1 or MAX_STRANDS strands, in homfly mode
+            return ["inv", str(draw(st.sampled_from([MAX_STRANDS - 2, MAX_STRANDS - 1])))], None
         return ["inv", "--mode", draw(MODES)] + draw(braid_args()), None
     if command == "sweep":
         out = draw(st.sampled_from(["{dir}/s.csv", "{dir}/missing/s.csv"]))
         opts = [token for name in ("--q0", "--from", "--to") for token in (name, draw(RATIONALS))]
-        steps = str(draw(st.one_of(st.integers(-1, 4), st.sampled_from([MAX_STEPS + 1, MAX_STEPS + 2]))))
+        steps = str(draw(st.one_of(st.integers(-1, 4), st.sampled_from([MAX_STEPS + 1, MAX_STEPS + 2, LONG]))))
         return ["sweep", *opts, "--steps", steps, "--out", out] + draw(braid_args()), None
     argv = ["table", "--mode", draw(MODES)]
     argv += draw(st.lists(st.sampled_from(["--with-mirrors", "--collisions"]), unique=True))
@@ -395,6 +432,11 @@ def cli_argv(draw) -> tuple[list[str], list[tuple[str, str]] | None]:
 @example((["qrat", "--at", "1e3", "1e3"], None))
 @example((["sweep", "--q0", "1e3", "--from", "999", "--to", "1e3", "--steps", "1", "--out", "{dir}/s.csv", "1"], None))
 @example((["qrat", "1/0"], None))
+@example((["inv", str(MAX_STRANDS - 1)], None))
+@example((["inv", "--mode", "x:2", str(MAX_STRANDS)], None))
+@example((["sweep", "--q0", "2", "--from", "0", "--to", "1", "--steps", "1", "--out", "{dir}/s.csv",
+           "--strands", str(10**9), "1"], None))
+@example((["qrat", "1e999999999"], None))
 @example((["sweep", "--q0", "-2", "--from", f"{OVER - 1}", "--to", f"{OVER}", "--steps", "1", "--out", "{dir}/s.csv", "-1"],
           None))
 def test_cli_exits_with_a_documented_code_and_no_traceback(case):

@@ -9,12 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlink.braid import BraidWord, closure_stats, mirror, parse_braid
+from qlink.braid import MAX_STRANDS, BraidWord, closure_stats, mirror, parse_braid
 from qlink.exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2
 from qlink.homfly import (
     HeckeElement,
-    TraceParams,
-    default_trace_params,
     hecke_mul_gen,
     homfly,
     homfly_twist_coeff,
@@ -49,23 +47,27 @@ def random_word(rng: random.Random, max_len: int, max_strands: int) -> BraidWord
 # ---------------------------------------------------------------------------
 
 
+def _laurent(c: dict) -> IntLaurent:
+    """A coefficient map of z-power 0 as the Laurent polynomial in q it spells."""
+    assert all(k == 0 for k, _ in c), c
+    return IntLaurent({e: v for (_, e), v in c.items()})
+
+
 def test_hecke_generator_on_identity():
     e = HeckeElement.identity(2)
     ge = hecke_mul_gen(e, 1, 1)
-    assert ge.terms == {(2, 1): IntLaurent.one()}
+    assert ge.terms == {(2, 1): {(0, 0): 1}}
 
 
 def test_hecke_quadratic_relation():
     g = hecke_mul_gen(HeckeElement.identity(2), 1, 1)
     g2 = hecke_mul_gen(g, 1, 1)
-    q2 = IntLaurent.q_power(2)
-    assert g2.terms == {(1, 2): q2, (2, 1): IntLaurent.one() - q2}
+    assert g2.terms == {(1, 2): {(0, 2): 1}, (2, 1): {(0, 0): 1, (0, 2): -1}}
 
 
 def test_hecke_inverse_formula():
     e = hecke_mul_gen(HeckeElement.identity(2), 1, -1)
-    qm2 = IntLaurent.q_power(-2)
-    assert e.terms == {(2, 1): qm2, (1, 2): IntLaurent.one() - qm2}
+    assert e.terms == {(2, 1): {(0, -2): 1}, (1, 2): {(0, 0): 1, (0, -2): -1}}
 
 
 def test_hecke_generator_inverse_cancels():
@@ -105,37 +107,31 @@ def test_calibration():
 
 
 def test_trace_normalization():
-    params = default_trace_params()
     for n in range(1, 5):
-        assert ocneanu_trace(HeckeElement.identity(n), params) == ONE
+        assert ocneanu_trace(HeckeElement.identity(n)) == ONE
 
 
 def test_trace_of_generator_is_z():
-    params = default_trace_params()
     e = hecke_mul_gen(HeckeElement.identity(2), 1, 1)
-    assert ocneanu_trace(e, params) == Z
+    assert ocneanu_trace(e) == Z
 
 
 def test_trace_of_cubed_generator():
-    params = default_trace_params()
     e = HeckeElement.from_braid(parse_braid("1 1 1"))
     q2 = RatFun2.monomial(1, 0, 2)
     expected = ((ONE - q2) ** 2 + q2) * Z + q2 * (ONE - q2)
-    assert ocneanu_trace(e, params) == expected
+    assert ocneanu_trace(e) == expected
 
 
 def test_trace_markov_property():
     # tau(x g_{n-1}) = z tau(x) for x in the smaller algebra
-    params = default_trace_params()
     rng = random.Random(37)
     for _ in range(15):
         n = rng.randint(2, 4)
         w = random_word(rng, 5, n)
         e = HeckeElement.from_braid(BraidWord(w.letters, n + 1))
         stabilized = hecke_mul_gen(e, n, 1)
-        assert ocneanu_trace(stabilized, params) == Z * ocneanu_trace(
-            HeckeElement.from_braid(w), params
-        )
+        assert ocneanu_trace(stabilized) == Z * ocneanu_trace(HeckeElement.from_braid(w))
 
 
 def _reference_trace(e: HeckeElement, cache: dict) -> RatFun2:
@@ -152,7 +148,7 @@ def _reference_trace(e: HeckeElement, cache: dict) -> RatFun2:
                 cache[w] = basis(w[:-1])
             else:
                 j = w.index(n) + 1
-                elem = HeckeElement(n - 1, {tuple(v for v in w if v != n): IntLaurent.one()})
+                elem = HeckeElement(n - 1, {tuple(v for v in w if v != n): {(0, 0): 1}})
                 for i in range(n - 2, j - 1, -1):
                     elem = hecke_mul_gen(elem, i, 1)
                 cache[w] = Z * combination(elem)
@@ -161,14 +157,13 @@ def _reference_trace(e: HeckeElement, cache: dict) -> RatFun2:
     def combination(elem):
         acc = RatFun2.zero()
         for w, c in elem.terms.items():
-            acc = acc + RatFun.from_laurent(c).to_ratfun2() * basis(w)
+            acc = acc + RatFun.from_laurent(_laurent(c)).to_ratfun2() * basis(w)
         return acc
 
     return combination(e)
 
 
 def test_trace_matches_fraction_field_reference():
-    params = default_trace_params()
     cache: dict = {}
     words = [
         BraidWord(letters, 3)
@@ -179,16 +174,15 @@ def test_trace_matches_fraction_field_reference():
     words += [random_word(rng, 6, 5) for _ in range(30)]
     for w in words:
         e = HeckeElement.from_braid(w)
-        assert ocneanu_trace(e, params) == _reference_trace(e, cache), w
+        assert ocneanu_trace(e) == _reference_trace(e, cache), w
 
 
 def test_hecke_and_trace_stay_in_the_polynomial_ring(monkeypatch):
-    # Hecke arithmetic and the basis traces run no fraction operation and no
+    # Hecke arithmetic and the trace run no fraction operation and no
     # polynomial gcd; only the final evaluation at z does.
     import qlink.exactalg.ratfun as ratfun
-    from qlink.homfly import _trace_basis
+    from qlink.homfly import _trace
 
-    params = TraceParams()  # a fresh, empty basis cache
     calls = Counter()
 
     def counted(name, fn):
@@ -203,30 +197,30 @@ def test_hecke_and_trace_stay_in_the_polynomial_ring(monkeypatch):
     for name in ("__add__", "__mul__"):
         monkeypatch.setattr(RatFun2, name, counted(name, getattr(RatFun2, name)))
     rng = random.Random(79)
+    traces = []
     for _ in range(10):
         e = HeckeElement.from_braid(random_word(rng, 6, 5))
-        for w in e.terms:
-            _trace_basis(w, params)
-    assert params._basis_cache and not calls
-    ocneanu_trace(e, params)
+        traces.append(_trace(e))
+    assert all(traces) and not calls
+    ocneanu_trace(e)
     assert calls["laurent2_gcd"] > 0  # the counters do see the evaluation
 
 
-def test_trace_recursion_takes_one_frame_per_strand():
-    # the basis recursion descends one strand per Python frame: 150 frames of
-    # headroom cover a 121-strand closure, two frames per strand would not.
-    # "120" descends through the identity at every level, the Coxeter word
-    # 1 2 ... 120 through a Hecke product and a sum.
+def test_trace_at_max_strands_takes_no_frame_per_strand():
+    # 100 frames of headroom cover a closure on MAX_STRANDS strands: the trace
+    # runs level by level, not by recursion.  sigma_(n-1) on n strands closes to
+    # the unlink on n - 1 strands with one positive kink, a factor q^-1 a.
     frame, depth = sys._getframe(), 0
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 150)
+    sys.setrecursionlimit(depth + 100)
     try:
-        for word in ("120", " ".join(map(str, range(1, 121)))):
-            homfly(parse_braid(word), TraceParams())
+        kinked = homfly(parse_braid(str(MAX_STRANDS - 1)))
+        unlink = homfly(parse_braid("", strands=MAX_STRANDS - 1))
     finally:
         sys.setrecursionlimit(limit)
+    assert kinked == Q.inverse() * A * unlink
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +351,12 @@ def _basis_coeffs(w: tuple[int, ...]) -> tuple[IntLaurent, ...]:
             val = _basis_coeffs(w[:-1])
         else:
             j = w.index(n) + 1
-            elem = HeckeElement(n - 1, {tuple(v for v in w if v != n): IntLaurent.one()})
+            elem = HeckeElement(n - 1, {tuple(v for v in w if v != n): {(0, 0): 1}})
             for i in range(n - 2, j - 1, -1):
                 elem = hecke_mul_gen(elem, i, 1)
             acc: tuple[IntLaurent, ...] = ()
             for w2, c2 in elem.terms.items():
-                acc = _add_scaled(acc, c2, _basis_coeffs(w2))
+                acc = _add_scaled(acc, _laurent(c2), _basis_coeffs(w2))
             val = (IntLaurent.zero(), *acc)
         _BASIS_COEFFS[w] = val
     return _BASIS_COEFFS[w]
@@ -370,16 +364,16 @@ def _basis_coeffs(w: tuple[int, ...]) -> tuple[IntLaurent, ...]:
 
 def _trace_coeffs(e: HeckeElement) -> tuple[IntLaurent, ...]:
     """Markov trace of e as its coefficients of z^0, z^1, ..., summed as
-    polynomials: the oracle of the flat sum `_trace_terms`."""
+    polynomials: the oracle of the level-by-level `_trace`."""
     acc: tuple[IntLaurent, ...] = ()
     for w, c in e.terms.items():
-        acc = _add_scaled(acc, c, _basis_coeffs(w))
+        acc = _add_scaled(acc, _laurent(c), _basis_coeffs(w))
     return acc
 
 
-def _flat(coeffs) -> tuple:
-    """z-coefficient tuple -> (z-power, q-exponent, coefficient) triples, the flat form."""
-    return tuple((k, e, v) for k, c in enumerate(coeffs) for e, v in c.items())
+def _flat(coeffs) -> dict:
+    """z-coefficient tuple -> {(z-power, q-exponent): coefficient}, the form of a trace."""
+    return {(k, e): v for k, c in enumerate(coeffs) for e, v in c.items()}
 
 
 def _times_mu_power(coeffs: tuple[IntLaurent, ...], m: int) -> IntLaurent2:
@@ -418,11 +412,10 @@ def _oracle_words() -> list[BraidWord]:
 
 
 def test_homfly_matches_fraction_field_reference():
-    params = default_trace_params()
     words = _oracle_words()
     assert len(words) == 341 + 50 + 4
     for w in words:
-        h = homfly(w, params)
+        h = homfly(w)
         assert h == _reference_homfly(w), w
         assert h.den == Q2_MINUS_1 ** closure_stats(w).components, w
 
@@ -449,10 +442,9 @@ def _count_gcds_and_fraction_ops(monkeypatch) -> Counter:
 
 
 def test_homfly_runs_no_gcd_and_no_fraction_arithmetic(monkeypatch):
-    params = TraceParams()  # a fresh basis cache
     calls = _count_gcds_and_fraction_ops(monkeypatch)
     for w in _oracle_words():
-        homfly(w, params)
+        homfly(w)
     assert not calls
 
 
@@ -479,21 +471,24 @@ def test_certificate_by_evaluation_matches_trial_division():
 
 
 def test_flat_basis_traces_match_polynomial_recursion():
-    from qlink.homfly import _trace_basis
+    # the level-by-level trace of each single T_w against the coset recursion,
+    # over the basis elements of the oracle words and of the torus words
+    # (1..n-1)^n and (1..n-1)^(n+1) on 6 and 7 strands, which reach all n! of them
+    from qlink.homfly import _trace
 
-    params = TraceParams()  # a fresh basis cache
-    for w in _oracle_words():
-        for b in HeckeElement.from_braid(w).terms:
-            assert sorted(_trace_basis(b, params)) == sorted(_flat(_basis_coeffs(b))), b
+    words = _oracle_words() + [BraidWord(tuple(range(1, n)) * k, n) for n in (6, 7) for k in (n, n + 1)]
+    basis = {b for w in words for b in HeckeElement.from_braid(w).terms}
+    assert len(basis) > 5040
+    for b in basis:
+        assert _trace(HeckeElement(len(b), {b: {(0, 0): 1}})) == _flat(_basis_coeffs(b)), b
 
 
 def test_flat_trace_sum_matches_polynomial_sum():
-    from qlink.homfly import _trace_terms
+    from qlink.homfly import _trace
 
-    params = default_trace_params()
     for w in _oracle_words():
         e = HeckeElement.from_braid(w)
-        assert sorted(_trace_terms(e, params)) == sorted(_flat(_trace_coeffs(e))), w
+        assert _trace(e) == _flat(_trace_coeffs(e)), w
 
 
 def test_closure_numerator_matches_products_and_kronecker_division():
@@ -514,10 +509,10 @@ def test_closure_numerator_raises_on_an_inexact_division():
     from qlink.homfly import _closure_numerator
 
     with pytest.raises(ArithmeticError):
-        _closure_numerator(((0, 0, 1),), 1, 1)  # N = W = a - a^-1
+        _closure_numerator({(0, 0): 1}, 1, 1)  # N = W = a - a^-1
     with pytest.raises(ArithmeticError):
-        _closure_numerator(((0, 1, 1), (1, 0, 1)), 2, 1)  # N = q W^2 + U W, both q-parities
-    assert _closure_numerator(((1, 0, 1),), 1, 1)[0] == IntLaurent2.term(-1, 1, 0)  # U / (q^2 - 1)
+        _closure_numerator({(0, 1): 1, (1, 0): 1}, 2, 1)  # N = q W^2 + U W, both q-parities
+    assert _closure_numerator({(1, 0): 1}, 1, 1)[0] == IntLaurent2.term(-1, 1, 0)  # U / (q^2 - 1)
 
 
 laurents = st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=4).map(IntLaurent)
@@ -559,7 +554,6 @@ def test_homfly_runs_no_kronecker_division_and_no_two_variable_product(monkeypat
 
     import qlink.exactalg.laurent as laurent
 
-    params = TraceParams()  # a fresh basis cache
     calls = Counter()
     divide = laurent.laurent2_divide_exact
 
@@ -578,7 +572,7 @@ def test_homfly_runs_no_kronecker_division_and_no_two_variable_product(monkeypat
 
     monkeypatch.setattr(IntLaurent2, "__mul__", counted_mul)
     for w in _oracle_words():
-        homfly(w, params)
+        homfly(w)
     assert not calls
     RatFun2._div(Q2_MINUS_1, Q2_MINUS_1)
     Q2_MINUS_1 * Q2_MINUS_1
@@ -592,7 +586,6 @@ def test_homfly_falls_back_to_a_gcd_when_the_certificate_fails(monkeypatch):
     import importlib
 
     homfly_module = importlib.import_module("qlink.homfly")  # `qlink.homfly` is also the function
-    params = default_trace_params()
     words = [w for w in _oracle_words() if closure_stats(w).components < w.strands]
     expected = [_reference_homfly(w) for w in words]
 
@@ -602,7 +595,7 @@ def test_homfly_falls_back_to_a_gcd_when_the_certificate_fails(monkeypatch):
 
     monkeypatch.setattr(homfly_module, "closure_stats", overstated)
     calls = _count_gcds_and_fraction_ops(monkeypatch)
-    assert [homfly(w, params) for w in words] == expected
+    assert [homfly(w) for w in words] == expected
     assert calls["laurent2_gcd"] == len(words)
     assert not (calls["__add__"] or calls["__mul__"])
 
