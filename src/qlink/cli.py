@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .braid import BraidWord, mirror, parse_braid
 from .exactalg import PoleError, RatFun2, format_ratfun, format_ratfun2, format_nu
-from .exactalg.textio import quote_input
+from .exactalg.textio import QUOTE_LIMIT, quote_input
 from .homfly import homfly
 from .qnum import left_qrational, qrational
 from .xinv import flat_context, numeric_sweep, specialize_closure, x_context
@@ -274,11 +274,19 @@ class _Parser(argparse.ArgumentParser):
     """Reads every argument that starts with `-` and a digit, or `-.` and a
     digit, as a value: negative rationals such as -1/2 or -2e1, and braid
     words such as -1,2.  No qlink option is spelled that way.  Its "invalid
-    int value" and "invalid choice" errors quote a bounded prefix of the value."""
+    int value", "invalid choice" and "unrecognized arguments" errors quote a
+    bounded prefix of each value."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d.*", re.DOTALL)
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            extras = (t if len(t) <= QUOTE_LIMIT else quote_input(t) for t in extras)
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return args
 
     def _get_values(self, action, arg_strings):
         try:

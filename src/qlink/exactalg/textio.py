@@ -29,15 +29,15 @@ __all__ = [
 ]
 
 # Characters of user input that an error message repeats.
-_QUOTE_LIMIT = 40
+QUOTE_LIMIT = 40
 
 
 def quote_input(text: str) -> str:
-    """repr of user input for an error message: past _QUOTE_LIMIT characters,
+    """repr of user input for an error message: past QUOTE_LIMIT characters,
     the repr of a prefix and the input's length."""
-    if len(text) <= _QUOTE_LIMIT:
+    if len(text) <= QUOTE_LIMIT:
         return repr(text)
-    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 def _format_term(coeff: int, vars_part: str) -> str:

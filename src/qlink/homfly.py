@@ -10,14 +10,18 @@ Two independent evaluators are provided and cross-checked in the tests:
   conditional expectation E_m: H_m -> H_(m-1)[z] is applied to the whole
   element, for m = n down to 2, and terms are merged after each level.  Hecke
   coefficients and traces have one form: integer maps {(k, e): c} for the
-  coefficients c of z^k q^e.  The invariant mu^n * d^e * tau(w) of
-  the closure of a word w on n strands with writhe e and c components has
-  denominator (q^2 - 1)^c (Lickorish & Millett, Topology 26, 1987).  Its
-  numerator is built one power of a at a time, as dense integer lists in q^2:
-  each coefficient of a is a binomial sum of the z-coefficients of tau(w) times
-  powers of q^2 - 1, from which (q^2 - 1)^(n-c) is divided out synthetically.
-  Unless the quotient's certificate fails, no two-variable product, division
-  or gcd runs.
+  coefficients c of z^k q^e.  The invariant mu^n d^e tau(w) of the closure
+  of a word w on n strands with writhe e and c components has denominator
+  (q^2 - 1)^c (Lickorish & Millett, Topology 26, 1987), and two facts make it
+  canonical as built.  At q^2 = 1 the Hecke algebra is Z[S_n]: the braid maps
+  to its permutation pi, and tau(T_w) = z^(n - cycles(w)).  With I = (q^2 - 1),
+  the T_w coefficient of the braid's image lies in I^d(w, pi), d the number of
+  transpositions from w to pi, and the z^k part of tau(T_w) lies in
+  I^max(0, n - cycles(w) - k).  So with r = n - c and tau(w) = sum_k c_k z^k,
+  (q^2 - 1)^(r-k) divides c_k, and c_r = 1 mod I.  The numerator is a binomial
+  sum of the d_k = c_k (q^2 - 1)^(k-r), each formed once on integer lists in
+  q^2.  At q = +-1 it is +-W^c S(a) with W = a - a^-1 and S(1) = (-1)^r, so it
+  is free of q -+ 1: no two-variable product, division or gcd runs.
 
 * `rt_invariant` contracts an explicit R-matrix on the n-dimensional
   vector representation against quantum-trace weights, and must agree with
@@ -44,6 +48,7 @@ choices; tests pin the one above through the stabilized-unknot value.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
@@ -182,45 +187,29 @@ def _divide_by_t_minus_1(p: list[int]) -> list[int]:
     return b[-2::-1]
 
 
-def _closure_numerator(tau: Coeff, n: int, r: int, dq: int = 0, sign: int = 1) -> tuple[IntLaurent2, bool]:
-    """sign q^dq N / (q^2 - 1)^r with N = sum_k c_k U^k W^(n-k), for tau = sum_k c_k z^k
-    as `_trace` gives it and n at least its z-degree, and the certificate
-    that neither q - 1 nor q + 1 divides it.
-
-    The a^(n-2j) coefficient of N is (-1)^j sum_(k <= n-j) (-1)^k C(n-k, j) c_k (q^2 - 1)^k.
-    It is built by Horner in t - 1, t = q^2, on dense integer lists, one for each
-    parity of the q-exponents (closure traces have one), and divided r times by
-    t - 1; an inexact division raises ArithmeticError.  The certificate is that
-    some row's coefficient sum, and some row's alternating sum, is nonzero: the
-    quotient at q = +-1 is nonzero in Z[a^+-1].
-    """
-    if not tau:
-        return IntLaurent2.zero(), False
-    lo = min(e for _, e in tau)
-    top = max(k for k, _ in tau)
-    width = (max(e for _, e in tau) - lo) // 2 + 1
-    # tau = sum_s q^(lo + s) sum_k rows[s][k](t) z^k, each row padded for top Horner steps
-    rows = {s: [[0] * (width + top) for _ in range(top + 1)] for s in {(e - lo) & 1 for _, e in tau}}
+def _closure_numerator(tau: Coeff, n: int, r: int, dq: int = 0, sign: int = 1) -> IntLaurent2:
+    """sign q^dq N / (q^2 - 1)^r, N = sum_k c_k U^k W^(n-k), for tau = sum_k c_k z^k from
+    `_trace` and n at least its z-degree.  As U = -a (q^2 - 1), it is sum_k (-a)^k d_k W^(n-k)
+    with d_k = c_k (q^2 - 1)^(k-r): its a^(n-2j) coefficient is (-1)^j sum_k (-1)^k C(n-k, j) d_k.
+    Each d_k is formed once on dense integer lists in t = q^2, one per parity of the q-exponents
+    (closure traces have one): c_k is divided r - k times by t - 1, or multiplied k - r times;
+    an inexact division raises ArithmeticError."""
+    lo = min((e for _, e in tau), default=0)
+    width = (max((e for _, e in tau), default=lo) - lo) // 2 + 1
+    parts: dict[tuple[int, int], list[int]] = {}  # (k, s) -> the q^(lo + s) t^i coefficients of c_k
     for (k, e), v in tau.items():
-        rows[(e - lo) & 1][k][(e - lo) >> 1] = v
-    out: dict[tuple[int, int], int] = {}
-    at_one = at_minus_one = False
-    for j in range(n + 1):
-        at = [0, 0]  # the row's parts at t = 1
-        for s, cs in rows.items():
-            p = [0] * (width - 1)
-            for k in range(min(top, n - j), -1, -1):
-                m = -comb(n - k, j) if (j + k) & 1 else comb(n - k, j)
-                # p <- p (t - 1) + m c_k
-                p = [x - y + m * c for x, y, c in zip([0, *p], [*p, 0], cs[k])]
-            for _ in range(r):
-                p = _divide_by_t_minus_1(p)
-            a, e0 = n - 2 * j, lo + dq + s
-            out.update({(a, e0 + 2 * i): sign * v for i, v in enumerate(p) if v})
-            at[s] = sum(p)
-        at_one = at_one or at[0] + at[1] != 0
-        at_minus_one = at_minus_one or at[0] != at[1]
-    return IntLaurent2(out), at_one and at_minus_one
+        parts.setdefault((k, (e - lo) & 1), [0] * width)[(e - lo) >> 1] = v
+    out: Counter = Counter()
+    for (k, s), p in parts.items():
+        for _ in range(r - k):
+            p = _divide_by_t_minus_1(p)
+        for _ in range(k - r):
+            p = [x - y for x, y in zip([0, *p], [*p, 0])]
+        for j in range(n - k + 1):
+            m = sign * (-1) ** (j + k) * comb(n - k, j)
+            for i, v in enumerate(p):
+                out[(n - 2 * j, lo + dq + s + 2 * i)] += m * v
+    return IntLaurent2(out)
 
 
 @lru_cache(maxsize=128)
@@ -233,19 +222,17 @@ def ocneanu_trace(e: HeckeElement) -> RatFun2:
     """Markov trace at the calibrated z."""
     tau = _trace(e)
     top = max((k for k, _ in tau), default=0)
-    return normalize2(_closure_numerator(tau, top, 0)[0], _W**top)
+    return normalize2(_closure_numerator(tau, top, 0), _W**top)
 
 
 def homfly(w: BraidWord) -> RatFun2:
     """Framed HOMFLY-PT polynomial of the closure of a braid word, with the
     calibrated z, d and mu."""
-    # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and (q^2 - 1)^(n-c) divides N:
-    # `_closure_numerator` divides it out of each a-power's coefficient in integer
-    # lists; a quotient it does not certify free of q -+ 1 gets a gcd in `_reduced`
+    # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and N / (q^2 - 1)^(n-c) is free of q -+ 1
     n, e, c = w.strands, w.writhe, closure_stats(w).components
     tau = _trace(HeckeElement.from_braid(w))
-    num, coprime = _closure_numerator(tau, n, n - c, n - 2 * e, -1 if e % 2 else 1)
-    return RatFun2._reduced(num, _q2_minus_1_power(c), coprime=coprime)
+    num = _closure_numerator(tau, n, n - c, n - 2 * e, -1 if e % 2 else 1)
+    return RatFun2._reduced(num, _q2_minus_1_power(c))
 
 
 # ---------------------------------------------------------------------------

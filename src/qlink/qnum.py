@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exactalg import IntLaurent, RatFun, TruncSeries, normalize, series_expand
+from .exactalg import IntLaurent, RatFun, TruncSeries, series_expand
 
 __all__ = [
     "EvenCF",
@@ -153,8 +153,12 @@ def left_qrational(x: Fraction | int) -> RatFun:
 
 
 def _delta(f: RatFun) -> RatFun:
-    """((q^2 - 1) f + 1) / q^2 as one canonical fraction."""
-    return normalize(f.num.shift(2) - f.num + f.den, f.den.shift(2))
+    """((q^2 - 1) f + 1) / q^2 as one canonical fraction, for f = N/D = {x} or {x}^b.
+
+    N and D are coprime, so a common factor of (q^2 - 1) N + D and q^2 D divides
+    q^2 - 1; it divides D too, and D(+-1) != 0 because f tends to x as q^2 -> 1.
+    So the fraction is coprime as built, and needs no gcd."""
+    return RatFun._reduced(f.num.shift(2) - f.num + f.den, f.den.shift(2))
 
 
 def qdelta(x: Fraction | int) -> RatFun:

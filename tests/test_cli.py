@@ -2,9 +2,11 @@
 
 import contextlib
 import io
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -93,12 +95,17 @@ def test_error_lines_quote_a_bounded_prefix_of_the_input(capsys):
     # argparse's own "invalid int value" and "invalid choice" lines, after its usage line
     sweep = ["sweep", "1", "--q0", "2", "--from", "0", "--to", "1", "--out", "s.csv"]
     for argv in ((*sweep, "--steps", long), ("inv", "1", "--strands", long), ("inv", "1", "--strands", "x" * 5000),
-                 ("qrat", "1", "--flavor", "x" * 5000), ("x" * 5000, "1")):
+                 ("qrat", "1", "--flavor", "x" * 5000), ("x" * 5000, "1"), ("qrat", "1", long),
+                 ("qrat", "1", "--bogus" + "x" * 5000, "y" * 3000)):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv[:2]
         assert len(err) < 400 and " characters)" in err, err[:400]
     assert run(capsys, "qrat", "1", "--flavor", "up")[2].endswith(
         "error: argument --flavor: invalid choice: 'up' (choose from 'right', 'left')\n"
+    )
+    # extra tokens of at most 40 characters are repeated as they are
+    assert run(capsys, "qrat", "1", "--bogus", "y" * 40)[2].endswith(
+        f"error: unrecognized arguments: --bogus {'y' * 40}\n"
     )
 
 
@@ -432,6 +439,8 @@ def cli_argv(draw) -> tuple[list[str], list[tuple[str, str]] | None]:
 @example((["qrat", "--at", "1e3", "1e3"], None))
 @example((["sweep", "--q0", "1e3", "--from", "999", "--to", "1e3", "--steps", "1", "--out", "{dir}/s.csv", "1"], None))
 @example((["qrat", "1/0"], None))
+@example((["qrat", "1", LONG], None))
+@example((["qrat", "1", "--bogus" + "x" * 5000, "y" * 3000], None))
 @example((["inv", str(MAX_STRANDS - 1)], None))
 @example((["inv", "--mode", "x:2", str(MAX_STRANDS)], None))
 @example((["sweep", "--q0", "2", "--from", "0", "--to", "1", "--steps", "1", "--out", "{dir}/s.csv",
@@ -450,3 +459,23 @@ def test_cli_exits_with_a_documented_code_and_no_traceback(case):
             code = main([a.replace("{dir}", tmp) for a in argv])
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# benchmark hooks
+# ---------------------------------------------------------------------------
+
+
+def test_benchmark_tracer_installs_and_snapshots():
+    # perfbench/tracer.py wraps qlink functions by name and reads
+    # qlink.homfly._DEFAULT_PARAMS: its per-layer mode must keep working
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+        "import qlink.cli\n"
+        "from tracer import Tracer\n"
+        "t = Tracer(); t.install(); t.snapshot()\n"
+    )
+    proc = subprocess.run([sys.executable, "-B", "-c", script, str(root / "src"), str(root / "perfbench")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

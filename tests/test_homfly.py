@@ -448,26 +448,48 @@ def test_homfly_runs_no_gcd_and_no_fraction_arithmetic(monkeypatch):
     assert not calls
 
 
-def test_certificate_by_evaluation_matches_trial_division():
-    # the certificate read from the quotient rows is exact: it holds if and only
-    # if neither q - 1 nor q + 1 divides the quotient, on the closure numerators,
-    # on the trace polynomials before the exact division (r = 0, which keep
-    # (q^2 - 1)^(n - c)) and on both times q - 1 and times q + 1
-    from qlink.exactalg.laurent import _divide2_or_none
-    from qlink.homfly import _closure_numerator
+def _fact_words() -> list[BraidWord]:
+    """The oracle words, the torus words (1..n-1)^n and (1..n-1)^(n+1) on 6 and
+    7 strands, and 200 seeded random words on 2-7 strands."""
+    rng = random.Random(89)
+    torus = [BraidWord(tuple(range(1, n)) * k, n) for n in (6, 7) for k in (n, n + 1)]
+    return _oracle_words() + torus + [random_word(rng, 12, 7) for _ in range(200)]
 
-    factors = (IntLaurent({1: 1, 0: -1}), IntLaurent({1: 1, 0: 1}))
-    seen = Counter()
-    for w in _oracle_words():
+
+def test_trace_coefficients_carry_powers_of_q2_minus_1():
+    # the fact that makes the closure value canonical as built: with r = n - c,
+    # (q^2 - 1)^(r - k) divides the z^k coefficient c_k of the braid's trace, and
+    # c_r = 1 at q = +-1
+    from qlink.exactalg.laurent import laurent_divide_exact
+    from qlink.homfly import _trace
+
+    t_minus_1 = IntLaurent({2: 1, 0: -1})
+    for w in _fact_words():
+        r = w.strands - closure_stats(w).components
+        tau = _trace(HeckeElement.from_braid(w))
+        coeffs = [IntLaurent({e: v for (j, e), v in tau.items() if j == k}) for k in range(w.strands)]
+        for k, c in enumerate(coeffs[:r]):
+            laurent_divide_exact(c, t_minus_1 ** (r - k))  # raises ArithmeticError if inexact
+        assert sum(v for _, v in coeffs[r].items()) == sum(v * (-1) ** e for e, v in coeffs[r].items()) == 1, w
+
+
+def test_homfly_numerators_are_free_of_q_minus_1_and_q_plus_1():
+    # at q = +-1 the numerator is (-1)^e q^(n - 2e) W^c S(a) with S(1) = (-1)^(n - c):
+    # neither q - 1 nor q + 1 divides it, so it needs no gcd
+    from qlink.exactalg.laurent import _divide2_or_none, laurent_divide_exact
+
+    w_a = IntLaurent({1: 1, -1: -1})  # W = a - a^-1 as a polynomial in a
+    for w in _fact_words():
         n, e, c = w.strands, w.writhe, closure_stats(w).components
-        coeffs = _trace_coeffs(HeckeElement.from_braid(w))
-        for scaled in (coeffs, *(tuple(t * f for t in coeffs) for f in factors)):
-            for r in (n - c, 0):
-                num, certified = _closure_numerator(_flat(scaled), n, r, n - 2 * e)
-                expected = all(_divide2_or_none(num, IntLaurent2.from_q(f)) is None for f in factors)
-                assert certified == expected, (w, r)
-                seen[expected] += 1
-    assert seen[True] and seen[False]
+        num = homfly(w).num
+        for f in (IntLaurent({1: 1, 0: -1}), IntLaurent({1: 1, 0: 1})):
+            assert _divide2_or_none(num, IntLaurent2.from_q(f)) is None, (w, f)
+        for q0 in (1, -1):
+            at_q0 = Counter()
+            for (a, q), v in num.items():
+                at_q0[a] += v * q0**q
+            s = laurent_divide_exact(IntLaurent(dict(at_q0)), w_a**c)
+            assert sum(v for _, v in s.items()) == (-1) ** (e + n - c) * q0 ** (n - 2 * e), (w, q0)
 
 
 def test_flat_basis_traces_match_polynomial_recursion():
@@ -501,8 +523,8 @@ def test_closure_numerator_matches_products_and_kronecker_division():
         expected = laurent2_divide_exact(
             _times_mu_power(coeffs, n).shift(0, n - 2 * e), Q2_MINUS_1 ** (n - c)
         )
-        assert _closure_numerator(_flat(coeffs), n, n - c, n - 2 * e)[0] == expected, w
-        assert _closure_numerator(_flat(coeffs), n, n - c, n - 2 * e, -1)[0] == -expected, w
+        assert _closure_numerator(_flat(coeffs), n, n - c, n - 2 * e) == expected, w
+        assert _closure_numerator(_flat(coeffs), n, n - c, n - 2 * e, -1) == -expected, w
 
 
 def test_closure_numerator_raises_on_an_inexact_division():
@@ -512,7 +534,7 @@ def test_closure_numerator_raises_on_an_inexact_division():
         _closure_numerator({(0, 0): 1}, 1, 1)  # N = W = a - a^-1
     with pytest.raises(ArithmeticError):
         _closure_numerator({(0, 1): 1, (1, 0): 1}, 2, 1)  # N = q W^2 + U W, both q-parities
-    assert _closure_numerator({(1, 0): 1}, 1, 1)[0] == IntLaurent2.term(-1, 1, 0)  # U / (q^2 - 1)
+    assert _closure_numerator({(1, 0): 1}, 1, 1) == IntLaurent2.term(-1, 1, 0)  # U / (q^2 - 1)
 
 
 laurents = st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=4).map(IntLaurent)
@@ -529,24 +551,25 @@ laurents = st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=4).m
 )
 @example((3, [IntLaurent(), IntLaurent()]), 2, 0, 1)  # all zero
 @example((2, [IntLaurent({-3: 1}), IntLaurent({1: 2, 2: -1})]), 1, 1, -1)  # odd exponents
+@example((3, [IntLaurent({0: -1, 2: 1}), IntLaurent({1: 2, 2: -1})]), 1, 0, 1)  # only c_0 is divided
 def test_closure_numerator_on_random_coefficients(n_coeffs, r, dq, sign):
     # with a planted factor (q^2 - 1)^r the quotient is the undivided sum of
     # the original coefficients; without it, the builder raises exactly when
-    # the Kronecker division does
-    from qlink.exactalg.laurent import laurent2_divide_exact
+    # some c_k with k < r is not divisible by (q^2 - 1)^(r - k), and otherwise
+    # equals the Kronecker quotient
+    from qlink.exactalg.laurent import _divide_or_none, laurent2_divide_exact
     from qlink.homfly import _closure_numerator
 
     n, coeffs = n_coeffs
-    planted = IntLaurent({0: -1, 2: 1}) ** r
-    got, _ = _closure_numerator(_flat(tuple(c * planted for c in coeffs)), n, r, dq, sign)
+    t_minus_1 = IntLaurent({0: -1, 2: 1})
+    got = _closure_numerator(_flat(tuple(c * t_minus_1**r for c in coeffs)), n, r, dq, sign)
     assert got == _times_mu_power(coeffs, n).shift(0, dq).scale(sign)
-    try:
-        expected = laurent2_divide_exact(_times_mu_power(coeffs, n).shift(0, dq), Q2_MINUS_1**r)
-    except ArithmeticError:
+    if any(_divide_or_none(c, t_minus_1 ** (r - k)) is None for k, c in enumerate(coeffs[:r])):
         with pytest.raises(ArithmeticError):
             _closure_numerator(_flat(coeffs), n, r, dq, sign)
     else:
-        assert _closure_numerator(_flat(coeffs), n, r, dq, sign)[0] == expected.scale(sign)
+        expected = laurent2_divide_exact(_times_mu_power(coeffs, n).shift(0, dq), Q2_MINUS_1**r)
+        assert _closure_numerator(_flat(coeffs), n, r, dq, sign) == expected.scale(sign)
 
 
 def test_homfly_runs_no_kronecker_division_and_no_two_variable_product(monkeypatch):
@@ -577,27 +600,6 @@ def test_homfly_runs_no_kronecker_division_and_no_two_variable_product(monkeypat
     RatFun2._div(Q2_MINUS_1, Q2_MINUS_1)
     Q2_MINUS_1 * Q2_MINUS_1
     assert calls == {"laurent2_divide_exact": 1, "IntLaurent2.__mul__": 1}  # the counters work
-
-
-def test_homfly_falls_back_to_a_gcd_when_the_certificate_fails(monkeypatch):
-    # Overstating the component count by 1 leaves a factor q^2 - 1 in the
-    # numerator: the certificate must fail and the gcd in `_reduced` mend it.
-    import dataclasses
-    import importlib
-
-    homfly_module = importlib.import_module("qlink.homfly")  # `qlink.homfly` is also the function
-    words = [w for w in _oracle_words() if closure_stats(w).components < w.strands]
-    expected = [_reference_homfly(w) for w in words]
-
-    def overstated(w):
-        stats = closure_stats(w)
-        return dataclasses.replace(stats, components=stats.components + 1)
-
-    monkeypatch.setattr(homfly_module, "closure_stats", overstated)
-    calls = _count_gcds_and_fraction_ops(monkeypatch)
-    assert [homfly(w) for w in words] == expected
-    assert calls["laurent2_gcd"] == len(words)
-    assert not (calls["__add__"] or calls["__mul__"])
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,41 @@ def test_qdelta_matches_difference_of_qrationals():
         assert left_qdelta(x) == left_qrational(x) - left_qrational(x - 1), x
 
 
+def test_qdelta_is_canonical_as_built(monkeypatch):
+    # {x} = N/D is coprime with D(+-1) != 0, so ((q^2 - 1) N + D) / (q^2 D) is too:
+    # qdelta and left_qdelta run no gcd and give the gcd-normalized fraction
+    import qlink.exactalg.laurent as laurent
+    import qlink.exactalg.ratfun as ratfun
+    from qlink.exactalg import normalize
+
+    rng = random.Random(47)
+    fib = [1, 1]
+    while len(fib) < 202:
+        fib.append(fib[-1] + fib[-2])
+    xs = [Fraction(n) for n in range(-9, 10)] + [Fraction(s, n) for n in range(2, 12) for s in (1, -1)]
+    xs += [Fraction(rng.randint(-300, 300), rng.randint(1, 80)) for _ in range(150)]
+    xs.append(Fraction(fib[201], fib[200]))  # a continued fraction of 200 ones
+    expected = {}
+    for x in xs:
+        for name, f in (("right", qrational(x)), ("left", left_qrational(x))):
+            expected[name, x] = normalize(f.num.shift(2) - f.num + f.den, f.den.shift(2))
+    calls = []
+    gcd = laurent.laurent_gcd
+
+    def counted(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    for owner in (laurent, ratfun):
+        monkeypatch.setattr(owner, "laurent_gcd", counted)
+    for x in xs:
+        assert qdelta(x) == expected["right", x], x
+        assert left_qdelta(x) == expected["left", x], x
+    assert not calls
+    normalize(IntLaurent({0: 1, 2: 1}), IntLaurent({0: 1, 4: -1}))
+    assert len(calls) == 1  # the counter works
+
+
 def gaussian_binomial(n: int, k: int) -> RatFun:
     """Classical product formula over integer q-integers only."""
     out = RatFun.one()
