@@ -2,7 +2,7 @@
 canonical fractions, truncated series and the quadratic v-extension."""
 
 from .laurent import IntLaurent, IntLaurent2, laurent_gcd, laurent2_gcd
-from .nu import NuValue, SpecializationError, nu_op, nu_power, specialize_a
+from .nu import NuValue, SpecializationError, nu_op, nu_power, specialize_a, specialize_a_at
 from .ratfun import (
     PoleError,
     RatFun,
@@ -35,6 +35,7 @@ __all__ = [
     "nu_op",
     "nu_power",
     "specialize_a",
+    "specialize_a_at",
     "PoleError",
     "RatFun",
     "RatFun2",

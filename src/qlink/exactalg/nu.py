@@ -11,14 +11,17 @@ context, times a framing power v^k if asked.  It runs in Z[q^±1]: each
 v-parity of a polynomial's image is one polynomial over a common power of
 delta's numerator and denominator, and over the fraction's denominator
 itself when that is free of a (as every closure value's is).
+`specialize_a_at` evaluates the same image at one point q0, in integers.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .laurent import IntLaurent
 from .ratfun import PoleError, RatFun, RatFun2, normalize
 
-__all__ = ["NuValue", "nu_op", "nu_power", "specialize_a", "SpecializationError"]
+__all__ = ["NuValue", "nu_op", "nu_power", "specialize_a", "specialize_a_at", "SpecializationError"]
 
 
 class SpecializationError(PoleError):
@@ -180,21 +183,31 @@ def nu_power(delta: RatFun, k: int) -> NuValue:
     return NuValue(scale, RatFun.zero(), delta)
 
 
-def _specialize_poly(p, delta: RatFun, framing: int = 0, den: IntLaurent = IntLaurent.one()) -> NuValue:
-    """Substitute a = q*v*delta into an integer Laurent polynomial p in a and
-    q, times v^k (k = framing), over the q-polynomial `den`.
-
-    a^d q^e v^k goes to q^(d+e) delta^m v^((d+k) mod 2), m = d - floor((d+k)/2).
-    With delta = P/Q and lo <= 0 <= hi bounding m, each parity's sum of
-    C_m delta^m is one polynomial over P^-lo Q^hi den, built by Horner in P.
-    """
+def _parts(p, framing: int) -> tuple[dict[int, dict[int, int]], ...]:
+    """p's terms a^d q^e times v^k (k = framing) under a = q*v*delta, as maps
+    parts[(d+k) mod 2][m] = {d + e: c} for q^(d+e) delta^m, m = d - floor((d+k)/2)."""
     parts: tuple[dict[int, dict[int, int]], ...] = ({}, {})
     for (d, e), c in p.items():
         # parity and m fix d, so d + e never repeats within one C_m
         parts[(d + framing) & 1].setdefault(d - (d + framing) // 2, {})[d + e] = c
+    return parts
+
+
+def _q_den(F: RatFun2) -> IntLaurent | None:
+    """F's denominator as a polynomial in q, or None when it has a."""
+    return F.den.subs_a_power_of_q(0) if all(d == 0 for (d, _), _ in F.den.items()) else None
+
+
+def _specialize_poly(p, delta: RatFun, framing: int = 0, den: IntLaurent = IntLaurent.one()) -> NuValue:
+    """Substitute a = q*v*delta into an integer Laurent polynomial p in a and
+    q, times v^k (k = framing), over the q-polynomial `den` (see `_parts`).
+
+    With delta = P/Q and lo <= 0 <= hi bounding m, each parity's sum of
+    C_m delta^m is one polynomial over P^-lo Q^hi den, built by Horner in P.
+    """
     P, Q = delta.num, delta.den
     values = []
-    for coeffs in parts:
+    for coeffs in _parts(p, framing):
         lo, hi = min((0, *coeffs)), max((0, *coeffs))
         acc, q_pow = IntLaurent.zero(), IntLaurent.one()
         for m in range(hi, lo - 1, -1):
@@ -206,6 +219,31 @@ def _specialize_poly(p, delta: RatFun, framing: int = 0, den: IntLaurent = IntLa
     return NuValue(*values, delta)
 
 
+def specialize_a_at(F: RatFun2, q0: Fraction, delta0: Fraction, framing: int = 0) -> tuple[int, Fraction] | None:
+    """(v-parity, value) of F at a = q*v*delta, times v^framing, at q = q0 = r/s and
+    delta = delta0 = P/Q != 0, summed in integers over s^Ehi r^-Elo Q^mhi P^-mlo.
+    None where F's denominator has a or vanishes at q0, or the value is 0.
+    """
+    q_den = _q_den(F)
+    den0 = q_den.evaluate(q0) if q_den is not None else 0
+    if not den0:
+        return None
+    parts = _parts(F.num, framing)
+    if all(parts):
+        raise AssertionError("specialized closure value is not homogeneous in v")
+    parity = 0 if parts[0] else 1
+    coeffs, r, s, P, Q = parts[parity], q0.numerator, q0.denominator, delta0.numerator, delta0.denominator
+    es = [E for terms in coeffs.values() for E in terms] or [0]
+    elo, ehi, mlo, mhi = min(es), max(es), min(coeffs, default=0), max(coeffs, default=0)
+    total = sum(P ** (m - mlo) * Q ** (mhi - m) * sum(c * r ** (E - elo) * s ** (ehi - E) for E, c in t.items())
+                for m, t in coeffs.items())
+    if not total:
+        return None
+    num = total * r ** max(elo, 0) * s ** max(-ehi, 0) * P ** max(mlo, 0) * Q ** max(-mhi, 0) * den0.denominator
+    den = r ** max(-elo, 0) * s ** max(ehi, 0) * P ** max(-mlo, 0) * Q ** max(mhi, 0) * den0.numerator
+    return parity, Fraction(num, den)
+
+
 def specialize_a(F: RatFun2, delta: RatFun, framing: int = 0) -> NuValue:
     """Specialize a two-variable fraction at a = q*v*delta, times v^framing.
 
@@ -215,8 +253,9 @@ def specialize_a(F: RatFun2, delta: RatFun, framing: int = 0) -> NuValue:
     SpecializationError is raised when the denominator's image is zero or
     has zero norm (a pole of the specialization).
     """
-    if all(d == 0 for (d, _), _ in F.den.items()):
-        return _specialize_poly(F.num, delta, framing, F.den.subs_a_power_of_q(0))
+    den = _q_den(F)
+    if den is not None:
+        return _specialize_poly(F.num, delta, framing, den)
     num = _specialize_poly(F.num, delta, framing)
     den = _specialize_poly(F.den, delta)
     if den.is_zero():

@@ -31,6 +31,7 @@ from .exactalg import (
     RatFun2,
     nu_power,
     specialize_a,
+    specialize_a_at,
 )
 from .homfly import homfly
 from .qnum import left_qdelta, left_qrational, qbinomial, qdelta, qrational
@@ -226,18 +227,36 @@ def numeric_sweep(
     their square (flag column 'squared'), which avoids choosing a square
     root of delta(q0).  Rows whose evaluation hits a pole are skipped and
     reported as diagnostics.
+
+    A row is the closure value's numerator at q = q0 and delta = delta_x(q0)
+    over its denominator at q0 (`specialize_a_at`): where both are finite and
+    nonzero, so is the unreduced expression's denominator, so the value is the
+    canonical one's.  Elsewhere, or where the value is 0 (its v-parity is then
+    unknown), the row is the symbolic one, with its 0/0 points and poles.
     """
     if q0 == 0:
         raise ValueError("q0 must be nonzero")
     rows: list[SweepRow] = []
     diagnostics: list[str] = []
     h = homfly(w)
+    framing = w.writhe if normalized else 0
     for x in xs:
         x = Fraction(x)
         try:
             ctx = x_context(x) if flavor == "right" else flat_context(x)
-            if normalized:
-                f = specialize_closure(h, ctx, w.writhe).nu_free_part()
+            try:
+                delta0 = ctx.delta.evaluate(q0)
+            except PoleError:
+                delta0 = 0
+            point = specialize_a_at(h, q0, delta0, framing) if delta0 else None
+            if point is not None:
+                parity, value = point
+                if parity and not normalized:
+                    rows.append(SweepRow(x, value ** 2 / delta0, "squared"))
+                else:
+                    rows.append(SweepRow(x, value, ""))
+            elif normalized:
+                f = specialize_closure(h, ctx, framing).nu_free_part()
                 rows.append(SweepRow(x, f.evaluate(q0), ""))
             else:
                 v = specialize_closure(h, ctx)
@@ -245,7 +264,7 @@ def numeric_sweep(
                     rows.append(SweepRow(x, v.even.evaluate(q0), ""))
                 else:
                     try:  # (odd^2 / delta)(q0) wherever odd, delta are regular and delta(q0) != 0
-                        sq = v.odd.evaluate(q0) ** 2 / ctx.delta.evaluate(q0)
+                        sq = v.odd.evaluate(q0) ** 2 / delta0
                     except ZeroDivisionError:  # PoleError included
                         sq = (v.odd * v.odd / ctx.delta).evaluate(q0)
                     rows.append(SweepRow(x, sq, "squared"))

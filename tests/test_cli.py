@@ -280,6 +280,49 @@ def test_sweep_matches_per_point_invariants(tmp_path, capsys):
     assert len(out_path.read_text().strip().splitlines()) == 5
 
 
+def test_sweep_on_a_deep_braid_runs_no_gcd(tmp_path, capsys, monkeypatch):
+    # a 1,000-component closure on 1,001 strands: its rows are evaluated at q0, and
+    # the x = 0 row, whose value is 0, is a zero polynomial before any gcd
+    import qlink.exactalg.laurent as laurent
+    import qlink.exactalg.ratfun as ratfun
+
+    calls = []
+    for owner in (laurent, ratfun):
+        monkeypatch.setattr(owner, "laurent_gcd", lambda *args, gcd=owner.laurent_gcd: calls.append(args) or gcd(*args))
+    out = tmp_path / "deep.csv"
+    argv = ["sweep", "1000", "--q0", "2", "--from", "0", "--to", "1", "--steps", "2", "--out", str(out)]
+    assert run(capsys, *argv) == (0, "", "")
+    assert not calls
+    assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["x", "0", "1/2", "1"]
+
+
+def test_sweep_text_equals_the_symbolic_rows(tmp_path, capsys, monkeypatch):
+    # the oracle is the same sweep with every pointwise row refused, so that each
+    # row comes from the symbolic specialization; q0 = 1 takes that path anyway,
+    # and x = 2001 is skipped for its q-deformation's size
+    import qlink.xinv as xinv
+
+    half = MAX_QDEGREE // 2
+    out = tmp_path / "s.csv"
+    grids = (["--q0", "1", "--from", "-1", "--to", "1", "--steps", "4"],
+             ["--q0", "2", "--from", "-1", "--to", "1", "--steps", "4"],
+             ["--q0", "-3/2", "--from", str(half), "--to", str(half + 1), "--steps", "1"])
+    skipped = set()
+    for word in ("1", "1 -2 1 -2", "1 1 2 -3"):
+        for grid in grids:
+            for normalized in ([], ["--normalized"]):
+                argv = ["sweep", word, *grid, *normalized, "--out", str(out)]
+                texts = []
+                for refuse in (False, True):
+                    with monkeypatch.context() as m:
+                        if refuse:
+                            m.setattr(xinv, "specialize_a_at", lambda *args: None)
+                        texts.append((run(capsys, *argv), out.read_bytes()))
+                assert texts[0] == texts[1], argv
+                skipped.add(texts[0][0][2])
+    assert skipped == {"", f"sweep: skipped x={half + 1}: q-deformation too large: its q-degree may exceed {MAX_QDEGREE}\n"}
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------

@@ -492,6 +492,16 @@ def test_homfly_numerators_are_free_of_q_minus_1_and_q_plus_1():
             assert sum(v for _, v in s.items()) == (-1) ** (e + n - c) * q0 ** (n - 2 * e), (w, q0)
 
 
+def test_homfly_a_exponents_have_the_parity_of_the_strand_count():
+    # every term of the closure value has a-degree = n mod 2 (its denominator is
+    # free of a), so its x-specialization has one v-parity: `numeric_sweep`
+    # evaluates that one parity's terms at q0
+    for w in _fact_words():
+        h = homfly(w)
+        assert {d for (d, _), _ in h.den.items()} == {0}, w
+        assert {d % 2 for (d, _), _ in h.num.items()} == {w.strands % 2}, w
+
+
 def test_flat_basis_traces_match_polynomial_recursion():
     # the level-by-level trace of each single T_w against the coset recursion,
     # over the basis elements of the oracle words and of the torus words

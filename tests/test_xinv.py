@@ -338,11 +338,16 @@ def test_sweep_evaluates_at_classical_point():
 
 
 def _per_point_sweep(w, q0, xs, normalized, flavor):
-    """The sweep as one invariant per x, each with its own `homfly` call."""
+    """The sweep as one symbolic invariant per x, each with its own `homfly`
+    call: the oracle of `numeric_sweep`'s pointwise rows.  It reads `homfly`
+    and the contexts from `qlink.xinv`, so a monkeypatched value or context
+    reaches the oracle too."""
+    import qlink.xinv as xinv
+
     rows, diagnostics = [], []
     for x in xs:
         try:
-            ctx = x_context(x) if flavor == "right" else flat_context(x)
+            ctx = xinv.x_context(x) if flavor == "right" else xinv.flat_context(x)
             if normalized:
                 rows.append((x, normalized_invariant(w, ctx).evaluate(q0), ""))
                 continue
@@ -354,6 +359,126 @@ def _per_point_sweep(w, q0, xs, normalized, flavor):
         except (ZeroDivisionError, ValueError) as exc:
             diagnostics.append(f"x={x}: {exc}")
     return rows, diagnostics
+
+
+def _sweep(w, q0, xs, normalized=False, flavor="right"):
+    rows, diagnostics = numeric_sweep(w, q0, xs, normalized, flavor)
+    return [(r.x, r.value, r.flag) for r in rows], diagnostics
+
+
+def _count_symbolic_rows(monkeypatch) -> list:
+    """Record the x of each symbolic row `numeric_sweep` computes."""
+    import qlink.xinv as xinv
+
+    calls = []
+    symbolic = xinv.specialize_closure
+    monkeypatch.setattr(xinv, "specialize_closure", lambda h, ctx, *k: calls.append(ctx.x) or symbolic(h, ctx, *k))
+    return calls
+
+
+def _cf_rational(rng: random.Random, length: int) -> Fraction:
+    """A rational with a continued fraction [a1, ..., a_length], a1 of any sign."""
+    terms = [rng.randint(-4, 4)] + [rng.randint(1, 4) for _ in range(length - 1)]
+    x = Fraction(terms[-1])
+    for a in reversed(terms[:-1]):
+        x = a + 1 / x
+    return x
+
+
+SWEEP_Q0S = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2), Fraction(-2), Fraction(2, 3), Fraction(1), Fraction(-1)]
+
+
+def test_sweep_rows_equal_the_symbolic_oracle(monkeypatch):
+    # the pointwise rows equal the symbolic ones; the symbolic row runs exactly
+    # where the closure value's denominator (q^2 - 1)^c vanishes (q0 = +-1) and
+    # where the value is 0 (such as right x = 0: {0} = 0 makes a^2 = q^2 delta = 1)
+    symbolic = _count_symbolic_rows(monkeypatch)
+    zero_rows = 0
+    rng = random.Random(61)
+    for i in range(10):
+        n = 1 + i % 5
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 6))) if n > 1 else ()
+        w = BraidWord(letters, n)
+        xs = [Fraction(0)] + [_cf_rational(rng, length) for length in range(1, 7)]
+        for q0 in SWEEP_Q0S:
+            for normalized in (False, True):
+                for flavor in ("right", "flat"):
+                    symbolic.clear()
+                    got = _sweep(w, q0, xs, normalized, flavor)
+                    zeros = [x for x, value, _ in got[0] if value == 0]
+                    assert symbolic == (xs if abs(q0) == 1 else zeros), (w, q0, normalized, flavor)
+                    assert got == _per_point_sweep(w, q0, xs, normalized, flavor), (w, q0, normalized, flavor)
+                    if abs(q0) != 1:
+                        assert flavor == "flat" or zeros[:1] == [0]
+                        zero_rows += len(zeros)
+    assert zero_rows
+
+
+def test_sweep_falls_back_where_delta_or_the_denominator_is_irregular(monkeypatch):
+    # crafted, since no closure value or context on the tested grids has such a point:
+    # delta = (q - 2)^2 / (q - 3) is 0 at q0 = 2 and a pole at q0 = 3; a value
+    # q a / (1 + a^2) has a in its denominator
+    import qlink.xinv as xinv
+
+    symbolic = _count_symbolic_rows(monkeypatch)
+    delta = RatFun(IntLaurent({0: 4, 1: -4, 2: 1}), IntLaurent({0: -3, 1: 1}))
+    monkeypatch.setattr(xinv, "x_context", lambda x: XContext(Fraction(x), "right", delta))
+    xs = [Fraction(1, 2)]
+    for q0 in (Fraction(2), Fraction(3), Fraction(5)):
+        for normalized in (False, True):
+            symbolic.clear()
+            got = _sweep(TREFOIL, q0, xs, normalized)
+            assert symbolic == ([] if q0 == 5 else xs), (q0, normalized)
+            assert got == _per_point_sweep(TREFOIL, q0, xs, normalized, "right")
+    monkeypatch.undo()
+    symbolic = _count_symbolic_rows(monkeypatch)
+    F = RatFun2(IntLaurent2({(1, 1): 1}), IntLaurent2({(0, 0): 1, (2, 0): 1}))
+    monkeypatch.setattr(xinv, "homfly", lambda w: F)
+    for normalized in (False, True):
+        for flavor in ("right", "flat"):
+            symbolic.clear()
+            xs = [Fraction(-5, 3), Fraction(1, 2), Fraction(2)]
+            got = _sweep(UNKNOT, Fraction(2), xs, normalized, flavor)
+            assert symbolic == xs
+            assert got == _per_point_sweep(UNKNOT, Fraction(2), xs, normalized, flavor)
+
+
+def test_sweep_rejects_a_value_of_both_v_parities(monkeypatch):
+    # closure values have one v-parity; the pointwise and the symbolic rows
+    # raise alike on a crafted value 1 + a that has both
+    import qlink.xinv as xinv
+
+    monkeypatch.setattr(xinv, "homfly", lambda w: RatFun2(IntLaurent2({(0, 0): 1, (1, 0): 1})))
+    for refuse in (False, True):
+        with monkeypatch.context() as m:
+            if refuse:
+                m.setattr(xinv, "specialize_a_at", lambda *args: None)
+            with pytest.raises(AssertionError, match="^specialized closure value is not homogeneous in v$"):
+                numeric_sweep(UNKNOT, Fraction(2), [Fraction(1, 2)])
+
+
+def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
+    import qlink.exactalg.laurent as laurent
+    import qlink.exactalg.nu as nu
+    import qlink.exactalg.ratfun as ratfun
+
+    calls = []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
+
+    for owner, name in ((laurent, "laurent_gcd"), (ratfun, "laurent_gcd"), (nu, "_specialize_poly")):
+        counted(owner, name)
+    xs = [Fraction(-7, 3), Fraction(1, 2), Fraction(2), Fraction(5, 8), Fraction(13, 5)]
+    for w in (UNKNOT, S1, HOPF, TREFOIL, FIG8, parse_braid("1 2 -1 2 3 -2")):
+        for q0 in (Fraction(2), Fraction(-1, 2), Fraction(3, 2)):
+            for normalized in (False, True):
+                for flavor in ("right", "flat"):
+                    numeric_sweep(w, q0, xs, normalized, flavor)
+    assert not calls
+    specialize_a(homfly(TREFOIL), qdelta(Fraction(1, 2)))
+    assert set(calls) == {"_specialize_poly", "laurent_gcd"}  # the counters work
 
 
 def test_sweep_squared_row_falls_back_to_the_fraction(monkeypatch):
