@@ -91,7 +91,7 @@ def load_knot_table(path: str) -> KnotTable:
         filtered = (line for line in fh if line.strip() and not line.lstrip().startswith("#"))
         for row in csv.reader(filtered):
             if len(row) < 2:
-                raise ValueError(f"bad knot table row: {row!r}")
+                raise ValueError(f"bad knot table row: {quote_input(','.join(row))}")
             name = row[0].strip()
             entries.append((name, parse_braid(row[1])))
     return KnotTable(tuple(entries), source=path)
@@ -232,7 +232,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         with open(args.out, "w", newline="") as fh:
             fh.write(buf.getvalue())
     except OSError as exc:
-        raise CliError(f"cannot write {args.out!r}: {exc}", EXIT_UNWRITABLE) from None
+        raise CliError(f"cannot write {quote_input(args.out)}: {exc.strerror}", EXIT_UNWRITABLE) from None
     return EXIT_OK
 
 
@@ -242,7 +242,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     else:
         try:
             table = load_knot_table(args.file)
-        except (OSError, ValueError) as exc:
+        except OSError as exc:
+            raise CliError(f"cannot load table {quote_input(args.file)}: {exc.strerror}", EXIT_PARSE) from None
+        except (ValueError, csv.Error) as exc:
             raise CliError(f"cannot load table: {exc}", EXIT_PARSE) from None
     kind, x = _parse_mode(args.mode)
     by_value: dict[str, list[str]] = {}

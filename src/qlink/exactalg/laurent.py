@@ -56,8 +56,8 @@ class _Laurent:
     """Ring-independent part of the integer Laurent polynomials.
 
     Subclasses fix the exponent key (an int for q, an (a, q) pair for a and
-    q): the constructors, `_ONE` (the coefficient map of 1) and everything
-    that reads the key's structure.
+    q): `_ONE` (the coefficient map of 1), the other constructors and
+    everything that reads the key's structure.
     """
 
     __slots__ = ("_c",)
@@ -70,6 +70,14 @@ class _Laurent:
         out = self.__class__.__new__(self.__class__)
         out._c = c
         return out
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls(cls._ONE)  # `_trim` copies: `_ONE` itself is never handed out
 
     # -- queries -----------------------------------------------------------
 
@@ -122,14 +130,7 @@ class _Laurent:
         return self._new(c)
 
     def __sub__(self, other):
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, 0) - v
-            if w:
-                c[e] = w
-            elif e in c:
-                del c[e]
-        return self._new(c)
+        return self + (-other)
 
     def __neg__(self):
         return self._new({e: -v for e, v in self._c.items()})
@@ -137,14 +138,7 @@ class _Laurent:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = self.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, self.one())
 
     def scale(self, k: int):
         if k == 0:
@@ -154,6 +148,22 @@ class _Laurent:
     def divide_content(self, k: int):
         return self._new({e: v // k for e, v in self._c.items()})
 
+    def __repr__(self) -> str:  # debugging aid; canonical text lives in textio
+        from .textio import format_laurent
+
+        return f"{self.__class__.__name__}({format_laurent(self)})"
+
+
+def _power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply, starting from `one`."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
 
 class IntLaurent(_Laurent):
     """Laurent polynomial in q over the integers."""
@@ -162,14 +172,6 @@ class IntLaurent(_Laurent):
     _ONE = {0: 1}
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> IntLaurent:
-        return IntLaurent()
-
-    @staticmethod
-    def one() -> IntLaurent:
-        return IntLaurent({0: 1})
 
     @staticmethod
     def term(coeff: int, exp: int = 0) -> IntLaurent:
@@ -234,11 +236,6 @@ class IntLaurent(_Laurent):
         num, den = total * r ** max(lo, 0), s ** max(hi, 0) * r ** max(-lo, 0)
         return Fraction(num * s ** max(-hi, 0), den)
 
-    def __repr__(self) -> str:  # debugging aid; canonical text lives in textio
-        from .textio import format_laurent
-
-        return f"IntLaurent({format_laurent(self)})"
-
 
 class IntLaurent2(_Laurent):
     """Laurent polynomial in a and q over the integers.
@@ -250,14 +247,6 @@ class IntLaurent2(_Laurent):
     _ONE = {(0, 0): 1}
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> IntLaurent2:
-        return IntLaurent2()
-
-    @staticmethod
-    def one() -> IntLaurent2:
-        return IntLaurent2({(0, 0): 1})
 
     @staticmethod
     def term(coeff: int, a_exp: int = 0, q_exp: int = 0) -> IntLaurent2:
@@ -318,11 +307,6 @@ class IntLaurent2(_Laurent):
         out = IntLaurent.__new__(IntLaurent)
         out._c = c
         return out
-
-    def __repr__(self) -> str:
-        from .textio import format_laurent2
-
-        return f"IntLaurent2({format_laurent2(self)})"
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +458,19 @@ def _divide_or_none(f: IntLaurent, g: IntLaurent) -> IntLaurent | None:
     return IntLaurent({e + shift: v for e, v in enumerate(quot) if v})
 
 
-def laurent_divide_exact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
-    """Exact division f / g in Z[q^{±1}]; raises if not divisible."""
+def _divide_exact(f, g, divide_or_none):
+    """divide_or_none(f, g), raising on a zero divisor or an inexact division."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    quot = _divide_or_none(f, g)
+    quot = divide_or_none(f, g)
     if quot is None:
         raise ArithmeticError("inexact polynomial division")
     return quot
+
+
+def laurent_divide_exact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
+    """Exact division f / g in Z[q^{±1}]; raises if not divisible."""
+    return _divide_exact(f, g, _divide_or_none)
 
 
 # ---------------------------------------------------------------------------
@@ -663,9 +652,4 @@ def _kronecker(f: IntLaurent2, da: int, dq: int, k: int) -> list[int]:
 
 def laurent2_divide_exact(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2:
     """Exact division f / g in Z[a^{±1}, q^{±1}]; raises if not divisible."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    quot = _divide2_or_none(f, g)
-    if quot is None:
-        raise ArithmeticError("inexact polynomial division")
-    return quot
+    return _divide_exact(f, g, _divide2_or_none)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import IntLaurent
+from .laurent import IntLaurent, _power
 from .ratfun import PoleError, RatFun, RatFun2, normalize
 
 __all__ = ["NuValue", "nu_op", "nu_power", "specialize_a", "specialize_a_at", "SpecializationError"]
@@ -132,14 +132,7 @@ class NuValue:
     def __pow__(self, n: int) -> NuValue:
         if n < 0:
             return self.inverse() ** (-n)
-        out = NuValue.one(self.delta)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, NuValue.one(self.delta))
 
     def substitute_nu(self, nu_value: RatFun) -> RatFun:
         """Collapse the extension by substituting a concrete square root of

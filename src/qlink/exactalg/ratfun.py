@@ -58,6 +58,9 @@ class _Fraction:
     `__add__` and `__mul__` in its own namespace, so that each class's
     arithmetic can be patched or profiled on its own, and its `_gcd`/`_div`
     look the kernels up in module globals on every call.
+
+    The constructor is the one path that runs a gcd on num/den; everything
+    else knows its operands coprime and goes through `_reduced`.
     """
 
     __slots__ = ("num", "den")
@@ -66,7 +69,12 @@ class _Fraction:
     def __init__(self, num, den=None):
         if den is None:
             den = self._POLY.one()
-        reduced = self._reduced(num, den, coprime=False)
+        if num and den and not den.is_monomial():
+            g = self._gcd(num, den)
+            if not g.is_one():
+                num = self._div(num, g)
+                den = self._div(den, g)
+        reduced = self._reduced(num, den)
         self.num = reduced.num
         self.den = reduced.den
 
@@ -80,23 +88,17 @@ class _Fraction:
         return out
 
     @classmethod
-    def _reduced(cls, num, den, coprime: bool = True):
-        """Canonical fraction num/den.
-
-        With `coprime` (the default) the caller guarantees that numerator and
-        denominator have no common polynomial factor, and only the monomial
-        shift, shared integer content and denominator sign are normalized.
+    def _reduced(cls, num, den):
+        """Canonical fraction num/den, for a numerator and denominator with no
+        common polynomial factor: only the monomial shift, the shared integer
+        content and the denominator's sign are normalized, and no gcd runs
+        (the constructor is the path that runs one).
         """
         if den.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if num.is_zero():
             return cls.zero()
         num, den = cls._drop_low(num, den)
-        if not (coprime or den.is_monomial()):
-            g = cls._gcd(num, den)
-            if not g.is_one():
-                num = cls._div(num, g)
-                den = cls._div(den, g)
         cg = math.gcd(num.content(), den.content())
         if cg > 1:
             num = num.divide_content(cg)
@@ -162,8 +164,6 @@ class _Fraction:
         return self._reduced(t, db * dd * g)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.from_int(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -207,6 +207,11 @@ class _Fraction:
 
     def __repr__(self) -> str:
         return f"{self.__class__.__name__}({self})"
+
+    def __str__(self) -> str:
+        from .textio import format_ratfun
+
+        return format_ratfun(self)
 
 
 class RatFun(_Fraction):
@@ -263,15 +268,10 @@ class RatFun(_Fraction):
     def to_ratfun2(self) -> RatFun2:
         return RatFun2._make(IntLaurent2.from_q(self.num), IntLaurent2.from_q(self.den))
 
-    def __str__(self) -> str:
-        from .textio import format_ratfun
-
-        return format_ratfun(self)
-
 
 def normalize(num: IntLaurent, den: IntLaurent) -> RatFun:
     """Canonical fraction num/den; the denominator must be nonzero."""
-    return RatFun._reduced(num, den, coprime=False)
+    return RatFun(num, den)
 
 
 def field_op(kind: str, f: RatFun, g: RatFun) -> RatFun:
@@ -349,12 +349,7 @@ class RatFun2(_Fraction):
         pd = self.den.a_parities()
         return {(x - y) % 2 for x in pn for y in pd}
 
-    def __str__(self) -> str:
-        from .textio import format_ratfun2
-
-        return format_ratfun2(self)
-
 
 def normalize2(num: IntLaurent2, den: IntLaurent2) -> RatFun2:
     """Canonical fraction num/den over Z[a^{±1}, q^{±1}]."""
-    return RatFun2._reduced(num, den, coprime=False)
+    return RatFun2(num, den)

@@ -67,32 +67,23 @@ def _join(terms: list[str]) -> str:
     return out
 
 
-def format_laurent(p: IntLaurent) -> str:
+def _format_laurent(p: IntLaurent | IntLaurent2) -> str:
+    """Terms by ascending exponent key; a one-variable key e is the term a^0 q^e."""
     terms = []
-    for e in sorted(dict(p.items())):
-        terms.append(_format_term(p.coefficient(e), _var_str("q", e)))
+    for key, c in sorted(p.items()):
+        d, e = key if isinstance(key, tuple) else (0, key)
+        terms.append(_format_term(c, "*".join(s for s in (_var_str("a", d), _var_str("q", e)) if s)))
     return _join(terms)
 
 
-def format_laurent2(p: IntLaurent2) -> str:
-    c = dict(p.items())
-    terms = []
-    for d, e in sorted(c):
-        vs = "*".join(s for s in (_var_str("a", d), _var_str("q", e)) if s)
-        terms.append(_format_term(c[(d, e)], vs))
-    return _join(terms)
-
-
-def format_ratfun(f: RatFun) -> str:
+def _format_ratfun(f: RatFun | RatFun2) -> str:
     if f.den.is_one():
-        return format_laurent(f.num)
-    return f"({format_laurent(f.num)})/({format_laurent(f.den)})"
+        return _format_laurent(f.num)
+    return f"({_format_laurent(f.num)})/({_format_laurent(f.den)})"
 
 
-def format_ratfun2(f: RatFun2) -> str:
-    if f.den.is_one():
-        return format_laurent2(f.num)
-    return f"({format_laurent2(f.num)})/({format_laurent2(f.den)})"
+format_laurent = format_laurent2 = _format_laurent
+format_ratfun = format_ratfun2 = _format_ratfun
 
 
 def format_nu(u: NuValue) -> str:
@@ -153,20 +144,17 @@ def _parse_terms(s: str) -> list[tuple[int, int, int]]:
     return out
 
 
-def _parse_laurent(s: str) -> IntLaurent:
-    c: dict[int, int] = {}
+def _parse_laurent(s: str, poly: type) -> IntLaurent | IntLaurent2:
+    """A polynomial of type `poly`; an a in a one-variable term is rejected
+    before the terms merge, so `a - a + q` is not read as q."""
+    one_var = poly is IntLaurent
+    c: dict = {}
     for coeff, d, e in _parse_terms(s):
-        if d:
+        if d and one_var:
             raise GrammarError("unexpected variable a in a one-variable polynomial")
-        c[e] = c.get(e, 0) + coeff
-    return IntLaurent(c)
-
-
-def _parse_laurent2(s: str) -> IntLaurent2:
-    c: dict[tuple[int, int], int] = {}
-    for coeff, d, e in _parse_terms(s):
-        c[(d, e)] = c.get((d, e), 0) + coeff
-    return IntLaurent2(c)
+        key = e if one_var else (d, e)
+        c[key] = c.get(key, 0) + coeff
+    return poly(c)
 
 
 def _split_fraction(s: str) -> tuple[str, str | None]:
@@ -206,20 +194,18 @@ def _strip_parens(s: str) -> str:
     return s
 
 
-def parse_ratfun(s: str) -> RatFun:
+def _parse_ratfun(s: str, frac: type) -> RatFun | RatFun2:
     num_s, den_s = _split_fraction(s)
-    num = _parse_laurent(_strip_parens(num_s))
-    if den_s is None:
-        return RatFun(num)
-    return RatFun(num, _parse_laurent(_strip_parens(den_s)))
+    num = _parse_laurent(_strip_parens(num_s), frac._POLY)
+    return frac(num, None if den_s is None else _parse_laurent(_strip_parens(den_s), frac._POLY))
+
+
+def parse_ratfun(s: str) -> RatFun:
+    return _parse_ratfun(s, RatFun)
 
 
 def parse_ratfun2(s: str) -> RatFun2:
-    num_s, den_s = _split_fraction(s)
-    num = _parse_laurent2(_strip_parens(num_s))
-    if den_s is None:
-        return RatFun2(num)
-    return RatFun2(num, _parse_laurent2(_strip_parens(den_s)))
+    return _parse_ratfun(s, RatFun2)
 
 
 def _read_group(s: str, start: int) -> tuple[str, int]:

@@ -50,9 +50,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, product
-from math import comb
 
 from .braid import BraidWord, closure_stats
 from .exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2, normalize2
@@ -205,17 +203,22 @@ def _closure_numerator(tau: Coeff, n: int, r: int, dq: int = 0, sign: int = 1) -
             p = _divide_by_t_minus_1(p)
         for _ in range(k - r):
             p = [x - y for x, y in zip([0, *p], [*p, 0])]
+        m = sign * (-1) ** k  # sign (-1)^(j+k) C(n-k, j), C(n-k, j+1) = C(n-k, j) (n-k-j) / (j+1)
         for j in range(n - k + 1):
-            m = sign * (-1) ** (j + k) * comb(n - k, j)
             for i, v in enumerate(p):
                 out[(n - 2 * j, lo + dq + s + 2 * i)] += m * v
+            m = -m * (n - k - j) // (j + 1)
     return IntLaurent2(out)
 
 
-@lru_cache(maxsize=128)
 def _q2_minus_1_power(c: int) -> IntLaurent2:
-    """(q^2 - 1)^c, the denominator of a c-component closure value."""
-    return IntLaurent2({(0, 2 * i): -comb(c, i) if (c - i) & 1 else comb(c, i) for i in range(c + 1)})
+    """(q^2 - 1)^c, the denominator of a c-component closure value: its q^(2i)
+    coefficient is (-1)^(c-i) C(c, i), with C(c, i+1) = C(c, i) (c-i) / (i+1)."""
+    out, m = {}, (-1) ** c
+    for i in range(c + 1):
+        out[(0, 2 * i)] = m
+        m = -m * (c - i) // (i + 1)
+    return IntLaurent2(out)
 
 
 def ocneanu_trace(e: HeckeElement) -> RatFun2:

@@ -107,11 +107,7 @@ class XValue:
 
     def nu_free_part(self) -> RatFun:
         """The single nonzero component of a homogeneous value."""
-        if self.value.odd.is_zero():
-            return self.value.even
-        if self.value.even.is_zero():
-            return self.value.odd
-        raise ValueError("value is not homogeneous in v")
+        return (self.value.even, self.value.odd)[self.value.nu_parity()]
 
     def at_integer(self) -> RatFun:
         """Collapse the extension at an integer context via v = q^(1-n)."""
@@ -154,9 +150,7 @@ def normalized_invariant(w: BraidWord, ctx: XContext) -> RatFun:
 
 def colored_unknot_u(ctx: XContext, k: int) -> XValue:
     """Value of a k-labeled circle: q^(k(k-1)) v^k {x choose k}."""
-    if k < 1:
-        raise ValueError("circle labels are positive")
-    scalar = RatFun.q_power(k * (k - 1)) * qbinomial(ctx.x, k)
+    scalar = colored_stab_unknot(ctx, k)
     return XValue(ctx.nu_pow(k) * scalar, ctx)
 
 
@@ -206,6 +200,10 @@ def verify_uniqueness_constraint(alpha_lo: int, alpha_hi: int) -> set[tuple[int,
     return out
 
 
+def _at(value: Fraction | RatFun, q0: Fraction) -> Fraction:
+    return value if isinstance(value, Fraction) else value.evaluate(q0)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     x: Fraction
@@ -249,25 +247,18 @@ def numeric_sweep(
             except PoleError:
                 delta0 = 0
             point = specialize_a_at(h, q0, delta0, framing) if delta0 else None
-            if point is not None:
-                parity, value = point
-                if parity and not normalized:
-                    rows.append(SweepRow(x, value ** 2 / delta0, "squared"))
-                else:
-                    rows.append(SweepRow(x, value, ""))
-            elif normalized:
-                f = specialize_closure(h, ctx, framing).nu_free_part()
-                rows.append(SweepRow(x, f.evaluate(q0), ""))
+            if point is None:  # the symbolic row: (parity, value) as a fraction in q
+                v = specialize_closure(h, ctx, framing)
+                point = v.nu_parity(), v.nu_free_part()
+            parity, value = point
+            if parity and not normalized:
+                try:  # value(q0)^2 / delta(q0) wherever value, delta are regular and delta(q0) != 0
+                    sq = _at(value, q0) ** 2 / delta0
+                except ZeroDivisionError:  # PoleError included; a pointwise value never gets here
+                    sq = (value * value / ctx.delta).evaluate(q0)
+                rows.append(SweepRow(x, sq, "squared"))
             else:
-                v = specialize_closure(h, ctx)
-                if v.odd.is_zero():
-                    rows.append(SweepRow(x, v.even.evaluate(q0), ""))
-                else:
-                    try:  # (odd^2 / delta)(q0) wherever odd, delta are regular and delta(q0) != 0
-                        sq = v.odd.evaluate(q0) ** 2 / delta0
-                    except ZeroDivisionError:  # PoleError included
-                        sq = (v.odd * v.odd / ctx.delta).evaluate(q0)
-                    rows.append(SweepRow(x, sq, "squared"))
+                rows.append(SweepRow(x, _at(value, q0), ""))
         except (PoleError, ZeroDivisionError, ValueError) as exc:
             diagnostics.append(f"x={x}: {exc}")
     return rows, diagnostics

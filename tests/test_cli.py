@@ -83,14 +83,29 @@ def test_arguments_starting_with_a_dash_and_a_digit_are_values(capsys, tmp_path)
     assert code == 2 and not out and "the following arguments are required: x" in err
 
 
-def test_error_lines_quote_a_bounded_prefix_of_the_input(capsys):
+def test_error_lines_quote_a_bounded_prefix_of_the_input(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     long = "1" * 5000
-    for argv in (("qrat", long), ("qrat", "x" * 5000), ("qrat", long + "/0"), ("inv", "1", "--mode", "x" * 5000),
-                 ("inv", "1", "--mode", "x:" + "y" * 5000), ("inv", "1 " + "y" * 5000)):
+    bad_table = tmp_path / "bad.csv"
+    bad_table.write_text("y" * 5000 + "\n")  # a row of one field
+    long_path = "p" * 5000  # too long a file name for the OS
+    sweep_to_long_path = ("sweep", "1", "--q0", "2", "--from", "0", "--to", "1", "--steps", "1", "--out", long_path)
+    for argv, expected_code in ((("qrat", long), 2), (("qrat", "x" * 5000), 2), (("qrat", long + "/0"), 2),
+                                (("inv", "1", "--mode", "x" * 5000), 2), (("inv", "1", "--mode", "x:" + "y" * 5000), 2),
+                                (("inv", "1 " + "y" * 5000), 2), (("table", str(bad_table)), 2),
+                                (("table", long_path), 2), (sweep_to_long_path, 4)):
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv[:2]
+        assert (code, out) == (expected_code, ""), argv[:2]
         assert err.count("\n") == 1 and len(err) < 300, err[:300]
         assert " characters)" in err, err
+    assert run(capsys, "table", long_path)[2].endswith(": File name too long\n")
+    bad_table.write_text("a\n")
+    assert run(capsys, "table", str(bad_table))[2] == "qlink: cannot load table: bad knot table row: 'a'\n"
+    bad_table.write_text('a,"' + "1 " * 70000 + '"\n')  # a field past the csv module's limit
+    assert run(capsys, "table", str(bad_table)) == (2, "", "qlink: cannot load table: field larger than field limit (131072)\n")
+    assert run(capsys, *sweep_to_long_path[:-1], "missing/s.csv")[2] == (
+        "qlink: cannot write 'missing/s.csv': No such file or directory\n"
+    )
     assert run(capsys, "qrat", "x")[2] == "qlink: bad rational 'x': Invalid literal for Fraction: 'x'\n"
     # argparse's own "invalid int value" and "invalid choice" lines, after its usage line
     sweep = ["sweep", "1", "--q0", "2", "--from", "0", "--to", "1", "--out", "s.csv"]
@@ -489,6 +504,10 @@ def cli_argv(draw) -> tuple[list[str], list[tuple[str, str]] | None]:
 @example((["sweep", "--q0", "2", "--from", "0", "--to", "1", "--steps", "1", "--out", "{dir}/s.csv",
            "--strands", str(10**9), "1"], None))
 @example((["qrat", "1e999999999"], None))
+@example((["table", "{dir}/t.csv"], [("y" * 5000 + "\n#", "1")]))  # a 5,000-character row of one field
+@example((["table", "{dir}/t.csv"], [("a", "1 " * 70000)]))  # a field past the csv module's limit
+@example((["table", "{dir}/" + "p" * 5000], None))
+@example((["sweep", "--q0", "2", "--from", "0", "--to", "1", "--steps", "1", "--out", "{dir}/" + "p" * 5000, "1"], None))
 @example((["sweep", "--q0", "-2", "--from", f"{OVER - 1}", "--to", f"{OVER}", "--steps", "1", "--out", "{dir}/s.csv", "-1"],
           None))
 def test_cli_exits_with_a_documented_code_and_no_traceback(case):
@@ -502,6 +521,7 @@ def test_cli_exits_with_a_documented_code_and_no_traceback(case):
             code = main([a.replace("{dir}", tmp) for a in argv])
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert all(len(line) < 300 for line in err.getvalue().splitlines()), err.getvalue()[:300]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact-arithmetic substrate: canonical fractions, series, quadratic extension."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -467,6 +468,38 @@ def test_parse_round_trip():
         RatFun2.zero(),
     ):
         assert parse_ratfun2(format_ratfun2(g)) == g
+
+
+def test_one_text_body_serves_both_rings():
+    # a one-variable value prints as the same value with the a^0 key
+    rng = random.Random(14)
+    for _ in range(200):
+        num = {rng.randint(-6, 6): rng.randint(-9, 9) for _ in range(rng.randint(0, 4))}
+        den = {rng.randint(-6, 6): rng.randint(-9, 9) for _ in range(rng.randint(1, 4))}
+        if not any(den.values()):
+            den = {0: 1}
+        f = rf(num, den)
+        assert format_ratfun(f) == format_ratfun2(f.to_ratfun2())
+    assert repr(L({-1: 2, 0: -1, 3: 1})) == "IntLaurent(2*q^-1-1+q^3)"
+    assert repr(IntLaurent2({(1, 0): 1, (-1, 2): -3, (0, 0): 1})) == "IntLaurent2(-3*a^-1*q^2+1+a)"
+    assert repr(rf({0: 1, 2: -1}, {0: 1, 1: 1})) == "RatFun(1-q)"
+    assert repr(F2({(2, 0): 1, (0, 0): -1}, {(0, 2): 1, (0, 0): -1})) == "RatFun2((-1+a^2)/(-1+q^2))"
+    assert repr(IntLaurent.zero()) == "IntLaurent(0)" and repr(RatFun2.zero()) == "RatFun2(0)"
+
+
+def test_one_is_a_fresh_value_each_time():
+    for poly in (IntLaurent, IntLaurent2):
+        one = poly.one()
+        assert type(one) is poly and one.is_one() and one == poly(poly._ONE)
+        assert one._c is not poly._ONE and one._c is not poly.one()._c
+        assert type(poly.zero()) is poly and poly.zero().is_zero()
+
+
+def test_parse_rejects_a_in_one_variable_before_terms_merge():
+    for text in ("a - a + q", "(1)/(a - a + q)", "q + a^2 - a^2"):
+        with pytest.raises(ValueError, match="unexpected variable a"):
+            parse_ratfun(text)
+    assert parse_ratfun2("a - a + q") == RatFun2.monomial(1, 0, 1)
 
 
 def test_parse_whitespace_and_nu():

@@ -547,6 +547,17 @@ def test_closure_numerator_raises_on_an_inexact_division():
     assert _closure_numerator({(1, 0): 1}, 1, 1) == IntLaurent2.term(-1, 1, 0)  # U / (q^2 - 1)
 
 
+def test_q2_minus_1_power_is_the_binomial_expansion():
+    from math import comb
+
+    from qlink.homfly import _q2_minus_1_power
+
+    for c in (*range(61), 1999):
+        expected = IntLaurent2({(0, 2 * i): (-1) ** (c - i) * comb(c, i) for i in range(c + 1)})
+        assert _q2_minus_1_power(c) == expected, c
+    assert _q2_minus_1_power(5) == Q2_MINUS_1 ** 5
+
+
 laurents = st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=4).map(IntLaurent)
 
 
