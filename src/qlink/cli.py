@@ -23,7 +23,7 @@ from .exactalg import PoleError, RatFun2, format_ratfun, format_ratfun2, format_
 from .exactalg.textio import QUOTE_LIMIT, quote_input
 from .homfly import homfly
 from .qnum import left_qrational, qrational
-from .xinv import flat_context, numeric_sweep, specialize_closure, x_context
+from .xinv import XContext, flat_context, numeric_sweep, specialize_closure, x_context
 
 __all__ = ["main", "KnotTable", "CollisionReport", "load_knot_table", "builtin_mini_table"]
 
@@ -181,14 +181,19 @@ def _cmd_qrat(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _invariant_text(h: RatFun2, writhe: int, kind: str, x: Fraction | None, normalized: bool) -> str:
-    """Canonical text of the invariant of a closure of value h; `normalized` removes the framing."""
-    if kind == "homfly":
+def _context(kind: str, x: Fraction | None) -> XContext | None:
+    """The specialization context of a mode; None for homfly."""
+    return None if kind == "homfly" else x_context(x) if kind == "x" else flat_context(x)
+
+
+def _invariant_text(h: RatFun2, writhe: int, ctx: XContext | None, normalized: bool) -> str:
+    """Canonical text of the invariant of a closure of value h in context ctx (None:
+    the HOMFLY-PT value itself); `normalized` removes the framing."""
+    if ctx is None:
         if normalized:
             # each positive kink carries q^-1 a
             h = h * RatFun2.monomial(1, -1, 1) ** writhe
         return format_ratfun2(h)
-    ctx = x_context(x) if kind == "x" else flat_context(x)
     value = specialize_closure(h, ctx, writhe if normalized else 0)
     return format_ratfun(value.nu_free_part()) if normalized else format_nu(value.value)
 
@@ -197,7 +202,7 @@ def _cmd_inv(args: argparse.Namespace) -> int:
     w = _braid_from_args(args)
     kind, x = _parse_mode(args.mode)
     try:
-        print(_invariant_text(homfly(w), w.writhe, kind, x, args.normalized))
+        print(_invariant_text(homfly(w), w.writhe, _context(kind, x), args.normalized))
     except PoleError as exc:
         raise CliError(f"specialization pole: {exc}", EXIT_POLE) from None
     except ValueError as exc:
@@ -247,6 +252,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
         except (ValueError, csv.Error) as exc:
             raise CliError(f"cannot load table: {exc}", EXIT_PARSE) from None
     kind, x = _parse_mode(args.mode)
+    try:  # one context for every entry; a failure is each entry's error
+        ctx = _context(kind, x)
+    except Exception as exc:
+        ctx = exc
     by_value: dict[str, list[str]] = {}
     errors = []
     for name, w in table.entries:
@@ -254,8 +263,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for n, sign in ((name, 1), (name + "!", -1)) if args.with_mirrors else ((name, 1),):
             try:
                 h = homfly(w) if h is None else h
+                if isinstance(ctx, Exception):
+                    raise ctx
                 # the mirror's value is h under a -> a^-1, q -> q^-1; its writhe is -writhe
-                text = _invariant_text(h if sign == 1 else h.subs_bar(), sign * w.writhe, kind, x, True)
+                text = _invariant_text(h if sign == 1 else h.subs_bar(), sign * w.writhe, ctx, True)
             except Exception as exc:  # per-entry failures land in the report
                 errors.append((n, str(exc)))
             else:

@@ -17,6 +17,11 @@ one extra virtual innermost rung holding the limit value 1/(1 - q^2) (the
 q-adic limit of {m} as m -> infinity).  The limit oracle `q_adic_limit`
 stays the source of truth: the closed form is checked against it in tests
 order by order.
+
+At a point q = q0 the same ladder runs in integers (`qdelta_at`): each rung
+is a Moebius map of the tail, kept as a projective pair of integers, so
+delta_x(q0) costs one gcd and no polynomial.  The symbolic `qdelta` stays
+the value for symbolic uses and the oracle of the point value.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ __all__ = [
     "qint",
     "qrational",
     "qdelta",
+    "qdelta_at",
     "qbinomial",
     "qfactorial",
     "left_qrational",
@@ -65,11 +71,10 @@ class EvenCF:
             raise ValueError("continued fraction terms after the head must be >= 1")
 
     def fold(self) -> Fraction:
-        acc: Fraction | None = None
+        p, q = 1, 0  # the tail a + 1/infinity = a, as convergents p/q
         for a in reversed(self.terms):
-            acc = Fraction(a) if acc is None else a + 1 / acc
-        assert acc is not None
-        return acc
+            p, q = a * p + q, p
+        return Fraction(p, q)
 
 
 def even_cf(x: Fraction | int) -> EvenCF:
@@ -103,27 +108,26 @@ def qint(n: int) -> IntLaurent:
     return IntLaurent({-2 * i: -1 for i in range(1, -n + 1)})
 
 
-def _ladder(terms: tuple[int, ...], seed: tuple[IntLaurent, IntLaurent] | None) -> RatFun:
+def _ladder_terms(x: Fraction | int) -> tuple[int, ...]:
+    """The even continued fraction of x, refused where {x} may pass MAX_QDEGREE."""
+    terms = even_cf(x).terms
+    if 2 * sum(map(abs, terms)) > MAX_QDEGREE:
+        raise ValueError(f"q-deformation too large: its q-degree may exceed {MAX_QDEGREE}")
+    return terms
+
+
+def _ladder(terms: tuple[int, ...], seed: tuple[IntLaurent, IntLaurent]) -> RatFun:
     """Evaluate the nested continued-fraction formula bottom-up.
 
     Rungs at odd positions (1-indexed) contribute {a} + q^2a / tail, rungs
-    at even positions {a}_{q^-2} + q^-2a / tail.  `seed` optionally supplies
-    an extra innermost tail value as a raw fraction (used for the left
-    deformation); with no seed the innermost rung is the closing
-    {a}_{q^-2}.  The intermediate fractions generated here are coprime up
-    to monomials by construction, so the final fraction skips the gcd.
+    at even positions {a}_{q^-2} + q^-2a / tail.  `seed` is the innermost
+    tail as a raw fraction: infinity for {x}, whose innermost rung is then
+    the closing {a}_{q^-2}, or 1 / (1 - q^2) for the left deformation.  The
+    intermediate fractions generated here are coprime up to monomials by
+    construction, so the final fraction skips the gcd.
     """
-    if 2 * sum(map(abs, terms)) > MAX_QDEGREE:
-        raise ValueError(f"q-deformation too large: its q-degree may exceed {MAX_QDEGREE}")
-    n = len(terms)
-    if seed is None:
-        num = qint(terms[-1]).subs_qinv()
-        den = IntLaurent.one()
-        start = n - 1
-    else:
-        num, den = seed
-        start = n
-    for i in range(start, 0, -1):
+    num, den = seed
+    for i in range(len(terms), 0, -1):
         a = terms[i - 1]
         if i % 2:  # plain rung
             head, q_shift = qint(a), 2 * a
@@ -137,8 +141,7 @@ def _ladder(terms: tuple[int, ...], seed: tuple[IntLaurent, IntLaurent] | None) 
 
 def qrational(x: Fraction | int) -> RatFun:
     """The q-deformation {x} of a rational number."""
-    x = Fraction(x)
-    return _ladder(even_cf(x).terms, None)
+    return _ladder(_ladder_terms(x), (IntLaurent.one(), IntLaurent.zero()))
 
 
 # q-adic limit of {m} for m -> infinity: the innermost rung of every left
@@ -148,8 +151,7 @@ _LEFT_SEED = (IntLaurent.one(), IntLaurent({0: 1, 2: -1}))
 
 def left_qrational(x: Fraction | int) -> RatFun:
     """The left q-deformation {x}^b: the q-adic limit of {x - 1/k}."""
-    x = Fraction(x)
-    return _ladder(even_cf(x).terms, _LEFT_SEED)
+    return _ladder(_ladder_terms(x), _LEFT_SEED)
 
 
 def _delta(f: RatFun) -> RatFun:
@@ -171,6 +173,32 @@ def left_qdelta(x: Fraction | int) -> RatFun:
     """The left analogue {x}^b - {x-1}^b = ((q^2 - 1) {x}^b + 1) / q^2: the
     shift identity passes to the q-adic limit, so it holds for {x}^b too."""
     return _delta(left_qrational(Fraction(x)))
+
+
+def qdelta_at(x: Fraction | int, q0: Fraction, left: bool = False) -> Fraction | None:
+    """delta_x(q0), or the left one's, from `_ladder`'s rungs at q^2 = R/S in integers.
+
+    Each rung's u = q^2 or q^-2 is U/V = R/S or S/R, and the tail is a projective
+    pair (num, den), seeded at infinity (1, 0) or at 1 / (1 - q^2): a rung is a
+    Moebius map, so no common factor is removed.  The pair is the coprime ladder
+    fraction times monomials, nonzero at q0 != 0, so den = 0 exactly at a pole.
+    None at a pole of delta_x and where it is 0.
+    """
+    terms, q0 = _ladder_terms(x), Fraction(q0)
+    if not q0:
+        raise ValueError("q0 must be nonzero")
+    R, S = q0.numerator**2, q0.denominator**2
+    num, den = (S, S - R) if left else (1, 0)
+    for i in range(len(terms), 0, -1):
+        a, (U, V) = terms[i - 1], ((R, S) if i % 2 else (S, R))
+        Uk, Vk = U ** abs(a), V ** abs(a)
+        G = (Uk - Vk) // (U - V) if U != V else abs(a)  # {|a|}_u = G / V^(|a|-1); U = V = 1 at q0 = +-1
+        if a >= 0:  # {a}_u + u^a / tail
+            num, den = G * V * num + Uk * den, Vk * num
+        else:  # {a}_u = -V G / U^-a, u^a = V^-a / U^-a
+            num, den = Vk * den - G * V * num, Uk * num
+    top = (R - S) * num + S * den  # ((q^2 - 1) {x} + 1) / q^2
+    return Fraction(top, R * den) if top and den else None
 
 
 def qfactorial(k: int) -> RatFun:

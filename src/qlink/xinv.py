@@ -34,7 +34,7 @@ from .exactalg import (
     specialize_a_at,
 )
 from .homfly import homfly
-from .qnum import left_qdelta, left_qrational, qbinomial, qdelta, qrational
+from .qnum import left_qdelta, left_qrational, qbinomial, qdelta, qdelta_at, qrational
 
 __all__ = [
     "XContext",
@@ -227,10 +227,11 @@ def numeric_sweep(
     reported as diagnostics.
 
     A row is the closure value's numerator at q = q0 and delta = delta_x(q0)
-    over its denominator at q0 (`specialize_a_at`): where both are finite and
-    nonzero, so is the unreduced expression's denominator, so the value is the
-    canonical one's.  Elsewhere, or where the value is 0 (its v-parity is then
-    unknown), the row is the symbolic one, with its 0/0 points and poles.
+    (`qdelta_at`) over its denominator at q0 (`specialize_a_at`): where both
+    are finite and nonzero, so is the unreduced expression's denominator, so
+    the value is the canonical one's.  Elsewhere, or where the value is 0 (its
+    v-parity is then unknown), the row is the symbolic one, built from the
+    context's symbolic delta_x, with its 0/0 points and poles.
     """
     if q0 == 0:
         raise ValueError("q0 must be nonzero")
@@ -241,13 +242,10 @@ def numeric_sweep(
     for x in xs:
         x = Fraction(x)
         try:
-            ctx = x_context(x) if flavor == "right" else flat_context(x)
-            try:
-                delta0 = ctx.delta.evaluate(q0)
-            except PoleError:
-                delta0 = 0
+            delta0 = qdelta_at(x, q0, flavor != "right") or 0
             point = specialize_a_at(h, q0, delta0, framing) if delta0 else None
             if point is None:  # the symbolic row: (parity, value) as a fraction in q
+                ctx = x_context(x) if flavor == "right" else flat_context(x)
                 v = specialize_closure(h, ctx, framing)
                 point = v.nu_parity(), v.nu_free_part()
             parity, value = point

@@ -371,6 +371,7 @@ def test_table_mirrors_match_traced_mirrors(tmp_path, capsys, monkeypatch):
     import qlink.cli as cli
     from qlink.braid import mirror, parse_braid
     from qlink.homfly import homfly
+    from qlink.xinv import flat_context, x_context
 
     entries = {"3_1": "1 1 1", "4_1": "1 -2 1 -2", "hopf": "1 1", "kinked": "1 2 -1 2 2", "split": "1 1 1 3"}
     path = tmp_path / "knots.csv"
@@ -385,10 +386,34 @@ def test_table_mirrors_match_traced_mirrors(tmp_path, capsys, monkeypatch):
         by_value = {}
         for name, text in entries.items():
             for n, w in ((name, parse_braid(text)), (name + "!", mirror(parse_braid(text)))):
-                by_value.setdefault(cli._invariant_text(homfly(w), w.writhe, kind, x, True), []).append(n)
+                ctx = None if kind == "homfly" else x_context(x) if kind == "x" else flat_context(x)
+                by_value.setdefault(cli._invariant_text(homfly(w), w.writhe, ctx, True), []).append(n)
         label = mode + (" normalized" if kind != "homfly" else "")
         groups = tuple(sorted(tuple(sorted(g)) for g in by_value.values()))
         assert out == CollisionReport(label, groups, ()).to_json() + "\n"
+
+
+def test_table_builds_one_context_for_all_entries(capsys, monkeypatch):
+    # one delta_x per command; a context over the q-degree cap is each entry's
+    # and each mirror's own error
+    import qlink.cli as cli
+
+    calls = []
+    for name in ("x_context", "flat_context"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda x, fn=fn: calls.append(x) or fn(x))
+    half = MAX_QDEGREE // 2
+    for mode, built in (("homfly", 0), ("x:2", 1), ("flat:-3/2", 1), (f"x:{half + 1}", 1), (f"flat:1/{half + 1}", 1)):
+        calls.clear()
+        code, out, _ = run(capsys, "table", "--mode", mode, "--with-mirrors")
+        assert code == 0 and len(calls) == built, mode
+        report = CollisionReport.from_json(out)
+        if mode.endswith(str(half + 1)):
+            over = f"q-deformation too large: its q-degree may exceed {MAX_QDEGREE}"
+            names = [n + m for n in ("3_1", "4_1", "5_1") for m in ("", "!")]
+            assert report.groups == () and report.errors == tuple((n, over) for n in names), mode
+        else:
+            assert not report.errors and sum(map(len, report.groups)) == 6, mode
 
 
 def test_table_collisions_filter(capsys):

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from qlink.exactalg import IntLaurent, RatFun, TruncSeries, series_expand
+from qlink.exactalg import IntLaurent, PoleError, RatFun, TruncSeries, series_expand
 from qlink.qnum import (
+    MAX_QDEGREE,
     EvenCF,
     even_cf,
     left_qdelta,
@@ -14,6 +15,7 @@ from qlink.qnum import (
     q_adic_limit,
     qbinomial,
     qdelta,
+    qdelta_at,
     qfactorial,
     qint,
     qrational,
@@ -175,6 +177,38 @@ def test_qdelta_is_canonical_as_built(monkeypatch):
     assert not calls
     normalize(IntLaurent({0: 1, 2: 1}), IntLaurent({0: 1, 4: -1}))
     assert len(calls) == 1  # the counter works
+
+
+def _delta_value(delta: RatFun, q0: Fraction) -> Fraction | None:
+    try:
+        return delta.evaluate(q0) or None
+    except PoleError:
+        return None
+
+
+def test_qdelta_at_matches_the_symbolic_delta():
+    # the integer ladder at q0 against the symbolic delta_x evaluated there,
+    # with a pole or a zero read as None; both flavors
+    rng = random.Random(53)
+    fib = [1, 1]
+    while len(fib) < 202:
+        fib.append(fib[-1] + fib[-2])
+    xs = [Fraction(n) for n in range(-9, 10)] + [Fraction(s, n) for n in range(2, 12) for s in (1, -1)]
+    xs += [Fraction(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(120)]
+    xs.append(Fraction(fib[201], fib[200]))  # a continued fraction of 200 ones
+    q0s = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)]
+    q0s.append(Fraction(1000003, 999))
+    for x in xs + [Fraction(2000), Fraction(1, 2000), Fraction(-1999, 2)]:  # the last three at the q-degree cap
+        for left, delta in ((False, qdelta(x)), (True, left_qdelta(x))):
+            # the symbolic {1/2000} takes seconds to evaluate at 1000003/999
+            for q0 in q0s[:-1] if x == Fraction(1, 2000) else q0s:
+                assert qdelta_at(x, q0, left) == _delta_value(delta, q0), (x, q0, left)
+    for x in (Fraction(2001), Fraction(1, 2001)):
+        for left in (False, True):
+            with pytest.raises(ValueError, match=f"^q-deformation too large: its q-degree may exceed {MAX_QDEGREE}$"):
+                qdelta_at(x, Fraction(2), left)
+    with pytest.raises(ValueError, match="^q0 must be nonzero$"):
+        qdelta_at(Fraction(1, 2), Fraction(0))
 
 
 def gaussian_binomial(n: int, k: int) -> RatFun:

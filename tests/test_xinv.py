@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qlink.braid import BraidWord, closure_stats, parse_braid
-from qlink.exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2, specialize_a
+from qlink.exactalg import IntLaurent, IntLaurent2, PoleError, RatFun, RatFun2, specialize_a
 from qlink.homfly import homfly, homfly_twist_coeff
 from qlink.qnum import left_qdelta, left_qrational, qbinomial, qdelta, qint, qrational
 from qlink.xinv import (
@@ -376,6 +376,21 @@ def _count_symbolic_rows(monkeypatch) -> list:
     return calls
 
 
+def _inject_delta(monkeypatch, delta: RatFun) -> None:
+    """Make `numeric_sweep` see delta_x = delta on both paths: the symbolic
+    context and the point value delta_x(q0)."""
+    import qlink.xinv as xinv
+
+    def at(x, q0, left=False):
+        try:
+            return delta.evaluate(q0) or None
+        except PoleError:
+            return None
+
+    monkeypatch.setattr(xinv, "x_context", lambda x: XContext(Fraction(x), "right", delta))
+    monkeypatch.setattr(xinv, "qdelta_at", at)
+
+
 def _cf_rational(rng: random.Random, length: int) -> Fraction:
     """A rational with a continued fraction [a1, ..., a_length], a1 of any sign."""
     terms = [rng.randint(-4, 4)] + [rng.randint(1, 4) for _ in range(length - 1)]
@@ -422,7 +437,7 @@ def test_sweep_falls_back_where_delta_or_the_denominator_is_irregular(monkeypatc
 
     symbolic = _count_symbolic_rows(monkeypatch)
     delta = RatFun(IntLaurent({0: 4, 1: -4, 2: 1}), IntLaurent({0: -3, 1: 1}))
-    monkeypatch.setattr(xinv, "x_context", lambda x: XContext(Fraction(x), "right", delta))
+    _inject_delta(monkeypatch, delta)
     xs = [Fraction(1, 2)]
     for q0 in (Fraction(2), Fraction(3), Fraction(5)):
         for normalized in (False, True):
@@ -461,6 +476,7 @@ def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
     import qlink.exactalg.laurent as laurent
     import qlink.exactalg.nu as nu
     import qlink.exactalg.ratfun as ratfun
+    import qlink.qnum as qnum
 
     calls = []
 
@@ -468,7 +484,7 @@ def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
 
-    for owner, name in ((laurent, "laurent_gcd"), (ratfun, "laurent_gcd"), (nu, "_specialize_poly")):
+    for owner, name in ((laurent, "laurent_gcd"), (ratfun, "laurent_gcd"), (nu, "_specialize_poly"), (qnum, "_ladder")):
         counted(owner, name)
     xs = [Fraction(-7, 3), Fraction(1, 2), Fraction(2), Fraction(5, 8), Fraction(13, 5)]
     for w in (UNKNOT, S1, HOPF, TREFOIL, FIG8, parse_braid("1 2 -1 2 3 -2")):
@@ -478,7 +494,7 @@ def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
                     numeric_sweep(w, q0, xs, normalized, flavor)
     assert not calls
     specialize_a(homfly(TREFOIL), qdelta(Fraction(1, 2)))
-    assert set(calls) == {"_specialize_poly", "laurent_gcd"}  # the counters work
+    assert set(calls) == {"_specialize_poly", "laurent_gcd", "_ladder"}  # the counters work
 
 
 def test_sweep_squared_row_falls_back_to_the_fraction(monkeypatch):
@@ -492,7 +508,7 @@ def test_sweep_squared_row_falls_back_to_the_fraction(monkeypatch):
     F = RatFun2(IntLaurent2({(1, 0): 1}), IntLaurent2({(0, 2): 1, (0, 1): -5, (0, 0): 6}))
     delta = RatFun(IntLaurent({0: 4, 1: -4, 2: 1}))
     monkeypatch.setattr(xinv, "homfly", lambda w: F)
-    monkeypatch.setattr(xinv, "x_context", lambda x: XContext(Fraction(x), "right", delta))
+    _inject_delta(monkeypatch, delta)
     odd = specialize_a(F, delta).odd
     outcomes = []
     for q0 in (Fraction(2), Fraction(3)):
