@@ -12,32 +12,31 @@ tests, not a preprocessing step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, setfield
 from .exactalg.textio import quote_input
 
 __all__ = ["BraidWord", "ClosureStats", "MAX_STRANDS", "parse_braid", "mirror", "closure_stats"]
 
 # The most strands `parse_braid` accepts.  One letter on 2,000 strands takes
-# about 0.5 s to trace, and its value prints as some 1.8 MB.
+# about 80 ms to trace and format; its value prints as some 1.8 MB.
 MAX_STRANDS = 2000
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """Braid word: letters (nonzero, |letter| < strands) on `strands` strands."""
 
-    letters: tuple[int, ...]
-    strands: int
+    __slots__ = ("letters", "strands")
 
-    def __post_init__(self) -> None:
-        if self.strands < 1:
+    def __init__(self, letters: tuple[int, ...], strands: int) -> None:
+        if strands < 1:
             raise ValueError("a braid needs at least one strand")
-        for v in self.letters:
+        for v in letters:
             if v == 0:
                 raise ValueError("braid letters must be nonzero")
-            if abs(v) >= self.strands:
-                raise ValueError(f"letter {v} out of range for {self.strands} strands")
+            if abs(v) >= strands:
+                raise ValueError(f"letter {v} out of range for {strands} strands")
+        setfield(self, "letters", letters)
+        setfield(self, "strands", strands)
 
     @property
     def writhe(self) -> int:
@@ -57,13 +56,15 @@ class BraidWord:
         return BraidWord(letters, strands)
 
 
-@dataclass(frozen=True)
-class ClosureStats:
+class ClosureStats(Record):
     """Writhe, closure component count and top permutation of a braid word."""
 
-    writhe: int
-    components: int
-    permutation: tuple[int, ...]
+    __slots__ = ("writhe", "components", "permutation")
+
+    def __init__(self, writhe: int, components: int, permutation: tuple[int, ...]) -> None:
+        setfield(self, "writhe", writhe)
+        setfield(self, "components", components)
+        setfield(self, "permutation", permutation)
 
 
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:

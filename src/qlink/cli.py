@@ -9,15 +9,13 @@ evaluated in order and the groups are sorted before the report is assembled.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, setfield
 from .braid import BraidWord, mirror, parse_braid
 from .exactalg import PoleError, RatFun2, format_ratfun, format_ratfun2, format_nu
 from .exactalg.textio import QUOTE_LIMIT, quote_input
@@ -46,26 +44,28 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class KnotTable:
+class KnotTable(Record):
     """Named braid words, typically loaded from a `name,braid` CSV."""
 
-    entries: tuple[tuple[str, BraidWord], ...]
-    source: str
+    __slots__ = ("entries", "source")
 
-    def __post_init__(self) -> None:
-        names = [n for n, _ in self.entries]
-        if len(names) != len(set(names)):
+    def __init__(self, entries: tuple[tuple[str, BraidWord], ...], source: str) -> None:
+        if len({n for n, _ in entries}) != len(entries):
             raise ValueError("duplicate knot names in table")
+        setfield(self, "entries", entries)
+        setfield(self, "source", source)
 
 
-@dataclass(frozen=True)
-class CollisionReport:
-    invariant: str
-    groups: tuple[tuple[str, ...], ...]
-    errors: tuple[tuple[str, str], ...]
+class CollisionReport(Record):
+    __slots__ = ("invariant", "groups", "errors")
+
+    def __init__(self, invariant: str, groups: tuple[tuple[str, ...], ...], errors: tuple[tuple[str, str], ...]) -> None:
+        setfield(self, "invariant", invariant)
+        setfield(self, "groups", groups)
+        setfield(self, "errors", errors)
 
     def to_json(self) -> str:
+        import json  # json and csv are imported where used, off the start-up path
         doc = {
             "invariant": self.invariant,
             "groups": [list(g) for g in self.groups],
@@ -75,6 +75,7 @@ class CollisionReport:
 
     @staticmethod
     def from_json(text: str) -> CollisionReport:
+        import json
         doc = json.loads(text)
         return CollisionReport(
             invariant=doc["invariant"],
@@ -86,6 +87,7 @@ class CollisionReport:
 def load_knot_table(path: str) -> KnotTable:
     """Load a `name,braid` CSV; `#` lines are comments, braids are quoted
     space-separated letter lists."""
+    import csv
     entries = []
     with open(path, newline="") as fh:
         filtered = (line for line in fh if line.strip() and not line.lstrip().startswith("#"))
@@ -211,6 +213,7 @@ def _cmd_inv(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    import csv
     w = _braid_from_args(args)
     q0 = _parse_rational(args.q0)
     lo = _parse_rational(getattr(args, "from"))
@@ -242,6 +245,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    import csv  # for csv.Error from load_knot_table
     if args.file is None:
         table = builtin_mini_table()
     else:

@@ -31,8 +31,8 @@ when those are counted.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 __all__ = [
     "IntLaurent",
@@ -229,12 +229,15 @@ class IntLaurent(_Laurent):
             if self._c and self.min_exp() < 0:
                 raise ZeroDivisionError("evaluation at q = 0 of negative-exponent terms")
             return Fraction(self._c.get(0, 0))
-        # sum v (r/s)^e = r^lo s^-hi sum v r^(e-lo) s^(hi-e), in integers
+        # sum v (r/s)^e = sum v r^(e-lo) s^(hi-e) / (r^-lo s^hi) for lo <= 0 <= hi; the sum
+        # by Horner in integers, from the top exponent down, with s_pow = s^(hi-e)
         r, s = q0.numerator, q0.denominator
-        lo, hi = min(self._c, default=0), max(self._c, default=0)
-        total = sum(v * r ** (e - lo) * s ** (hi - e) for e, v in self._c.items())
-        num, den = total * r ** max(lo, 0), s ** max(hi, 0) * r ** max(-lo, 0)
-        return Fraction(num * s ** max(-hi, 0), den)
+        lo, hi = min([0, *self._c]), max([0, *self._c])
+        total, s_pow, prev = 0, 1, hi
+        for e in sorted(self._c, reverse=True):
+            s_pow *= s ** (prev - e)
+            total, prev = total * r ** (prev - e) + self._c[e] * s_pow, e
+        return Fraction(total * r ** (prev - lo), r ** -lo * s ** hi)
 
 
 class IntLaurent2(_Laurent):

@@ -49,7 +49,6 @@ choices; tests pin the one above through the stabilized-unknot value.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, product
 
 from .braid import BraidWord, closure_stats
@@ -79,17 +78,22 @@ def default_trace_params() -> None:
     return None
 
 
-@dataclass(frozen=True)
 class HeckeElement:
     """Linear combination of T-basis elements of the Hecke algebra H_n.
 
     Permutations are one-line tuples (w(1), ..., w(n)).  Coefficients are
     `Coeff` maps, of z-power 0 in the image of a braid; no zero coefficient
-    and no zero entry is stored.
+    and no zero entry is stored.  A plain class: several are built per trace.
     """
 
-    strands: int
-    terms: dict[tuple[int, ...], Coeff]
+    __slots__ = ("strands", "terms")
+
+    def __init__(self, strands: int, terms: dict[tuple[int, ...], Coeff]) -> None:
+        self.strands = strands
+        self.terms = terms
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, HeckeElement) and (self.strands, self.terms) == (other.strands, other.terms)
 
     @staticmethod
     def identity(n: int) -> HeckeElement:

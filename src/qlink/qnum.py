@@ -26,10 +26,10 @@ the value for symbolic uses and the oracle of the point value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
+from ._record import Record, setfield
 from .exactalg import IntLaurent, RatFun, TruncSeries, series_expand
 
 __all__ = [
@@ -53,22 +53,21 @@ __all__ = [
 MAX_QDEGREE = 4000
 
 
-@dataclass(frozen=True)
-class EvenCF:
+class EvenCF(Record):
     """Even-length continued fraction expansion [a1, ..., a2m].
 
     a1 may be any integer; all later terms are >= 1; folding reproduces the
     source rational exactly.
     """
 
-    terms: tuple[int, ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        t = self.terms
-        if len(t) < 2 or len(t) % 2:
+    def __init__(self, terms: tuple[int, ...]) -> None:
+        if len(terms) < 2 or len(terms) % 2:
             raise ValueError("even continued fraction needs even length >= 2")
-        if any(a < 1 for a in t[1:]):
+        if any(a < 1 for a in terms[1:]):
             raise ValueError("continued fraction terms after the head must be >= 1")
+        setfield(self, "terms", terms)
 
     def fold(self) -> Fraction:
         p, q = 1, 0  # the tail a + 1/infinity = a, as convergents p/q

@@ -18,9 +18,9 @@ its single nonzero component is the v-free rational function reported by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, setfield
 from .braid import BraidWord
 from .exactalg import (
     IntLaurent,
@@ -55,20 +55,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class XContext:
+class XContext(Record):
     """Specialization context: the rational x, the deformation flavor
     (right or flat), and the attached nonzero delta."""
 
-    x: Fraction
-    flavor: str
-    delta: RatFun
+    __slots__ = ("x", "flavor", "delta")
 
-    def __post_init__(self) -> None:
-        if self.flavor not in ("right", "flat"):
+    def __init__(self, x: Fraction, flavor: str, delta: RatFun) -> None:
+        if flavor not in ("right", "flat"):
             raise ValueError("flavor must be 'right' or 'flat'")
-        if self.delta.is_zero():
+        if delta.is_zero():
             raise ValueError("degenerate context: delta = 0")
+        setfield(self, "x", x)
+        setfield(self, "flavor", flavor)
+        setfield(self, "delta", delta)
 
     def nu(self) -> NuValue:
         return NuValue.nu(self.delta)
@@ -87,12 +87,14 @@ def flat_context(x: Fraction | int) -> XContext:
     return XContext(x, "flat", left_qdelta(x))
 
 
-@dataclass(frozen=True)
-class XValue:
+class XValue(Record):
     """A quadratic-extension value bound to its specialization context."""
 
-    value: NuValue
-    context: XContext
+    __slots__ = ("value", "context")
+
+    def __init__(self, value: NuValue, context: XContext) -> None:
+        setfield(self, "value", value)
+        setfield(self, "context", context)
 
     @property
     def even(self) -> RatFun:
@@ -204,11 +206,13 @@ def _at(value: Fraction | RatFun, q0: Fraction) -> Fraction:
     return value if isinstance(value, Fraction) else value.evaluate(q0)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    x: Fraction
-    value: Fraction
-    flag: str
+class SweepRow(Record):
+    __slots__ = ("x", "value", "flag")
+
+    def __init__(self, x: Fraction, value: Fraction, flag: str) -> None:
+        setfield(self, "x", x)
+        setfield(self, "value", value)
+        setfield(self, "flag", flag)
 
 
 def numeric_sweep(

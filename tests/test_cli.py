@@ -1,19 +1,24 @@
 """Command-line surface: outputs, exit codes, CSV and JSON artifacts."""
 
 import contextlib
+import copy
 import io
+import pickle
 import subprocess
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlink.braid import MAX_STRANDS
-from qlink.cli import MAX_EXPONENT, MAX_STEPS, CollisionReport, builtin_mini_table, main
-from qlink.qnum import MAX_QDEGREE, qrational
+from qlink.braid import MAX_STRANDS, BraidWord, closure_stats, mirror, parse_braid
+from qlink.cli import MAX_EXPONENT, MAX_STEPS, CollisionReport, KnotTable, builtin_mini_table, main
+from qlink.exactalg import RatFun
+from qlink.qnum import MAX_QDEGREE, EvenCF, even_cf, qdelta, qrational
+from qlink.xinv import SweepRow, XContext, x_context, x_invariant
 
 
 def run(capsys, *argv):
@@ -567,3 +572,59 @@ def test_benchmark_tracer_installs_and_snapshots():
     proc = subprocess.run([sys.executable, "-B", "-c", script, str(root / "src"), str(root / "perfbench")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# start-up and records
+# ---------------------------------------------------------------------------
+
+# the modules perfbench/tracer.py reads from sys.modules once qlink is imported
+TRACED_MODULES = {"qlink.exactalg.laurent", "qlink.exactalg.ratfun", "qlink.exactalg.nu",
+                  "qlink.homfly", "qlink.qnum", "qlink.xinv"}
+
+
+def test_startup_loads_the_traced_modules_and_no_library_it_does_not_use():
+    # every qlink command is one cold process, so importing qlink must not pay
+    # for dataclasses (which loads inspect), json, csv or typing; under -S no
+    # site hook loads any of them first
+    root = Path(__file__).resolve().parents[1]
+    script = "import sys; sys.path[:0] = [sys.argv[1]]; __import__(sys.argv[2]); print(*sys.modules)"
+    for module in ("qlink.cli", "qlink.homfly"):
+        proc = subprocess.run([sys.executable, "-S", "-B", "-c", script, str(root / "src"), module],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert not loaded & {"dataclasses", "inspect", "json", "csv", "typing"}, module
+        assert TRACED_MODULES <= loaded, module
+
+
+def test_records_validate_compare_and_refuse_assignment():
+    for letters, strands, message in (((0,), 2, "nonzero"), ((2,), 2, "letter 2 out of range for 2 strands"),
+                                      ((-3,), 3, "letter -3 out of range"), ((), 0, "at least one strand")):
+        with pytest.raises(ValueError, match=message):
+            BraidWord(letters, strands)
+    with pytest.raises(ValueError, match="even length"):
+        EvenCF((1,))
+    with pytest.raises(ValueError, match="flavor must be"):
+        XContext(Fraction(2), "left", qdelta(2))
+    with pytest.raises(ValueError, match="delta = 0"):
+        XContext(Fraction(2), "right", RatFun.zero())
+    w = parse_braid("1 -2 1 -2")
+    with pytest.raises(ValueError, match="duplicate knot names"):
+        KnotTable((("a", w), ("b", w), ("a", mirror(w))), "t.csv")
+
+    assert mirror(mirror(w)) == w and hash(mirror(mirror(w))) == hash(w)
+    assert mirror(w) != w and w != BraidWord(w.letters, 4) and w != (w.letters, w.strands)
+    assert len({w, mirror(w), mirror(mirror(w)), parse_braid("1, -2, 1, -2")}) == 2
+    assert repr(w) == "BraidWord(letters=(1, -2, 1, -2), strands=3)"
+    assert repr(even_cf(Fraction(5, 2))) == "EvenCF(terms=(2, 2))"
+
+    ctx = x_context(2)
+    records = [(w, "strands"), (closure_stats(w), "components"), (builtin_mini_table(), "entries"),
+               (CollisionReport("x:2", (("3_1",),), (("4_1", "pole"),)), "groups"), (even_cf(Fraction(5, 2)), "terms"),
+               (ctx, "delta"), (x_invariant(w, ctx), "value"), (SweepRow(Fraction(1, 2), Fraction(3), ""), "flag")]
+    for record, field in records:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, None)
+        assert copy.copy(record) == record and pickle.loads(pickle.dumps(record)) == record
+        assert hash(copy.copy(record)) == hash(record)

@@ -183,6 +183,40 @@ def test_integer_evaluation_matches_fraction_sum(coeffs, r, s):
     assert p.evaluate(q0) == sum((Fraction(v) * q0**e for e, v in p.items()), Fraction(0))
 
 
+def _power_sum_evaluate(p: IntLaurent, q0: Fraction) -> Fraction:
+    """The sum of v (r/s)^e as r^lo s^-hi sum v r^(e-lo) s^(hi-e), two fresh
+    powers per term: the evaluation Horner's rule replaced, kept as its oracle."""
+    c = dict(p.items())
+    r, s = q0.numerator, q0.denominator
+    lo, hi = min(c, default=0), max(c, default=0)
+    total = sum(v * r ** (e - lo) * s ** (hi - e) for e, v in c.items())
+    num, den = total * r ** max(lo, 0), s ** max(hi, 0) * r ** max(-lo, 0)
+    return Fraction(num * s ** max(-hi, 0), den)
+
+
+def test_horner_evaluation_matches_the_power_sum():
+    points = [Fraction(n, d) for n in (-7, -3, -2, -1, 1, 2, 3, 7) for d in (1, 2, 3, 5)] + [Fraction(1000003, 999)]
+    polys = [IntLaurent(), IntLaurent({0: 5}), IntLaurent({-3: 2}), IntLaurent({7: -1}), IntLaurent({-4: 1, 4: 1}),
+             IntLaurent({0: 6, 2: 6}), IntLaurent({1: 3, -1: -3}), IntLaurent({-9: 2, -2: 4, 5: 6})]
+    rng = random.Random(16)
+    for _ in range(120):
+        lo = rng.randint(-15, 10)
+        exps = rng.sample(range(lo, lo + 25), rng.randint(1, 8))
+        polys.append(IntLaurent({e: rng.choice([-1, 1]) * rng.randint(1, 10**rng.randint(1, 12)) for e in exps}))
+    for p in polys:
+        for q0 in points:
+            assert p.evaluate(q0) == _power_sum_evaluate(p, q0), (p, q0)
+        assert p.evaluate(3) == _power_sum_evaluate(p, Fraction(3))  # an int point
+    # values whose integer numerator and denominator share a factor before reduction
+    assert IntLaurent({0: 6, 2: 6}).evaluate(Fraction(1, 2)) == Fraction(15, 2)
+    assert IntLaurent({1: 3, -1: -3}).evaluate(Fraction(-3)) == -8
+    assert IntLaurent({-2: 4, 2: 4}).evaluate(Fraction(2, 3)) == Fraction(97, 9)
+    # the long denominator of {1999/1000} at a point with large parts
+    den = qrational(Fraction(1999, 1000)).den
+    for q0 in (Fraction(1000003, 999), Fraction(-3, 2)):
+        assert den.evaluate(q0) == _power_sum_evaluate(den, q0)
+
+
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------
