@@ -1,7 +1,7 @@
 """qlink: exact q-rational numbers and quantum link invariants.
 
 Everything is exact: values are canonical fractions of integer Laurent
-polynomials (in q, or in a and q), elements of the quadratic extension
+polynomials (in q, or in a and q over q), elements of the quadratic extension
 generated by v with v^2 = delta^-1, or truncated series with rational
 coefficients.  Floating point never appears; numeric output is an exact
 rational produced at the command-line boundary.
@@ -15,7 +15,6 @@ from .exactalg import (
     PoleError,
     RatFun,
     RatFun2,
-    SpecializationError,
     TruncSeries,
     evaluate_at,
     field_op,

@@ -1,8 +1,8 @@
 """Exact commutative-algebra substrate: integer Laurent polynomials,
 canonical fractions, truncated series and the quadratic v-extension."""
 
-from .laurent import IntLaurent, IntLaurent2, laurent_gcd, laurent2_gcd
-from .nu import NuValue, SpecializationError, nu_op, nu_power, specialize_a, specialize_a_at
+from .laurent import IntLaurent, IntLaurent2, laurent_gcd
+from .nu import NuValue, nu_op, nu_power, specialize_a, specialize_a_at
 from .ratfun import (
     PoleError,
     RatFun,
@@ -29,9 +29,7 @@ __all__ = [
     "IntLaurent",
     "IntLaurent2",
     "laurent_gcd",
-    "laurent2_gcd",
     "NuValue",
-    "SpecializationError",
     "nu_op",
     "nu_power",
     "specialize_a",

@@ -10,8 +10,7 @@ machinery in `ratfun`, and work on plain integers:
 
   * Exact division is integer long division on dense coefficient lists,
     `divmod` by the divisor's leading coefficient; it stops at the first
-    inexact step.  Two-variable operands are first mapped to one variable
-    by the Kronecker substitution a = q^k.
+    inexact step.
   * One-variable gcds run the heuristic integer gcd GCDHEU (Char, Geddes &
     Gonnet, J. Symb. Comp. 7, 1989) on the primitive parts: evaluate both at
     an integer xi > 2 min(|f|, |g|) + 1, take the integer gcd, rebuild a
@@ -19,13 +18,13 @@ machinery in `ratfun`, and work on plain integers:
     part only if it divides both operands, which proves it is the gcd (a
     rebuilt 1 proves coprimality).  After a few evaluation points it falls
     back to the Euclidean algorithm over `Fraction`.
-  * Two-variable gcds run the same heuristic in a: the gcd in Z[q] of the
-    values at a = xi, rebuilt digit by digit in a.  The fallback is a
-    primitive pseudo-remainder sequence in a over Z[q^{±1}].
+  * Two-variable fractions have denominators free of a (see `ratfun`), so
+    every two-variable gcd and division has a second operand in Z[q^{±1}]:
+    they run the one-variable kernels on the a-coefficients of the first.
 
-The trial divisions of the heuristics go through the private `*_or_none`
-helpers, so only the divisions asked for through the public names show up
-when those are counted.
+The trial divisions of the heuristic go through the private `_divide_or_none`,
+so only the divisions asked for through the public names show up when those
+are counted.
 """
 
 from __future__ import annotations
@@ -270,6 +269,14 @@ class IntLaurent2(_Laurent):
         """Set of a-exponents mod 2 present in the support."""
         return {d & 1 for d, _ in self._c}
 
+    def to_q(self) -> IntLaurent:
+        """The polynomial as one in q; ValueError when it has a."""
+        out = IntLaurent.__new__(IntLaurent)
+        out._c = {e: v for (d, e), v in self._c.items() if not d}
+        if len(out._c) < len(self._c):
+            raise ValueError("denominator depends on a")
+        return out
+
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: IntLaurent2) -> IntLaurent2:
@@ -461,11 +468,11 @@ def _divide_or_none(f: IntLaurent, g: IntLaurent) -> IntLaurent | None:
     return IntLaurent({e + shift: v for e, v in enumerate(quot) if v})
 
 
-def _divide_exact(f, g, divide_or_none):
-    """divide_or_none(f, g), raising on a zero divisor or an inexact division."""
+def _divide_exact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
+    """f / g in Z[q^{±1}], raising on a zero divisor or an inexact division."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    quot = divide_or_none(f, g)
+    quot = _divide_or_none(f, g)
     if quot is None:
         raise ArithmeticError("inexact polynomial division")
     return quot
@@ -473,186 +480,45 @@ def _divide_exact(f, g, divide_or_none):
 
 def laurent_divide_exact(f: IntLaurent, g: IntLaurent) -> IntLaurent:
     """Exact division f / g in Z[q^{±1}]; raises if not divisible."""
-    return _divide_exact(f, g, _divide_or_none)
+    return _divide_exact(f, g)
 
 
 # ---------------------------------------------------------------------------
-# Two-variable gcd machinery (GCDHEU in a, primitive pseudo-remainder
-# sequences in a as the fallback)
+# Two-variable kernels against a divisor free of a, one a-coefficient at a time
 # ---------------------------------------------------------------------------
 
 
-def _to_a_poly(f: IntLaurent2) -> dict[int, IntLaurent]:
-    """View as a polynomial in a with q-Laurent coefficients."""
+def _a_coefficients(f: IntLaurent2) -> dict[int, IntLaurent]:
+    """f as a polynomial in a: a-exponent -> q-Laurent coefficient."""
     out: dict[int, dict[int, int]] = {}
     for (d, e), v in f.items():
         out.setdefault(d, {})[e] = v
     return {d: IntLaurent(c) for d, c in out.items()}
 
 
-def _from_a_poly(p: dict[int, IntLaurent]) -> IntLaurent2:
-    c: dict[tuple[int, int], int] = {}
-    for d, coeff in p.items():
-        for e, v in coeff.items():
-            c[(d, e)] = v
-    return IntLaurent2(c)
-
-
-def _a_content(p: dict[int, IntLaurent]) -> IntLaurent:
-    """q-Laurent content: gcd of all a-coefficients."""
-    g = IntLaurent.zero()
-    for coeff in p.values():
-        g = laurent_gcd(g, coeff)
-        if g.is_one():
-            return g
-    return g
-
-
-def _a_primitive(p: dict[int, IntLaurent]) -> tuple[dict[int, IntLaurent], IntLaurent]:
-    cont = _a_content(p)
-    if cont.is_one():
-        return p, cont
-    return {d: laurent_divide_exact(c, cont) for d, c in p.items()}, cont
-
-
-def _a_prem(f: dict[int, IntLaurent], g: dict[int, IntLaurent]) -> dict[int, IntLaurent]:
-    """Fraction-free pseudo-remainder of f by g with respect to a."""
-    df, dg = max(f), max(g)
-    lg = g[dg]
-    r = dict(f)
-    while r and max(r) >= dg:
-        dr = max(r)
-        lr = r[dr]
-        new: dict[int, IntLaurent] = {d: c * lg for d, c in r.items()}
-        for d, c in g.items():
-            dd = d + dr - dg
-            w = new.get(dd, IntLaurent.zero()) - c * lr
-            if w.is_zero():
-                new.pop(dd, None)
-            else:
-                new[dd] = w
-        r = new
-    return r
-
-
-def _prs_gcd2(fp: IntLaurent2, gp: IntLaurent2) -> IntLaurent2:
-    """Gcd up to units of f, g with min exponents 0 by a primitive
-    pseudo-remainder sequence in a: the fallback of `laurent2_gcd`."""
-    pf, pg = _to_a_poly(fp), _to_a_poly(gp)
-    pf, cf = _a_primitive(pf)
-    pg, cg = _a_primitive(pg)
-    cont = laurent_gcd(cf, cg)
-    if max(pf) < max(pg):
-        pf, pg = pg, pf
-    while True:
-        if not pg:
-            prim = pf
-            break
-        if max(pg) == 0:
-            prim = {0: IntLaurent.one()}
-            break
-        r = _a_prem(pf, pg)
-        if not r:
-            prim = pg
-            break
-        r, _ = _a_primitive(r)
-        pf, pg = pg, r
-    prim, _ = _a_primitive(prim)
-    out = _from_a_poly(prim)
-    return out if cont.is_one() else out * IntLaurent2.from_q(cont)
-
-
-def _norm(f: IntLaurent2) -> int:
-    return max(abs(v) for _, v in f.items())
-
-
-def _primitive2(f: IntLaurent2) -> IntLaurent2:
-    """f divided by its integer content and its lowest monomial (f nonzero)."""
-    f = f.shift(*(-m for m in f.min_exps()))
-    return f.divide_content(f.content())
-
-
-def _eval_a(f: IntLaurent2, xi: int) -> IntLaurent:
-    """f at a = xi (f has nonnegative a-exponents)."""
-    powers = [1]
-    for _ in range(max(d for (d, _), _ in f.items())):
-        powers.append(powers[-1] * xi)
-    c: dict[int, int] = {}
-    for (d, e), v in f.items():
-        c[e] = c.get(e, 0) + v * powers[d]
-    return IntLaurent(c)
-
-
-def _heu_gcd2(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2 | None:
-    """Gcd up to sign of primitive f, g with min exponents 0 by GCDHEU in a
-    over the one-variable gcd in Z[q], or None if it gives up."""
-    for xi in _heu_xi(_norm(f), _norm(g)):
-        ff, gg = _eval_a(f, xi), _eval_a(g, xi)
-        h = laurent_gcd(ff, gg).scale(math.gcd(ff.content(), gg.content()))
-        c = {}
-        for e, v in h.items():
-            for d, digit in enumerate(_digits(v, xi)):
-                if digit:
-                    c[(d, e)] = digit
-        cand = _primitive2(IntLaurent2(c))
-        if cand.is_one() or (
-            _divide2_or_none(f, cand) is not None and _divide2_or_none(g, cand) is not None
-        ):
-            return cand
-    return None
-
-
 def laurent2_gcd(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2:
-    """Gcd up to units in Z[a^{±1}, q^{±1}], normalized to min exponents 0,
-    positive leading (lexicographic) coefficient, primitive content."""
-    if f.is_zero() and g.is_zero():
-        return IntLaurent2.zero()
-    if f.is_zero() or g.is_zero():
-        out = g if f.is_zero() else f
-    elif f.is_monomial() or g.is_monomial():
-        return IntLaurent2.one()
-    else:
-        f, g = _primitive2(f), _primitive2(g)
-        out = _heu_gcd2(f, g) or _prs_gcd2(f, g)
-    out = _primitive2(out)
-    return -out if out.leading_coefficient() < 0 else out
-
-
-def _divide2_or_none(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2 | None:
-    """f / g in Z[a^{±1}, q^{±1}] for nonzero g, or None if g does not divide f.
-
-    Both are shifted to min exponents 0 and mapped to Z[q] by a -> q^k, with
-    k past the q-degree of f; `_ldiv` divides the images.  A quotient whose
-    q-degrees stay within deg_q f - deg_q g is exact, because the map is
-    injective on polynomials of q-degree below k.
-    """
-    if f.is_zero():
-        return IntLaurent2.zero()
-    (fa, fq), (ga, gq) = f.min_exps(), g.min_exps()
-    k = max(e for (_, e), _ in f.items()) - fq + 1
-    top = k - 1 - max(e for (_, e), _ in g.items()) + gq
-    quot = _ldiv(_kronecker(f, fa, fq, k), _kronecker(g, ga, gq, k))
-    if quot is None:
-        return None
-    out = {}
-    for i, v in enumerate(quot):
-        if v:
-            d, e = divmod(i, k)
-            if e > top:
-                return None
-            out[(d + fa - ga, e + fq - gq)] = v
-    return IntLaurent2(out)
-
-
-def _kronecker(f: IntLaurent2, da: int, dq: int, k: int) -> list[int]:
-    """Dense list of f / (a^da q^dq) at a = q^k."""
-    c = {(d - da) * k + e - dq: v for (d, e), v in f.items()}
-    out = [0] * (max(c) + 1)
-    for i, v in c.items():
-        out[i] = v
-    return out
+    """Gcd up to units of f in Z[a^{±1}, q^{±1}] and g free of a, normalized as
+    `laurent_gcd`'s: a common factor of g is free of a, so the gcd is that of g
+    and f's a-coefficients in Z[q^{±1}].  ValueError when g has a (or when g is
+    0 and f has a)."""
+    if g.is_zero():
+        f, g = g, f
+    h = IntLaurent.zero()
+    for c in (g.to_q(), *_a_coefficients(f).values()):
+        h = laurent_gcd(h, c)
+        if h.is_one():
+            break
+    return IntLaurent2.from_q(h)
 
 
 def laurent2_divide_exact(f: IntLaurent2, g: IntLaurent2) -> IntLaurent2:
-    """Exact division f / g in Z[a^{±1}, q^{±1}]; raises if not divisible."""
-    return _divide_exact(f, g, _divide2_or_none)
+    """Exact division f / g in Z[a^{±1}, q^{±1}] by g free of a, one a-coefficient
+    of f at a time; raises if not divisible, ValueError when g has a."""
+    h = g.to_q()
+    if h.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    out = {}
+    for d, c in _a_coefficients(f).items():
+        for e, v in _divide_exact(c, h).items():
+            out[(d, e)] = v
+    return IntLaurent2(out)

@@ -7,10 +7,10 @@ never mix: combining them is a hard error rather than a silent coercion.
 `specialize_a` is the bridge from two-variable fractions: substituting
 a = q*v*delta sends a^2 to q^2*delta and each leftover single power of a
 to q*delta*v, turning a two-variable fraction into a NuValue of its
-context, times a framing power v^k if asked.  It runs in Z[q^±1]: each
-v-parity of a polynomial's image is one polynomial over a common power of
-delta's numerator and denominator, and over the fraction's denominator
-itself when that is free of a (as every closure value's is).
+context, times a framing power v^k if asked.  It runs in Z[q^±1]: a
+`RatFun2`'s denominator is free of a, so it is its own image, and each
+v-parity of the numerator's image is one polynomial over a common power of
+delta's numerator and denominator.  No pole can occur.
 `specialize_a_at` evaluates the same image at one point q0, in integers.
 """
 
@@ -19,13 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import IntLaurent, _power
-from .ratfun import PoleError, RatFun, RatFun2, normalize
+from .ratfun import RatFun, RatFun2, normalize
 
-__all__ = ["NuValue", "nu_op", "nu_power", "specialize_a", "specialize_a_at", "SpecializationError"]
-
-
-class SpecializationError(PoleError):
-    """A denominator vanished under the a = q*v*delta substitution."""
+__all__ = ["NuValue", "nu_op", "nu_power", "specialize_a", "specialize_a_at"]
 
 
 class NuValue:
@@ -186,11 +182,6 @@ def _parts(p, framing: int) -> tuple[dict[int, dict[int, int]], ...]:
     return parts
 
 
-def _q_den(F: RatFun2) -> IntLaurent | None:
-    """F's denominator as a polynomial in q, or None when it has a."""
-    return F.den.subs_a_power_of_q(0) if all(d == 0 for (d, _), _ in F.den.items()) else None
-
-
 def _specialize_poly(p, delta: RatFun, framing: int = 0, den: IntLaurent = IntLaurent.one()) -> NuValue:
     """Substitute a = q*v*delta into an integer Laurent polynomial p in a and
     q, times v^k (k = framing), over the q-polynomial `den` (see `_parts`).
@@ -215,10 +206,9 @@ def _specialize_poly(p, delta: RatFun, framing: int = 0, den: IntLaurent = IntLa
 def specialize_a_at(F: RatFun2, q0: Fraction, delta0: Fraction, framing: int = 0) -> tuple[int, Fraction] | None:
     """(v-parity, value) of F at a = q*v*delta, times v^framing, at q = q0 = r/s and
     delta = delta0 = P/Q != 0, summed in integers over s^Ehi r^-Elo Q^mhi P^-mlo.
-    None where F's denominator has a or vanishes at q0, or the value is 0.
+    None where F's denominator vanishes at q0, or the value is 0.
     """
-    q_den = _q_den(F)
-    den0 = q_den.evaluate(q0) if q_den is not None else 0
+    den0 = F.den.to_q().evaluate(q0)
     if not den0:
         return None
     parts = _parts(F.num, framing)
@@ -238,23 +228,6 @@ def specialize_a_at(F: RatFun2, q0: Fraction, delta0: Fraction, framing: int = 0
 
 
 def specialize_a(F: RatFun2, delta: RatFun, framing: int = 0) -> NuValue:
-    """Specialize a two-variable fraction at a = q*v*delta, times v^framing.
-
-    A denominator free of a is its own image: only the numerator is
-    substituted (see `_specialize_poly`) and no pole can occur.  Otherwise
-    the value is the quotient of both images in the quadratic extension;
-    SpecializationError is raised when the denominator's image is zero or
-    has zero norm (a pole of the specialization).
-    """
-    den = _q_den(F)
-    if den is not None:
-        return _specialize_poly(F.num, delta, framing, den)
-    num = _specialize_poly(F.num, delta, framing)
-    den = _specialize_poly(F.den, delta)
-    if den.is_zero():
-        raise SpecializationError("denominator vanishes under the a = q*v*delta specialization")
-    norm = den.norm()
-    if norm.is_zero():
-        raise SpecializationError("denominator has zero norm under the a = q*v*delta specialization")
-    # num / den, with the norm computed once: 1/den = conjugate(den) / norm(den)
-    return num * den.conjugate() * norm.inverse()
+    """Specialize a two-variable fraction at a = q*v*delta, times v^framing:
+    its numerator substituted over its own denominator (see `_specialize_poly`)."""
+    return _specialize_poly(F.num, delta, framing, F.den.to_q())

@@ -1,5 +1,13 @@
 """Canonical fractions of integer Laurent polynomials.
 
+A `RatFun` is a fraction in q.  A `RatFun2` has its numerator in a and q and
+its denominator in q alone: every value the pipeline builds lies over one
+(closure values over (q^2 - 1)^c, circles and digons over powers of q - q^-1
+and q-factorials, twists over 1).  A monomial a^k in a denominator moves to the
+numerator; any other denominator in a raises ValueError("denominator depends
+on a") before a gcd runs.  So every gcd and division a `RatFun2` asks for has
+a second operand free of a, and runs on one-variable kernels (see `laurent`).
+
 A fraction is stored in the canonical form
 
   * denominator nonzero, with minimal exponent(s) 0 (any monomial factor of
@@ -54,7 +62,8 @@ class _Fraction:
 
     A subclass supplies its polynomial type `_POLY`, its gcd `_gcd` and exact
     division `_div`, `_drop_low` (divide numerator and denominator by the
-    lowest monomial of the denominator) and its substitutions.  It binds
+    lowest monomial of the denominator, and refuse a denominator outside the
+    subclass's ring) and its substitutions.  It binds
     `__add__` and `__mul__` in its own namespace, so that each class's
     arithmetic can be patched or profiled on its own, and its `_gcd`/`_div`
     look the kernels up in module globals on every call.
@@ -70,6 +79,7 @@ class _Fraction:
         if den is None:
             den = self._POLY.one()
         if num and den and not den.is_monomial():
+            num, den = self._drop_low(num, den)
             g = self._gcd(num, den)
             if not g.is_one():
                 num = self._div(num, g)
@@ -96,9 +106,9 @@ class _Fraction:
         """
         if den.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
+        num, den = cls._drop_low(num, den)
         if num.is_zero():
             return cls.zero()
-        num, den = cls._drop_low(num, den)
         cg = math.gcd(num.content(), den.content())
         if cg > 1:
             num = num.divide_content(cg)
@@ -301,7 +311,8 @@ def evaluate_at(f: RatFun, q0: Fraction | int) -> Fraction:
 
 
 class RatFun2(_Fraction):
-    """Canonical fraction of integer Laurent polynomials in a and q."""
+    """Canonical fraction of an integer Laurent polynomial in a and q over
+    one in q (stored as an `IntLaurent2` of a-exponent 0)."""
 
     __slots__ = ()
     _POLY = IntLaurent2
@@ -319,7 +330,10 @@ class RatFun2(_Fraction):
     @staticmethod
     def _drop_low(num: IntLaurent2, den: IntLaurent2) -> tuple[IntLaurent2, IntLaurent2]:
         da, dq = den.min_exps()
-        return (num.shift(-da, -dq), den.shift(-da, -dq)) if da or dq else (num, den)
+        if da or dq:
+            num, den = num.shift(-da, -dq), den.shift(-da, -dq)
+        den.to_q()  # ValueError when the denominator depends on a
+        return num, den
 
     @staticmethod
     def monomial(coeff: int, a_exp: int = 0, q_exp: int = 0) -> RatFun2:
@@ -342,14 +356,10 @@ class RatFun2(_Fraction):
         return normalize(num, den)
 
     def a_parities(self) -> set[int]:
-        """Parity of the value's a-degree: parities of numerator support minus
-        the (single, by homogeneity of canonical denominators in practice)
-        parity of the denominator support, as a set of residues mod 2."""
-        pn = self.num.a_parities()
-        pd = self.den.a_parities()
-        return {(x - y) % 2 for x in pn for y in pd}
+        """Parities of the value's a-exponents, those of its numerator."""
+        return self.num.a_parities()
 
 
 def normalize2(num: IntLaurent2, den: IntLaurent2) -> RatFun2:
-    """Canonical fraction num/den over Z[a^{±1}, q^{±1}]."""
+    """Canonical fraction num/den, num in Z[a^{±1}, q^{±1}] and den in a^k Z[q^{±1}]."""
     return RatFun2(num, den)

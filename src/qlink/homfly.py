@@ -52,7 +52,7 @@ from collections import Counter
 from itertools import accumulate, product
 
 from .braid import BraidWord, closure_stats
-from .exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2, normalize2
+from .exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2
 from .qnum import qfactorial
 
 __all__ = [
@@ -64,8 +64,6 @@ __all__ = [
     "mu_colored",
     "homfly_twist_coeff",
 ]
-
-_W = IntLaurent2({(1, 0): 1, (-1, 0): -1})  # a - a^-1, the denominator of z
 
 Coeff = dict[tuple[int, int], int]  # {(z-power, q-exponent): integer}, in Hecke elements and traces
 
@@ -152,9 +150,11 @@ def hecke_mul_gen(e: HeckeElement, i: int, sign: int) -> HeckeElement:
     return HeckeElement(e.strands, out)
 
 
-def _trace(e: HeckeElement) -> Coeff:
-    """Markov trace of e as a `Coeff` map: Ocneanu's trace E_2 o ... o E_n, each
-    conditional expectation E_m: H_m -> H_(m-1)[z] applied to the whole element.
+def ocneanu_trace(e: HeckeElement) -> Coeff:
+    """Markov trace of e as a `Coeff` map {(z-power, q-exponent): c}, with z
+    formal (`homfly` substitutes the calibrated z): Ocneanu's trace
+    E_2 o ... o E_n, each conditional expectation E_m: H_m -> H_(m-1)[z]
+    applied to the whole element.
 
     E_m fixes T_w when w(m) = m.  Otherwise, with m in position j (counted from
     1) and y = w without m, it maps T_w to z T_y T_(s_(m-2)) ... T_(s_j); the
@@ -191,11 +191,11 @@ def _divide_by_t_minus_1(p: list[int]) -> list[int]:
 
 def _closure_numerator(tau: Coeff, n: int, r: int, dq: int = 0, sign: int = 1) -> IntLaurent2:
     """sign q^dq N / (q^2 - 1)^r, N = sum_k c_k U^k W^(n-k), for tau = sum_k c_k z^k from
-    `_trace` and n at least its z-degree.  As U = -a (q^2 - 1), it is sum_k (-a)^k d_k W^(n-k)
-    with d_k = c_k (q^2 - 1)^(k-r): its a^(n-2j) coefficient is (-1)^j sum_k (-1)^k C(n-k, j) d_k.
-    Each d_k is formed once on dense integer lists in t = q^2, one per parity of the q-exponents
-    (closure traces have one): c_k is divided r - k times by t - 1, or multiplied k - r times;
-    an inexact division raises ArithmeticError."""
+    `ocneanu_trace` and n at least its z-degree.  As U = -a (q^2 - 1), it is sum_k (-a)^k d_k
+    W^(n-k) with d_k = c_k (q^2 - 1)^(k-r): its a^(n-2j) coefficient is (-1)^j sum_k (-1)^k
+    C(n-k, j) d_k.  Each d_k is formed once on dense integer lists in t = q^2, one per parity
+    of the q-exponents (closure traces have one): c_k is divided r - k times by t - 1, or
+    multiplied k - r times; an inexact division raises ArithmeticError."""
     lo = min((e for _, e in tau), default=0)
     width = (max((e for _, e in tau), default=lo) - lo) // 2 + 1
     parts: dict[tuple[int, int], list[int]] = {}  # (k, s) -> the q^(lo + s) t^i coefficients of c_k
@@ -225,21 +225,15 @@ def _q2_minus_1_power(c: int) -> IntLaurent2:
     return IntLaurent2(out)
 
 
-def ocneanu_trace(e: HeckeElement) -> RatFun2:
-    """Markov trace at the calibrated z."""
-    tau = _trace(e)
-    top = max((k for k, _ in tau), default=0)
-    return normalize2(_closure_numerator(tau, top, 0), _W**top)
-
-
 def homfly(w: BraidWord) -> RatFun2:
     """Framed HOMFLY-PT polynomial of the closure of a braid word, with the
     calibrated z, d and mu."""
     # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and N / (q^2 - 1)^(n-c) is free of q -+ 1
     n, e, c = w.strands, w.writhe, closure_stats(w).components
-    tau = _trace(HeckeElement.from_braid(w))
+    tau = ocneanu_trace(HeckeElement.from_braid(w))
     num = _closure_numerator(tau, n, n - c, n - 2 * e, -1 if e % 2 else 1)
-    return RatFun2._reduced(num, _q2_minus_1_power(c))
+    # canonical as built: (q^2 - 1)^c is free of a, with constant term +-1, leading coefficient 1
+    return RatFun2._make(num, _q2_minus_1_power(c))
 
 
 # ---------------------------------------------------------------------------

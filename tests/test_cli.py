@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import json
 import pickle
 import subprocess
 import sys
@@ -596,6 +597,21 @@ def test_startup_loads_the_traced_modules_and_no_library_it_does_not_use():
         loaded = set(proc.stdout.split())
         assert not loaded & {"dataclasses", "inspect", "json", "csv", "typing"}, module
         assert TRACED_MODULES <= loaded, module
+
+
+def test_benchmark_tracer_resolves_every_layer_and_counts_the_trace():
+    # the benchmark's traced mode wraps each name in `perfbench/tracer.py`'s
+    # LAYERS; one that no longer resolves makes it raise before it measures
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:3]; import qlink.cli, tracer; t = tracer.Tracer(); t.install(); "
+        "from qlink.braid import parse_braid; from qlink.homfly import homfly; homfly(parse_braid('1 1 1')); "
+        "import json; print(json.dumps(t.snapshot()['calls']))"
+    )
+    proc = subprocess.run([sys.executable, "-B", "-c", script, str(root / "src"), str(root / "perfbench")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"homfly.homfly": 1, "homfly.trace": 1, "homfly.hecke_mul": 3}
 
 
 def test_records_validate_compare_and_refuse_assignment():

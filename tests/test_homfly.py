@@ -3,14 +3,15 @@
 import random
 import sys
 from collections import Counter
-from itertools import product, zip_longest
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlink.braid import MAX_STRANDS, BraidWord, closure_stats, mirror, parse_braid
-from qlink.exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2
+from qlink.exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2, specialize_a
 from qlink.homfly import (
     HeckeElement,
     hecke_mul_gen,
@@ -27,12 +28,25 @@ Q = RatFun2.monomial(1, 0, 1)
 ONE = RatFun2.from_int(1)
 
 # The calibration in Z[a^+-1, q^+-1]: z = U / W, d = -q^-2, mu = q W / (q^2 - 1).
+# z lies over W, which depends on a, so it is a value only at a = q^N, N != 0.
 W = IntLaurent2({(1, 0): 1, (-1, 0): -1})  # a - a^-1
 U = IntLaurent2({(1, 0): 1, (1, 2): -1})  # -q a (q - q^-1)
 Q2_MINUS_1 = IntLaurent2({(0, 2): 1, (0, 0): -1})
-Z = RatFun2(U, W)
 D = RatFun2.monomial(-1, 0, -2)
 MU = RatFun2(W.shift(0, 1), Q2_MINUS_1)
+
+
+def _calibration(n: int) -> tuple[RatFun, RatFun, RatFun]:
+    """mu, z and d at a = q^n, fractions in q (n != 0, where W = q^n - q^-n)."""
+    z = RatFun(U.subs_a_power_of_q(n), W.subs_a_power_of_q(n))
+    return MU.subs_a_power_of_q(n), z, D.subs_a_power_of_q(n)
+
+
+def _powers_of_q(span: int) -> list[int]:
+    """More than `span` exponents n != 0: a Laurent polynomial in a of a-span
+    `span` that vanishes at a = q^n for all of them is 0."""
+    k = span // 2 + 1
+    return [*range(-k, 0), *range(1, k + 1)]
 
 
 def random_word(rng: random.Random, max_len: int, max_strands: int) -> BraidWord:
@@ -45,12 +59,6 @@ def random_word(rng: random.Random, max_len: int, max_strands: int) -> BraidWord
 # ---------------------------------------------------------------------------
 # Hecke algebra
 # ---------------------------------------------------------------------------
-
-
-def _laurent(c: dict) -> IntLaurent:
-    """A coefficient map of z-power 0 as the Laurent polynomial in q it spells."""
-    assert all(k == 0 for k, _ in c), c
-    return IntLaurent({e: v for (_, e), v in c.items()})
 
 
 def test_hecke_generator_on_identity():
@@ -99,28 +107,37 @@ def test_hecke_index_range():
 
 def test_calibration():
     # the unknot value, and the framed stabilization factors q^-1 a and q a^-1
-    # (tau(g^-1) = q^-2 z - (q^-2 - 1))
+    # (tau(g^-1) = q^-2 z - (q^-2 - 1)), at a = q^n: each side is a Laurent
+    # polynomial in a with exponents in [-1, 1]
     assert MU == (A - A.inverse()) / (Q - Q.inverse())
-    assert MU * D * Z == Q.inverse() * A
-    qm2 = Q.inverse() ** 2
-    assert MU * D.inverse() * (qm2 * Z - (qm2 - ONE)) == Q * A.inverse()
+    q, qm2 = RatFun.q_power(1), RatFun.q_power(-2)
+    for n in _powers_of_q(2):
+        mu, z, d = _calibration(n)
+        a = RatFun.q_power(n)
+        assert mu == (a - a.inverse()) / (q - q.inverse())
+        assert mu * d * z == q.inverse() * a
+        assert mu * d.inverse() * (qm2 * z - (qm2 - 1)) == q * a.inverse()
+
+
+def _times_z(tau: dict) -> dict:
+    """z times a trace: z is formal, so its power shifts."""
+    return {(k + 1, e): v for (k, e), v in tau.items()}
 
 
 def test_trace_normalization():
     for n in range(1, 5):
-        assert ocneanu_trace(HeckeElement.identity(n)) == ONE
+        assert ocneanu_trace(HeckeElement.identity(n)) == {(0, 0): 1}
 
 
 def test_trace_of_generator_is_z():
     e = hecke_mul_gen(HeckeElement.identity(2), 1, 1)
-    assert ocneanu_trace(e) == Z
+    assert ocneanu_trace(e) == {(1, 0): 1}
 
 
 def test_trace_of_cubed_generator():
+    # ((1 - q^2)^2 + q^2) z + q^2 (1 - q^2)
     e = HeckeElement.from_braid(parse_braid("1 1 1"))
-    q2 = RatFun2.monomial(1, 0, 2)
-    expected = ((ONE - q2) ** 2 + q2) * Z + q2 * (ONE - q2)
-    assert ocneanu_trace(e) == expected
+    assert ocneanu_trace(e) == {(1, 0): 1, (1, 2): -1, (1, 4): 1, (0, 2): 1, (0, 4): -1}
 
 
 def test_trace_markov_property():
@@ -131,40 +148,56 @@ def test_trace_markov_property():
         w = random_word(rng, 5, n)
         e = HeckeElement.from_braid(BraidWord(w.letters, n + 1))
         stabilized = hecke_mul_gen(e, n, 1)
-        assert ocneanu_trace(stabilized) == Z * ocneanu_trace(HeckeElement.from_braid(w))
+        assert ocneanu_trace(stabilized) == _times_z(ocneanu_trace(HeckeElement.from_braid(w)))
 
 
-def _reference_trace(e: HeckeElement, cache: dict) -> RatFun2:
-    """The Markov trace over the fraction field: the same coset recursion, but
-    every coefficient is a canonical fraction and z is multiplied in at every
-    level instead of once at the end."""
+_BASIS_TRACES: dict = {}
 
-    def basis(w):
-        n = len(w)
-        if n <= 1:
-            return ONE
-        if w not in cache:
-            if w[-1] == n:
-                cache[w] = basis(w[:-1])
-            else:
-                j = w.index(n) + 1
-                elem = HeckeElement(n - 1, {tuple(v for v in w if v != n): {(0, 0): 1}})
-                for i in range(n - 2, j - 1, -1):
-                    elem = hecke_mul_gen(elem, i, 1)
-                cache[w] = Z * combination(elem)
-        return cache[w]
 
-    def combination(elem):
-        acc = RatFun2.zero()
-        for w, c in elem.terms.items():
-            acc = acc + RatFun.from_laurent(_laurent(c)).to_ratfun2() * basis(w)
-        return acc
+def _basis_trace(w: tuple[int, ...]) -> dict:
+    """Markov trace of T_w by the coset recursion: tau(T_w) = tau(T_w') when w
+    fixes n, and otherwise z tau(T_y T_(s_(n-2)) ... T_(s_j)), with n in
+    position j and y = w without n."""
+    n = len(w)
+    if n <= 1:
+        return {(0, 0): 1}
+    if w not in _BASIS_TRACES:
+        if w[-1] == n:
+            val = _basis_trace(w[:-1])
+        else:
+            j = w.index(n) + 1
+            elem = HeckeElement(n - 1, {tuple(v for v in w if v != n): {(0, 0): 1}})
+            for i in range(n - 2, j - 1, -1):
+                elem = hecke_mul_gen(elem, i, 1)
+            val = _times_z(_reference_trace(elem))
+        _BASIS_TRACES[w] = val
+    return _BASIS_TRACES[w]
 
-    return combination(e)
+
+def _reference_trace(e: HeckeElement) -> dict:
+    """Markov trace of e as a `Coeff` map, by the recursive coset recursion on
+    each basis element, z a formal shift of the z-power: the oracle of the
+    level-by-level `ocneanu_trace`."""
+    acc: Counter = Counter()
+    for w, c in e.terms.items():
+        for (k1, e1), v1 in c.items():
+            for (k2, e2), v2 in _basis_trace(w).items():
+                acc[(k1 + k2, e1 + e2)] += v1 * v2
+    return {key: v for key, v in acc.items() if v}
+
+
+def _z_coeffs(tau: dict) -> tuple[IntLaurent, ...]:
+    """A `Coeff` map as its coefficients of z^0, z^1, ..., Laurent polynomials in q."""
+    top = max((k for k, _ in tau), default=-1)
+    return tuple(IntLaurent({e: v for (j, e), v in tau.items() if j == k}) for k in range(top + 1))
+
+
+def _flat(coeffs) -> dict:
+    """z-coefficient tuple -> {(z-power, q-exponent): coefficient}, the form of a trace."""
+    return {(k, e): v for k, c in enumerate(coeffs) for e, v in c.items()}
 
 
 def test_trace_matches_fraction_field_reference():
-    cache: dict = {}
     words = [
         BraidWord(letters, 3)
         for length in range(5)
@@ -174,14 +207,13 @@ def test_trace_matches_fraction_field_reference():
     words += [random_word(rng, 6, 5) for _ in range(30)]
     for w in words:
         e = HeckeElement.from_braid(w)
-        assert ocneanu_trace(e) == _reference_trace(e, cache), w
+        assert ocneanu_trace(e) == _reference_trace(e), w
 
 
 def test_hecke_and_trace_stay_in_the_polynomial_ring(monkeypatch):
     # Hecke arithmetic and the trace run no fraction operation and no
-    # polynomial gcd; only the final evaluation at z does.
+    # polynomial gcd
     import qlink.exactalg.ratfun as ratfun
-    from qlink.homfly import _trace
 
     calls = Counter()
 
@@ -200,10 +232,10 @@ def test_hecke_and_trace_stay_in_the_polynomial_ring(monkeypatch):
     traces = []
     for _ in range(10):
         e = HeckeElement.from_braid(random_word(rng, 6, 5))
-        traces.append(_trace(e))
+        traces.append(ocneanu_trace(e))
     assert all(traces) and not calls
-    ocneanu_trace(e)
-    assert calls["laurent2_gcd"] > 0  # the counters do see the evaluation
+    MU * MU
+    assert calls["laurent2_gcd"] and calls["__mul__"]  # the counters do see fraction arithmetic
 
 
 def test_trace_at_max_strands_takes_no_frame_per_strand():
@@ -331,51 +363,6 @@ def test_a_parity_matches_strand_count():
         assert (stats.components + stats.writhe) % 2 == w.strands % 2
 
 
-def _add_scaled(acc: tuple, c: IntLaurent, coeffs: tuple) -> tuple:
-    """acc + c * coeffs, coefficientwise in z."""
-    return tuple(x + c * t for x, t in zip_longest(acc, coeffs, fillvalue=IntLaurent.zero()))
-
-
-_BASIS_COEFFS: dict = {}
-
-
-def _basis_coeffs(w: tuple[int, ...]) -> tuple[IntLaurent, ...]:
-    """Markov trace of a T-basis element as its coefficients of z^0, z^1, ...,
-    by the same coset recursion summed as polynomials: the oracle of the flat
-    basis traces."""
-    n = len(w)
-    if n <= 1:
-        return (IntLaurent.one(),)
-    if w not in _BASIS_COEFFS:
-        if w[-1] == n:
-            val = _basis_coeffs(w[:-1])
-        else:
-            j = w.index(n) + 1
-            elem = HeckeElement(n - 1, {tuple(v for v in w if v != n): {(0, 0): 1}})
-            for i in range(n - 2, j - 1, -1):
-                elem = hecke_mul_gen(elem, i, 1)
-            acc: tuple[IntLaurent, ...] = ()
-            for w2, c2 in elem.terms.items():
-                acc = _add_scaled(acc, _laurent(c2), _basis_coeffs(w2))
-            val = (IntLaurent.zero(), *acc)
-        _BASIS_COEFFS[w] = val
-    return _BASIS_COEFFS[w]
-
-
-def _trace_coeffs(e: HeckeElement) -> tuple[IntLaurent, ...]:
-    """Markov trace of e as its coefficients of z^0, z^1, ..., summed as
-    polynomials: the oracle of the level-by-level `_trace`."""
-    acc: tuple[IntLaurent, ...] = ()
-    for w, c in e.terms.items():
-        acc = _add_scaled(acc, _laurent(c), _basis_coeffs(w))
-    return acc
-
-
-def _flat(coeffs) -> dict:
-    """z-coefficient tuple -> {(z-power, q-exponent): coefficient}, the form of a trace."""
-    return {(k, e): v for k, c in enumerate(coeffs) for e, v in c.items()}
-
-
 def _times_mu_power(coeffs: tuple[IntLaurent, ...], m: int) -> IntLaurent2:
     """sum_k c_k U^k W^(m-k) = (q - q^-1)^m mu^m sum_k c_k z^k (m >= k), by Horner
     in U over IntLaurent2 products: the oracle of `_closure_numerator`."""
@@ -386,13 +373,15 @@ def _times_mu_power(coeffs: tuple[IntLaurent, ...], m: int) -> IntLaurent2:
     return acc
 
 
-def _reference_homfly(w: BraidWord) -> RatFun2:
-    """The closure value over the fraction field: the trace's z-coefficients
-    evaluated by Horner at z, times the prefactor mu^n d^writhe."""
-    tau = RatFun2.zero()
-    for c in reversed(_trace_coeffs(HeckeElement.from_braid(w))):
-        tau = tau * Z + RatFun2(IntLaurent2.from_q(c))
-    return MU ** w.strands * D ** w.writhe * tau
+def _reference_homfly(w: BraidWord, n: int) -> RatFun:
+    """The closure value at a = q^n over the fraction field in q: the trace's
+    z-coefficients evaluated by Horner at z, times the prefactor mu^s d^writhe
+    (s strands)."""
+    mu, z, d = _calibration(n)
+    tau = RatFun.zero()
+    for c in reversed(_z_coeffs(_reference_trace(HeckeElement.from_braid(w)))):
+        tau = tau * z + RatFun.from_laurent(c)
+    return mu ** w.strands * d ** w.writhe * tau
 
 
 def _oracle_words() -> list[BraidWord]:
@@ -416,7 +405,8 @@ def test_homfly_matches_fraction_field_reference():
     assert len(words) == 341 + 50 + 4
     for w in words:
         h = homfly(w)
-        assert h == _reference_homfly(w), w
+        for n in _powers_of_q(2 * w.strands):  # both sides have a-exponents in [-s, s]
+            assert h.subs_a_power_of_q(n) == _reference_homfly(w, n), (w, n)
         assert h.den == Q2_MINUS_1 ** closure_stats(w).components, w
 
 
@@ -461,12 +451,11 @@ def test_trace_coefficients_carry_powers_of_q2_minus_1():
     # (q^2 - 1)^(r - k) divides the z^k coefficient c_k of the braid's trace, and
     # c_r = 1 at q = +-1
     from qlink.exactalg.laurent import laurent_divide_exact
-    from qlink.homfly import _trace
 
     t_minus_1 = IntLaurent({2: 1, 0: -1})
     for w in _fact_words():
         r = w.strands - closure_stats(w).components
-        tau = _trace(HeckeElement.from_braid(w))
+        tau = ocneanu_trace(HeckeElement.from_braid(w))
         coeffs = [IntLaurent({e: v for (j, e), v in tau.items() if j == k}) for k in range(w.strands)]
         for k, c in enumerate(coeffs[:r]):
             laurent_divide_exact(c, t_minus_1 ** (r - k))  # raises ArithmeticError if inexact
@@ -476,14 +465,15 @@ def test_trace_coefficients_carry_powers_of_q2_minus_1():
 def test_homfly_numerators_are_free_of_q_minus_1_and_q_plus_1():
     # at q = +-1 the numerator is (-1)^e q^(n - 2e) W^c S(a) with S(1) = (-1)^(n - c):
     # neither q - 1 nor q + 1 divides it, so it needs no gcd
-    from qlink.exactalg.laurent import _divide2_or_none, laurent_divide_exact
+    from qlink.exactalg.laurent import laurent2_divide_exact, laurent_divide_exact
 
     w_a = IntLaurent({1: 1, -1: -1})  # W = a - a^-1 as a polynomial in a
     for w in _fact_words():
         n, e, c = w.strands, w.writhe, closure_stats(w).components
         num = homfly(w).num
         for f in (IntLaurent({1: 1, 0: -1}), IntLaurent({1: 1, 0: 1})):
-            assert _divide2_or_none(num, IntLaurent2.from_q(f)) is None, (w, f)
+            with pytest.raises(ArithmeticError, match="^inexact polynomial division$"):
+                laurent2_divide_exact(num, IntLaurent2.from_q(f))
         for q0 in (1, -1):
             at_q0 = Counter()
             for (a, q), v in num.items():
@@ -506,21 +496,17 @@ def test_flat_basis_traces_match_polynomial_recursion():
     # the level-by-level trace of each single T_w against the coset recursion,
     # over the basis elements of the oracle words and of the torus words
     # (1..n-1)^n and (1..n-1)^(n+1) on 6 and 7 strands, which reach all n! of them
-    from qlink.homfly import _trace
-
     words = _oracle_words() + [BraidWord(tuple(range(1, n)) * k, n) for n in (6, 7) for k in (n, n + 1)]
     basis = {b for w in words for b in HeckeElement.from_braid(w).terms}
     assert len(basis) > 5040
     for b in basis:
-        assert _trace(HeckeElement(len(b), {b: {(0, 0): 1}})) == _flat(_basis_coeffs(b)), b
+        assert ocneanu_trace(HeckeElement(len(b), {b: {(0, 0): 1}})) == _basis_trace(b), b
 
 
 def test_flat_trace_sum_matches_polynomial_sum():
-    from qlink.homfly import _trace
-
     for w in _oracle_words():
         e = HeckeElement.from_braid(w)
-        assert _trace(e) == _flat(_trace_coeffs(e)), w
+        assert ocneanu_trace(e) == _reference_trace(e), w
 
 
 def test_closure_numerator_matches_products_and_kronecker_division():
@@ -529,7 +515,7 @@ def test_closure_numerator_matches_products_and_kronecker_division():
 
     for w in _oracle_words():
         n, e, c = w.strands, w.writhe, closure_stats(w).components
-        coeffs = _trace_coeffs(HeckeElement.from_braid(w))
+        coeffs = _z_coeffs(_reference_trace(HeckeElement.from_braid(w)))
         expected = laurent2_divide_exact(
             _times_mu_power(coeffs, n).shift(0, n - 2 * e), Q2_MINUS_1 ** (n - c)
         )
@@ -656,6 +642,24 @@ def test_twist_coefficients():
         assert homfly_twist_coeff(k, 1) * homfly_twist_coeff(k, -1) == ONE
 
 
+def test_producers_yield_denominators_free_of_a(monkeypatch):
+    # closure values and their mirrors, colored circles, twist coefficients and
+    # the digon value `digon_specialize` substitutes all lie over Z[q^+-1]
+    import qlink.xinv as xinv
+
+    digons = []
+    monkeypatch.setattr(xinv, "specialize_a", lambda F, *args: digons.append(F) or specialize_a(F, *args))
+    for r in range(-2, 4):
+        for ctx in (xinv.x_context(Fraction(5, 2)), xinv.flat_context(Fraction(-3, 4))):
+            xinv.digon_specialize(r, ctx)
+    assert len(digons) == 12
+    values = [homfly(w) for w in _oracle_words()]
+    values += [h.subs_bar() for h in values] + digons + [mu_colored(k) for k in range(1, 7)]
+    values += [homfly_twist_coeff(k, sign) for k in range(1, 6) for sign in (1, -1)]
+    for h in values:
+        assert {d for (d, _), _ in h.den.items()} == {0}, h
+
+
 def test_mu_colored_integer_specialization_is_binomial():
     # at a = q^n the k-colored circle is q^(-k(n-k)) {n choose k}; in
     # particular it vanishes for k > n.
@@ -772,22 +776,23 @@ def test_rt_stabilized_unknot():
 
 def test_unframed_values_match_classical_homfly_tables():
     # External anchor for the full two-variable invariant: after removing
-    # the framing and the circle factor, values agree with the classical
-    # v-z tables under v = a^-1, z = q - q^-1 (direction fixed by the
-    # skein a P+ - a^-1 P- = z P0 our normalization satisfies).
-    def reduced_unframed(w):
-        return homfly(w) * (A.inverse() * Q) ** w.writhe / MU
+    # the framing, values are the circle factor mu times the classical v-z
+    # tables under v = a^-1, z = q - q^-1 (direction fixed by the skein
+    # a P+ - a^-1 P- = z P0 our normalization satisfies).  Dividing by mu
+    # would put a - a^-1 in a denominator, so the tables are multiplied by it.
+    def unframed(w):
+        return homfly(w) * (A.inverse() * Q) ** w.writhe
 
     z = Q - Q.inverse()
     v = A.inverse()
     tref = parse_braid("1 1 1")
-    assert reduced_unframed(tref) == 2 * v**2 - v**4 + v**2 * z * z
+    assert unframed(tref) == MU * (2 * v**2 - v**4 + v**2 * z * z)
     t25 = parse_braid("1 1 1 1 1")
-    assert reduced_unframed(t25) == 3 * v**4 - 2 * v**6 + (4 * v**4 - v**6) * z * z + v**4 * z**4
+    assert unframed(t25) == MU * (3 * v**4 - 2 * v**6 + (4 * v**4 - v**6) * z * z + v**4 * z**4)
     fig8 = parse_braid("1 -2 1 -2")
-    assert reduced_unframed(fig8) == v**-2 - ONE + v**2 - z * z
+    assert unframed(fig8) == MU * (v**-2 - ONE + v**2 - z * z)
     # mirror image: v -> v^-1
-    assert reduced_unframed(mirror(tref)) == 2 * v**-2 - v**-4 + v**-2 * z * z
+    assert unframed(mirror(tref)) == MU * (2 * v**-2 - v**-4 + v**-2 * z * z)
 
 
 def test_unframed_rank2_values_match_classical_jones():

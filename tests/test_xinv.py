@@ -431,8 +431,9 @@ def test_sweep_rows_equal_the_symbolic_oracle(monkeypatch):
 
 def test_sweep_falls_back_where_delta_or_the_denominator_is_irregular(monkeypatch):
     # crafted, since no closure value or context on the tested grids has such a point:
-    # delta = (q - 2)^2 / (q - 3) is 0 at q0 = 2 and a pole at q0 = 3; a value
-    # q a / (1 + a^2) has a in its denominator
+    # delta = (q - 2)^2 / (q - 3) is 0 at q0 = 2 and a pole at q0 = 3; the value
+    # (a^2 - q^4) / (q - 2) has a denominator that vanishes at q0 = 2 (its rows
+    # are poles, except at right x = 2, where a^2 = q^2 delta = q^4 makes it 0)
     import qlink.xinv as xinv
 
     symbolic = _count_symbolic_rows(monkeypatch)
@@ -447,7 +448,7 @@ def test_sweep_falls_back_where_delta_or_the_denominator_is_irregular(monkeypatc
             assert got == _per_point_sweep(TREFOIL, q0, xs, normalized, "right")
     monkeypatch.undo()
     symbolic = _count_symbolic_rows(monkeypatch)
-    F = RatFun2(IntLaurent2({(1, 1): 1}), IntLaurent2({(0, 0): 1, (2, 0): 1}))
+    F = RatFun2(IntLaurent2({(2, 0): 1, (0, 4): -1}), IntLaurent2({(0, 1): 1, (0, 0): -2}))
     monkeypatch.setattr(xinv, "homfly", lambda w: F)
     for normalized in (False, True):
         for flavor in ("right", "flat"):
