@@ -2,7 +2,7 @@
 canonical fractions, truncated series and the quadratic v-extension."""
 
 from .laurent import IntLaurent, IntLaurent2, laurent_gcd
-from .nu import NuValue, nu_op, nu_power, specialize_a, specialize_a_at
+from .nu import NuValue, nu_op, nu_power, specialize_a
 from .ratfun import (
     PoleError,
     RatFun,
@@ -33,7 +33,6 @@ __all__ = [
     "nu_op",
     "nu_power",
     "specialize_a",
-    "specialize_a_at",
     "PoleError",
     "RatFun",
     "RatFun2",

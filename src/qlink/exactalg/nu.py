@@ -10,18 +10,17 @@ to q*delta*v, turning a two-variable fraction into a NuValue of its
 context, times a framing power v^k if asked.  It runs in Z[q^±1]: a
 `RatFun2`'s denominator is free of a, so it is its own image, and each
 v-parity of the numerator's image is one polynomial over a common power of
-delta's numerator and denominator.  No pole can occur.
-`specialize_a_at` evaluates the same image at one point q0, in integers.
+delta's numerator and denominator.  No pole can occur.  (A sweep row at a
+point q0 skips this image: `qlink.homfly.homfly_at` sums the closure value
+at q0 straight from the Markov trace.)
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .laurent import IntLaurent, _power
 from .ratfun import RatFun, RatFun2, normalize
 
-__all__ = ["NuValue", "nu_op", "nu_power", "specialize_a", "specialize_a_at"]
+__all__ = ["NuValue", "nu_op", "nu_power", "specialize_a"]
 
 
 class NuValue:
@@ -172,26 +171,22 @@ def nu_power(delta: RatFun, k: int) -> NuValue:
     return NuValue(scale, RatFun.zero(), delta)
 
 
-def _parts(p, framing: int) -> tuple[dict[int, dict[int, int]], ...]:
-    """p's terms a^d q^e times v^k (k = framing) under a = q*v*delta, as maps
-    parts[(d+k) mod 2][m] = {d + e: c} for q^(d+e) delta^m, m = d - floor((d+k)/2)."""
+def _specialize_poly(p, delta: RatFun, framing: int = 0, den: IntLaurent = IntLaurent.one()) -> NuValue:
+    """Substitute a = q*v*delta into an integer Laurent polynomial p in a and
+    q, times v^k (k = framing), over the q-polynomial `den`.
+
+    A term c a^d q^e goes to c q^(d+e) delta^m v^((d+k) mod 2) with
+    m = d - floor((d+k)/2), gathered as parts[(d+k) mod 2][m] = C_m.  With
+    delta = P/Q and lo <= 0 <= hi bounding m, each parity's sum of C_m delta^m
+    is one polynomial over P^-lo Q^hi den, built by Horner in P.
+    """
     parts: tuple[dict[int, dict[int, int]], ...] = ({}, {})
     for (d, e), c in p.items():
         # parity and m fix d, so d + e never repeats within one C_m
         parts[(d + framing) & 1].setdefault(d - (d + framing) // 2, {})[d + e] = c
-    return parts
-
-
-def _specialize_poly(p, delta: RatFun, framing: int = 0, den: IntLaurent = IntLaurent.one()) -> NuValue:
-    """Substitute a = q*v*delta into an integer Laurent polynomial p in a and
-    q, times v^k (k = framing), over the q-polynomial `den` (see `_parts`).
-
-    With delta = P/Q and lo <= 0 <= hi bounding m, each parity's sum of
-    C_m delta^m is one polynomial over P^-lo Q^hi den, built by Horner in P.
-    """
     P, Q = delta.num, delta.den
     values = []
-    for coeffs in _parts(p, framing):
+    for coeffs in parts:
         lo, hi = min((0, *coeffs)), max((0, *coeffs))
         acc, q_pow = IntLaurent.zero(), IntLaurent.one()
         for m in range(hi, lo - 1, -1):
@@ -201,30 +196,6 @@ def _specialize_poly(p, delta: RatFun, framing: int = 0, den: IntLaurent = IntLa
             q_pow = q_pow * Q
         values.append(normalize(acc, P ** -lo * Q ** hi * den))
     return NuValue(*values, delta)
-
-
-def specialize_a_at(F: RatFun2, q0: Fraction, delta0: Fraction, framing: int = 0) -> tuple[int, Fraction] | None:
-    """(v-parity, value) of F at a = q*v*delta, times v^framing, at q = q0 = r/s and
-    delta = delta0 = P/Q != 0, summed in integers over s^Ehi r^-Elo Q^mhi P^-mlo.
-    None where F's denominator vanishes at q0, or the value is 0.
-    """
-    den0 = F.den.to_q().evaluate(q0)
-    if not den0:
-        return None
-    parts = _parts(F.num, framing)
-    if all(parts):
-        raise AssertionError("specialized closure value is not homogeneous in v")
-    parity = 0 if parts[0] else 1
-    coeffs, r, s, P, Q = parts[parity], q0.numerator, q0.denominator, delta0.numerator, delta0.denominator
-    es = [E for terms in coeffs.values() for E in terms] or [0]
-    elo, ehi, mlo, mhi = min(es), max(es), min(coeffs, default=0), max(coeffs, default=0)
-    total = sum(P ** (m - mlo) * Q ** (mhi - m) * sum(c * r ** (E - elo) * s ** (ehi - E) for E, c in t.items())
-                for m, t in coeffs.items())
-    if not total:
-        return None
-    num = total * r ** max(elo, 0) * s ** max(-ehi, 0) * P ** max(mlo, 0) * Q ** max(-mhi, 0) * den0.denominator
-    den = r ** max(-elo, 0) * s ** max(ehi, 0) * P ** max(-mlo, 0) * Q ** max(mhi, 0) * den0.numerator
-    return parity, Fraction(num, den)
 
 
 def specialize_a(F: RatFun2, delta: RatFun, framing: int = 0) -> NuValue:

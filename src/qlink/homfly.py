@@ -23,6 +23,15 @@ Two independent evaluators are provided and cross-checked in the tests:
   q^2.  At q = +-1 it is +-W^c S(a) with W = a - a^-1 and S(1) = (-1)^r, so it
   is free of q -+ 1: no two-variable product, division or gcd runs.
 
+* `homfly_at` evaluates the same value at one point, from `markov_trace`.
+  As z = -q a / mu and mu = a q X with X = (A - 1) / (A (q^2 - 1)), A = a^2,
+  mu^n z^k = mu^(n-k) (-q a)^k gives
+
+      mu^n d^e tau = a^n (-1)^e q^(n-2e) sum_k (-1)^k c_k X^(n-k),
+
+  with no pole at A = 1 (n - k >= 1).  At q = q0 and A = a2 it is a sum of
+  integers over one scale: no polynomial in a is built.
+
 * `rt_invariant` contracts an explicit R-matrix on the n-dimensional
   vector representation against quantum-trace weights, and must agree with
   homfly under a = q^n.
@@ -49,6 +58,7 @@ choices; tests pin the one above through the stabilized-unknot value.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate, product
 
 from .braid import BraidWord, closure_stats
@@ -59,7 +69,9 @@ __all__ = [
     "HeckeElement",
     "hecke_mul_gen",
     "ocneanu_trace",
+    "markov_trace",
     "homfly",
+    "homfly_at",
     "rt_invariant",
     "mu_colored",
     "homfly_twist_coeff",
@@ -234,6 +246,39 @@ def homfly(w: BraidWord) -> RatFun2:
     num = _closure_numerator(tau, n, n - c, n - 2 * e, -1 if e % 2 else 1)
     # canonical as built: (q^2 - 1)^c is free of a, with constant term +-1, leading coefficient 1
     return RatFun2._make(num, _q2_minus_1_power(c))
+
+
+def markov_trace(w: BraidWord) -> Coeff:
+    """The Markov trace of w's Hecke element, a `Coeff` map with z formal."""
+    return ocneanu_trace(HeckeElement.from_braid(w))
+
+
+def homfly_at(w: BraidWord, tau: Coeff, q0: Fraction, a2: Fraction) -> Fraction | None:
+    """homfly(w) / a^n at q = q0 and a^2 = a2 != 0, from tau = markov_trace(w), by the
+    identity in the module docstring; None where q0^2 = 1 or the value is 0.
+
+    With q0 = r/s, c_k(q0) = C_k r^elo / s^ehi for the integer C_k = sum_E c r^(E-elo)
+    s^(ehi-E) over c_k's terms c q^E.  For a2 = An/Ad, X is the projective pair
+    (Xn, Xd) = ((An - Ad) s^2, An (r^2 - s^2)), and sum_k (-1)^k c_k X^(n-k) is
+    r^elo / s^ehi times T / Xd^n, T = sum_k C_k Xn^(n-k) (-Xd)^k by Horner."""
+    r, s = q0.numerator, q0.denominator
+    if r * r == s * s:
+        return None
+    n, e = w.strands, w.writhe
+    elo, ehi = min((E for _, E in tau), default=0), max((E for _, E in tau), default=0)
+    cs = [0] * n  # C_k; a trace on n strands has z-degree below n
+    for (k, E), c in tau.items():
+        cs[k] += c * r ** (E - elo) * s ** (ehi - E)
+    xn, xd = (a2.numerator - a2.denominator) * s * s, a2.numerator * (r * r - s * s)
+    total, xp = 0, xn
+    for c in reversed(cs):
+        total = total * -xd + c * xp
+        xp *= xn
+    if not total:
+        return None
+    p, t = elo + n - 2 * e, ehi + n - 2 * e  # the value is (-1)^e T r^p / (s^t Xd^n)
+    num = total * r ** max(p, 0) * s ** max(-t, 0)
+    return Fraction(-num if e & 1 else num, xd ** n * r ** max(-p, 0) * s ** max(t, 0))
 
 
 # ---------------------------------------------------------------------------

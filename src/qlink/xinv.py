@@ -31,9 +31,8 @@ from .exactalg import (
     RatFun2,
     nu_power,
     specialize_a,
-    specialize_a_at,
 )
-from .homfly import homfly
+from .homfly import homfly, homfly_at, markov_trace
 from .qnum import left_qdelta, left_qrational, qbinomial, qdelta, qdelta_at, qrational
 
 __all__ = [
@@ -230,29 +229,34 @@ def numeric_sweep(
     root of delta(q0).  Rows whose evaluation hits a pole are skipped and
     reported as diagnostics.
 
-    A row is the closure value's numerator at q = q0 and delta = delta_x(q0)
-    (`qdelta_at`) over its denominator at q0 (`specialize_a_at`): where both
-    are finite and nonzero, so is the unreduced expression's denominator, so
-    the value is the canonical one's.  Elsewhere, or where the value is 0 (its
-    v-parity is then unknown), the row is the symbolic one, built from the
-    context's symbolic delta_x, with its 0/0 points and poles.
+    A row is the closure value at q = q0 and a^2 = q0^2 delta_x(q0) (`qdelta_at`),
+    summed from the Markov trace, taken once per call (`homfly_at`).  Under
+    a = q v delta, a^n v^framing is v^p q^n delta^(n - (n + framing - p)/2),
+    p = (n + framing) mod 2, so the row has v-parity p.  Where q0^2 = 1,
+    delta_x(q0) is 0 or infinite, or the value is 0 (its v-parity is then
+    unknown), the row is the symbolic one: `homfly(w)`, built once per call,
+    specialized with the context's symbolic delta_x, with its 0/0 points and
+    poles.
     """
     if q0 == 0:
         raise ValueError("q0 must be nonzero")
     rows: list[SweepRow] = []
     diagnostics: list[str] = []
-    h = homfly(w)
-    framing = w.writhe if normalized else 0
+    tau, h = markov_trace(w), None  # h = homfly(w), built for the first symbolic row
+    n, framing = w.strands, (w.writhe if normalized else 0)
     for x in xs:
         x = Fraction(x)
         try:
             delta0 = qdelta_at(x, q0, flavor != "right") or 0
-            point = specialize_a_at(h, q0, delta0, framing) if delta0 else None
-            if point is None:  # the symbolic row: (parity, value) as a fraction in q
+            value = homfly_at(w, tau, q0, q0 * q0 * delta0) if delta0 else None
+            if value is not None:
+                parity = (n + framing) & 1
+                value *= q0 ** n * delta0 ** (n - (n + framing - parity) // 2)
+            else:  # the symbolic row: (parity, value) as a fraction in q
+                h = homfly(w) if h is None else h
                 ctx = x_context(x) if flavor == "right" else flat_context(x)
                 v = specialize_closure(h, ctx, framing)
-                point = v.nu_parity(), v.nu_free_part()
-            parity, value = point
+                parity, value = v.nu_parity(), v.nu_free_part()
             if parity and not normalized:
                 try:  # value(q0)^2 / delta(q0) wherever value, delta are regular and delta(q0) != 0
                     sq = _at(value, q0) ** 2 / delta0

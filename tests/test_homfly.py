@@ -16,7 +16,9 @@ from qlink.homfly import (
     HeckeElement,
     hecke_mul_gen,
     homfly,
+    homfly_at,
     homfly_twist_coeff,
+    markov_trace,
     mu_colored,
     ocneanu_trace,
     rt_invariant,
@@ -607,6 +609,32 @@ def test_homfly_runs_no_kronecker_division_and_no_two_variable_product(monkeypat
     RatFun2._div(Q2_MINUS_1, Q2_MINUS_1)
     Q2_MINUS_1 * Q2_MINUS_1
     assert calls == {"laurent2_divide_exact": 1, "IntLaurent2.__mul__": 1}  # the counters work
+
+
+def test_homfly_at_matches_the_closure_value_at_a_power_of_q():
+    # every word of up to 5 letters on 1-4 strands, at a = q^N: homfly_at is a
+    # function of (strands, writhe, trace), so each of those is checked once;
+    # None exactly where q0^2 = 1 or the value is 0 (at a = 1, N = 0)
+    words = {}
+    for n in range(1, 5):
+        letters = [s * i for i in range(1, n) for s in (1, -1)]
+        for length in range(6):
+            for word in product(letters, repeat=length):
+                w = BraidWord(word, n)
+                tau = markov_trace(w)
+                words.setdefault((n, w.writhe, frozenset(tau.items())), (w, tau))
+    assert len(words) > 100
+    outcomes = Counter()
+    for w, tau in words.values():
+        h, n = homfly(w), w.strands
+        for N in range(-2, 4):
+            value = h.subs_a_power_of_q(N)
+            for q0 in (Fraction(2), Fraction(-1, 2), Fraction(3, 2), Fraction(1), Fraction(-1)):
+                expected = value.evaluate(q0) / q0 ** (n * N) if q0 * q0 != 1 else None
+                got = homfly_at(w, tau, q0, q0 ** (2 * N))
+                assert got == (expected or None), (w, q0, N)
+                outcomes[got is None, q0 * q0 == 1 or N == 0] += 1
+    assert set(outcomes) == {(True, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,15 @@ def _inject_delta(monkeypatch, delta: RatFun) -> None:
     monkeypatch.setattr(xinv, "qdelta_at", at)
 
 
+def _inject_homfly(monkeypatch, F: RatFun2) -> None:
+    """Make `numeric_sweep` see the closure value F: a pointwise row sums the
+    word's own Markov trace, so it is refused and every row is the symbolic one."""
+    import qlink.xinv as xinv
+
+    monkeypatch.setattr(xinv, "homfly", lambda w: F)
+    monkeypatch.setattr(xinv, "homfly_at", lambda *args: None)
+
+
 def _cf_rational(rng: random.Random, length: int) -> Fraction:
     """A rational with a continued fraction [a1, ..., a_length], a1 of any sign."""
     terms = [rng.randint(-4, 4)] + [rng.randint(1, 4) for _ in range(length - 1)]
@@ -434,8 +443,6 @@ def test_sweep_falls_back_where_delta_or_the_denominator_is_irregular(monkeypatc
     # delta = (q - 2)^2 / (q - 3) is 0 at q0 = 2 and a pole at q0 = 3; the value
     # (a^2 - q^4) / (q - 2) has a denominator that vanishes at q0 = 2 (its rows
     # are poles, except at right x = 2, where a^2 = q^2 delta = q^4 makes it 0)
-    import qlink.xinv as xinv
-
     symbolic = _count_symbolic_rows(monkeypatch)
     delta = RatFun(IntLaurent({0: 4, 1: -4, 2: 1}), IntLaurent({0: -3, 1: 1}))
     _inject_delta(monkeypatch, delta)
@@ -449,7 +456,7 @@ def test_sweep_falls_back_where_delta_or_the_denominator_is_irregular(monkeypatc
     monkeypatch.undo()
     symbolic = _count_symbolic_rows(monkeypatch)
     F = RatFun2(IntLaurent2({(2, 0): 1, (0, 4): -1}), IntLaurent2({(0, 1): 1, (0, 0): -2}))
-    monkeypatch.setattr(xinv, "homfly", lambda w: F)
+    _inject_homfly(monkeypatch, F)
     for normalized in (False, True):
         for flavor in ("right", "flat"):
             symbolic.clear()
@@ -460,24 +467,23 @@ def test_sweep_falls_back_where_delta_or_the_denominator_is_irregular(monkeypatc
 
 
 def test_sweep_rejects_a_value_of_both_v_parities(monkeypatch):
-    # closure values have one v-parity; the pointwise and the symbolic rows
-    # raise alike on a crafted value 1 + a that has both
-    import qlink.xinv as xinv
-
-    monkeypatch.setattr(xinv, "homfly", lambda w: RatFun2(IntLaurent2({(0, 0): 1, (1, 0): 1})))
-    for refuse in (False, True):
-        with monkeypatch.context() as m:
-            if refuse:
-                m.setattr(xinv, "specialize_a_at", lambda *args: None)
-            with pytest.raises(AssertionError, match="^specialized closure value is not homogeneous in v$"):
-                numeric_sweep(UNKNOT, Fraction(2), [Fraction(1, 2)])
+    # closure values have one v-parity, and a pointwise row is homogeneous by
+    # construction; the symbolic row raises on a crafted value 1 + a that has both
+    _inject_homfly(monkeypatch, RatFun2(IntLaurent2({(0, 0): 1, (1, 0): 1})))
+    with pytest.raises(AssertionError, match="^specialized closure value is not homogeneous in v$"):
+        numeric_sweep(UNKNOT, Fraction(2), [Fraction(1, 2)])
 
 
 def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
+    import sys
+
     import qlink.exactalg.laurent as laurent
     import qlink.exactalg.nu as nu
     import qlink.exactalg.ratfun as ratfun
     import qlink.qnum as qnum
+    import qlink.xinv as xinv
+
+    homfly_module = sys.modules["qlink.homfly"]  # `qlink.homfly` as an attribute is the function
 
     calls = []
 
@@ -485,8 +491,16 @@ def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
 
-    for owner, name in ((laurent, "laurent_gcd"), (ratfun, "laurent_gcd"), (nu, "_specialize_poly"), (qnum, "_ladder")):
+    for owner, name in ((laurent, "laurent_gcd"), (ratfun, "laurent_gcd"), (nu, "_specialize_poly"), (qnum, "_ladder"),
+                        (xinv, "homfly"), (homfly_module, "_closure_numerator"), (xinv, "specialize_closure")):
         counted(owner, name)
+    # every polynomial is built by _Laurent.__init__ or _new, or from an IntLaurent2, and
+    # every fraction by _Fraction.__init__ or _make: count the class of each
+    for owner, name in ((laurent._Laurent, "__init__"), (laurent._Laurent, "_new"), (ratfun._Fraction, "__init__")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda self, *args, fn=fn: calls.append(type(self).__name__) or fn(self, *args))
+    make = ratfun._Fraction._make.__func__
+    monkeypatch.setattr(ratfun._Fraction, "_make", classmethod(lambda cls, *args: calls.append(cls.__name__) or make(cls, *args)))
     xs = [Fraction(-7, 3), Fraction(1, 2), Fraction(2), Fraction(5, 8), Fraction(13, 5)]
     for w in (UNKNOT, S1, HOPF, TREFOIL, FIG8, parse_braid("1 2 -1 2 3 -2")):
         for q0 in (Fraction(2), Fraction(-1, 2), Fraction(3, 2)):
@@ -494,8 +508,9 @@ def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
                 for flavor in ("right", "flat"):
                     numeric_sweep(w, q0, xs, normalized, flavor)
     assert not calls
-    specialize_a(homfly(TREFOIL), qdelta(Fraction(1, 2)))
-    assert set(calls) == {"_specialize_poly", "laurent_gcd", "_ladder"}  # the counters work
+    numeric_sweep(TREFOIL, Fraction(1), [Fraction(1, 2)])  # a symbolic row
+    assert set(calls) == {"homfly", "_closure_numerator", "specialize_closure", "_specialize_poly", "laurent_gcd",
+                          "_ladder", "IntLaurent", "IntLaurent2", "RatFun", "RatFun2"}  # the counters work
 
 
 def test_sweep_squared_row_falls_back_to_the_fraction(monkeypatch):
@@ -504,11 +519,9 @@ def test_sweep_squared_row_falls_back_to_the_fraction(monkeypatch):
     # odd part q (q - 2) / (q - 3).  At q0 = 2 odd(q0)^2 / delta(q0) is 0/0
     # and the fraction odd^2 / delta = q^2 / (q - 3)^2 reads 4; at q0 = 3 both
     # raise.
-    import qlink.xinv as xinv
-
     F = RatFun2(IntLaurent2({(1, 0): 1}), IntLaurent2({(0, 2): 1, (0, 1): -5, (0, 0): 6}))
     delta = RatFun(IntLaurent({0: 4, 1: -4, 2: 1}))
-    monkeypatch.setattr(xinv, "homfly", lambda w: F)
+    _inject_homfly(monkeypatch, F)
     _inject_delta(monkeypatch, delta)
     odd = specialize_a(F, delta).odd
     outcomes = []
@@ -525,17 +538,24 @@ def test_sweep_squared_row_falls_back_to_the_fraction(monkeypatch):
     assert outcomes == [([(Fraction(1, 2), Fraction(4), "squared")], []), ([], ["x=1/2: pole at q = 3"])]
 
 
-def test_sweep_computes_one_homfly_value(monkeypatch):
+def test_sweep_takes_one_trace_and_builds_homfly_only_for_a_symbolic_row(monkeypatch):
     import qlink.xinv as xinv
 
     xs = [Fraction(-3, 2), Fraction(0), Fraction(1, 3), Fraction(2), Fraction(7, 5)]
-    calls = []
+    traces, calls = [], []
+    trace = xinv.markov_trace
+    monkeypatch.setattr(xinv, "markov_trace", lambda w: traces.append(w) or trace(w))
     monkeypatch.setattr(xinv, "homfly", lambda w: calls.append(w) or homfly(w))
+    symbolic = _count_symbolic_rows(monkeypatch)
     for w in (TREFOIL, FIG8, UNKNOT, HOPF):
-        for normalized in (False, True):
-            for flavor in ("right", "flat"):
-                calls.clear()
-                rows, diagnostics = numeric_sweep(w, Fraction(-2, 3), xs, normalized, flavor)
-                assert calls == [w]
-                expected = _per_point_sweep(w, Fraction(-2, 3), xs, normalized, flavor)
-                assert ([(r.x, r.value, r.flag) for r in rows], diagnostics) == expected
+        for q0 in (Fraction(-2, 3), Fraction(1)):
+            for normalized in (False, True):
+                for flavor in ("right", "flat"):
+                    for log in (traces, calls, symbolic):
+                        log.clear()
+                    rows, diagnostics = numeric_sweep(w, q0, xs, normalized, flavor)
+                    assert traces == [w]
+                    assert calls == ([w] if symbolic else [])
+                    assert symbolic == (xs if q0 == 1 else [0] if flavor == "right" else [])
+                    expected = _per_point_sweep(w, q0, xs, normalized, flavor)
+                    assert ([(r.x, r.value, r.flag) for r in rows], diagnostics) == expected
