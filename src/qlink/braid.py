@@ -5,9 +5,11 @@ Artin generator sigma_i crossing strands i and i+1, letter -i for its
 inverse.  The closure of a word on n strands is the framed link obtained
 by joining the top of each strand to its bottom; the blackboard framing of
 that diagram is recorded by the writhe (positive letters minus negative
-letters).  No free cancellation or other simplification is ever applied:
-invariance under such moves is something the invariants must prove in
-tests, not a preprocessing step.
+letters).  A word is never simplified here.  `homfly.markov_trace` applies
+Markov moves (free cancellation, splits, destabilization) internally, before
+its Hecke expansion; the invariance tests stay meaningful because they also
+run evaluators that apply no move: the unreduced trace
+`ocneanu_trace(HeckeElement.from_braid(w))` and the R-matrix `rt_invariant`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .exactalg.textio import quote_input
 __all__ = ["BraidWord", "ClosureStats", "MAX_STRANDS", "parse_braid", "mirror", "closure_stats"]
 
 # The most strands `parse_braid` accepts.  One letter on 2,000 strands takes
-# about 80 ms to trace and format; its value prints as some 1.8 MB.
+# about 35 ms to trace and format; its value prints as some 1.8 MB.
 MAX_STRANDS = 2000
 
 

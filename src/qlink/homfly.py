@@ -23,6 +23,22 @@ Two independent evaluators are provided and cross-checked in the tests:
   q^2.  At q = +-1 it is +-W^c S(a) with W = a - a^-1 and S(1) = (-1)^r, so it
   is free of q -+ 1: no two-variable product, division or gcd runs.
 
+* `markov_trace(w)`, which `homfly` and `homfly_at` read, first shrinks the
+  word by moves that keep its trace, and expands only the core they leave:
+  `ocneanu_trace(HeckeElement.from_braid(core))`, which on the whole word
+  stays the unreduced oracle of the tests.  The moves, until none applies:
+  - cyclic free cancellation of v, -v (the trace is cyclic);
+  - a split at every missing generator sigma_i: the trace is multiplicative,
+    tau(x y') = tau(x) tau(y) for x on strands 1..i and y' a word y on
+    strands 1..m-i moved up to i+1..m;
+  - end-block destabilization: when all occurrences of g = sigma_(m-1) form
+    one cyclic run g^k, rotating it to the end gives x g^k with x on m - 1
+    strands.  As (g - 1)(g + q^2) = 0, g^k = alpha_k g + 1 - alpha_k with
+    alpha_k = sum_(i<k) (-q^2)^i for k >= 0 and alpha_(-k) = -(-q^2)^(-k)
+    alpha_k, so tau(x g^k) = (alpha_k z + 1 - alpha_k) tau(x); k = +-1 is
+    ordinary destabilization.  sigma_1 is removed the same way through the
+    flip sigma_i -> sigma_(m-i), conjugation by the half twist.
+
 * `homfly_at` evaluates the same value at one point, from `markov_trace`.
   As z = -q a / mu and mu = a q X with X = (A - 1) / (A (q^2 - 1)), A = a^2,
   mu^n z^k = mu^(n-k) (-q a)^k gives
@@ -57,9 +73,11 @@ choices; tests pin the one above through the stabilized-unknot value.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, product
+from operator import add
 
 from .braid import BraidWord, closure_stats
 from .exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2
@@ -203,28 +221,34 @@ def _divide_by_t_minus_1(p: list[int]) -> list[int]:
 
 def _closure_numerator(tau: Coeff, n: int, r: int, dq: int = 0, sign: int = 1) -> IntLaurent2:
     """sign q^dq N / (q^2 - 1)^r, N = sum_k c_k U^k W^(n-k), for tau = sum_k c_k z^k from
-    `ocneanu_trace` and n at least its z-degree.  As U = -a (q^2 - 1), it is sum_k (-a)^k d_k
+    `markov_trace` and n at least its z-degree.  As U = -a (q^2 - 1), it is sum_k (-a)^k d_k
     W^(n-k) with d_k = c_k (q^2 - 1)^(k-r): its a^(n-2j) coefficient is (-1)^j sum_k (-1)^k
     C(n-k, j) d_k.  Each d_k is formed once on dense integer lists in t = q^2, one per parity
     of the q-exponents (closure traces have one): c_k is divided r - k times by t - 1, or
-    multiplied k - r times; an inexact division raises ArithmeticError."""
+    multiplied k - r times; an inexact division raises ArithmeticError.  Each (j, parity)
+    coefficient is summed as one dense row in t."""
     lo = min((e for _, e in tau), default=0)
     width = (max((e for _, e in tau), default=lo) - lo) // 2 + 1
     parts: dict[tuple[int, int], list[int]] = {}  # (k, s) -> the q^(lo + s) t^i coefficients of c_k
     for (k, e), v in tau.items():
         parts.setdefault((k, (e - lo) & 1), [0] * width)[(e - lo) >> 1] = v
-    out: Counter = Counter()
     for (k, s), p in parts.items():
         for _ in range(r - k):
             p = _divide_by_t_minus_1(p)
         for _ in range(k - r):
             p = [x - y for x, y in zip([0, *p], [*p, 0])]
+        parts[k, s] = p
+    size = max(map(len, parts.values()), default=0)
+    rows: dict[tuple[int, int], list[int]] = {}  # (j, s) -> the q^(lo + dq + s) t^i coefficients of a^(n-2j)
+    for (k, s), p in parts.items():
+        p += [0] * (size - len(p))
         m = sign * (-1) ** k  # sign (-1)^(j+k) C(n-k, j), C(n-k, j+1) = C(n-k, j) (n-k-j) / (j+1)
         for j in range(n - k + 1):
-            for i, v in enumerate(p):
-                out[(n - 2 * j, lo + dq + s + 2 * i)] += m * v
+            row = rows.get((j, s))
+            rows[j, s] = list(map(m.__mul__, p)) if row is None else list(map(add, row, map(m.__mul__, p)))
             m = -m * (n - k - j) // (j + 1)
-    return IntLaurent2(out)
+    return IntLaurent2({(n - 2 * j, lo + dq + s + 2 * i): v
+                        for (j, s), row in rows.items() for i, v in enumerate(row) if v})
 
 
 def _q2_minus_1_power(c: int) -> IntLaurent2:
@@ -242,15 +266,138 @@ def homfly(w: BraidWord) -> RatFun2:
     calibrated z, d and mu."""
     # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and N / (q^2 - 1)^(n-c) is free of q -+ 1
     n, e, c = w.strands, w.writhe, closure_stats(w).components
-    tau = ocneanu_trace(HeckeElement.from_braid(w))
-    num = _closure_numerator(tau, n, n - c, n - 2 * e, -1 if e % 2 else 1)
+    num = _closure_numerator(markov_trace(w), n, n - c, n - 2 * e, -1 if e % 2 else 1)
     # canonical as built: (q^2 - 1)^c is free of a, with constant term +-1, leading coefficient 1
     return RatFun2._make(num, _q2_minus_1_power(c))
 
 
+def _mul(a: Coeff, b: Coeff) -> Coeff:
+    """The product of two traces."""
+    out: Coeff = {}
+    for (k1, e1), v1 in a.items():
+        for (k2, e2), v2 in b.items():
+            key = (k1 + k2, e1 + e2)
+            out[key] = out.get(key, 0) + v1 * v2
+    return {key: v for key, v in out.items() if v}
+
+
+def _block_factor(k: int) -> Coeff:
+    """alpha_k z + 1 - alpha_k, the trace factor of an end block g^k (k != 0), with
+    alpha_k = sum_(i<k) (-q^2)^i and alpha_(-k) = -(-q^2)^(-k) alpha_k."""
+    out, sign = {(0, 0): 1}, 1 if k > 0 else -1
+    for i in range(k) if k > 0 else range(k, 0):  # alpha_k's q^(2i) coefficient is sign (-1)^i
+        c = -sign if i & 1 else sign
+        out[1, 2 * i] = c
+        out[0, 2 * i] = out.get((0, 2 * i), 0) - c
+    return {key: v for key, v in out.items() if v}
+
+
+def _cyclically_reduced(word: list[int]) -> list[int]:
+    """The word with every cancelling pair v, -v removed, cyclically."""
+    out: list[int] = []
+    for v in word:
+        if out and out[-1] == -v:
+            out.pop()
+        else:
+            out.append(v)
+    i, j = 0, len(out) - 1
+    while i < j and out[i] == -out[j]:
+        i, j = i + 1, j - 1
+    return out[i : j + 1]
+
+
+def _destabilize(word: list[int], lo: int, hi: int) -> tuple[list[int], int, int, list[int], bool]:
+    """Remove end blocks from a cyclically reduced word on strands lo + 1 .. hi that uses
+    every generator lo + 1 .. hi - 1.  While all occurrences of sigma_(hi-1), or of
+    sigma_(lo+1), form one cyclic run g^k, the run is unlinked and its strand dropped;
+    pairs v, -v meeting across the gap cancel.  Stops when no end block is left or a
+    generator has vanished.  Returns the exponents k of the blocks, the new lo and hi,
+    the rest of the word in cyclic order, and whether a generator vanished (the rest
+    then splits).  The word is left as it is.
+
+    The word is a cyclic linked list over its positions, with each generator's
+    positions in a list, so that a block costs its own length, not the word's."""
+    size = len(word)
+    nxt, prv = [*range(1, size), 0], [size - 1, *range(size - 1)]
+    gens = list(map(abs, word))
+    occ: dict[int, list[int]] = {}
+    for i, g in enumerate(gens):
+        occ.setdefault(g, []).append(i)
+    ks: list[int] = []
+    head, vanished = 0, False
+    while size:
+        for g in (hi - 1, lo + 1):
+            ids = occ[g]
+            start = end = ids[0]
+            if len(ids) == size:  # the word is the block
+                break
+            run = 1
+            while gens[prv[start]] == g:
+                start, run = prv[start], run + 1
+            while gens[nxt[end]] == g:
+                end, run = nxt[end], run + 1
+            if run == len(ids):
+                break
+        else:
+            break
+        ks.append(len(ids) if word[start] > 0 else -len(ids))  # a reduced run has one sign
+        del occ[g]
+        lo, hi, size = (lo, hi - 1, size - len(ids)) if g == hi - 1 else (lo + 1, hi, size - len(ids))
+        p, s = prv[start], nxt[end]
+        nxt[p], prv[s] = s, p
+        while size > 1 and word[p] == -word[s]:
+            for i in (p, s):
+                ids = occ[gens[i]]
+                ids.remove(i)
+                vanished = vanished or not ids
+            size -= 2
+            p, s = prv[p], nxt[s]
+            nxt[p], prv[s] = s, p
+        head = s
+        if vanished:
+            break
+    if not ks:
+        return ks, lo, hi, word, False
+    rest = []
+    for _ in range(size):
+        rest.append(word[head])
+        head = nxt[head]
+    return ks, lo, hi, rest, vanished
+
+
 def markov_trace(w: BraidWord) -> Coeff:
-    """The Markov trace of w's Hecke element, a `Coeff` map with z formal."""
-    return ocneanu_trace(HeckeElement.from_braid(w))
+    """The Markov trace of w's Hecke element, a `Coeff` map with z formal: equal to
+    `ocneanu_trace(HeckeElement.from_braid(w))`, with the word first reduced by the Markov
+    moves of the module docstring.  A worklist of pieces (lo, hi, letters) drives them, the
+    letters kept in w's numbering on strands lo + 1 .. hi; nothing recurses.  A piece is
+    cyclically reduced and split at every generator it lacks in one pass (a piece with no
+    letters has trace 1), then stripped of end blocks (`_destabilize`).  What a vanished
+    generator splits goes back to the worklist; a piece with no move left is a core,
+    renumbered from 1 and expanded by `ocneanu_trace`."""
+    factors: list[Coeff] = []
+    work = [(0, w.strands, list(w.letters))]
+    while work:
+        lo, hi, word = work.pop()
+        word = _cyclically_reduced(word)
+        used = set(map(abs, word))
+        cuts = [g for g in range(lo + 1, hi) if g not in used]
+        if cuts:
+            pieces: list[list[int]] = [[] for _ in range(len(cuts) + 1)]
+            for v in word:
+                pieces[bisect_left(cuts, abs(v))].append(v)
+            bounds = [lo, *cuts, hi]
+            work.extend((bounds[i], bounds[i + 1], p) for i, p in enumerate(pieces) if p)
+        elif word:
+            ks, lo, hi, word, split = _destabilize(word, lo, hi)
+            factors += map(_block_factor, ks)
+            if split:
+                work.append((lo, hi, word))
+            elif word:
+                core = w  # where no move applied
+                if len(word) < len(w.letters) or hi - lo < w.strands:
+                    core = BraidWord(tuple(v - lo if v > 0 else v + lo for v in word), hi - lo)
+                factors.append(ocneanu_trace(HeckeElement.from_braid(core)))
+    return reduce(_mul, factors) if factors else {(0, 0): 1}
 
 
 def homfly_at(w: BraidWord, tau: Coeff, q0: Fraction, a2: Fraction) -> Fraction | None:

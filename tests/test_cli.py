@@ -601,17 +601,24 @@ def test_startup_loads_the_traced_modules_and_no_library_it_does_not_use():
 
 def test_benchmark_tracer_resolves_every_layer_and_counts_the_trace():
     # the benchmark's traced mode wraps each name in `perfbench/tracer.py`'s
-    # LAYERS; one that no longer resolves makes it raise before it measures
+    # LAYERS; one that no longer resolves makes it raise before it measures.
+    # The figure-eight word admits no Markov move, so `markov_trace` expands all
+    # of it (4 letters, then 1 step of the coset chain); the trefoil on two
+    # strands is one end block, traced with no Hecke term at all
     root = Path(__file__).resolve().parents[1]
     script = (
         "import sys; sys.path[:0] = sys.argv[1:3]; import qlink.cli, tracer; t = tracer.Tracer(); t.install(); "
-        "from qlink.braid import parse_braid; from qlink.homfly import homfly; homfly(parse_braid('1 1 1')); "
+        "from qlink.braid import parse_braid; from qlink.homfly import homfly; homfly(parse_braid(sys.argv[3])); "
         "import json; print(json.dumps(t.snapshot()['calls']))"
     )
-    proc = subprocess.run([sys.executable, "-B", "-c", script, str(root / "src"), str(root / "perfbench")],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"homfly.homfly": 1, "homfly.trace": 1, "homfly.hecke_mul": 3}
+    counts = {}
+    for word in ("1 -2 1 -2", "1 1 1"):
+        proc = subprocess.run([sys.executable, "-B", "-c", script, str(root / "src"), str(root / "perfbench"), word],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        counts[word] = json.loads(proc.stdout)
+    assert counts == {"1 -2 1 -2": {"homfly.homfly": 1, "homfly.trace": 1, "homfly.hecke_mul": 5},
+                      "1 1 1": {"homfly.homfly": 1}}
 
 
 def test_records_validate_compare_and_refuse_assignment():

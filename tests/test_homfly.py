@@ -258,6 +258,163 @@ def test_trace_at_max_strands_takes_no_frame_per_strand():
 
 
 # ---------------------------------------------------------------------------
+# Markov moves in `markov_trace`, against the unreduced trace
+# ---------------------------------------------------------------------------
+
+
+def _unreduced(w: BraidWord) -> dict:
+    return ocneanu_trace(HeckeElement.from_braid(w))
+
+
+def _flip(w: BraidWord) -> BraidWord:
+    """sigma_i -> sigma_(n-i): conjugation by the half twist."""
+    n = w.strands
+    return BraidWord(tuple(n - v if v > 0 else -(n + v) for v in w.letters), n)
+
+
+def _product(a: dict, b: dict) -> dict:
+    acc: Counter = Counter()
+    for (k1, e1), v1 in a.items():
+        for (k2, e2), v2 in b.items():
+            acc[(k1 + k2, e1 + e2)] += v1 * v2
+    return {key: v for key, v in acc.items() if v}
+
+
+def _count_hecke_mul_gen(monkeypatch) -> Counter:
+    homfly_module = sys.modules["qlink.homfly"]  # `qlink.homfly` as an attribute is the function
+    calls, mul = Counter(), homfly_module.hecke_mul_gen
+
+    def counted(*args):
+        calls["hecke_mul_gen"] += 1
+        return mul(*args)
+
+    monkeypatch.setattr(homfly_module, "hecke_mul_gen", counted)
+    return calls
+
+
+def test_markov_trace_matches_the_unreduced_trace_on_every_short_word():
+    # every word of up to 5 letters on 1-5 strands, and of 6 letters on 1-3 strands
+    count = 0
+    for n in range(1, 6):
+        letters = [s * i for i in range(1, n) for s in (1, -1)]
+        for length in range(7 if n <= 3 else 6):
+            for word in product(letters, repeat=length):
+                w = BraidWord(word, n)
+                assert markov_trace(w) == _unreduced(w), w
+                count += 1
+    assert count == 52369
+
+
+def test_markov_trace_matches_the_unreduced_trace_on_longer_words():
+    rng = random.Random(97)
+    for _ in range(400):
+        n = rng.randint(6, 7)
+        w = BraidWord(tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(6, 12))), n)
+        assert markov_trace(w) == _unreduced(w), w
+
+
+def test_split_trace_is_the_product_of_the_pieces():
+    # x on strands 1..i and y on strands 1..j, shifted up by i and shuffled into x:
+    # the trace is tau(x) tau(y), each piece traced on its own strands
+    rng = random.Random(101)
+
+    def word(n: int) -> BraidWord:
+        length = rng.randint(0, 5) if n > 1 else 0
+        return BraidWord(tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)), n)
+
+    for _ in range(80):
+        i, j = rng.randint(1, 4), rng.randint(1, 4)
+        x, y = word(i), word(j)
+        xs, ys, letters = list(x.letters), list(y.shifted(i, i + j).letters), []
+        while xs or ys:
+            letters.append((xs if xs and (not ys or rng.random() < 0.5) else ys).pop(0))
+        w = BraidWord(tuple(letters), i + j)
+        assert markov_trace(w) == _unreduced(w) == _product(_unreduced(x), _unreduced(y)), (x, y, w)
+
+
+def test_block_factor_is_the_power_of_a_generator():
+    # g^k = alpha_k g + 1 - alpha_k in H_2, by repeated multiplication on the
+    # identity; the trace of g^k on two strands is alpha_k z + 1 - alpha_k, and
+    # alpha_k = sum_(i<k) (-q^2)^i, alpha_(-k) = -(-q^2)^(-k) alpha_k
+    from qlink.homfly import _block_factor
+
+    minus_q2 = IntLaurent({2: -1})
+    for k in range(-8, 9):
+        e = HeckeElement.identity(2)
+        for _ in range(abs(k)):
+            e = hecke_mul_gen(e, 1, 1 if k > 0 else -1)
+        alpha = {q: v for (_, q), v in e.terms.get((2, 1), {}).items()}
+        beta = {q: v for (_, q), v in e.terms.get((1, 2), {}).items()}
+        assert IntLaurent(alpha) + IntLaurent(beta) == IntLaurent.one(), k
+        closed = sum((minus_q2 ** i for i in range(abs(k))), IntLaurent.zero())
+        if k < 0:
+            closed = IntLaurent({2 * k: -1 if k & 1 else 1}).scale(-1) * closed
+        assert IntLaurent(alpha) == closed, k
+        factor = {**{(1, q): v for q, v in alpha.items()}, **{(0, q): v for q, v in beta.items()}}
+        assert _block_factor(k) == factor, k
+        if k:
+            w = BraidWord((1 if k > 0 else -1,) * abs(k), 2)
+            assert markov_trace(w) == _unreduced(w) == factor, k
+
+
+def test_markov_trace_is_flip_invariant():
+    rng = random.Random(103)
+    for _ in range(100):
+        w = random_word(rng, 9, 6)
+        assert markov_trace(_flip(w)) == markov_trace(w) == _unreduced(w) == _unreduced(_flip(w)), w
+
+
+def test_moves_exhaust_words_of_one_block_per_generator(monkeypatch):
+    # each generator in one run g^k, in any order and any rotation: the end
+    # generator is always one block, so no Hecke term is built
+    rng = random.Random(107)
+    words = []
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        blocks = [(g, rng.choice((-3, -2, -1, 1, 2, 3))) for g in rng.sample(range(1, n), n - 1)]
+        letters = [g if k > 0 else -g for g, k in blocks for _ in range(abs(k))]
+        r = rng.randrange(len(letters))
+        words.append(BraidWord(tuple(letters[r:] + letters[:r]), n))
+    expected = [_unreduced(w) for w in words]
+    calls = _count_hecke_mul_gen(monkeypatch)
+    assert [markov_trace(w) for w in words] == expected
+    assert not calls
+    markov_trace(BraidWord((1, 2, 1, 2), 3))
+    assert calls["hecke_mul_gen"]  # the counter sees a core
+
+
+def test_an_end_block_across_the_ends_of_the_word_is_removed(monkeypatch):
+    # sigma_3^2 or sigma_1^2, split between the last and the first letter or not,
+    # around a figure-eight that no move shrinks: only the figure-eight is expanded
+    from qlink.homfly import _block_factor
+
+    calls = _count_hecke_mul_gen(monkeypatch)
+    for letters, core in (((3, 1, -2, 1, -2, 3), (1, -2, 1, -2)), ((1, -2, 1, -2, 3, 3), (1, -2, 1, -2)),
+                          ((1, 3, -2, 3, -2, 1), (2, -1, 2, -1)), ((3, -2, 3, -2, 1, 1), (2, -1, 2, -1))):
+        w = BraidWord(letters, 4)
+        calls.clear()
+        expected = _product(_block_factor(2), _unreduced(BraidWord(core, 3)))
+        core_calls = calls["hecke_mul_gen"]
+        calls.clear()
+        tau = markov_trace(w)
+        assert calls["hecke_mul_gen"] == core_calls, w
+        assert tau == expected == _unreduced(w), w
+
+
+@pytest.mark.parametrize("letters", [(), (MAX_STRANDS - 1,), tuple(range(1, MAX_STRANDS)),
+                                     tuple(range(MAX_STRANDS - 1, 0, -1))],
+                         ids=["empty", "top letter", "coxeter", "reversed coxeter"])
+def test_markov_trace_on_max_strands_builds_no_hecke_term(monkeypatch, letters):
+    # the reversed Coxeter word would cost about n^3 in `ocneanu_trace`'s coset
+    # chain; each of these words reduces by moves alone to z^r, r = n - c
+    calls = _count_hecke_mul_gen(monkeypatch)
+    w = BraidWord(letters, MAX_STRANDS)
+    r = MAX_STRANDS - closure_stats(w).components
+    assert markov_trace(w) == {(r, 0): 1}
+    assert not calls
+
+
+# ---------------------------------------------------------------------------
 # HOMFLY-PT values
 # ---------------------------------------------------------------------------
 
