@@ -46,7 +46,9 @@ Two independent evaluators are provided and cross-checked in the tests:
       mu^n d^e tau = a^n (-1)^e q^(n-2e) sum_k (-1)^k c_k X^(n-k),
 
   with no pole at A = 1 (n - k >= 1).  At q = q0 and A = a2 it is a sum of
-  integers over one scale: no polynomial in a is built.
+  integers over one scale: no polynomial in a is built.  `_closure_at` does
+  the part that depends on q0 alone once, and returns the sum as a function
+  of A, so that `numeric_sweep` reuses it for every row.
 
 * `rt_invariant` contracts an explicit R-matrix on the n-dimensional
   vector representation against quantum-trace weights, and must agree with
@@ -74,6 +76,7 @@ choices; tests pin the one above through the stabilized-unknot value.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, product
@@ -264,9 +267,14 @@ def _q2_minus_1_power(c: int) -> IntLaurent2:
 def homfly(w: BraidWord) -> RatFun2:
     """Framed HOMFLY-PT polynomial of the closure of a braid word, with the
     calibrated z, d and mu."""
+    return _closure_value(w, markov_trace(w))
+
+
+def _closure_value(w: BraidWord, tau: Coeff) -> RatFun2:
+    """`homfly(w)` from tau = markov_trace(w)."""
     # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and N / (q^2 - 1)^(n-c) is free of q -+ 1
     n, e, c = w.strands, w.writhe, closure_stats(w).components
-    num = _closure_numerator(markov_trace(w), n, n - c, n - 2 * e, -1 if e % 2 else 1)
+    num = _closure_numerator(tau, n, n - c, n - 2 * e, -1 if e % 2 else 1)
     # canonical as built: (q^2 - 1)^c is free of a, with constant term +-1, leading coefficient 1
     return RatFun2._make(num, _q2_minus_1_power(c))
 
@@ -400,32 +408,48 @@ def markov_trace(w: BraidWord) -> Coeff:
     return reduce(_mul, factors) if factors else {(0, 0): 1}
 
 
-def homfly_at(w: BraidWord, tau: Coeff, q0: Fraction, a2: Fraction) -> Fraction | None:
-    """homfly(w) / a^n at q = q0 and a^2 = a2 != 0, from tau = markov_trace(w), by the
-    identity in the module docstring; None where q0^2 = 1 or the value is 0.
+def _closure_at(tau: Coeff, n: int, e: int, r: int, s: int,
+                dq: int = 0) -> Callable[[int, int], tuple[int, int] | None]:
+    """q0^dq homfly(w) / a^n at q = q0 = r/s, r^2 != s^2, for a word w on n strands with
+    writhe e and tau = markov_trace(w), as a function of a^2: it maps an integer pair
+    (An, Ad), An / Ad = a^2 != 0, to an integer pair (num, den), not reduced, or to None
+    where the value is 0.  By the identity in the module docstring.  All that depends on
+    q0 alone is done here, once.
 
-    With q0 = r/s, c_k(q0) = C_k r^elo / s^ehi for the integer C_k = sum_E c r^(E-elo)
-    s^(ehi-E) over c_k's terms c q^E.  For a2 = An/Ad, X is the projective pair
-    (Xn, Xd) = ((An - Ad) s^2, An (r^2 - s^2)), and sum_k (-1)^k c_k X^(n-k) is
-    r^elo / s^ehi times T / Xd^n, T = sum_k C_k Xn^(n-k) (-Xd)^k by Horner."""
-    r, s = q0.numerator, q0.denominator
-    if r * r == s * s:
-        return None
-    n, e = w.strands, w.writhe
-    elo, ehi = min((E for _, E in tau), default=0), max((E for _, E in tau), default=0)
+    c_k(q0) = C_k r^elo / s^ehi for the integer C_k = sum_E c r^(E-elo) s^(ehi-E) over c_k's
+    terms c q^E.  X is the projective pair (Xn, Xd) = ((An - Ad) s^2, An (r^2 - s^2)), and
+    sum_k (-1)^k c_k X^(n-k) is r^elo / s^ehi times T / Xd^n, T = sum_k C_k Xn^(n-k) (-Xd)^k
+    by Horner; the value is (-1)^e T r^p / (s^t Xd^n), p - elo = t - ehi = n - 2e + dq."""
+    R, S = r * r, s * s
+    exps = [E for _, E in tau]
+    elo, ehi = min(exps, default=0), max(exps, default=0)
     cs = [0] * n  # C_k; a trace on n strands has z-degree below n
     for (k, E), c in tau.items():
         cs[k] += c * r ** (E - elo) * s ** (ehi - E)
-    xn, xd = (a2.numerator - a2.denominator) * s * s, a2.numerator * (r * r - s * s)
-    total, xp = 0, xn
-    for c in reversed(cs):
-        total = total * -xd + c * xp
-        xp *= xn
-    if not total:
+    cs.reverse()
+    p, t = elo + n - 2 * e + dq, ehi + n - 2 * e + dq
+    u = r ** max(p, 0) * s ** max(-t, 0) * (-1 if e & 1 else 1)
+    v = r ** max(-p, 0) * s ** max(t, 0)
+
+    def at(An: int, Ad: int) -> tuple[int, int] | None:
+        xn, xd = (An - Ad) * S, An * (R - S)
+        total, xp, mxd = 0, xn, -xd
+        for c in cs:
+            total = total * mxd + c * xp
+            xp *= xn
+        return (u * total, v * xd**n) if total else None
+
+    return at
+
+
+def homfly_at(w: BraidWord, tau: Coeff, q0: Fraction, a2: Fraction) -> Fraction | None:
+    """homfly(w) / a^n at q = q0 and a^2 = a2 != 0, from tau = markov_trace(w): `_closure_at`,
+    which `numeric_sweep` reads, normalized once.  None where q0^2 = 1 or the value is 0."""
+    r, s = q0.numerator, q0.denominator
+    if r * r == s * s:
         return None
-    p, t = elo + n - 2 * e, ehi + n - 2 * e  # the value is (-1)^e T r^p / (s^t Xd^n)
-    num = total * r ** max(p, 0) * s ** max(-t, 0)
-    return Fraction(-num if e & 1 else num, xd ** n * r ** max(-p, 0) * s ** max(t, 0))
+    pair = _closure_at(tau, w.strands, w.writhe, r, s)(a2.numerator, a2.denominator)
+    return Fraction(*pair) if pair else None
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ q-adic limit of {m} as m -> infinity).  The limit oracle `q_adic_limit`
 stays the source of truth: the closed form is checked against it in tests
 order by order.
 
-At a point q = q0 the same ladder runs in integers (`qdelta_at`): each rung
-is a Moebius map of the tail, kept as a projective pair of integers, so
-delta_x(q0) costs one gcd and no polynomial.  The symbolic `qdelta` stays
+At a point q = q0 the same ladder runs in integers (`_qdelta_pair`): each
+rung is a Moebius map of the tail, kept as a projective pair of integers, so
+delta_x(q0) costs no gcd and no polynomial; `qdelta_at` normalizes the pair
+into one fraction.  The symbolic `qdelta` stays
 the value for symbolic uses and the oracle of the point value.
 """
 
@@ -70,16 +71,21 @@ class EvenCF(Record):
         setfield(self, "terms", terms)
 
     def fold(self) -> Fraction:
+        return Fraction(*self._convergent())
+
+    def _convergent(self) -> tuple[int, int]:
+        """The folded value as an integer pair (p, q), q > 0."""
         p, q = 1, 0  # the tail a + 1/infinity = a, as convergents p/q
         for a in reversed(self.terms):
             p, q = a * p + q, p
-        return Fraction(p, q)
+        return p, q
 
 
 def even_cf(x: Fraction | int) -> EvenCF:
     """Even-length continued fraction of a rational, via the Euclidean
     algorithm plus the tail parity fix [..., a] -> [..., a-1, 1]."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return EvenCF((x.numerator - 1, 1))
     p, d = x.numerator, x.denominator
@@ -96,7 +102,8 @@ def even_cf(x: Fraction | int) -> EvenCF:
             terms[-1] -= 1
             terms.append(1)
     cf = EvenCF(tuple(terms))
-    assert cf.fold() == x, "continued fraction failed to re-fold"
+    p, q = cf._convergent()
+    assert p * x.denominator == q * x.numerator, "continued fraction failed to re-fold"
     return cf
 
 
@@ -174,8 +181,9 @@ def left_qdelta(x: Fraction | int) -> RatFun:
     return _delta(left_qrational(Fraction(x)))
 
 
-def qdelta_at(x: Fraction | int, q0: Fraction, left: bool = False) -> Fraction | None:
-    """delta_x(q0), or the left one's, from `_ladder`'s rungs at q^2 = R/S in integers.
+def _qdelta_pair(x: Fraction | int, r: int, s: int, left: bool = False) -> tuple[int, int] | None:
+    """delta_x(q0), or the left one's, at q0 = r/s != 0 as an integer pair (P, Q) with
+    P / Q = delta_x(q0), P and Q nonzero and not reduced: `_ladder`'s rungs at q^2 = R/S.
 
     Each rung's u = q^2 or q^-2 is U/V = R/S or S/R, and the tail is a projective
     pair (num, den), seeded at infinity (1, 0) or at 1 / (1 - q^2): a rung is a
@@ -183,10 +191,8 @@ def qdelta_at(x: Fraction | int, q0: Fraction, left: bool = False) -> Fraction |
     fraction times monomials, nonzero at q0 != 0, so den = 0 exactly at a pole.
     None at a pole of delta_x and where it is 0.
     """
-    terms, q0 = _ladder_terms(x), Fraction(q0)
-    if not q0:
-        raise ValueError("q0 must be nonzero")
-    R, S = q0.numerator**2, q0.denominator**2
+    terms = _ladder_terms(x)
+    R, S = r * r, s * s
     num, den = (S, S - R) if left else (1, 0)
     for i in range(len(terms), 0, -1):
         a, (U, V) = terms[i - 1], ((R, S) if i % 2 else (S, R))
@@ -197,7 +203,18 @@ def qdelta_at(x: Fraction | int, q0: Fraction, left: bool = False) -> Fraction |
         else:  # {a}_u = -V G / U^-a, u^a = V^-a / U^-a
             num, den = Vk * den - G * V * num, Uk * num
     top = (R - S) * num + S * den  # ((q^2 - 1) {x} + 1) / q^2
-    return Fraction(top, R * den) if top and den else None
+    return (top, R * den) if top and den else None
+
+
+def qdelta_at(x: Fraction | int, q0: Fraction, left: bool = False) -> Fraction | None:
+    """delta_x(q0), or the left one's, as one fraction: `_qdelta_pair`, which
+    `numeric_sweep` reads, normalized once.  None at a pole of delta_x and where
+    it is 0."""
+    q0 = Fraction(q0)
+    if not q0:
+        raise ValueError("q0 must be nonzero")
+    pair = _qdelta_pair(x, q0.numerator, q0.denominator, left)
+    return Fraction(*pair) if pair else None
 
 
 def qfactorial(k: int) -> RatFun:

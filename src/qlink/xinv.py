@@ -32,8 +32,8 @@ from .exactalg import (
     nu_power,
     specialize_a,
 )
-from .homfly import homfly, homfly_at, markov_trace
-from .qnum import left_qdelta, left_qrational, qbinomial, qdelta, qdelta_at, qrational
+from .homfly import _closure_at, _closure_value, homfly, markov_trace
+from .qnum import _qdelta_pair, left_qdelta, left_qrational, qbinomial, qdelta, qrational
 
 __all__ = [
     "XContext",
@@ -201,10 +201,6 @@ def verify_uniqueness_constraint(alpha_lo: int, alpha_hi: int) -> set[tuple[int,
     return out
 
 
-def _at(value: Fraction | RatFun, q0: Fraction) -> Fraction:
-    return value if isinstance(value, Fraction) else value.evaluate(q0)
-
-
 class SweepRow(Record):
     __slots__ = ("x", "value", "flag")
 
@@ -229,42 +225,57 @@ def numeric_sweep(
     root of delta(q0).  Rows whose evaluation hits a pole are skipped and
     reported as diagnostics.
 
-    A row is the closure value at q = q0 and a^2 = q0^2 delta_x(q0) (`qdelta_at`),
-    summed from the Markov trace, taken once per call (`homfly_at`).  Under
-    a = q v delta, a^n v^framing is v^p q^n delta^(n - (n + framing - p)/2),
-    p = (n + framing) mod 2, so the row has v-parity p.  Where q0^2 = 1,
-    delta_x(q0) is 0 or infinite, or the value is 0 (its v-parity is then
-    unknown), the row is the symbolic one: `homfly(w)`, built once per call,
-    specialized with the context's symbolic delta_x, with its 0/0 points and
-    poles.
+    A row is the closure value at q = q0 and a^2 = q0^2 delta_x(q0), summed in
+    integers.  Once per call: the Markov trace, and from it everything that
+    depends on q0 alone (`homfly._closure_at`).  Per row: delta_x(q0) from x's
+    ladder as an integer pair P / Q (`qnum._qdelta_pair`), the value for
+    a^2 = r^2 P / (s^2 Q) as an integer pair, and the factors below, multiplied
+    into one numerator and one denominator that one `Fraction` normalizes.
+    Under a = q v delta, a^n v^framing is v^p q^n delta^m, m = n - (n + framing
+    - p)/2, p = (n + framing) mod 2, so the row has v-parity p; a 'squared' row
+    is value^2 / delta.  Where q0^2 = 1, delta_x(q0) is 0 or infinite, or the
+    value is 0 (its v-parity is then unknown), the row is the symbolic one:
+    `homfly(w)`, built once per call from the same trace, specialized with the
+    context's symbolic delta_x, with its 0/0 points and poles.
     """
     if q0 == 0:
         raise ValueError("q0 must be nonzero")
     rows: list[SweepRow] = []
     diagnostics: list[str] = []
     tau, h = markov_trace(w), None  # h = homfly(w), built for the first symbolic row
-    n, framing = w.strands, (w.writhe if normalized else 0)
+    n, e, left = w.strands, w.writhe, flavor != "right"
+    framing = e if normalized else 0
+    r, s = q0.numerator, q0.denominator
+    R, S = r * r, s * s
+    at = _closure_at(tau, n, e, r, s, n) if R != S else None  # q0^n homfly(w) / a^n
+    parity = (n + framing) & 1
+    m, squared = n - (n + framing - parity) // 2, parity and not normalized
     for x in xs:
-        x = Fraction(x)
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
         try:
-            delta0 = qdelta_at(x, q0, flavor != "right") or 0
-            value = homfly_at(w, tau, q0, q0 * q0 * delta0) if delta0 else None
+            pq = _qdelta_pair(x, r, s, left)
+            value = at(R * pq[0], S * pq[1]) if pq and at else None
             if value is not None:
-                parity = (n + framing) & 1
-                value *= q0 ** n * delta0 ** (n - (n + framing - parity) // 2)
-            else:  # the symbolic row: (parity, value) as a fraction in q
-                h = homfly(w) if h is None else h
-                ctx = x_context(x) if flavor == "right" else flat_context(x)
-                v = specialize_closure(h, ctx, framing)
-                parity, value = v.nu_parity(), v.nu_free_part()
-            if parity and not normalized:
+                (num, den), (P, Q) = value, pq
+                num, den = (num * P**m, den * Q**m) if m >= 0 else (num * Q**-m, den * P**-m)
+                if squared:
+                    num, den = num * num * Q, den * den * P
+                rows.append(SweepRow(x, Fraction(num, den), "squared" if squared else ""))
+                continue
+            # the symbolic row: (parity, value) as a fraction in q
+            h = _closure_value(w, tau) if h is None else h
+            ctx = x_context(x) if flavor == "right" else flat_context(x)
+            v = specialize_closure(h, ctx, framing)
+            value = v.nu_free_part()
+            if v.nu_parity() and not normalized:
                 try:  # value(q0)^2 / delta(q0) wherever value, delta are regular and delta(q0) != 0
-                    sq = _at(value, q0) ** 2 / delta0
-                except ZeroDivisionError:  # PoleError included; a pointwise value never gets here
+                    sq = value.evaluate(q0) ** 2 / (Fraction(*pq) if pq else 0)
+                except ZeroDivisionError:  # PoleError included
                     sq = (value * value / ctx.delta).evaluate(q0)
                 rows.append(SweepRow(x, sq, "squared"))
             else:
-                rows.append(SweepRow(x, _at(value, q0), ""))
+                rows.append(SweepRow(x, value.evaluate(q0), ""))
         except (PoleError, ZeroDivisionError, ValueError) as exc:
             diagnostics.append(f"x={x}: {exc}")
     return rows, diagnostics

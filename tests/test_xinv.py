@@ -8,7 +8,7 @@ import pytest
 from qlink.braid import BraidWord, closure_stats, parse_braid
 from qlink.exactalg import IntLaurent, IntLaurent2, PoleError, RatFun, RatFun2, specialize_a
 from qlink.homfly import homfly, homfly_twist_coeff
-from qlink.qnum import left_qdelta, left_qrational, qbinomial, qdelta, qint, qrational
+from qlink.qnum import MAX_QDEGREE, left_qdelta, left_qrational, qbinomial, qdelta, qint, qrational
 from qlink.xinv import (
     XContext,
     colored_stab_unknot,
@@ -381,23 +381,26 @@ def _inject_delta(monkeypatch, delta: RatFun) -> None:
     context and the point value delta_x(q0)."""
     import qlink.xinv as xinv
 
-    def at(x, q0, left=False):
+    def at(x, r, s, left=False):
         try:
-            return delta.evaluate(q0) or None
+            value = delta.evaluate(Fraction(r, s))
         except PoleError:
             return None
+        return (value.numerator, value.denominator) if value else None
 
     monkeypatch.setattr(xinv, "x_context", lambda x: XContext(Fraction(x), "right", delta))
-    monkeypatch.setattr(xinv, "qdelta_at", at)
+    monkeypatch.setattr(xinv, "_qdelta_pair", at)
 
 
 def _inject_homfly(monkeypatch, F: RatFun2) -> None:
-    """Make `numeric_sweep` see the closure value F: a pointwise row sums the
-    word's own Markov trace, so it is refused and every row is the symbolic one."""
+    """Make `numeric_sweep`, and the invariants that `_per_point_sweep` reads, see
+    the closure value F: a pointwise row sums the word's own Markov trace, so it
+    is refused and every row is the symbolic one."""
     import qlink.xinv as xinv
 
     monkeypatch.setattr(xinv, "homfly", lambda w: F)
-    monkeypatch.setattr(xinv, "homfly_at", lambda *args: None)
+    monkeypatch.setattr(xinv, "_closure_value", lambda w, tau: F)
+    monkeypatch.setattr(xinv, "_closure_at", lambda *args: None)
 
 
 def _cf_rational(rng: random.Random, length: int) -> Fraction:
@@ -492,7 +495,7 @@ def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
 
     for owner, name in ((laurent, "laurent_gcd"), (ratfun, "laurent_gcd"), (nu, "_specialize_poly"), (qnum, "_ladder"),
-                        (xinv, "homfly"), (homfly_module, "_closure_numerator"), (xinv, "specialize_closure")):
+                        (xinv, "_closure_value"), (homfly_module, "_closure_numerator"), (xinv, "specialize_closure")):
         counted(owner, name)
     # every polynomial is built by _Laurent.__init__ or _new, or from an IntLaurent2, and
     # every fraction by _Fraction.__init__ or _make: count the class of each
@@ -509,7 +512,7 @@ def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
                     numeric_sweep(w, q0, xs, normalized, flavor)
     assert not calls
     numeric_sweep(TREFOIL, Fraction(1), [Fraction(1, 2)])  # a symbolic row
-    assert set(calls) == {"homfly", "_closure_numerator", "specialize_closure", "_specialize_poly", "laurent_gcd",
+    assert set(calls) == {"_closure_value", "_closure_numerator", "specialize_closure", "_specialize_poly", "laurent_gcd",
                           "_ladder", "IntLaurent", "IntLaurent2", "RatFun", "RatFun2"}  # the counters work
 
 
@@ -539,13 +542,20 @@ def test_sweep_squared_row_falls_back_to_the_fraction(monkeypatch):
 
 
 def test_sweep_takes_one_trace_and_builds_homfly_only_for_a_symbolic_row(monkeypatch):
+    # the symbolic value is built from the trace the sweep already holds, so
+    # `markov_trace` runs once, counted under both names it is called by
+    import sys
+
     import qlink.xinv as xinv
 
+    homfly_module = sys.modules["qlink.homfly"]  # `qlink.homfly` as an attribute is the function
     xs = [Fraction(-3, 2), Fraction(0), Fraction(1, 3), Fraction(2), Fraction(7, 5)]
     traces, calls = [], []
-    trace = xinv.markov_trace
-    monkeypatch.setattr(xinv, "markov_trace", lambda w: traces.append(w) or trace(w))
-    monkeypatch.setattr(xinv, "homfly", lambda w: calls.append(w) or homfly(w))
+    trace = homfly_module.markov_trace
+    for owner in (xinv, homfly_module):
+        monkeypatch.setattr(owner, "markov_trace", lambda w: traces.append(w) or trace(w))
+    closure_value = xinv._closure_value
+    monkeypatch.setattr(xinv, "_closure_value", lambda w, tau: calls.append(w) or closure_value(w, tau))
     symbolic = _count_symbolic_rows(monkeypatch)
     for w in (TREFOIL, FIG8, UNKNOT, HOPF):
         for q0 in (Fraction(-2, 3), Fraction(1)):
@@ -559,3 +569,71 @@ def test_sweep_takes_one_trace_and_builds_homfly_only_for_a_symbolic_row(monkeyp
                     assert symbolic == (xs if q0 == 1 else [0] if flavor == "right" else [])
                     expected = _per_point_sweep(w, q0, xs, normalized, flavor)
                     assert ([(r.x, r.value, r.flag) for r in rows], diagnostics) == expected
+
+
+def test_integer_sweep_rows_equal_the_symbolic_oracle_on_every_branch(monkeypatch):
+    # each branch of the integer row's sign and power bookkeeping against the oracle
+    # specialize_closure(homfly(w), ctx, framing) at q0: a negative delta power
+    # (normalized, writhe > strands), q0 < 0, the flat flavor, 'squared' rows,
+    # several rows per call, and x at the q-degree cap
+    symbolic = _count_symbolic_rows(monkeypatch)
+    kinks = parse_braid("1 1 1 1 1")  # normalized: delta^-1
+    words = [UNKNOT, S1, TREFOIL, FIG8, kinks, parse_braid("-1 -1 -1 -1 2"), parse_braid("1 2 -1 2 3 -2")]
+    xs = [Fraction(-7, 3), Fraction(1, 2), Fraction(2), Fraction(5, 8), Fraction(13, 5)]
+    half = MAX_QDEGREE // 2
+    capped = [Fraction(half), Fraction(1 - half, 2), Fraction(half + 1)]  # the symbolic {1/half} takes seconds
+    flags = set()
+    for w in words:
+        for q0 in (Fraction(-2), Fraction(-3, 2), Fraction(1, 3), Fraction(5, 2)):
+            for normalized in (False, True):
+                for flavor in ("right", "flat"):
+                    grid = xs + capped if w in (UNKNOT, S1) and q0 == Fraction(-3, 2) else xs
+                    symbolic.clear()
+                    got = _sweep(w, q0, grid, normalized, flavor)
+                    assert not symbolic, (w, q0, normalized, flavor)
+                    assert got == _per_point_sweep(w, q0, grid, normalized, flavor), (w, q0, normalized, flavor)
+                    flags.update(flag for _, _, flag in got[0])
+                    if grid is not xs:
+                        assert got[1] == [f"x={half + 1}: q-deformation too large: its q-degree may exceed {MAX_QDEGREE}"]
+    assert flags == {"", "squared"}
+    # delta_x(q0) > 0 at every real q0 on the contexts above, so a crafted
+    # delta = 1 - q^2 gives delta(q0) < 0 for |q0| > 1, in 'squared' rows and
+    # under a negative delta power
+    _inject_delta(monkeypatch, RatFun(IntLaurent({0: 1, 2: -1})))
+    symbolic = _count_symbolic_rows(monkeypatch)
+    for w in (UNKNOT, FIG8, kinks):
+        for q0 in (Fraction(2), Fraction(-3, 2)):
+            for normalized in (False, True):
+                symbolic.clear()
+                got = _sweep(w, q0, xs, normalized)
+                assert not symbolic
+                assert got == _per_point_sweep(w, q0, xs, normalized, "right"), (w, q0, normalized)
+                assert normalized or w is kinks or {flag for _, _, flag in got[0]} == {"squared"}
+
+
+def test_a_regular_sweep_row_builds_at_most_three_fractions(monkeypatch):
+    # a noise-free guard on the row's shape: a regular row is summed in integers
+    # and normalized once, so it builds one Fraction (at most 3 allowed), where
+    # Fraction products built 12.35 per row before
+    symbolic = _count_symbolic_rows(monkeypatch)
+    new = Fraction.__new__
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    xs = [Fraction(-7, 3), Fraction(1, 2), Fraction(2), Fraction(5, 8), Fraction(13, 5)]
+    calls = [(w, q0, grid, normalized, flavor)
+             for w in (UNKNOT, TREFOIL, FIG8, parse_braid("1 1 1 1 1"), parse_braid("1 2 -1 2 3 -2"))
+             for q0 in (Fraction(2), Fraction(-3, 2), Fraction(1, 3))
+             for grid in (xs, xs[1:2])
+             for normalized in (False, True)
+             for flavor in ("right", "flat")]
+    for args in calls:
+        built.clear()
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        rows, diagnostics = numeric_sweep(*args)
+        monkeypatch.undo()
+        assert len(rows) == len(args[2]) and not diagnostics and not symbolic, args
+        assert len(built) <= 3 * len(rows), (args, len(built))
