@@ -23,10 +23,10 @@ Two independent evaluators are provided and cross-checked in the tests:
   q^2.  At q = +-1 it is +-W^c S(a) with W = a - a^-1 and S(1) = (-1)^r, so it
   is free of q -+ 1: no two-variable product, division or gcd runs.
 
-* `markov_trace(w)`, which `homfly` and `homfly_at` read, first shrinks the
-  word by moves that keep its trace, and expands only the core they leave:
-  `ocneanu_trace(HeckeElement.from_braid(core))`, which on the whole word
-  stays the unreduced oracle of the tests.  The moves, until none applies:
+* The Markov moves shrink the word first, keeping its trace, and only the
+  core they leave is expanded: `ocneanu_trace(HeckeElement.from_braid(core))`,
+  which on the whole word stays the unreduced oracle of the tests.  The moves,
+  until none applies:
   - cyclic free cancellation of v, -v (the trace is cyclic);
   - a split at every missing generator sigma_i: the trace is multiplicative,
     tau(x y') = tau(x) tau(y) for x on strands 1..i and y' a word y on
@@ -38,6 +38,22 @@ Two independent evaluators are provided and cross-checked in the tests:
     alpha_k, so tau(x g^k) = (alpha_k z + 1 - alpha_k) tau(x); k = +-1 is
     ordinary destabilization.  sigma_1 is removed the same way through the
     flip sigma_i -> sigma_(m-i), conjugation by the half twist.
+
+* Kinks as monomials.  `_trace_and_kinks(w)` runs the moves and keeps the
+  end blocks with k = +-1 (kinks) out of the trace: it returns the product
+  tau' of the other factors and the numbers p and m of positive and negative
+  kinks.  `markov_trace(w)` multiplies z^p and (q^-2 z + 1 - q^-2)^m back in,
+  for the tests.  In a closure value a kink is a monomial,
+
+      mu d z = q^-1 a,        mu d^-1 (q^-2 z + 1 - q^-2) = q a^-1,
+
+  so mu^n d^e tau = (q^-1 a)^p (q a^-1)^m mu^n' d^e' tau' on n' = n - p - m
+  strands with writhe e' = e - p + m.  The closure keeps its c components (a
+  block of odd k joins its strand to another component), and the facts above
+  hold for tau' with r' = n' - c: at z = (q^2 - 1) y the kinks' factor
+  z^p (q^-2 z + 1 - q^-2)^m is (q^2 - 1)^(p+m) times a polynomial in y of
+  content 1.  `homfly` builds the value of tau' on n' strands and applies the
+  monomial as an exponent offset; `_closure_at` takes the same three pieces.
 
 * `homfly_at` evaluates the same value at one point, from `markov_trace`.
   As z = -q a / mu and mu = a q X with X = (A - 1) / (A (q^2 - 1)), A = a^2,
@@ -80,7 +96,6 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, product
-from operator import add
 
 from .braid import BraidWord, closure_stats
 from .exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2
@@ -222,16 +237,19 @@ def _divide_by_t_minus_1(p: list[int]) -> list[int]:
     return b[-2::-1]
 
 
-def _closure_numerator(tau: Coeff, n: int, r: int, dq: int = 0, sign: int = 1) -> IntLaurent2:
-    """sign q^dq N / (q^2 - 1)^r, N = sum_k c_k U^k W^(n-k), for tau = sum_k c_k z^k from
-    `markov_trace` and n at least its z-degree.  As U = -a (q^2 - 1), it is sum_k (-a)^k d_k
-    W^(n-k) with d_k = c_k (q^2 - 1)^(k-r): its a^(n-2j) coefficient is (-1)^j sum_k (-1)^k
-    C(n-k, j) d_k.  Each d_k is formed once on dense integer lists in t = q^2, one per parity
-    of the q-exponents (closure traces have one): c_k is divided r - k times by t - 1, or
-    multiplied k - r times; an inexact division raises ArithmeticError.  Each (j, parity)
-    coefficient is summed as one dense row in t."""
-    lo = min((e for _, e in tau), default=0)
-    width = (max((e for _, e in tau), default=lo) - lo) // 2 + 1
+def _closure_numerator(tau: Coeff, n: int, r: int, dq: int = 0, sign: int = 1, da: int = 0) -> IntLaurent2:
+    """sign a^da q^dq N / (q^2 - 1)^r, N = sum_k c_k U^k W^(n-k), for tau = sum_k c_k z^k from
+    `markov_trace` or `_trace_and_kinks` and n at least its z-degree.  As U = -a (q^2 - 1), it
+    is sum_k (-a)^k d_k W^(n-k) with d_k = c_k (q^2 - 1)^(k-r): its a^(n-2j) coefficient is
+    (-1)^j sum_k (-1)^k C(n-k, j) d_k.  Each d_k is formed once on dense integer lists in
+    t = q^2, one per parity of the q-exponents (closure traces have one): c_k is divided
+    r - k times by t - 1, or multiplied k - r times; an inexact division raises
+    ArithmeticError.  Each (j, parity) coefficient is summed as one dense row in t, kept in a
+    list at 2 j + parity.  The offsets da and dq shift the exponents as the rows are read out:
+    `homfly` applies its kinks' monomial a^(p-m) q^(m-p) here."""
+    exps = [e for _, e in tau]
+    lo = min(exps, default=0)
+    width = (max(exps, default=lo) - lo) // 2 + 1
     parts: dict[tuple[int, int], list[int]] = {}  # (k, s) -> the q^(lo + s) t^i coefficients of c_k
     for (k, e), v in tau.items():
         parts.setdefault((k, (e - lo) & 1), [0] * width)[(e - lo) >> 1] = v
@@ -242,16 +260,17 @@ def _closure_numerator(tau: Coeff, n: int, r: int, dq: int = 0, sign: int = 1) -
             p = [x - y for x, y in zip([0, *p], [*p, 0])]
         parts[k, s] = p
     size = max(map(len, parts.values()), default=0)
-    rows: dict[tuple[int, int], list[int]] = {}  # (j, s) -> the q^(lo + dq + s) t^i coefficients of a^(n-2j)
+    rows: list[list[int] | None] = [None] * (2 * n + 2)  # 2 j + s -> the q^(lo + s) t^i coefficients of a^(n-2j)
     for (k, s), p in parts.items():
         p += [0] * (size - len(p))
-        m = sign * (-1) ** k  # sign (-1)^(j+k) C(n-k, j), C(n-k, j+1) = C(n-k, j) (n-k-j) / (j+1)
+        m = -sign if k & 1 else sign  # sign (-1)^(j+k) C(n-k, j), C(n-k, j+1) = C(n-k, j) (n-k-j) / (j+1)
         for j in range(n - k + 1):
-            row = rows.get((j, s))
-            rows[j, s] = list(map(m.__mul__, p)) if row is None else list(map(add, row, map(m.__mul__, p)))
+            row = rows[2 * j + s]
+            rows[2 * j + s] = [m * x for x in p] if row is None else [x + m * y for x, y in zip(row, p)]
             m = -m * (n - k - j) // (j + 1)
-    return IntLaurent2({(n - 2 * j, lo + dq + s + 2 * i): v
-                        for (j, s), row in rows.items() for i, v in enumerate(row) if v})
+    da, dq = da + n, dq + lo
+    return IntLaurent2({(da - (i & -2), dq + (i & 1) + 2 * t): v
+                        for i, row in enumerate(rows) if row for t, v in enumerate(row) if v})
 
 
 def _q2_minus_1_power(c: int) -> IntLaurent2:
@@ -267,14 +286,17 @@ def _q2_minus_1_power(c: int) -> IntLaurent2:
 def homfly(w: BraidWord) -> RatFun2:
     """Framed HOMFLY-PT polynomial of the closure of a braid word, with the
     calibrated z, d and mu."""
-    return _closure_value(w, markov_trace(w))
+    return _closure_value(w, _trace_and_kinks(w))
 
 
-def _closure_value(w: BraidWord, tau: Coeff) -> RatFun2:
-    """`homfly(w)` from tau = markov_trace(w)."""
+def _closure_value(w: BraidWord, trace: tuple[Coeff, int, int]) -> RatFun2:
+    """`homfly(w)` from trace = (tau, p, m) = _trace_and_kinks(w), or (markov_trace(w), 0, 0):
+    the closure value of tau on n - p - m strands with writhe e - p + m and w's c components,
+    times the kinks' monomial (q^-1 a)^p (q a^-1)^m."""
+    tau, p, m = trace
+    n, e, c = w.strands - p - m, w.writhe - p + m, closure_stats(w).components
     # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and N / (q^2 - 1)^(n-c) is free of q -+ 1
-    n, e, c = w.strands, w.writhe, closure_stats(w).components
-    num = _closure_numerator(tau, n, n - c, n - 2 * e, -1 if e % 2 else 1)
+    num = _closure_numerator(tau, n, n - c, n - 2 * e + m - p, -1 if e % 2 else 1, p - m)
     # canonical as built: (q^2 - 1)^c is free of a, with constant term +-1, leading coefficient 1
     return RatFun2._make(num, _q2_minus_1_power(c))
 
@@ -375,14 +397,24 @@ def _destabilize(word: list[int], lo: int, hi: int) -> tuple[list[int], int, int
 
 def markov_trace(w: BraidWord) -> Coeff:
     """The Markov trace of w's Hecke element, a `Coeff` map with z formal: equal to
-    `ocneanu_trace(HeckeElement.from_braid(w))`, with the word first reduced by the Markov
-    moves of the module docstring.  A worklist of pieces (lo, hi, letters) drives them, the
-    letters kept in w's numbering on strands lo + 1 .. hi; nothing recurses.  A piece is
-    cyclically reduced and split at every generator it lacks in one pass (a piece with no
-    letters has trace 1), then stripped of end blocks (`_destabilize`).  What a vanished
-    generator splits goes back to the worklist; a piece with no move left is a core,
-    renumbered from 1 and expanded by `ocneanu_trace`."""
+    `ocneanu_trace(HeckeElement.from_braid(w))`.  It is `_trace_and_kinks(w)` with the kinks
+    put back as factors: z for each positive one, q^-2 z + 1 - q^-2 for each negative one."""
+    tau, p, m = _trace_and_kinks(w)
+    return reduce(_mul, [_block_factor(-1)] * m, {(k + p, e): v for (k, e), v in tau.items()})
+
+
+def _trace_and_kinks(w: BraidWord) -> tuple[Coeff, int, int]:
+    """(tau, p, m): the Markov trace of w with z formal, reduced by the Markov moves of the
+    module docstring, and the numbers p and m of the end blocks g and g^-1 (kinks) that the
+    moves removed and tau leaves out.  A worklist of pieces (lo, hi, letters) drives the
+    moves, the letters kept in w's numbering on strands lo + 1 .. hi; nothing recurses.  A
+    piece is cyclically reduced and split at every generator it lacks in one pass (a piece
+    with no letters has trace 1), then stripped of end blocks (`_destabilize`): a kink is
+    counted, a block g^k with |k| >= 2 gives its factor.  What a vanished generator splits
+    goes back to the worklist; a piece with no move left is a core, renumbered from 1 and
+    expanded by `ocneanu_trace`.  tau is the product of the factors."""
     factors: list[Coeff] = []
+    p = m = 0
     work = [(0, w.strands, list(w.letters))]
     while work:
         lo, hi, word = work.pop()
@@ -394,10 +426,11 @@ def markov_trace(w: BraidWord) -> Coeff:
             for v in word:
                 pieces[bisect_left(cuts, abs(v))].append(v)
             bounds = [lo, *cuts, hi]
-            work.extend((bounds[i], bounds[i + 1], p) for i, p in enumerate(pieces) if p)
+            work.extend((bounds[i], bounds[i + 1], piece) for i, piece in enumerate(pieces) if piece)
         elif word:
             ks, lo, hi, word, split = _destabilize(word, lo, hi)
-            factors += map(_block_factor, ks)
+            p, m = p + ks.count(1), m + ks.count(-1)
+            factors += [_block_factor(k) for k in ks if k * k > 1]
             if split:
                 work.append((lo, hi, word))
             elif word:
@@ -405,21 +438,25 @@ def markov_trace(w: BraidWord) -> Coeff:
                 if len(word) < len(w.letters) or hi - lo < w.strands:
                     core = BraidWord(tuple(v - lo if v > 0 else v + lo for v in word), hi - lo)
                 factors.append(ocneanu_trace(HeckeElement.from_braid(core)))
-    return reduce(_mul, factors) if factors else {(0, 0): 1}
+    return (reduce(_mul, factors) if factors else {(0, 0): 1}), p, m
 
 
-def _closure_at(tau: Coeff, n: int, e: int, r: int, s: int,
+def _closure_at(trace: tuple[Coeff, int, int], n: int, e: int, r: int, s: int,
                 dq: int = 0) -> Callable[[int, int], tuple[int, int] | None]:
     """q0^dq homfly(w) / a^n at q = q0 = r/s, r^2 != s^2, for a word w on n strands with
-    writhe e and tau = markov_trace(w), as a function of a^2: it maps an integer pair
-    (An, Ad), An / Ad = a^2 != 0, to an integer pair (num, den), not reduced, or to None
-    where the value is 0.  By the identity in the module docstring.  All that depends on
-    q0 alone is done here, once.
+    writhe e and trace = (tau, p, m) = _trace_and_kinks(w), or (markov_trace(w), 0, 0), as a
+    function of a^2: it maps an integer pair (An, Ad), An / Ad = a^2 != 0, to an integer pair
+    (num, den), not reduced, or to None where the value is 0.  By the identity in the module
+    docstring, on n - p - m strands with writhe e - p + m; the kinks' monomial
+    a^(p-m) q^(m-p) adds m - p to dq and leaves a^-2m, the factor (Ad / An)^m of a row.  All
+    that depends on q0 alone is done here, once.
 
     c_k(q0) = C_k r^elo / s^ehi for the integer C_k = sum_E c r^(E-elo) s^(ehi-E) over c_k's
     terms c q^E.  X is the projective pair (Xn, Xd) = ((An - Ad) s^2, An (r^2 - s^2)), and
     sum_k (-1)^k c_k X^(n-k) is r^elo / s^ehi times T / Xd^n, T = sum_k C_k Xn^(n-k) (-Xd)^k
     by Horner; the value is (-1)^e T r^p / (s^t Xd^n), p - elo = t - ehi = n - 2e + dq."""
+    tau, kp, km = trace
+    n, e, dq = n - kp - km, e - kp + km, dq + km - kp
     R, S = r * r, s * s
     exps = [E for _, E in tau]
     elo, ehi = min(exps, default=0), max(exps, default=0)
@@ -437,7 +474,9 @@ def _closure_at(tau: Coeff, n: int, e: int, r: int, s: int,
         for c in cs:
             total = total * mxd + c * xp
             xp *= xn
-        return (u * total, v * xd**n) if total else None
+        if not total:
+            return None
+        return (u * total * Ad**km, v * xd**n * An**km) if km else (u * total, v * xd**n)
 
     return at
 
@@ -448,7 +487,7 @@ def homfly_at(w: BraidWord, tau: Coeff, q0: Fraction, a2: Fraction) -> Fraction 
     r, s = q0.numerator, q0.denominator
     if r * r == s * s:
         return None
-    pair = _closure_at(tau, w.strands, w.writhe, r, s)(a2.numerator, a2.denominator)
+    pair = _closure_at((tau, 0, 0), w.strands, w.writhe, r, s)(a2.numerator, a2.denominator)
     return Fraction(*pair) if pair else None
 
 

@@ -280,6 +280,23 @@ def _product(a: dict, b: dict) -> dict:
     return {key: v for key, v in acc.items() if v}
 
 
+def _check_kinked_values(w: BraidWord, tau: dict, kinds: Counter, at_points: bool = True) -> None:
+    """homfly(w), which applies the kinks as monomials, against the closure value of the
+    unreduced trace tau on all of w's strands; with at_points, `_closure_at` from the kinked
+    trace against it from tau, at two points.  Counts the words with each kind of kink."""
+    from qlink.homfly import _closure_at, _closure_value, _trace_and_kinks
+
+    trace, unreduced = _trace_and_kinks(w), (tau, 0, 0)
+    assert homfly(w) == _closure_value(w, unreduced), w
+    kinds[bool(trace[1]), bool(trace[2])] += 1
+    if at_points:
+        n, e = w.strands, w.writhe
+        for r, s, dq in ((2, 1, n), (-3, 2, 0)):
+            for a2 in ((5, 3), (-1, 4)):
+                got, want = (_closure_at(t, n, e, r, s, dq)(*a2) for t in (trace, unreduced))
+                assert (got and Fraction(*got)) == (want and Fraction(*want)), (w, r, s, a2)
+
+
 def _count_hecke_mul_gen(monkeypatch) -> Counter:
     homfly_module = sys.modules["qlink.homfly"]  # `qlink.homfly` as an attribute is the function
     calls, mul = Counter(), homfly_module.hecke_mul_gen
@@ -293,24 +310,34 @@ def _count_hecke_mul_gen(monkeypatch) -> Counter:
 
 
 def test_markov_trace_matches_the_unreduced_trace_on_every_short_word():
-    # every word of up to 5 letters on 1-5 strands, and of 6 letters on 1-3 strands
+    # every word of up to 5 letters on 1-5 strands, and of 6 letters on 1-3 strands;
+    # `homfly`, which leaves the kinks out of the trace, against the unreduced value,
+    # and on words of up to 4 letters `_closure_at` too
+    kinds: Counter = Counter()
     count = 0
     for n in range(1, 6):
         letters = [s * i for i in range(1, n) for s in (1, -1)]
         for length in range(7 if n <= 3 else 6):
             for word in product(letters, repeat=length):
                 w = BraidWord(word, n)
-                assert markov_trace(w) == _unreduced(w), w
+                tau = _unreduced(w)
+                assert markov_trace(w) == tau, w
+                _check_kinked_values(w, tau, kinds, at_points=length <= 4)
                 count += 1
     assert count == 52369
+    assert set(kinds) == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def test_markov_trace_matches_the_unreduced_trace_on_longer_words():
     rng = random.Random(97)
+    kinds: Counter = Counter()
     for _ in range(400):
         n = rng.randint(6, 7)
         w = BraidWord(tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(6, 12))), n)
-        assert markov_trace(w) == _unreduced(w), w
+        tau = _unreduced(w)
+        assert markov_trace(w) == tau, w
+        _check_kinked_values(w, tau, kinds)
+    assert set(kinds) == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def test_split_trace_is_the_product_of_the_pieces():
@@ -412,6 +439,28 @@ def test_markov_trace_on_max_strands_builds_no_hecke_term(monkeypatch, letters):
     r = MAX_STRANDS - closure_stats(w).components
     assert markov_trace(w) == {(r, 0): 1}
     assert not calls
+
+
+@pytest.mark.parametrize("sign", [-1, 1], ids=["negative", "positive"])
+def test_homfly_of_kinks_on_max_strands_builds_no_hecke_term_and_no_trace_product(monkeypatch, sign):
+    # -(n-1) ... -1 is n - 1 negative kinks: the formal trace would be the product of
+    # n - 1 binomials q^-2 z + 1 - q^-2, with n (n + 1) / 2 terms, but the value is
+    # mu (q a^-1)^(n-1); its mirror (n-1) ... 1 gives mu (q^-1 a)^(n-1)
+    homfly_module = sys.modules["qlink.homfly"]
+    calls = _count_hecke_mul_gen(monkeypatch)
+    mul = homfly_module._mul
+
+    def counted_mul(*args):
+        calls["_mul"] += 1
+        return mul(*args)
+
+    monkeypatch.setattr(homfly_module, "_mul", counted_mul)
+    n = MAX_STRANDS
+    h = homfly(BraidWord(tuple(sign * g for g in range(n - 1, 0, -1)), n))
+    assert not calls
+    assert h == RatFun2(W.shift(sign * (n - 1), 1 - sign * (n - 1)), Q2_MINUS_1)
+    homfly(BraidWord((1, 2, 1, 2, 3, 3), 4))
+    assert calls["_mul"] and calls["hecke_mul_gen"]  # the counters see a core and a block of 2
 
 
 # ---------------------------------------------------------------------------
@@ -714,28 +763,29 @@ laurents = st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=4).m
     st.integers(0, 4),
     st.integers(-4, 4),
     st.sampled_from((1, -1)),
+    st.integers(-4, 4),
 )
-@example((3, [IntLaurent(), IntLaurent()]), 2, 0, 1)  # all zero
-@example((2, [IntLaurent({-3: 1}), IntLaurent({1: 2, 2: -1})]), 1, 1, -1)  # odd exponents
-@example((3, [IntLaurent({0: -1, 2: 1}), IntLaurent({1: 2, 2: -1})]), 1, 0, 1)  # only c_0 is divided
-def test_closure_numerator_on_random_coefficients(n_coeffs, r, dq, sign):
+@example((3, [IntLaurent(), IntLaurent()]), 2, 0, 1, 0)  # all zero
+@example((2, [IntLaurent({-3: 1}), IntLaurent({1: 2, 2: -1})]), 1, 1, -1, 3)  # odd exponents
+@example((3, [IntLaurent({0: -1, 2: 1}), IntLaurent({1: 2, 2: -1})]), 1, 0, 1, -2)  # only c_0 is divided
+def test_closure_numerator_on_random_coefficients(n_coeffs, r, dq, sign, da):
     # with a planted factor (q^2 - 1)^r the quotient is the undivided sum of
     # the original coefficients; without it, the builder raises exactly when
     # some c_k with k < r is not divisible by (q^2 - 1)^(r - k), and otherwise
-    # equals the Kronecker quotient
+    # equals the Kronecker quotient; the offsets shift it by a^da q^dq
     from qlink.exactalg.laurent import _divide_or_none, laurent2_divide_exact
     from qlink.homfly import _closure_numerator
 
     n, coeffs = n_coeffs
     t_minus_1 = IntLaurent({0: -1, 2: 1})
-    got = _closure_numerator(_flat(tuple(c * t_minus_1**r for c in coeffs)), n, r, dq, sign)
-    assert got == _times_mu_power(coeffs, n).shift(0, dq).scale(sign)
+    got = _closure_numerator(_flat(tuple(c * t_minus_1**r for c in coeffs)), n, r, dq, sign, da)
+    assert got == _times_mu_power(coeffs, n).shift(da, dq).scale(sign)
     if any(_divide_or_none(c, t_minus_1 ** (r - k)) is None for k, c in enumerate(coeffs[:r])):
         with pytest.raises(ArithmeticError):
-            _closure_numerator(_flat(coeffs), n, r, dq, sign)
+            _closure_numerator(_flat(coeffs), n, r, dq, sign, da)
     else:
-        expected = laurent2_divide_exact(_times_mu_power(coeffs, n).shift(0, dq), Q2_MINUS_1**r)
-        assert _closure_numerator(_flat(coeffs), n, r, dq, sign) == expected.scale(sign)
+        expected = laurent2_divide_exact(_times_mu_power(coeffs, n).shift(da, dq), Q2_MINUS_1**r)
+        assert _closure_numerator(_flat(coeffs), n, r, dq, sign, da) == expected.scale(sign)
 
 
 def test_homfly_runs_no_kronecker_division_and_no_two_variable_product(monkeypatch):

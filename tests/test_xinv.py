@@ -543,7 +543,7 @@ def test_sweep_squared_row_falls_back_to_the_fraction(monkeypatch):
 
 def test_sweep_takes_one_trace_and_builds_homfly_only_for_a_symbolic_row(monkeypatch):
     # the symbolic value is built from the trace the sweep already holds, so
-    # `markov_trace` runs once, counted under both names it is called by
+    # `_trace_and_kinks` runs once, counted under both names it is called by
     import sys
 
     import qlink.xinv as xinv
@@ -551,9 +551,9 @@ def test_sweep_takes_one_trace_and_builds_homfly_only_for_a_symbolic_row(monkeyp
     homfly_module = sys.modules["qlink.homfly"]  # `qlink.homfly` as an attribute is the function
     xs = [Fraction(-3, 2), Fraction(0), Fraction(1, 3), Fraction(2), Fraction(7, 5)]
     traces, calls = [], []
-    trace = homfly_module.markov_trace
+    trace = homfly_module._trace_and_kinks
     for owner in (xinv, homfly_module):
-        monkeypatch.setattr(owner, "markov_trace", lambda w: traces.append(w) or trace(w))
+        monkeypatch.setattr(owner, "_trace_and_kinks", lambda w: traces.append(w) or trace(w))
     closure_value = xinv._closure_value
     monkeypatch.setattr(xinv, "_closure_value", lambda w, tau: calls.append(w) or closure_value(w, tau))
     symbolic = _count_symbolic_rows(monkeypatch)
