@@ -42,7 +42,7 @@ class BraidWord(Record):
 
     @property
     def writhe(self) -> int:
-        return sum(1 if v > 0 else -1 for v in self.letters)
+        return len(self.letters) - 2 * sum(map((0).__gt__, self.letters))  # less twice the negative letters
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.letters)

@@ -65,8 +65,10 @@ class _Laurent:
     def __init__(self, coeffs: dict | None = None):
         self._c = _trim(coeffs) if coeffs else {}
 
-    def _new(self, c: dict):
-        out = self.__class__.__new__(self.__class__)
+    @classmethod
+    def _new(cls, c: dict):
+        """The polynomial of the coefficient map c, which has no zero coefficient, as it is."""
+        out = cls.__new__(cls)
         out._c = c
         return out
 

@@ -11,8 +11,8 @@ context, times a framing power v^k if asked.  It runs in Z[q^±1]: a
 `RatFun2`'s denominator is free of a, so it is its own image, and each
 v-parity of the numerator's image is one polynomial over a common power of
 delta's numerator and denominator.  No pole can occur.  (A sweep row at a
-point q0 skips this image: `qlink.homfly.homfly_at` sums the closure value
-at q0 straight from the Markov trace.)
+point q0 skips this image: `qlink.xinv.numeric_sweep` sums the closure value
+at q0 straight from the Markov pieces, through `qlink.homfly._closure_at`.)
 """
 
 from __future__ import annotations

@@ -39,32 +39,43 @@ Two independent evaluators are provided and cross-checked in the tests:
     ordinary destabilization.  sigma_1 is removed the same way through the
     flip sigma_i -> sigma_(m-i), conjugation by the half twist.
 
-* Kinks as monomials.  `_trace_and_kinks(w)` runs the moves and keeps the
-  end blocks with k = +-1 (kinks) out of the trace: it returns the product
-  tau' of the other factors and the numbers p and m of positive and negative
-  kinks.  `markov_trace(w)` multiplies z^p and (q^-2 z + 1 - q^-2)^m back in,
-  for the tests.  In a closure value a kink is a monomial,
+* Pieces in closure space.  `_markov_pieces(w)` runs the moves and returns
+  what they leave: the product tau' of the cores' traces, the cores' n'
+  strands and c' components, the exponents k of the end blocks with
+  |k| >= 2, the numbers p and m of the blocks with k = 1 and k = -1 (kinks),
+  and the number s of single strands.  `markov_trace(w)` multiplies every
+  factor back in, for the tests.  The closure value is a product over the
+  pieces: with n0 = n' + s strands and the rest e0 of the writhe,
+  mu^n d^e tau = mu^n0 d^e0 tau' times, for each block, its factor
 
-      mu d z = q^-1 a,        mu d^-1 (q^-2 z + 1 - q^-2) = q a^-1,
+      beta_k = mu d^k (alpha_k z + 1 - alpha_k)
+             = (-1)^k q^(1-2k) (A_k a + C_k a^-1) / (q^2 - 1),
+      A_k = 1 - q^2 alpha_k,  C_k = alpha_k - 1,
 
-  so mu^n d^e tau = (q^-1 a)^p (q a^-1)^m mu^n' d^e' tau' on n' = n - p - m
-  strands with writhe e' = e - p + m.  The closure keeps its c components (a
-  block of odd k joins its strand to another component), and the facts above
-  hold for tau' with r' = n' - c: at z = (q^2 - 1) y the kinks' factor
-  z^p (q^-2 z + 1 - q^-2)^m is (q^2 - 1)^(p+m) times a polynomial in y of
-  content 1.  `homfly` builds the value of tau' on n' strands and applies the
-  monomial as an exponent offset; `_closure_at` takes the same three pieces.
+  as mu z = -q a.  A kink is a monomial, beta_1 = q^-1 a and
+  beta_-1 = q a^-1.  For odd k, alpha_k = 1 at q^2 = 1, so q^2 - 1 divides
+  A_k and C_k and beta_k is a Laurent polynomial: the block joins its strand
+  to another component.  For even k, alpha_k = 0 there, so the numerator is
+  +-(a - a^-1) and q^2 - 1 stays in the denominator: one more component.  So the closure has
+  c = s + c' + (number of even blocks) components, read off the pieces, and c'
+  is read off the cores' traces: at q = 1 a core's trace is z^(n' - c').  The
+  value of tau' on n0 strands is canonical as above with r = n' - c', and each
+  block's numerator, A_k a + C_k a^-1 or its quotient by q^2 - 1, is free of
+  q -+ 1, so the product is canonical as built.  `homfly` builds the value of
+  tau' and the single strands, multiplies each block's numerator into its rows
+  as two terms in a, and applies the kinks as an exponent offset;
+  `_closure_at` takes the same pieces.
 
-* `homfly_at` evaluates the same value at one point, from `markov_trace`.
-  As z = -q a / mu and mu = a q X with X = (A - 1) / (A (q^2 - 1)), A = a^2,
+* `_closure_at` evaluates the same value at one point q0, as a function of
+  A = a^2.  As z = -q a / mu and mu = a q X with X = (A - 1) / (A (q^2 - 1)),
   mu^n z^k = mu^(n-k) (-q a)^k gives
 
       mu^n d^e tau = a^n (-1)^e q^(n-2e) sum_k (-1)^k c_k X^(n-k),
 
-  with no pole at A = 1 (n - k >= 1).  At q = q0 and A = a2 it is a sum of
-  integers over one scale: no polynomial in a is built.  `_closure_at` does
-  the part that depends on q0 alone once, and returns the sum as a function
-  of A, so that `numeric_sweep` reuses it for every row.
+  with no pole at A = 1 (n - k >= 1).  At q = q0 it is a sum of integers over
+  one scale: no polynomial in a is built.  `_closure_at` does the part that
+  depends on q0 alone once, and returns the sum as a function of A, so that
+  `numeric_sweep` reuses it for every row.
 
 * `rt_invariant` contracts an explicit R-matrix on the n-dimensional
   vector representation against quantum-trace weights, and must agree with
@@ -93,11 +104,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, product
+from math import comb
+from operator import add, itemgetter, mul, sub
 
-from .braid import BraidWord, closure_stats
+from .braid import BraidWord
 from .exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2
 from .qnum import qfactorial
 
@@ -107,13 +119,13 @@ __all__ = [
     "ocneanu_trace",
     "markov_trace",
     "homfly",
-    "homfly_at",
     "rt_invariant",
     "mu_colored",
     "homfly_twist_coeff",
 ]
 
 Coeff = dict[tuple[int, int], int]  # {(z-power, q-exponent): integer}, in Hecke elements and traces
+Pieces = tuple[Coeff, int, int, list[int], int, int, int]  # (tau, n, c, ks, p, m, s) of `_markov_pieces`
 
 # The benchmark harness (`perfbench/`) still calls `default_trace_params()` and
 # reads `_DEFAULT_PARAMS` as a basis cache; the trace keeps no state to hand it.
@@ -237,15 +249,23 @@ def _divide_by_t_minus_1(p: list[int]) -> list[int]:
     return b[-2::-1]
 
 
-def _closure_numerator(tau: Coeff, n: int, r: int, dq: int = 0, sign: int = 1, da: int = 0) -> IntLaurent2:
-    """sign a^da q^dq N / (q^2 - 1)^r, N = sum_k c_k U^k W^(n-k), for tau = sum_k c_k z^k from
-    `markov_trace` or `_trace_and_kinks` and n at least its z-degree.  As U = -a (q^2 - 1), it
+def _closure_numerator(tau: Coeff, n: int, r: int, dq: int = 0, sign: int = 1, da: int = 0,
+                       ks: list[int] | tuple[int, ...] = ()) -> IntLaurent2:
+    """sign a^da q^dq N / (q^2 - 1)^r times the numerators of the end blocks g^k, k in ks,
+    without their signs (-1)^k, N = sum_k c_k U^k W^(n-k), for tau = sum_k c_k z^k from
+    `markov_trace` or `_markov_pieces` and n at least its z-degree.  As U = -a (q^2 - 1), it
     is sum_k (-a)^k d_k W^(n-k) with d_k = c_k (q^2 - 1)^(k-r): its a^(n-2j) coefficient is
     (-1)^j sum_k (-1)^k C(n-k, j) d_k.  Each d_k is formed once on dense integer lists in
     t = q^2, one per parity of the q-exponents (closure traces have one): c_k is divided
     r - k times by t - 1, or multiplied k - r times; an inexact division raises
     ArithmeticError.  Each (j, parity) coefficient is summed as one dense row in t, kept in a
-    list at 2 j + parity.  The offsets da and dq shift the exponents as the rows are read out:
+    list at 2 j + parity.
+
+    A block multiplies the rows by q^(1-2k) t^o (A a + C a^-1) (`_block_lists`): row j of a
+    parity becomes A times itself plus C times row j - 1, and q^(1-2k) t^o goes to dq.
+    While the rows are single coefficients (as with no core) that is one product per row; otherwise
+    the parity's rows are laid out in one list and each nonzero term +-t^d of A or C is one
+    pass over it.  The offsets da and dq shift the exponents as the rows are read out:
     `homfly` applies its kinks' monomial a^(p-m) q^(m-p) here."""
     exps = [e for _, e in tau]
     lo = min(exps, default=0)
@@ -268,35 +288,70 @@ def _closure_numerator(tau: Coeff, n: int, r: int, dq: int = 0, sign: int = 1, d
             row = rows[2 * j + s]
             rows[2 * j + s] = [m * x for x in p] if row is None else [x + m * y for x, y in zip(row, p)]
             m = -m * (n - k - j) // (j + 1)
+    for k in ks:  # each parity's rows j = 0, 1, ... widen by the block's top t-power g
+        fa, fc = _block_lists(k)
+        g, rows = len(fa) - 1, rows + [None, None]
+        for s in (0, 1):
+            col = [row for row in rows[s::2] if row]
+            if col and size == 1:  # row j of single coefficients c_j becomes c_j A + c_(j-1) C
+                col = [[x * a + y * c for a, c in zip(fa, fc)] for (x,), (y,) in zip(col + [[0]], [[0]] + col)]
+            elif col:  # row j at j * w in one list, and one pass per term +-t^d of A or C
+                w = size + g
+                pad = [0] * (2 * w)
+                padded = pad + [x for row in col for x in row + [0] * g] + pad  # shifted by e: padded[2 w - e:]
+                span, terms = len(padded) - 3 * w, [*zip(fa, range(2 * w, w, -1)), *zip(fc, range(w, 0, -1))]
+                terms = sorted([t for t in terms if t[0]], reverse=True)  # a term with v = 1 first
+                acc = padded[terms[0][1] : terms[0][1] + span]
+                for v, o in terms[1:]:
+                    acc = map(add if v > 0 else sub, acc, padded[o : o + span])
+                flat = list(acc)
+                col = [flat[i : i + w] for i in range(0, len(flat), w)]
+            rows[s : s + 2 * len(col) : 2] = col
+        size, n, dq = size + g, n + 1, dq + 1 - 2 * max(k, 0)
     da, dq = da + n, dq + lo
-    return IntLaurent2({(da - (i & -2), dq + (i & 1) + 2 * t): v
-                        for i, row in enumerate(rows) if row for t, v in enumerate(row) if v})
+    return IntLaurent2._new({(da - (i & -2), dq + (i & 1) + 2 * t): v
+                             for i, row in enumerate(rows) if row for t, v in enumerate(row) if v})
+
+
+def _block_lists(k: int) -> tuple[list[int], list[int]]:
+    """(A, C) for an end block g^k with |k| >= 2: dense lists of one length in t = q^2, from
+    t^0, such that (-1)^k q^(1-2k) t^o (A a + C a^-1), o = min(k, 0), is the numerator of its
+    closure factor beta_k over (q^2 - 1)^[k even] (module docstring).  Closed forms, with no
+    division: for k > 0, A_k = 1 - t + ... + t^k and C_k = -t + t^2 - ... - t^(k-1) for even
+    k, and the quotients A_k / (t - 1) = -(1 + t^2 + ... + t^(k-1)) and
+    C_k / (t - 1) = t (1 + t^2 + ... + t^(k-3)) for odd k.  For k < 0 they are the pair of
+    -k swapped, and negated for even k.  The coefficients are 0 and +-1, and some are +1."""
+    j = abs(k)
+    if j & 1:
+        fa, fc = [-1, 0] * (j // 2) + [-1], [0, 1] * (j // 2) + [0]
+        return (fa, fc) if k > 0 else (fc, fa)
+    fa, fc = [1, -1] * (j // 2) + [1], [0, -1] + [1, -1] * (j // 2 - 1) + [0]
+    return (fa, fc) if k > 0 else ([-x for x in fc], [-x for x in fa])
 
 
 def _q2_minus_1_power(c: int) -> IntLaurent2:
     """(q^2 - 1)^c, the denominator of a c-component closure value: its q^(2i)
-    coefficient is (-1)^(c-i) C(c, i), with C(c, i+1) = C(c, i) (c-i) / (i+1)."""
-    out, m = {}, (-1) ** c
-    for i in range(c + 1):
-        out[(0, 2 * i)] = m
-        m = -m * (c - i) // (i + 1)
-    return IntLaurent2(out)
+    coefficient is (-1)^(c-i) C(c, i)."""
+    return IntLaurent2._new({(0, 2 * i): -comb(c, i) if (c - i) & 1 else comb(c, i) for i in range(c + 1)})
 
 
 def homfly(w: BraidWord) -> RatFun2:
     """Framed HOMFLY-PT polynomial of the closure of a braid word, with the
     calibrated z, d and mu."""
-    return _closure_value(w, _trace_and_kinks(w))
+    return _closure_value(w, _markov_pieces(w))
 
 
-def _closure_value(w: BraidWord, trace: tuple[Coeff, int, int]) -> RatFun2:
-    """`homfly(w)` from trace = (tau, p, m) = _trace_and_kinks(w), or (markov_trace(w), 0, 0):
-    the closure value of tau on n - p - m strands with writhe e - p + m and w's c components,
-    times the kinks' monomial (q^-1 a)^p (q a^-1)^m."""
-    tau, p, m = trace
-    n, e, c = w.strands - p - m, w.writhe - p + m, closure_stats(w).components
-    # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and N / (q^2 - 1)^(n-c) is free of q -+ 1
-    num = _closure_numerator(tau, n, n - c, n - 2 * e + m - p, -1 if e % 2 else 1, p - m)
+def _closure_value(w: BraidWord, pieces: Pieces) -> RatFun2:
+    """`homfly(w)` from pieces = _markov_pieces(w): the closure value of the cores and single
+    strands, on n' = n + s strands with the rest of w's writhe, times each end block's beta_k
+    and the kinks' monomial (q^-1 a)^p (q a^-1)^m.  It has c = s + c' + (number of even
+    blocks) components."""
+    tau, n, c, ks, p, m, s = pieces
+    e, r, n = w.writhe - p + m, n - c, n + s
+    c += s + len(ks) - sum(k & 1 for k in ks)
+    # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and N / (q^2 - 1)^r is free of q -+ 1;
+    # the blocks' signs (-1)^k and the rest's (-1)^e make (-1)^(writhe - p + m)
+    num = _closure_numerator(tau, n, r, n - 2 * (e - sum(ks)) + m - p, -1 if e % 2 else 1, p - m, ks)
     # canonical as built: (q^2 - 1)^c is free of a, with constant term +-1, leading coefficient 1
     return RatFun2._make(num, _q2_minus_1_power(c))
 
@@ -346,10 +401,18 @@ def _destabilize(word: list[int], lo: int, hi: int) -> tuple[list[int], int, int
     then splits).  The word is left as it is.
 
     The word is a cyclic linked list over its positions, with each generator's
-    positions in a list, so that a block costs its own length, not the word's."""
+    positions in a list, so that a block costs its own length, not the word's.  A word with
+    no end block returns before these are built: in the plain letter list, the occurrences
+    of neither end generator span just their own number of places, nor are at both ends."""
+    gens = list(map(abs, word))
+    if hi - lo > 2:
+        for g in (hi - 1, lo + 1):  # one run from the first g to the last one, or one that may wrap around
+            if len(gens) - gens[::-1].index(g) - gens.index(g) == gens.count(g) or gens[0] == g == gens[-1]:
+                break
+        else:
+            return [], lo, hi, word, False
     size = len(word)
     nxt, prv = [*range(1, size), 0], [size - 1, *range(size - 1)]
-    gens = list(map(abs, word))
     occ: dict[int, list[int]] = {}
     for i, g in enumerate(gens):
         occ.setdefault(g, []).append(i)
@@ -386,8 +449,6 @@ def _destabilize(word: list[int], lo: int, hi: int) -> tuple[list[int], int, int
         head = s
         if vanished:
             break
-    if not ks:
-        return ks, lo, hi, word, False
     rest = []
     for _ in range(size):
         rest.append(word[head])
@@ -397,24 +458,29 @@ def _destabilize(word: list[int], lo: int, hi: int) -> tuple[list[int], int, int
 
 def markov_trace(w: BraidWord) -> Coeff:
     """The Markov trace of w's Hecke element, a `Coeff` map with z formal: equal to
-    `ocneanu_trace(HeckeElement.from_braid(w))`.  It is `_trace_and_kinks(w)` with the kinks
-    put back as factors: z for each positive one, q^-2 z + 1 - q^-2 for each negative one."""
-    tau, p, m = _trace_and_kinks(w)
-    return reduce(_mul, [_block_factor(-1)] * m, {(k + p, e): v for (k, e), v in tau.items()})
+    `ocneanu_trace(HeckeElement.from_braid(w))`.  It is the product of `_markov_pieces(w)`:
+    the cores' trace times every end block's factor, z for a positive kink and
+    q^-2 z + 1 - q^-2 for a negative one."""
+    tau, _, _, ks, p, m, _ = _markov_pieces(w)
+    factors = [_block_factor(k) for k in ks] + [_block_factor(-1)] * m
+    return reduce(_mul, factors, {(k + p, e): v for (k, e), v in tau.items()})
 
 
-def _trace_and_kinks(w: BraidWord) -> tuple[Coeff, int, int]:
-    """(tau, p, m): the Markov trace of w with z formal, reduced by the Markov moves of the
-    module docstring, and the numbers p and m of the end blocks g and g^-1 (kinks) that the
-    moves removed and tau leaves out.  A worklist of pieces (lo, hi, letters) drives the
-    moves, the letters kept in w's numbering on strands lo + 1 .. hi; nothing recurses.  A
-    piece is cyclically reduced and split at every generator it lacks in one pass (a piece
-    with no letters has trace 1), then stripped of end blocks (`_destabilize`): a kink is
-    counted, a block g^k with |k| >= 2 gives its factor.  What a vanished generator splits
+def _markov_pieces(w: BraidWord) -> Pieces:
+    """(tau, n, c, ks, p, m, s): w reduced by the Markov moves of the module docstring to
+    its pieces.  tau is the product of the cores' traces with z formal, n and c the cores'
+    strands and closure components, ks the exponents of the end blocks g^k with |k| >= 2, p
+    and m the numbers of the end blocks g and g^-1 (kinks), and s the number of single
+    strands.  A worklist of pieces (lo, hi, letters) drives the moves, the letters kept in
+    w's numbering on strands lo + 1 .. hi; nothing recurses.  A piece is cyclically reduced
+    and split at every generator it lacks in one pass (a piece with no letters is a single
+    strand), then stripped of end blocks (`_destabilize`).  What a vanished generator splits
     goes back to the worklist; a piece with no move left is a core, renumbered from 1 and
-    expanded by `ocneanu_trace`.  tau is the product of the factors."""
-    factors: list[Coeff] = []
-    p = m = 0
+    expanded by `ocneanu_trace`.  At q = 1 a core's trace is z^(n' - c') (module
+    docstring), which gives its components c'."""
+    cores: list[Coeff] = []
+    ks: list[int] = []
+    n = c = p = m = 0
     work = [(0, w.strands, list(w.letters))]
     while work:
         lo, hi, word = work.pop()
@@ -428,36 +494,51 @@ def _trace_and_kinks(w: BraidWord) -> tuple[Coeff, int, int]:
             bounds = [lo, *cuts, hi]
             work.extend((bounds[i], bounds[i + 1], piece) for i, piece in enumerate(pieces) if piece)
         elif word:
-            ks, lo, hi, word, split = _destabilize(word, lo, hi)
-            p, m = p + ks.count(1), m + ks.count(-1)
-            factors += [_block_factor(k) for k in ks if k * k > 1]
+            blocks, lo, hi, word, split = _destabilize(word, lo, hi)
+            p, m = p + blocks.count(1), m + blocks.count(-1)
+            ks += [k for k in blocks if k * k > 1]
             if split:
                 work.append((lo, hi, word))
             elif word:
                 core = w  # where no move applied
                 if len(word) < len(w.letters) or hi - lo < w.strands:
                     core = BraidWord(tuple(v - lo if v > 0 else v + lo for v in word), hi - lo)
-                factors.append(ocneanu_trace(HeckeElement.from_braid(core)))
-    return (reduce(_mul, factors) if factors else {(0, 0): 1}), p, m
+                cores.append(ocneanu_trace(HeckeElement.from_braid(core)))
+                # at q = 1 the core's trace is z^(n' - c'), so sum_k k c_k = n' - c'
+                n, c = n + hi - lo, c + hi - lo - sum(map(mul, map(itemgetter(0), cores[-1]), cores[-1].values()))
+    s = w.strands - n - len(ks) - p - m  # each end block takes one strand
+    return (reduce(_mul, cores) if cores else {(0, 0): 1}), n, c, ks, p, m, s
 
 
-def _closure_at(trace: tuple[Coeff, int, int], n: int, e: int, r: int, s: int,
+def _closure_at(pieces: Pieces, n: int, e: int, r: int, s: int,
                 dq: int = 0) -> Callable[[int, int], tuple[int, int] | None]:
     """q0^dq homfly(w) / a^n at q = q0 = r/s, r^2 != s^2, for a word w on n strands with
-    writhe e and trace = (tau, p, m) = _trace_and_kinks(w), or (markov_trace(w), 0, 0), as a
-    function of a^2: it maps an integer pair (An, Ad), An / Ad = a^2 != 0, to an integer pair
-    (num, den), not reduced, or to None where the value is 0.  By the identity in the module
-    docstring, on n - p - m strands with writhe e - p + m; the kinks' monomial
-    a^(p-m) q^(m-p) adds m - p to dq and leaves a^-2m, the factor (Ad / An)^m of a row.  All
-    that depends on q0 alone is done here, once.
+    writhe e and pieces = _markov_pieces(w), as a function of a^2: it maps an integer pair
+    (An, Ad), An / Ad = a^2 != 0, to an integer pair (num, den), not reduced, or to None where
+    the value is 0.  By the identity in the module docstring, the sum runs over tau on the
+    cores' and single strands, with the rest of the writhe, and the other pieces are factors
+    of a row.  The kinks' monomial a^(p-m) q^(m-p) adds m - p to dq and leaves (Ad / An)^m.
+    An end block's beta_k / a is (-1)^k q0^(1-2k) t0^o (A(t0) An + C(t0) Ad) / An over
+    (t0 - 1)^[k even], with (A, C) = _block_lists(k) and t0 = q0^2 = R / S: S^g A(t0) and
+    S^g C(t0), g the top t-power, are integers, the block's pair, and a row multiplies in the
+    sum of the pair times An and Ad.  All that depends on q0 alone is done here, once.
 
     c_k(q0) = C_k r^elo / s^ehi for the integer C_k = sum_E c r^(E-elo) s^(ehi-E) over c_k's
     terms c q^E.  X is the projective pair (Xn, Xd) = ((An - Ad) s^2, An (r^2 - s^2)), and
     sum_k (-1)^k c_k X^(n-k) is r^elo / s^ehi times T / Xd^n, T = sum_k C_k Xn^(n-k) (-Xd)^k
     by Horner; the value is (-1)^e T r^p / (s^t Xd^n), p - elo = t - ehi = n - 2e + dq."""
-    tau, kp, km = trace
-    n, e, dq = n - kp - km, e - kp + km, dq + km - kp
+    tau, nc, _, ks, kp, km, ns = pieces
+    n, e, dq = nc + ns, e - kp + km, dq + km - kp
     R, S = r * r, s * s
+    pairs, u, v = [], -1 if e & 1 else 1, 1  # (-1)^e of the rest times the blocks' (-1)^k
+    for k in ks:  # beta_k / a = q0^(1-2k) t0^o (S^g A(t0) An + S^g C(t0) Ad) / (S^g An), over t0 - 1 if k is even
+        x, y, rd = 0, 0, 1
+        for a, c in zip(*_block_lists(k)):  # S^g A(t0) = sum_d A_d R^d S^(g-d), by Horner
+            x, y, rd = x * S + a * rd, y * S + c * rd, rd * R
+        pairs.append((x, y))
+        e, dq, v = e - k, dq + 1 - 2 * max(k, 0), v * S ** (abs(k) & -2)
+        if not k & 1:
+            u, v = u * S, v * (R - S)
     exps = [E for _, E in tau]
     elo, ehi = min(exps, default=0), max(exps, default=0)
     cs = [0] * n  # C_k; a trace on n strands has z-degree below n
@@ -465,8 +546,8 @@ def _closure_at(trace: tuple[Coeff, int, int], n: int, e: int, r: int, s: int,
         cs[k] += c * r ** (E - elo) * s ** (ehi - E)
     cs.reverse()
     p, t = elo + n - 2 * e + dq, ehi + n - 2 * e + dq
-    u = r ** max(p, 0) * s ** max(-t, 0) * (-1 if e & 1 else 1)
-    v = r ** max(-p, 0) * s ** max(t, 0)
+    u *= r ** max(p, 0) * s ** max(-t, 0)
+    v *= r ** max(-p, 0) * s ** max(t, 0)
 
     def at(An: int, Ad: int) -> tuple[int, int] | None:
         xn, xd = (An - Ad) * S, An * (R - S)
@@ -474,21 +555,14 @@ def _closure_at(trace: tuple[Coeff, int, int], n: int, e: int, r: int, s: int,
         for c in cs:
             total = total * mxd + c * xp
             xp *= xn
-        if not total:
-            return None
-        return (u * total * Ad**km, v * xd**n * An**km) if km else (u * total, v * xd**n)
+        num, den = u * total, v * xd**n
+        if km or pairs:
+            num, den = num * Ad**km, den * An ** (km + len(pairs))
+            for x, y in pairs:
+                num *= x * An + y * Ad
+        return (num, den) if num else None
 
     return at
-
-
-def homfly_at(w: BraidWord, tau: Coeff, q0: Fraction, a2: Fraction) -> Fraction | None:
-    """homfly(w) / a^n at q = q0 and a^2 = a2 != 0, from tau = markov_trace(w): `_closure_at`,
-    which `numeric_sweep` reads, normalized once.  None where q0^2 = 1 or the value is 0."""
-    r, s = q0.numerator, q0.denominator
-    if r * r == s * s:
-        return None
-    pair = _closure_at((tau, 0, 0), w.strands, w.writhe, r, s)(a2.numerator, a2.denominator)
-    return Fraction(*pair) if pair else None
 
 
 # ---------------------------------------------------------------------------

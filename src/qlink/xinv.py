@@ -32,7 +32,7 @@ from .exactalg import (
     nu_power,
     specialize_a,
 )
-from .homfly import _closure_at, _closure_value, _trace_and_kinks, homfly
+from .homfly import _closure_at, _closure_value, _markov_pieces, homfly
 from .qnum import _qdelta_pair, left_qdelta, left_qrational, qbinomial, qdelta, qrational
 
 __all__ = [
@@ -226,9 +226,10 @@ def numeric_sweep(
     reported as diagnostics.
 
     A row is the closure value at q = q0 and a^2 = q0^2 delta_x(q0), summed in
-    integers.  Once per call: the Markov trace, its kinks counted apart
-    (`homfly._trace_and_kinks`), and from it everything that depends on q0
-    alone (`homfly._closure_at`).  Per row: delta_x(q0) from x's
+    integers.  Once per call: the Markov moves' pieces (`homfly._markov_pieces`:
+    the cores' trace, the end blocks and the kinks), and from them everything
+    that depends on q0 alone, each block's factor as an integer pair
+    (`homfly._closure_at`).  Per row: delta_x(q0) from x's
     ladder as an integer pair P / Q (`qnum._qdelta_pair`), the value for
     a^2 = r^2 P / (s^2 Q) as an integer pair, and the factors below, multiplied
     into one numerator and one denominator that one `Fraction` normalizes.
@@ -243,12 +244,12 @@ def numeric_sweep(
         raise ValueError("q0 must be nonzero")
     rows: list[SweepRow] = []
     diagnostics: list[str] = []
-    trace, h = _trace_and_kinks(w), None  # h = homfly(w), built for the first symbolic row
+    pieces, h = _markov_pieces(w), None  # h = homfly(w), built for the first symbolic row
     n, e, left = w.strands, w.writhe, flavor != "right"
     framing = e if normalized else 0
     r, s = q0.numerator, q0.denominator
     R, S = r * r, s * s
-    at = _closure_at(trace, n, e, r, s, n) if R != S else None  # q0^n homfly(w) / a^n
+    at = _closure_at(pieces, n, e, r, s, n) if R != S else None  # q0^n homfly(w) / a^n
     parity = (n + framing) & 1
     m, squared = n - (n + framing - parity) // 2, parity and not normalized
     for x in xs:
@@ -265,7 +266,7 @@ def numeric_sweep(
                 rows.append(SweepRow(x, Fraction(num, den), "squared" if squared else ""))
                 continue
             # the symbolic row: (parity, value) as a fraction in q
-            h = _closure_value(w, trace) if h is None else h
+            h = _closure_value(w, pieces) if h is None else h
             ctx = x_context(x) if flavor == "right" else flat_context(x)
             v = specialize_closure(h, ctx, framing)
             value = v.nu_free_part()

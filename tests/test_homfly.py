@@ -16,7 +16,6 @@ from qlink.homfly import (
     HeckeElement,
     hecke_mul_gen,
     homfly,
-    homfly_at,
     homfly_twist_coeff,
     markov_trace,
     mu_colored,
@@ -280,20 +279,26 @@ def _product(a: dict, b: dict) -> dict:
     return {key: v for key, v in acc.items() if v}
 
 
-def _check_kinked_values(w: BraidWord, tau: dict, kinds: Counter, at_points: bool = True) -> None:
-    """homfly(w), which applies the kinks as monomials, against the closure value of the
-    unreduced trace tau on all of w's strands; with at_points, `_closure_at` from the kinked
-    trace against it from tau, at two points.  Counts the words with each kind of kink."""
-    from qlink.homfly import _closure_at, _closure_value, _trace_and_kinks
+def _unreduced_pieces(w: BraidWord, tau: dict) -> tuple:
+    """The Markov pieces of w with no move applied: the whole word as one core with trace tau."""
+    return tau, w.strands, closure_stats(w).components, [], 0, 0, 0
 
-    trace, unreduced = _trace_and_kinks(w), (tau, 0, 0)
+
+def _check_kinked_values(w: BraidWord, tau: dict, kinds: Counter, at_points: bool = True) -> None:
+    """homfly(w), which multiplies the end blocks and kinks in as closure factors, against
+    the closure value of the unreduced trace tau on all of w's strands; with at_points,
+    `_closure_at` from the pieces against it from tau, at two points.  Counts the words with
+    each kind of kink."""
+    from qlink.homfly import _closure_at, _closure_value, _markov_pieces
+
+    pieces, unreduced = _markov_pieces(w), _unreduced_pieces(w, tau)
     assert homfly(w) == _closure_value(w, unreduced), w
-    kinds[bool(trace[1]), bool(trace[2])] += 1
+    kinds[bool(pieces[4]), bool(pieces[5])] += 1
     if at_points:
         n, e = w.strands, w.writhe
         for r, s, dq in ((2, 1, n), (-3, 2, 0)):
             for a2 in ((5, 3), (-1, 4)):
-                got, want = (_closure_at(t, n, e, r, s, dq)(*a2) for t in (trace, unreduced))
+                got, want = (_closure_at(t, n, e, r, s, dq)(*a2) for t in (pieces, unreduced))
                 assert (got and Fraction(*got)) == (want and Fraction(*want)), (w, r, s, a2)
 
 
@@ -459,8 +464,91 @@ def test_homfly_of_kinks_on_max_strands_builds_no_hecke_term_and_no_trace_produc
     h = homfly(BraidWord(tuple(sign * g for g in range(n - 1, 0, -1)), n))
     assert not calls
     assert h == RatFun2(W.shift(sign * (n - 1), 1 - sign * (n - 1)), Q2_MINUS_1)
-    homfly(BraidWord((1, 2, 1, 2, 3, 3), 4))
-    assert calls["_mul"] and calls["hecke_mul_gen"]  # the counters see a core and a block of 2
+    homfly(BraidWord((1, -2, 1, -2, 4, -5, 4, -5), 6))
+    assert calls["_mul"] and calls["hecke_mul_gen"]  # the counters see two cores and their product
+
+
+def test_block_factor_in_closure_space_is_the_closed_form():
+    # beta_k = mu d^k (alpha_k z + 1 - alpha_k) at the calibrated z, as mu z = -q a, against
+    # (-1)^k q^(1-2k) t^o (A a + C a^-1) / (q^2 - 1)^[k even] from the closed forms of
+    # `_block_lists`, t = q^2, o = min(k, 0); for odd k the lists are the quotients by t - 1
+    from qlink.homfly import _block_factor, _block_lists
+
+    mu_z = RatFun2.monomial(-1, 1, 1)  # -q a
+    for k in [*range(-12, -1), *range(2, 13)]:
+        expected = RatFun2.zero()
+        for (z, e), v in _block_factor(k).items():
+            expected = expected + RatFun2.monomial(v, 0, e) * (mu_z if z else MU)
+        expected = expected * D**k
+        fa, fc = _block_lists(k)
+        assert len(fa) == len(fc) == (abs(k) & -2) + 1 and {*fa, *fc} <= {-1, 0, 1} and 1 in fa + fc, k
+        shift, sign = 1 - 2 * k + 2 * min(k, 0), -1 if k & 1 else 1
+        num = IntLaurent2({(a, shift + 2 * d): sign * v for a, f in ((1, fa), (-1, fc)) for d, v in enumerate(f)})
+        assert RatFun2(num, Q2_MINUS_1 if k % 2 == 0 else IntLaurent2.one()) == expected, k
+
+
+def test_components_and_core_traces_from_the_pieces(monkeypatch):
+    # every word of up to 5 letters on 1-4 strands: c = s + c' + (number of even blocks)
+    # is the closure's component count, the pieces account for every strand, and each
+    # core's trace at q = 1 is a single power of z with coefficient 1
+    from qlink.homfly import _markov_pieces
+
+    homfly_module = sys.modules["qlink.homfly"]
+    core_traces, trace = [], homfly_module.ocneanu_trace
+    monkeypatch.setattr(homfly_module, "ocneanu_trace", lambda e: core_traces.append(trace(e)) or core_traces[-1])
+    kinds: Counter = Counter()
+    for n in range(1, 5):
+        letters = [s * i for i in range(1, n) for s in (1, -1)]
+        for length in range(6):
+            for word in product(letters, repeat=length):
+                w = BraidWord(word, n)
+                tau, n_core, c_core, ks, p, m, s = _markov_pieces(w)
+                assert s >= 0 and n_core + s + len(ks) + p + m == n, w
+                assert s + c_core + sum(1 for k in ks if k % 2 == 0) == closure_stats(w).components, w
+                kinds[bool(n_core), bool(ks)] += 1
+    assert set(kinds) == {(False, False), (False, True), (True, False)}  # a core and a block take 6 letters
+    assert len(core_traces) > 1000
+    for tau in core_traces:
+        at_1 = Counter()
+        for (k, _), v in tau.items():
+            at_1[k] += v
+        assert [v for v in at_1.values() if v] == [1], tau
+
+
+def test_homfly_of_blocks_builds_no_trace_product_and_no_block_factor(monkeypatch):
+    # 30 end blocks sigma_i^3 (i odd) and sigma_i^-2 (i even) on 62 strands: homfly
+    # multiplies their closure factors in and reads the components off the pieces, with no
+    # Hecke term, trace product, trace factor or closure_stats; its value is the closure
+    # value of the whole trace
+    from qlink.homfly import _block_factor, _closure_value, _mul
+
+    letters = [v for i in range(1, 31) for v in ([i] * 3 if i % 2 else [-i] * 2)]
+    w = BraidWord(tuple(letters), 62)
+    expected = _closure_value(w, _unreduced_pieces(w, markov_trace(w)))
+    homfly_module = sys.modules["qlink.homfly"]
+    calls = _count_hecke_mul_gen(monkeypatch)
+    originals = {"_mul": _mul, "_block_factor": _block_factor, "closure_stats": closure_stats}
+    for name, module in list(sys.modules.items()):
+        for attr, fn in originals.items():
+            if name.startswith("qlink") and getattr(module, attr, None) is fn:
+                monkeypatch.setattr(module, attr, lambda *args, attr=attr, fn=fn: calls.update([attr]) or fn(*args))
+    assert homfly(w) == expected
+    assert not calls
+    homfly_module.markov_trace(w)
+    sys.modules["qlink.braid"].closure_stats(w)
+    homfly(BraidWord((1, -2, 1, -2), 3))
+    assert calls.keys() == {"_mul", "_block_factor", "closure_stats", "hecke_mul_gen"}  # the counters work
+
+
+def test_destabilize_leaves_a_word_with_no_end_block_as_it_is():
+    # the figure-eight returns before the linked lists are built; sigma_2 at both ends
+    # of 2 1 -2 1 2 may be one run across the ends, so the lists are built, and find none
+    from qlink.homfly import _destabilize
+
+    for word, lo, hi in (([1, -2, 1, -2], 0, 3), ([2, 1, -2, 1, 2], 0, 3), ([3, -4, 3, -4], 2, 5)):
+        assert _destabilize(word, lo, hi) == ([], lo, hi, word, False)
+    assert _destabilize([2, 1, -2, 1, 2, 2], 0, 3)[0] == []
+    assert _destabilize([2, 1, 1, 2], 0, 3)[0] == [2, 2]  # a run across the ends
 
 
 # ---------------------------------------------------------------------------
@@ -816,6 +904,19 @@ def test_homfly_runs_no_kronecker_division_and_no_two_variable_product(monkeypat
     RatFun2._div(Q2_MINUS_1, Q2_MINUS_1)
     Q2_MINUS_1 * Q2_MINUS_1
     assert calls == {"laurent2_divide_exact": 1, "IntLaurent2.__mul__": 1}  # the counters work
+
+
+def homfly_at(w: BraidWord, tau: dict, q0: Fraction, a2: Fraction) -> Fraction | None:
+    """homfly(w) / a^n at q = q0 and a^2 = a2 != 0, from tau = markov_trace(w): `_closure_at`,
+    which `numeric_sweep` reads, on w as one core, normalized once.  None where q0^2 = 1 or
+    the value is 0.  The oracle of the pointwise closure value."""
+    from qlink.homfly import _closure_at
+
+    r, s = q0.numerator, q0.denominator
+    if r * r == s * s:
+        return None
+    pair = _closure_at(_unreduced_pieces(w, tau), w.strands, w.writhe, r, s)(a2.numerator, a2.denominator)
+    return Fraction(*pair) if pair else None
 
 
 def test_homfly_at_matches_the_closure_value_at_a_power_of_q():

@@ -499,11 +499,12 @@ def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
         counted(owner, name)
     # every polynomial is built by _Laurent.__init__ or _new, or from an IntLaurent2, and
     # every fraction by _Fraction.__init__ or _make: count the class of each
-    for owner, name in ((laurent._Laurent, "__init__"), (laurent._Laurent, "_new"), (ratfun._Fraction, "__init__")):
+    for owner, name in ((laurent._Laurent, "__init__"), (ratfun._Fraction, "__init__")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda self, *args, fn=fn: calls.append(type(self).__name__) or fn(self, *args))
-    make = ratfun._Fraction._make.__func__
-    monkeypatch.setattr(ratfun._Fraction, "_make", classmethod(lambda cls, *args: calls.append(cls.__name__) or make(cls, *args)))
+    for owner, name in ((laurent._Laurent, "_new"), (ratfun._Fraction, "_make")):
+        fn = getattr(owner, name).__func__
+        monkeypatch.setattr(owner, name, classmethod(lambda cls, *args, fn=fn: calls.append(cls.__name__) or fn(cls, *args)))
     xs = [Fraction(-7, 3), Fraction(1, 2), Fraction(2), Fraction(5, 8), Fraction(13, 5)]
     for w in (UNKNOT, S1, HOPF, TREFOIL, FIG8, parse_braid("1 2 -1 2 3 -2")):
         for q0 in (Fraction(2), Fraction(-1, 2), Fraction(3, 2)):
@@ -543,7 +544,7 @@ def test_sweep_squared_row_falls_back_to_the_fraction(monkeypatch):
 
 def test_sweep_takes_one_trace_and_builds_homfly_only_for_a_symbolic_row(monkeypatch):
     # the symbolic value is built from the trace the sweep already holds, so
-    # `_trace_and_kinks` runs once, counted under both names it is called by
+    # `_markov_pieces` runs once, counted under both names it is called by
     import sys
 
     import qlink.xinv as xinv
@@ -551,9 +552,9 @@ def test_sweep_takes_one_trace_and_builds_homfly_only_for_a_symbolic_row(monkeyp
     homfly_module = sys.modules["qlink.homfly"]  # `qlink.homfly` as an attribute is the function
     xs = [Fraction(-3, 2), Fraction(0), Fraction(1, 3), Fraction(2), Fraction(7, 5)]
     traces, calls = [], []
-    trace = homfly_module._trace_and_kinks
+    trace = homfly_module._markov_pieces
     for owner in (xinv, homfly_module):
-        monkeypatch.setattr(owner, "_trace_and_kinks", lambda w: traces.append(w) or trace(w))
+        monkeypatch.setattr(owner, "_markov_pieces", lambda w: traces.append(w) or trace(w))
     closure_value = xinv._closure_value
     monkeypatch.setattr(xinv, "_closure_value", lambda w, tau: calls.append(w) or closure_value(w, tau))
     symbolic = _count_symbolic_rows(monkeypatch)
