@@ -1,9 +1,10 @@
 """Command-line surface: qrat | inv | sweep | table.
 
 Exit codes: 0 success, 2 parse/usage error or a cap exceeded (MAX_STEPS,
-MAX_EXPONENT, `braid.MAX_STRANDS`, `qnum.MAX_QDEGREE`), 3 specialization pole,
-4 unwritable output path.  All output is deterministic; table entries are
-evaluated in order and the groups are sorted before the report is assembled.
+MAX_EXPONENT, `braid.MAX_STRANDS`, `qnum.MAX_QDEGREE`, the Hecke-term budget
+`homfly.MAX_HECKE_TERMS`), 3 specialization pole, 4 unwritable output path.
+All output is deterministic; table entries are evaluated in order and the
+groups are sorted before the report is assembled.
 """
 
 from __future__ import annotations
@@ -229,7 +230,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     xs = [lo + (hi - lo) * Fraction(i, args.steps) for i in range(args.steps + 1)]
     buf = io.StringIO()
     with _exact_output():
-        rows, diagnostics = numeric_sweep(w, q0, xs, normalized=args.normalized)
+        try:
+            rows, diagnostics = numeric_sweep(w, q0, xs, normalized=args.normalized)
+        except ValueError as exc:  # `homfly.MAX_HECKE_TERMS`
+            raise CliError(str(exc), EXIT_PARSE) from None
         for line in diagnostics:
             print(f"sweep: skipped {line}", file=sys.stderr)
         writer = csv.writer(buf)

@@ -8,9 +8,9 @@ Two independent evaluators are provided and cross-checked in the tests:
   tau(T_e) = 1 and tau(x g_n y) = z tau(x y).  It is Ocneanu's trace
   E_2 o ... o E_n (Jones, Ann. Math. 126, 1987), computed level by level: the
   conditional expectation E_m: H_m -> H_(m-1)[z] is applied to the whole
-  element, for m = n down to 2, and terms are merged after each level.  Hecke
-  coefficients and traces have one form: integer maps {(k, e): c} for the
-  coefficients c of z^k q^e.  The invariant mu^n d^e tau(w) of the closure
+  element, for m = n down to 2, and terms are merged after each level.  A
+  trace is a `Coeff` map {(k, e): c} of the coefficients c of z^k q^e.  The
+  invariant mu^n d^e tau(w) of the closure
   of a word w on n strands with writhe e and c components has denominator
   (q^2 - 1)^c (Lickorish & Millett, Topology 26, 1987), and two facts make it
   canonical as built.  At q^2 = 1 the Hecke algebra is Z[S_n]: the braid maps
@@ -22,6 +22,28 @@ Two independent evaluators are provided and cross-checked in the tests:
   sum of the d_k = c_k (q^2 - 1)^(k-r), each formed once on integer lists in
   q^2.  At q = +-1 it is +-W^c S(a) with W = a - a^-1 and S(1) = (-1)^r, so it
   is free of q -+ 1: no two-variable product, division or gcd runs.
+
+* Packed coefficients.  A Hecke coefficient is one integer
+  c = sum_i c_i 2^(bits i), standing for sum_i c_i q^(low + 2i), with signed
+  digits |c_i| < 2^(bits - 1); the element carries `bits` and `low`.  As
+  t g^-1 = g + t - 1 (t = q^2), a letter g^-1 lowers `low` by 2 and multiplies
+  by g + t - 1, so coefficients stay polynomials in t, and `hecke_mul_gen` does
+  one or three integer operations per term (t c is c << bits).  The width is
+  proven: one multiplication by g^+-1 at most triples the sum of |digits| over
+  the element, so a width with 3^m < 2^(bits - 1) admits m of them from a
+  single basis element.  `from_braid` takes the least multiple of 64 bits for
+  its letters and the trace's coset steps, and `hecke_mul_gen` repacks wider,
+  from the digits themselves, once an element has used up that room; no
+  public call can overflow.  `ocneanu_trace` packs z above t: deg c + l(w),
+  the t-degree plus the permutation's length, never rises along a term's path
+  through the levels, so span + 1 digits per power of z hold every t-degree
+  (span bounds deg c + l(w) over the element), and at most
+  min(l(w), (n-1)(n-2)/2) coset steps on a path triple its digits.  The trace
+  is unpacked once, at the end, into its `Coeff` map: 2^(bits - 1) is added
+  to every digit and each digit's top bit flipped, and signed int.from_bytes
+  reads each digit from the bytes, at every width.  No
+  element may hold more than `MAX_HECKE_TERMS` = 8! terms: `hecke_mul_gen` and
+  each trace level raise ValueError past the budget.
 
 * The Markov moves shrink the word first, keeping its trace, and only the
   core they leave is expanded: `ocneanu_trace(HeckeElement.from_braid(core))`,
@@ -124,7 +146,7 @@ __all__ = [
     "homfly_twist_coeff",
 ]
 
-Coeff = dict[tuple[int, int], int]  # {(z-power, q-exponent): integer}, in Hecke elements and traces
+Coeff = dict[tuple[int, int], int]  # {(z-power, q-exponent): integer}, a trace or an unpacked coefficient
 Pieces = tuple[Coeff, int, int, list[int], int, int, int]  # (tau, n, c, ks, p, m, s) of `_markov_pieces`
 
 # The benchmark harness (`perfbench/`) still calls `default_trace_params()` and
@@ -136,78 +158,146 @@ def default_trace_params() -> None:
     return None
 
 
+# The Hecke-term budget: the most T-basis terms one Hecke element may hold.  8! = 40,320,
+# so every element on 8 or fewer strands fits, the 8-strand torus word (1 ... 7)^8 included.
+MAX_HECKE_TERMS = 40_320
+
+
 class HeckeElement:
     """Linear combination of T-basis elements of the Hecke algebra H_n.
 
-    Permutations are one-line tuples (w(1), ..., w(n)).  Coefficients are
-    `Coeff` maps, of z-power 0 in the image of a braid; no zero coefficient
-    and no zero entry is stored.  A plain class: several are built per trace.
-    """
+    Permutations are one-line tuples (w(1), ..., w(n)).  A coefficient is one packed
+    integer c = sum_i c_i 2^(bits i), standing for sum_i c_i q^(low + 2i), with signed
+    digits |c_i| < 2^(bits - 1); no zero coefficient is stored.  `room` is a number of
+    further multiplications by a generator that the width admits: one at most triples the
+    sum of |digits| over the element, and that sum times 3^room stays below 2^(bits - 1).
+    `span` bounds deg c + l(w) over the terms, the t-degree of a coefficient plus the
+    length of its permutation: a multiplication raises it by at most 1, and the trace does
+    not raise it.  The defaults suit terms packed at 64 bits that no multiplication has
+    measured: room 0 makes the first one measure the digits.  `unpacked` reads the terms
+    as `Coeff` maps.  A plain class: several are built per trace."""
 
-    __slots__ = ("strands", "terms")
+    __slots__ = ("strands", "terms", "bits", "low", "room", "span")
 
-    def __init__(self, strands: int, terms: dict[tuple[int, ...], Coeff]) -> None:
-        self.strands = strands
-        self.terms = terms
+    def __init__(self, strands: int, terms: dict[tuple[int, ...], int], bits: int = 64, low: int = 0,
+                 room: int = 0, span: int | None = None) -> None:
+        self.strands, self.terms, self.bits, self.low, self.room = strands, terms, bits, low, room
+        if span is None:  # the top digit, plus the longest permutation
+            span = max((abs(c).bit_length() // bits for c in terms.values()), default=0) + strands * (strands - 1) // 2
+        self.span = span
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, HeckeElement) and (self.strands, self.terms) == (other.strands, other.terms)
+        return isinstance(other, HeckeElement) and self.strands == other.strands and self.unpacked() == other.unpacked()
+
+    def unpacked(self) -> dict[tuple[int, ...], Coeff]:
+        """The terms as `Coeff` maps of z-power 0, unpacked as `ocneanu_trace` unpacks its value."""
+        return {w: _coeff(c, self.bits, self.low) for w, c in self.terms.items()}
 
     @staticmethod
     def identity(n: int) -> HeckeElement:
-        return HeckeElement(n, {tuple(range(1, n + 1)): {(0, 0): 1}})
+        return HeckeElement(n, {tuple(range(1, n + 1)): 1}, 64, 0, _room(1, 64), 0)
 
     @staticmethod
     def from_braid(w: BraidWord) -> HeckeElement:
-        e = HeckeElement.identity(w.strands)
+        """The image of w, packed wide enough for its letters and for `ocneanu_trace`, which
+        triples the digits at most min(len(w), (n-1)(n-2)/2) times more."""
+        n, size = w.strands, len(w.letters)
+        steps = size + min(size, (n - 1) * (n - 2) // 2)
+        e = HeckeElement(n, {tuple(range(1, n + 1)): 1}, _width(1, steps), 0, steps, 0)
         for v in w.letters:
             e = hecke_mul_gen(e, abs(v), 1 if v > 0 else -1)
         return e
 
 
-def _add(terms: dict, w: tuple[int, ...], c: Coeff) -> None:
-    """terms[w] += c, dropping zeros.  A stored map is never changed, only
-    replaced, so maps are shared freely."""
-    cur = terms.get(w)
-    if cur is None:
-        terms[w] = c
-        return
-    cur = dict(cur)
-    for key, v in c.items():
-        v += cur.get(key, 0)
-        if v:
-            cur[key] = v
-        else:
-            del cur[key]
-    if cur:
-        terms[w] = cur
-    else:
-        del terms[w]
+def _width(mass: int, steps: int) -> int:
+    """The least multiple of 64 bits with mass 3^steps < 2^(bits - 1), for digits of at most
+    `mass` in absolute sum."""
+    return ((mass * 3**steps).bit_length() // 64 + 1) * 64
+
+
+def _room(mass: int, bits: int) -> int:
+    """The most multiplications that width admits: the largest r with mass 3^r < 2^(bits - 1)."""
+    room = 0
+    while (mass := mass * 3).bit_length() < bits:
+        room += 1
+    return room
+
+
+def _digits(c: int, bits: int) -> list[int]:
+    """The signed digits of a packed integer c of width `bits`, from digit 0 to its top one.
+    Adding 2^(bits - 1) to every digit makes them all unsigned, with no carry; flipping each
+    digit's top bit then leaves its two's complement, which the bytes of the sum hold, and
+    signed int.from_bytes reads each digit from them."""
+    size = bits // 8
+    count = abs(c).bit_length() // bits + 1
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    raw = ((c + bias) ^ bias).to_bytes(size * count, "little")
+    return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
+
+
+def _coeff(c: int, bits: int, low: int, slots: int = 0) -> Coeff:
+    """The `Coeff` map of a packed coefficient c: digit i is the coefficient of
+    z^(i // slots) q^(low + 2 (i % slots)), with slots = 0 for no z."""
+    digits = _digits(c, bits)
+    slots = slots or len(digits)
+    return {(i // slots, low + 2 * (i % slots)): d for i, d in enumerate(digits) if d}
+
+
+def _repack(e: HeckeElement, steps: int) -> HeckeElement:
+    """e at the least width that admits `steps` more multiplications, by its digits' sum."""
+    digits = {w: _digits(c, e.bits) for w, c in e.terms.items()}
+    mass = sum(abs(d) for ds in digits.values() for d in ds) or 1  # a zero element has room for any steps
+    bits = _width(mass, steps)
+    terms = {w: reduce(lambda acc, d: (acc << bits) + d, reversed(ds), 0) for w, ds in digits.items()}
+    return HeckeElement(e.strands, terms, bits, e.low, _room(mass, bits), e.span)
+
+
+def _over_budget() -> ValueError:
+    return ValueError(f"braid too large: its Hecke expansion passes {MAX_HECKE_TERMS} terms")
 
 
 def hecke_mul_gen(e: HeckeElement, i: int, sign: int) -> HeckeElement:
     """Right multiplication by the image of sigma_i^sign in the T-basis.
 
-    On a basis element T_w:  T_w g_i = T_{ws_i} when the length goes up,
-    and q^2 T_{ws_i} + (1 - q^2) T_w otherwise; the inverse follows from
-    g^-1 = q^-2 g - (q^-2 - 1).
-    """
+    On a basis element T_w:  T_w g_i = T_{ws_i} when the length goes up, and
+    t T_{ws_i} + (1 - t) T_w otherwise, t = q^2.  As t g^-1 = g + t - 1, g^-1 lowers
+    `low` by 2 and multiplies by g + t - 1: T_w goes to T_{ws_i} + (t - 1) T_w when the
+    length goes up, and to t T_{ws_i} otherwise.  T_w and T_{ws_i} are taken as a pair, so
+    each result is written once; t c is c << bits.  Raises ValueError past
+    `MAX_HECKE_TERMS` terms; repacks wider first when e has no room left."""
     if not 1 <= i <= e.strands - 1:
         raise ValueError(f"generator index {i} out of range for {e.strands} strands")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out: dict[tuple[int, ...], Coeff] = {}
-    k, s = i - 1, 2 * sign
-    for w, c in e.terms.items():
-        ws = w[:k] + (w[k + 1], w[k]) + w[k + 2 :]
-        if (w[k] < w[k + 1]) == (sign == 1):  # T_w g = T_ws going up, T_w g^-1 = T_ws down
-            _add(out, ws, c)
-        else:
-            cs = {(z, x + s): v for (z, x), v in c.items()}
-            _add(out, ws, cs)
-            _add(out, w, c)
-            _add(out, w, {key: -v for key, v in cs.items()})
-    return HeckeElement(e.strands, out)
+    if not e.room:
+        e = _repack(e, 1)
+    terms, bits, k, l = e.terms, e.bits, i - 1, i + 1
+    out: dict[tuple[int, ...], int] = {}
+    for w, c in terms.items():
+        a, b = w[k], w[i]
+        ws = w[:k] + (b, a) + w[l:]
+        if a < b:  # T_w goes up to T_ws; d is T_ws's coefficient
+            d = terms.get(ws)
+            if sign > 0:
+                if d is None:
+                    out[ws] = c
+                else:
+                    dt = d << bits
+                    out[w], x = dt, c + d - dt
+                    if x:
+                        out[ws] = x
+            else:
+                x = (c << bits) - c + ((d or 0) << bits)
+                if x:
+                    out[w] = x
+                out[ws] = c
+        elif ws not in terms:  # T_w goes down to T_ws, which is not a term
+            out[ws] = ct = c << bits
+            if sign > 0:
+                out[w] = c - ct
+    if len(out) > MAX_HECKE_TERMS:
+        raise _over_budget()
+    return HeckeElement(e.strands, out, bits, e.low if sign > 0 else e.low - 2, e.room - 1, e.span + 1)
 
 
 def ocneanu_trace(e: HeckeElement) -> Coeff:
@@ -218,25 +308,42 @@ def ocneanu_trace(e: HeckeElement) -> Coeff:
 
     E_m fixes T_w when w(m) = m.  Otherwise, with m in position j (counted from
     1) and y = w without m, it maps T_w to z T_y T_(s_(m-2)) ... T_(s_j); the
-    terms with the same j are multiplied as one element."""
-    terms = e.terms
-    for m in range(e.strands, 1, -1):
-        out: dict[tuple[int, ...], Coeff] = {}
-        moved: dict[int, dict[tuple[int, ...], Coeff]] = {}
+    terms with the same j are multiplied as one element.
+
+    z is packed above t: a coefficient holds span + 1 digits per power of z, as no t-degree
+    passes e.span (deg c + l(w) never rises along a term's path).  Along such a
+    path at most min(l(w), (n-1)(n-2)/2) coset steps go down, each tripling the digits, so
+    e is repacked first if its room is less; the parts of a level get room for their chain.
+    The value is unpacked once, at the end.  Each level is held to `MAX_HECKE_TERMS`."""
+    n, span = e.strands, e.span
+    steps = min(span, (n - 1) * (n - 2) // 2)
+    if e.room < steps:
+        e = _repack(e, steps)
+    bits, low, terms = e.bits, e.low, e.terms
+    zbits = bits * (span + 1)
+    for m in range(n, 1, -1):
+        out: dict[tuple[int, ...], int] = {}
+        moved: dict[int, dict[tuple[int, ...], int]] = {}
         for w, c in terms.items():
             if w[-1] == m:
-                _add(out, w[:-1], c)
+                out[w[:-1]] = c
             else:
                 j = w.index(m) + 1
-                moved.setdefault(j, {})[w[: j - 1] + w[j:]] = {(k + 1, x): v for (k, x), v in c.items()}
+                moved.setdefault(j, {})[w[: j - 1] + w[j:]] = c << zbits
         for j, ys in moved.items():
-            part = HeckeElement(m - 1, ys)
+            part = HeckeElement(m - 1, ys, bits, low, m - 2, span)
             for i in range(m - 2, j - 1, -1):
                 part = hecke_mul_gen(part, i, 1)
             for y, c in part.terms.items():
-                _add(out, y, c)
+                c += out.get(y, 0)
+                if c:
+                    out[y] = c
+                else:  # y was a term, and the sum is 0
+                    del out[y]
+        if len(out) > MAX_HECKE_TERMS:
+            raise _over_budget()
         terms = out
-    return next(iter(terms.values()), {})
+    return _coeff(next(iter(terms.values()), 0), bits, low, span + 1)
 
 
 def _divide_by_t_minus_1(p: list[int]) -> list[int]:

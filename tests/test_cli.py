@@ -166,6 +166,23 @@ def test_strand_and_exponent_caps_exit_2_before_any_work(capsys, tmp_path, monke
         assert run(capsys, "inv", "1", "--mode", f"x:{x}") == (2, "", bad), x
 
 
+def test_hecke_term_budget_exits_2_and_is_a_table_entry_error(capsys, tmp_path, monkeypatch):
+    # a small budget stands in for MAX_HECKE_TERMS: the figure-eight's core passes it and
+    # the trefoil, one end block, builds no Hecke term
+    homfly_module = sys.modules["qlink.homfly"]
+    monkeypatch.setattr(homfly_module, "MAX_HECKE_TERMS", 2)
+    over = "braid too large: its Hecke expansion passes 2 terms"
+    sweep = ["sweep", "--q0", "2", "--from", "0", "--to", "1", "--steps", "1", "--out", str(tmp_path / "s.csv")]
+    for argv in (("inv", "1 -2 1 -2"), ("inv", "1 -2 1 -2", "--mode", "x:2"), (*sweep, "1 -2 1 -2"),
+                 (*sweep, "1 -2 1 -2", "--q0", "1")):
+        assert run(capsys, *argv) == (2, "", f"qlink: {over}\n"), argv
+    assert not (tmp_path / "s.csv").exists()
+    (tmp_path / "t.csv").write_text('a,"1 -2 1 -2"\nb,"1 1 1"\n')
+    code, out, err = run(capsys, "table", str(tmp_path / "t.csv"), "--mode", "homfly")
+    assert (code, err) == (0, "") and json.loads(out)["errors"] == [{"name": "a", "message": over}]
+    assert run(capsys, "inv", "1 1 1")[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # inv
 # ---------------------------------------------------------------------------
@@ -523,33 +540,47 @@ def cli_argv(draw) -> tuple[list[str], list[tuple[str, str]] | None]:
     return argv + (["{dir}/t.csv"] if rows is not None else []), rows
 
 
+@st.composite
+def cli_case(draw) -> tuple[list[str], list[tuple[str, str]] | None, int | None]:
+    """`cli_argv`, and a Hecke-term budget to run it under (None: MAX_HECKE_TERMS)."""
+    return *draw(cli_argv()), draw(st.sampled_from([None, None, 1, 4, 30]))
+
+
 @settings(max_examples=150, deadline=None)
-@given(cli_argv())
-@example((["qrat", "--at", "1e3", "1e3"], None))
-@example((["sweep", "--q0", "1e3", "--from", "999", "--to", "1e3", "--steps", "1", "--out", "{dir}/s.csv", "1"], None))
-@example((["qrat", "1/0"], None))
-@example((["qrat", "1", LONG], None))
-@example((["qrat", "1", "--bogus" + "x" * 5000, "y" * 3000], None))
-@example((["inv", str(MAX_STRANDS - 1)], None))
-@example((["inv", "--mode", "x:2", str(MAX_STRANDS)], None))
+@given(cli_case())
+@example((["qrat", "--at", "1e3", "1e3"], None, None))
+@example((["sweep", "--q0", "1e3", "--from", "999", "--to", "1e3", "--steps", "1", "--out", "{dir}/s.csv", "1"], None, None))
+@example((["qrat", "1/0"], None, None))
+@example((["qrat", "1", LONG], None, None))
+@example((["qrat", "1", "--bogus" + "x" * 5000, "y" * 3000], None, None))
+@example((["inv", str(MAX_STRANDS - 1)], None, None))
+@example((["inv", "--mode", "x:2", str(MAX_STRANDS)], None, None))
 @example((["sweep", "--q0", "2", "--from", "0", "--to", "1", "--steps", "1", "--out", "{dir}/s.csv",
-           "--strands", str(10**9), "1"], None))
-@example((["qrat", "1e999999999"], None))
-@example((["table", "{dir}/t.csv"], [("y" * 5000 + "\n#", "1")]))  # a 5,000-character row of one field
-@example((["table", "{dir}/t.csv"], [("a", "1 " * 70000)]))  # a field past the csv module's limit
-@example((["table", "{dir}/" + "p" * 5000], None))
-@example((["sweep", "--q0", "2", "--from", "0", "--to", "1", "--steps", "1", "--out", "{dir}/" + "p" * 5000, "1"], None))
+           "--strands", str(10**9), "1"], None, None))
+@example((["qrat", "1e999999999"], None, None))
+@example((["inv", "--mode", "x:2", "1 -2 1 -2"], None, 4))
+@example((["sweep", "--q0", "2", "--from", "0", "--to", "1", "--steps", "1", "--out", "{dir}/s.csv", "1 -2 1 -2"], None, 1))
+@example((["table", "--with-mirrors", "{dir}/t.csv"], [("a", "1 -2 1 -2"), ("b", "1 1 1")], 4))
+@example((["table", "{dir}/t.csv"], [("y" * 5000 + "\n#", "1")], None))  # a 5,000-character row of one field
+@example((["table", "{dir}/t.csv"], [("a", "1 " * 70000)], None))  # a field past the csv module's limit
+@example((["table", "{dir}/" + "p" * 5000], None, None))
+@example((["sweep", "--q0", "2", "--from", "0", "--to", "1", "--steps", "1", "--out", "{dir}/" + "p" * 5000, "1"], None, None))
 @example((["sweep", "--q0", "-2", "--from", f"{OVER - 1}", "--to", f"{OVER}", "--steps", "1", "--out", "{dir}/s.csv", "-1"],
-          None))
+          None, None))
 def test_cli_exits_with_a_documented_code_and_no_traceback(case):
-    argv, rows = case
-    out, err = io.StringIO(), io.StringIO()
+    argv, rows, budget = case
+    homfly_module = sys.modules["qlink.homfly"]
+    out, err, full = io.StringIO(), io.StringIO(), homfly_module.MAX_HECKE_TERMS
     with tempfile.TemporaryDirectory() as tmp:
         if rows is not None:
             with open(f"{tmp}/t.csv", "w") as fh:
                 fh.writelines(f'{name},"{braid}"\n' for name, braid in rows)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([a.replace("{dir}", tmp) for a in argv])
+        homfly_module.MAX_HECKE_TERMS = budget or full
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([a.replace("{dir}", tmp) for a in argv])
+        finally:
+            homfly_module.MAX_HECKE_TERMS = full
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert all(len(line) < 300 for line in err.getvalue().splitlines()), err.getvalue()[:300]

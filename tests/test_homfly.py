@@ -4,7 +4,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -65,18 +65,18 @@ def random_word(rng: random.Random, max_len: int, max_strands: int) -> BraidWord
 def test_hecke_generator_on_identity():
     e = HeckeElement.identity(2)
     ge = hecke_mul_gen(e, 1, 1)
-    assert ge.terms == {(2, 1): {(0, 0): 1}}
+    assert ge.unpacked() == {(2, 1): {(0, 0): 1}}
 
 
 def test_hecke_quadratic_relation():
     g = hecke_mul_gen(HeckeElement.identity(2), 1, 1)
     g2 = hecke_mul_gen(g, 1, 1)
-    assert g2.terms == {(1, 2): {(0, 2): 1}, (2, 1): {(0, 0): 1, (0, 2): -1}}
+    assert g2.unpacked() == {(1, 2): {(0, 2): 1}, (2, 1): {(0, 0): 1, (0, 2): -1}}
 
 
 def test_hecke_inverse_formula():
     e = hecke_mul_gen(HeckeElement.identity(2), 1, -1)
-    assert e.terms == {(2, 1): {(0, -2): 1}, (1, 2): {(0, 0): 1, (0, -2): -1}}
+    assert e.unpacked() == {(2, 1): {(0, -2): 1}, (1, 2): {(0, 0): 1, (0, -2): -1}}
 
 
 def test_hecke_generator_inverse_cancels():
@@ -99,6 +99,243 @@ def test_hecke_braid_relation_in_algebra():
 def test_hecke_index_range():
     with pytest.raises(ValueError):
         hecke_mul_gen(HeckeElement.identity(2), 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# Packed coefficients, against the dict-of-`Coeff` oracle
+# ---------------------------------------------------------------------------
+
+
+class _DictElement:
+    """A Hecke element whose coefficients are `Coeff` maps {(z-power, q-exponent): c}: the
+    form `hecke_mul_gen` and `ocneanu_trace` computed in before coefficients were packed."""
+
+    __slots__ = ("strands", "terms")
+
+    def __init__(self, strands: int, terms: dict) -> None:
+        self.strands, self.terms = strands, terms
+
+
+def _dict_add(terms: dict, w: tuple[int, ...], c: dict) -> None:
+    """terms[w] += c, dropping zeros.  A stored map is never changed, only
+    replaced, so maps are shared freely."""
+    cur = terms.get(w)
+    if cur is None:
+        terms[w] = c
+        return
+    cur = dict(cur)
+    for key, v in c.items():
+        v += cur.get(key, 0)
+        if v:
+            cur[key] = v
+        else:
+            del cur[key]
+    if cur:
+        terms[w] = cur
+    else:
+        del terms[w]
+
+
+def _dict_mul_gen(e: _DictElement, i: int, sign: int) -> _DictElement:
+    """The oracle of `hecke_mul_gen`: T_w g_i = T_{ws_i} when the length goes up,
+    and q^2 T_{ws_i} + (1 - q^2) T_w otherwise; g^-1 = q^-2 g - (q^-2 - 1)."""
+    out: dict = {}
+    k, s = i - 1, 2 * sign
+    for w, c in e.terms.items():
+        ws = w[:k] + (w[k + 1], w[k]) + w[k + 2 :]
+        if (w[k] < w[k + 1]) == (sign == 1):  # T_w g = T_ws going up, T_w g^-1 = T_ws down
+            _dict_add(out, ws, c)
+        else:
+            cs = {(z, x + s): v for (z, x), v in c.items()}
+            _dict_add(out, ws, cs)
+            _dict_add(out, w, c)
+            _dict_add(out, w, {key: -v for key, v in cs.items()})
+    return _DictElement(e.strands, out)
+
+
+def _dict_trace(e: _DictElement) -> dict:
+    """The oracle of `ocneanu_trace`: E_2 o ... o E_n level by level on `Coeff` maps."""
+    terms = e.terms
+    for m in range(e.strands, 1, -1):
+        out: dict = {}
+        moved: dict = {}
+        for w, c in terms.items():
+            if w[-1] == m:
+                _dict_add(out, w[:-1], c)
+            else:
+                j = w.index(m) + 1
+                moved.setdefault(j, {})[w[: j - 1] + w[j:]] = {(k + 1, x): v for (k, x), v in c.items()}
+        for j, ys in moved.items():
+            part = _DictElement(m - 1, ys)
+            for i in range(m - 2, j - 1, -1):
+                part = _dict_mul_gen(part, i, 1)
+            for y, c in part.terms.items():
+                _dict_add(out, y, c)
+        terms = out
+    return next(iter(terms.values()), {})
+
+
+def _dict_identity(n: int) -> _DictElement:
+    return _DictElement(n, {tuple(range(1, n + 1)): {(0, 0): 1}})
+
+
+def _check_against_the_oracle(w: BraidWord) -> None:
+    """hecke_mul_gen letter by letter from the identity, each unpacked coefficient against
+    the oracle's, then from_braid(w) and its trace."""
+    e, d = HeckeElement.identity(w.strands), _dict_identity(w.strands)
+    for v in w.letters:
+        e, d = hecke_mul_gen(e, abs(v), 1 if v > 0 else -1), _dict_mul_gen(d, abs(v), 1 if v > 0 else -1)
+        assert e.unpacked() == d.terms, w
+    e = HeckeElement.from_braid(w)
+    assert e.unpacked() == d.terms, w
+    assert ocneanu_trace(e) == _dict_trace(d), w
+
+
+def test_packed_coefficients_and_traces_match_the_dict_oracle():
+    # every word of up to 5 letters on 1-4 strands, and 300 seeded words on 5-7 strands
+    # with the twist words (1 .. n-1)^3 (-1 .. -(n-1))
+    count = 0
+    for n in range(1, 5):
+        letters = [s * i for i in range(1, n) for s in (1, -1)]
+        for length in range(6):
+            for word in product(letters, repeat=length):
+                _check_against_the_oracle(BraidWord(word, n))
+                count += 1
+    assert count == 10760
+    rng = random.Random(109)
+    words = [BraidWord(tuple(range(1, n)) * 3 + tuple(range(1 - n, 0)), n) for n in (5, 6, 7)]
+    for _ in range(300):
+        n = rng.randint(5, 7)
+        words.append(BraidWord(tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))), n))
+    for w in words:
+        _check_against_the_oracle(w)
+
+
+def test_elements_past_their_room_are_repacked_and_match_the_oracle(monkeypatch):
+    # g^k and g^-k on 2 strands for k up to 80 (the identity has room for 39 letters at
+    # 64 bits), and words on 3-5 strands given letters after from_braid up to no room
+    # left, and then 3 more, traced at both points: the trace and the multiplication
+    # each repack first
+    homfly_module = sys.modules["qlink.homfly"]
+    repacks, repack = Counter(), homfly_module._repack
+    monkeypatch.setattr(homfly_module, "_repack", lambda *args: repacks.update([args[1]]) or repack(*args))
+    for sign in (1, -1):
+        e, d = HeckeElement.identity(2), _dict_identity(2)
+        for k in range(1, 81):
+            e, d = hecke_mul_gen(e, 1, sign), _dict_mul_gen(d, 1, sign)
+            assert e.unpacked() == d.terms, (sign, k)
+            assert ocneanu_trace(e) == _dict_trace(d), (sign, k)
+    assert repacks[1] >= 2
+    rng = random.Random(113)
+    for _ in range(20):
+        n = rng.randint(3, 5)
+        w = random_word(rng, 6, n)
+        w = BraidWord(w.letters, n)
+        e, d = HeckeElement.from_braid(w), _dict_identity(n)
+        for v in w.letters:
+            d = _dict_mul_gen(d, abs(v), 1 if v > 0 else -1)
+        for extra in (e.room, 3):  # to no room left, where the trace repacks; then past it
+            for _ in range(extra):
+                i, sign = rng.randint(1, n - 1), rng.choice((1, -1))
+                e, d = hecke_mul_gen(e, i, sign), _dict_mul_gen(d, i, sign)
+            assert e.unpacked() == d.terms, w
+            assert ocneanu_trace(e) == _dict_trace(d), w
+    assert repacks[1] >= 22 and len(repacks) > 1  # the trace repacks for its coset steps
+
+
+def test_elements_with_digits_near_the_width_match_the_oracle():
+    # terms packed at 64 bits with digits up to 2^62 in size, as the default room 0 has
+    # them: a multiplication or a trace overflows unless it measures and repacks first
+    rng = random.Random(131)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        perms = rng.sample(list(permutations(range(1, n + 1))), rng.randint(1, 2 if n == 2 else 3))
+        digits = {w: [rng.choice((-1, 1)) * rng.randint(2**61, 2**62) for _ in range(rng.randint(1, 3))] for w in perms}
+        packed = {w: sum(d << (64 * i) for i, d in enumerate(ds)) for w, ds in digits.items()}
+        d = _DictElement(n, {w: {(0, 2 * i - 4): v for i, v in enumerate(ds)} for w, ds in digits.items()})
+        assert ocneanu_trace(HeckeElement(n, packed, 64, -4)) == _dict_trace(d)
+        e = HeckeElement(n, packed, 64, -4)
+        for _ in range(rng.randint(1, 4)):
+            i, sign = rng.randint(1, n - 1), rng.choice((1, -1))
+            e, d = hecke_mul_gen(e, i, sign), _dict_mul_gen(d, i, sign)
+            assert e.unpacked() == d.terms
+        assert ocneanu_trace(e) == _dict_trace(d)
+
+
+def test_zero_elements_multiply_and_trace_to_zero():
+    # no digits to measure: the repack that room 0 asks for must still end
+    assert ocneanu_trace(HeckeElement(3, {})) == {}
+    for sign in (1, -1):
+        e = hecke_mul_gen(HeckeElement(2, {}), 1, sign)
+        assert e.terms == {} and e == HeckeElement(2, {}) and ocneanu_trace(e) == {}
+    e = HeckeElement(4, {})
+    for i in (1, 2, 3, 2):
+        e = hecke_mul_gen(e, i, -1)
+    assert e.terms == {} and ocneanu_trace(e) == {}
+
+
+def test_unpacker_reads_extreme_digits_and_the_width_rule_holds():
+    from qlink.homfly import _coeff, _digits, _room, _width
+
+    for bits in (64, 128, 192):
+        top = (1 << (bits - 1)) - 1
+        for digits in ([top], [-top], [top, -top, 0, 1, -1, -top, top], [-top, 0, 0, top], [0, 5, -top]):
+            c = sum(d << (bits * i) for i, d in enumerate(digits))
+            got = _digits(c, bits)
+            assert got[: len(digits)] == digits and not any(got[len(digits) :]), (bits, digits)
+            assert _coeff(c, bits, -4) == {(0, -4 + 2 * i): d for i, d in enumerate(digits) if d}
+        assert _digits(0, bits) == [0]
+    c = 3 + (-2 << 64) + (7 << 128) + (-1 << 192)  # 2 digits per power of z
+    assert _coeff(c, 64, -2, 2) == {(0, -2): 3, (0, 0): -2, (1, -2): 7, (1, 0): -1}
+    for m in range(201):
+        bits = _width(1, m)
+        room = _room(1, bits)
+        assert bits % 64 == 0 and 3**m < 2 ** (bits - 1) and room >= m, m
+        assert bits == 64 or 3**m >= 2 ** (bits - 65), m  # the least such width
+        assert 3**room < 2 ** (bits - 1) <= 3 ** (room + 1), m
+    assert (_width(5, 3), _room(5, 64)) == (64, 38) and 5 * 3**38 < 2**63 <= 5 * 3**39
+    # from_braid's width admits its letters and leaves the trace's coset steps as room
+    rng = random.Random(137)
+    words = [BraidWord(tuple(range(1, 7)) * 5, 7), BraidWord(tuple(range(1, 7)) * 3 + tuple(range(-6, 0)), 7)]
+    words += [random_word(rng, 40, 4) for _ in range(30)]
+    for w in words:
+        e, n, size = HeckeElement.from_braid(w), w.strands, len(w.letters)
+        assert 3 ** (size + e.room) < 2 ** (e.bits - 1) and e.room >= min(size, (n - 1) * (n - 2) // 2), w
+
+
+def test_packed_elements_compare_by_value():
+    # g_i g_i^-1 lowers `low` by 2 and shifts every digit up by one: the same element
+    rng = random.Random(127)
+    for _ in range(20):
+        w = random_word(rng, 6, 4)
+        e = HeckeElement.from_braid(w)
+        i = rng.randint(1, w.strands - 1)
+        back = hecke_mul_gen(hecke_mul_gen(e, i, 1), i, -1)
+        assert back.low == e.low - 2 and back.terms != e.terms and back == e, w
+        assert hecke_mul_gen(e, i, 1) != e
+    assert HeckeElement(2, {(1, 2): 1 << 64}, 64, -2) == HeckeElement.identity(2) != HeckeElement.identity(3)
+
+
+def test_hecke_term_budget(monkeypatch):
+    # hecke_mul_gen and each trace level hold an element to MAX_HECKE_TERMS terms; a
+    # small budget stands in for the 8! of the program
+    homfly_module = sys.modules["qlink.homfly"]
+    assert homfly_module.MAX_HECKE_TERMS == 40320
+    w = parse_braid("1 2 3 1 2 3 1 2 3 1")
+    size = len(HeckeElement.from_braid(w).terms)
+    monkeypatch.setattr(homfly_module, "MAX_HECKE_TERMS", size)
+    HeckeElement.from_braid(w)
+    monkeypatch.setattr(homfly_module, "MAX_HECKE_TERMS", size - 1)
+    with pytest.raises(ValueError, match=f"^braid too large: its Hecke expansion passes {size - 1} terms$"):
+        HeckeElement.from_braid(w)
+    with pytest.raises(ValueError, match="Hecke expansion passes"):
+        homfly(w)
+    big = HeckeElement(4, dict.fromkeys(((*p, 4) for p in permutations(range(1, 4))), 1))  # E_4 fixes all 6
+    calls = _count_hecke_mul_gen(monkeypatch)
+    monkeypatch.setattr(homfly_module, "MAX_HECKE_TERMS", 5)
+    with pytest.raises(ValueError, match="Hecke expansion passes 5 terms"):
+        ocneanu_trace(big)
+    assert not calls  # the level held it
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +404,7 @@ def _basis_trace(w: tuple[int, ...]) -> dict:
             val = _basis_trace(w[:-1])
         else:
             j = w.index(n) + 1
-            elem = HeckeElement(n - 1, {tuple(v for v in w if v != n): {(0, 0): 1}})
+            elem = HeckeElement(n - 1, {tuple(v for v in w if v != n): 1})
             for i in range(n - 2, j - 1, -1):
                 elem = hecke_mul_gen(elem, i, 1)
             val = _times_z(_reference_trace(elem))
@@ -180,7 +417,7 @@ def _reference_trace(e: HeckeElement) -> dict:
     each basis element, z a formal shift of the z-power: the oracle of the
     level-by-level `ocneanu_trace`."""
     acc: Counter = Counter()
-    for w, c in e.terms.items():
+    for w, c in e.unpacked().items():
         for (k1, e1), v1 in c.items():
             for (k2, e2), v2 in _basis_trace(w).items():
                 acc[(k1 + k2, e1 + e2)] += v1 * v2
@@ -375,8 +612,9 @@ def test_block_factor_is_the_power_of_a_generator():
         e = HeckeElement.identity(2)
         for _ in range(abs(k)):
             e = hecke_mul_gen(e, 1, 1 if k > 0 else -1)
-        alpha = {q: v for (_, q), v in e.terms.get((2, 1), {}).items()}
-        beta = {q: v for (_, q), v in e.terms.get((1, 2), {}).items()}
+        terms = e.unpacked()
+        alpha = {q: v for (_, q), v in terms.get((2, 1), {}).items()}
+        beta = {q: v for (_, q), v in terms.get((1, 2), {}).items()}
         assert IntLaurent(alpha) + IntLaurent(beta) == IntLaurent.one(), k
         closed = sum((minus_q2 ** i for i in range(abs(k))), IntLaurent.zero())
         if k < 0:
@@ -796,7 +1034,7 @@ def test_flat_basis_traces_match_polynomial_recursion():
     basis = {b for w in words for b in HeckeElement.from_braid(w).terms}
     assert len(basis) > 5040
     for b in basis:
-        assert ocneanu_trace(HeckeElement(len(b), {b: {(0, 0): 1}})) == _basis_trace(b), b
+        assert ocneanu_trace(HeckeElement(len(b), {b: 1})) == _basis_trace(b), b
 
 
 def test_flat_trace_sum_matches_polynomial_sum():
