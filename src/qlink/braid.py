@@ -6,8 +6,9 @@ inverse.  The closure of a word on n strands is the framed link obtained
 by joining the top of each strand to its bottom; the blackboard framing of
 that diagram is recorded by the writhe (positive letters minus negative
 letters).  A word is never simplified here.  `homfly.markov_trace` applies
-Markov moves (free cancellation, splits, destabilization) internally, before
-its Hecke expansion; the invariance tests stay meaningful because they also
+Markov moves (free cancellation, splits, destabilization) and braid relations
+at the end generators internally, before its Hecke expansion; the invariance
+tests stay meaningful because they also
 run evaluators that apply no move: the unreduced trace
 `ocneanu_trace(HeckeElement.from_braid(w))` and the R-matrix `rt_invariant`.
 """

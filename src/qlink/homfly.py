@@ -59,7 +59,28 @@ Two independent evaluators are provided and cross-checked in the tests:
     alpha_k = sum_(i<k) (-q^2)^i for k >= 0 and alpha_(-k) = -(-q^2)^(-k)
     alpha_k, so tau(x g^k) = (alpha_k z + 1 - alpha_k) tau(x); k = +-1 is
     ordinary destabilization.  sigma_1 is removed the same way through the
-    flip sigma_i -> sigma_(m-i), conjugation by the half twist.
+    flip sigma_i -> sigma_(m-i), conjugation by the half twist;
+  - where no end block is left, braid relations at the end generator
+    g = sigma_(m-1), with h = sigma_(m-2) and X, Y runs of letters that
+    commute with g (every letter but g and h): the gather
+    g^a X g^c -> g^a g^c X for X with no h, and the exchange
+    g^a X h^b Y g^c -> X h^c g^b h^a Y for single letters (|a| = |b| = |c| = 1),
+    by g h g = h g h and g^a h^b g^-a = h^-a g^b h^a, unless a = c = -b (the
+    figure-eight pattern g h^-1 g, where neither relation applies).  Both keep the
+    braid.  An exchange lowers the count of g, and a gather the number of its
+    cyclic runs without raising the count, so they end, and often leave g one
+    run for the end block to remove.  On 4 or more strands sigma_1 takes the
+    same moves with h = sigma_2.  There no move at one end adds a letter of the
+    other end generator or splits one of its runs, so every move lowers the
+    measure (count of sigma_1 plus count of sigma_(m-1), runs of sigma_1 plus
+    runs of sigma_(m-1)), compared first by count.  On 3 strands h = sigma_1 is
+    the other end generator: an exchange at sigma_1 would raise the count of
+    sigma_2 and the two ends could undo each other, so only sigma_2 moves.  The
+    moves run on the cyclic linked list `_destabilize` uses, `_Ring`, and a lap
+    of the runs of g goes on from each move, so that a cascade of gathers or
+    exchanges costs its own span (where a gather cancels a whole run, the lap
+    steps back across the gap before it).  The word then goes back to the
+    cancellation, splits and end blocks.
 
 * Pieces in closure space.  `_markov_pieces(w)` runs the moves and returns
   what they leave: the product tau' of the cores' traces, the cores' n'
@@ -127,7 +148,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable
 from functools import reduce
-from itertools import accumulate, product
+from itertools import accumulate, compress, count, product
 from math import comb
 from operator import add, itemgetter, mul, sub
 
@@ -507,67 +528,217 @@ def _destabilize(word: list[int], lo: int, hi: int) -> tuple[list[int], int, int
     the rest of the word in cyclic order, and whether a generator vanished (the rest
     then splits).  The word is left as it is.
 
-    The word is a cyclic linked list over its positions, with each generator's
-    positions in a list, so that a block costs its own length, not the word's.  A word with
-    no end block returns before these are built: in the plain letter list, the occurrences
-    of neither end generator span just their own number of places, nor are at both ends."""
+    The word is a `_Ring` that keeps each generator's nodes, so that a block costs its own
+    length, not the word's.  A word on two strands is one block, and a word with no end
+    block returns before the ring is built: in the plain letter list, the occurrences of
+    neither end generator span just their own number of places, nor are at both ends."""
+    if hi - lo == 2:  # one generator, so one run: the word is the block
+        return [len(word) if word[0] > 0 else -len(word)], lo, hi - 1, [], False
     gens = list(map(abs, word))
-    if hi - lo > 2:
-        for g in (hi - 1, lo + 1):  # one run from the first g to the last one, or one that may wrap around
-            if len(gens) - gens[::-1].index(g) - gens.index(g) == gens.count(g) or gens[0] == g == gens[-1]:
-                break
-        else:
-            return [], lo, hi, word, False
-    size = len(word)
-    nxt, prv = [*range(1, size), 0], [size - 1, *range(size - 1)]
-    occ: dict[int, list[int]] = {}
-    for i, g in enumerate(gens):
-        occ.setdefault(g, []).append(i)
+    for g in (hi - 1, lo + 1):  # one run from the first g to the last one, or one that may wrap around
+        if len(gens) - gens[::-1].index(g) - gens.index(g) == gens.count(g) or gens[0] == g == gens[-1]:
+            break
+    else:
+        return [], lo, hi, word, False
+    ring = _Ring(word, occ=True)
+    val, gen, nxt, prv, occ = ring.val, ring.gen, ring.nxt, ring.prv, ring.occ
     ks: list[int] = []
-    head, vanished = 0, False
-    while size:
+    head = 0
+    while ring.size:
         for g in (hi - 1, lo + 1):
             ids = occ[g]
             start = end = ids[0]
-            if len(ids) == size:  # the word is the block
+            if len(ids) == ring.size:  # the word is the block
                 break
             run = 1
-            while gens[prv[start]] == g:
+            while gen[prv[start]] == g:
                 start, run = prv[start], run + 1
-            while gens[nxt[end]] == g:
+            while gen[nxt[end]] == g:
                 end, run = nxt[end], run + 1
             if run == len(ids):
                 break
         else:
             break
-        ks.append(len(ids) if word[start] > 0 else -len(ids))  # a reduced run has one sign
+        ks.append(len(ids) if val[start] > 0 else -len(ids))  # a reduced run has one sign
         del occ[g]
-        lo, hi, size = (lo, hi - 1, size - len(ids)) if g == hi - 1 else (lo + 1, hi, size - len(ids))
+        lo, hi = (lo, hi - 1) if g == hi - 1 else (lo + 1, hi)
+        ring.size -= len(ids)
         p, s = prv[start], nxt[end]
         nxt[p], prv[s] = s, p
-        while size > 1 and word[p] == -word[s]:
-            for i in (p, s):
-                ids = occ[gens[i]]
-                ids.remove(i)
-                vanished = vanished or not ids
-            size -= 2
+        head = nxt[ring.cancel(p, s)]
+        if ring.vanished:
+            break
+    return ks, lo, hi, ring.letters(head), ring.vanished
+
+
+class _Ring:
+    """A cyclic word as a doubly linked list over its positions, so that a rewrite costs its
+    own span: `val[i]` is the letter at node i and `gen[i]` its generator, both 0 once it is
+    cancelled, and `nxt` and `prv` link the live nodes in cyclic order.  With `occ`, the
+    ring keeps each generator's live nodes, and `vanished` tells whether cancellation
+    removed a generator's last one, for `_destabilize`; the braid relations keep neither."""
+
+    __slots__ = ("val", "gen", "nxt", "prv", "size", "occ", "vanished")
+
+    def __init__(self, word: list[int], occ: bool = False) -> None:
+        size = len(word)
+        self.val, self.gen, self.size = list(word), list(map(abs, word)), size
+        self.nxt, self.prv = [*range(1, size), 0], [size - 1, *range(size - 1)]
+        self.occ: dict[int, list[int]] = {}
+        self.vanished = False
+        if occ:
+            for i, g in enumerate(self.gen):
+                self.occ.setdefault(g, []).append(i)
+
+    def cancel(self, p: int, s: int) -> int:
+        """Cancel the pairs v, -v that meet at the linked junction p -> s; returns the live
+        node left of the last junction (any node once the ring is empty)."""
+        val, gen, nxt, prv, occ = self.val, self.gen, self.nxt, self.prv, self.occ
+        while self.size > 1 and val[p] == -val[s]:
+            if occ:
+                ids = occ[gen[p]]
+                ids.remove(p)
+                ids.remove(s)
+                self.vanished = self.vanished or not ids
+            val[p] = val[s] = gen[p] = gen[s] = 0
+            self.size -= 2
             p, s = prv[p], nxt[s]
             nxt[p], prv[s] = s, p
-        head = s
-        if vanished:
+        return p
+
+    def letters(self, head: int) -> list[int]:
+        """The letters in cyclic order, from the live node head."""
+        val, nxt = self.val, self.nxt
+        out = []
+        for _ in range(self.size):
+            out.append(val[head])
+            head = nxt[head]
+        return out
+
+
+def _gather(ring: _Ring, e1: int, s2: int, e2: int) -> tuple[int, int]:
+    """g^a X g^c -> g^a g^c X: the run s2 .. e2 of g joins the run ending at e1, across the
+    letters X between them, which commute with g and hold no neighbour of it.  Returns the
+    end of the run of g at or left of what changed, or -1 where g is gone, and the node
+    where the scan of the gap after that run goes on: past what is left of X, where the
+    joined run kept its first letter and X some letters; else the gap is scanned whole."""
+    val, gen, nxt, prv = ring.val, ring.gen, ring.nxt, ring.prv
+    g, x1, x2, after = gen[e1], nxt[e1], prv[s2], nxt[e2]
+    nxt[e1], prv[s2], nxt[e2], prv[x1], nxt[x2], prv[after] = s2, e1, x1, e2, after, x2
+    left = ring.cancel(x2, after)
+    rest = nxt[left] if left != e2 and val[e2] else -1  # the node past what is left of X
+    end = ring.cancel(e1, s2) if val[e1] and val[e1] == -val[s2] else e2
+    if rest >= 0 and val[left] and gen[end] == g:
+        return end, rest
+    u = _run_end_at(ring, end if val[end] else left, g)
+    return u, nxt[u]
+
+
+def _exchange(ring: _Ring, u: int, hn: int, v: int, g: int, h: int) -> int:
+    """g^a X h^b Y g^c -> X h^c g^b h^a Y for single letters g^a at u, h^b at hn and g^c at
+    v, with X and Y commuting with g: the braid relation, as g^a h^b g^-a = h^-a g^b h^a
+    and g h g = h g h; for a = c = -b it is none, and the caller leaves that out.  Node v
+    takes g^b and node u h^a, both after hn.  Returns a live node at or left of what
+    changed."""
+    val, nxt, prv = ring.val, ring.nxt, ring.prv
+    a, b, c = val[u] // g, val[hn] // h, val[v] // g
+    p1, x1, x2, y2, after = prv[u], nxt[u], prv[hn], prv[v], nxt[v]
+    nxt[p1], prv[x1] = x1, p1  # u and v out
+    nxt[y2], prv[after] = after, y2
+    y1 = nxt[hn]  # v and u in after hn
+    nxt[hn], prv[v], nxt[v], prv[u], nxt[u], prv[y1] = v, hn, u, v, y1, u
+    val[hn], val[v], val[u], ring.gen[u] = c * h, b * g, a * h, h
+    left = p1
+    for p in (y2, u, x2, p1):  # the new junctions p -> nxt[p], right to left
+        if val[p] and val[p] == -val[nxt[p]]:
+            left = ring.cancel(p, nxt[p])
+    return p1 if val[p1] else left
+
+
+def _run_end_at(ring: _Ring, x: int, g: int) -> int:
+    """The last node of the run of g at or left of the live node x, or -1 where the ring
+    has no g or nothing else."""
+    gen, nxt, prv = ring.gen, ring.nxt, ring.prv
+    for _ in range(ring.size):  # back to a g
+        if gen[x] == g:
             break
-    rest = []
-    for _ in range(size):
-        rest.append(word[head])
-        head = nxt[head]
-    return ks, lo, hi, rest, vanished
+        x = prv[x]
+    else:
+        return -1
+    for _ in range(ring.size):  # on to the end of its run
+        if gen[nxt[x]] != g:
+            return x
+        x = nxt[x]
+    return -1
+
+
+def _end_moves(ring: _Ring, x: int, g: int, h: int) -> bool:
+    """Gathers and exchanges at the end generator g, with h its one neighbour and every
+    other letter commuting with g, from the run of g at or left of the live node x, until
+    a lap of the runs of g finds none; whether any applied.  After an exchange the lap goes
+    on from the run at or left of what changed, and after a gather from the gathered run,
+    past the letters it crossed.  So a cascade of gathers, or of exchanges, costs its own
+    span; where a gather cancels a whole run, the lap steps back across the gap before it."""
+    val, gen, nxt = ring.val, ring.gen, ring.nxt
+    u = _run_end_at(ring, x, g)
+    v, mark, moved = nxt[u], -1, False  # the gap after u's run is scanned from v
+    while u >= 0:
+        hs, hn = 0, -1
+        while gen[v] != g:  # the gap after u's run, to the next run v .. e2
+            if gen[v] == h:
+                hs, hn = hs + 1, v
+            v = nxt[v]
+        e2 = v
+        while gen[nxt[e2]] == g:
+            e2 = nxt[e2]
+        if e2 == u:  # one run
+            break
+        a, c = val[u] > 0, val[v] > 0
+        if hs > 1 or hs and a == c != (val[hn] > 0):  # two or more h, or g^a h^-a g^a: no move
+            if mark < 0:
+                mark = u
+            u, v = e2, nxt[e2]
+            if u == mark:
+                break
+            continue
+        if hs:
+            u = _run_end_at(ring, _exchange(ring, u, hn, v, g, h), g)
+            v = nxt[u]
+        else:
+            u, v = _gather(ring, u, v, e2)
+        mark, moved = -1, True
+    return moved
+
+
+def _braid_moves(word: list[int], lo: int, hi: int) -> list[int] | None:
+    """The word rewritten by gathers and exchanges (module docstring) at sigma_(hi-1), and
+    on 4 or more strands at sigma_(lo+1), from just after a run of sigma_(hi-1), or None
+    where neither end has one.  The braid is the same, so the trace and writhe are too.
+
+    Whether a move applies is the lap's to decide, but on 3 strands a word without one is
+    known from its neighbouring letters, and no ring is built: every letter is g or h, so
+    a move is an exchange g^a h^b g^c, not a = c = -b, and b has the sign of a or of c, so
+    the word holds neighbours g h or h g of one sign, whose product is g h.  The
+    figure-eight holds none."""
+    if hi - lo == 3 and (hi - 1) * (hi - 2) not in map(mul, word, word[1:] + word[:1]):
+        return None
+    ring = _Ring(word)
+    moved = _end_moves(ring, 0, hi - 1, hi - 2)
+    if hi - lo > 3 and ring.size:
+        moved = _end_moves(ring, next(compress(count(), ring.val)), lo + 1, lo + 2) or moved
+    if not moved:
+        return None
+    head = next(compress(count(), ring.val), 0)
+    end = _run_end_at(ring, head, hi - 1)
+    return ring.letters(ring.nxt[end] if end >= 0 else head)
 
 
 def markov_trace(w: BraidWord) -> Coeff:
     """The Markov trace of w's Hecke element, a `Coeff` map with z formal: equal to
     `ocneanu_trace(HeckeElement.from_braid(w))`.  It is the product of `_markov_pieces(w)`:
     the cores' trace times every end block's factor, z for a positive kink and
-    q^-2 z + 1 - q^-2 for a negative one."""
+    q^-2 z + 1 - q^-2 for a negative one.  The cores are what cancellation, splits, end
+    blocks and the braid relations of the module docstring leave of w."""
     tau, _, _, ks, p, m, _ = _markov_pieces(w)
     factors = [_block_factor(k) for k in ks] + [_block_factor(-1)] * m
     return reduce(_mul, factors, {(k + p, e): v for (k, e), v in tau.items()})
@@ -582,9 +753,11 @@ def _markov_pieces(w: BraidWord) -> Pieces:
     w's numbering on strands lo + 1 .. hi; nothing recurses.  A piece is cyclically reduced
     and split at every generator it lacks in one pass (a piece with no letters is a single
     strand), then stripped of end blocks (`_destabilize`).  What a vanished generator splits
-    goes back to the worklist; a piece with no move left is a core, renumbered from 1 and
-    expanded by `ocneanu_trace`.  At q = 1 a core's trace is z^(n' - c') (module
-    docstring), which gives its components c'."""
+    goes back to the worklist, and so does a piece with no end block that gathers or
+    exchanges rewrite (`_braid_moves`).  A piece with no move left is a core, renumbered
+    from 1 and expanded by `ocneanu_trace`; a core with all of w's letters on all its
+    strands is w's braid, so w itself is expanded.  At q = 1 a core's trace is z^(n' - c')
+    (module docstring), which gives its components c'."""
     cores: list[Coeff] = []
     ks: list[int] = []
     n = c = p = m = 0
@@ -606,8 +779,10 @@ def _markov_pieces(w: BraidWord) -> Pieces:
             ks += [k for k in blocks if k * k > 1]
             if split:
                 work.append((lo, hi, word))
+            elif word and (moved := _braid_moves(word, lo, hi)) is not None:
+                work.append((lo, hi, moved))
             elif word:
-                core = w  # where no move applied
+                core = w  # no letter or strand removed: the moves kept w's braid
                 if len(word) < len(w.letters) or hi - lo < w.strands:
                     core = BraidWord(tuple(v - lo if v > 0 else v + lo for v in word), hi - lo)
                 cores.append(ocneanu_trace(HeckeElement.from_braid(core)))

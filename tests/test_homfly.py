@@ -649,8 +649,8 @@ def test_moves_exhaust_words_of_one_block_per_generator(monkeypatch):
     calls = _count_hecke_mul_gen(monkeypatch)
     assert [markov_trace(w) for w in words] == expected
     assert not calls
-    markov_trace(BraidWord((1, 2, 1, 2), 3))
-    assert calls["hecke_mul_gen"]  # the counter sees a core
+    markov_trace(BraidWord((1, -2, 1, -2), 3))
+    assert calls["hecke_mul_gen"]  # the counter sees a core: the figure-eight, which no move shrinks
 
 
 def test_an_end_block_across_the_ends_of_the_word_is_removed(monkeypatch):
@@ -726,9 +726,10 @@ def test_block_factor_in_closure_space_is_the_closed_form():
 
 
 def test_components_and_core_traces_from_the_pieces(monkeypatch):
-    # every word of up to 5 letters on 1-4 strands: c = s + c' + (number of even blocks)
-    # is the closure's component count, the pieces account for every strand, and each
-    # core's trace at q = 1 is a single power of z with coefficient 1
+    # every word of up to 5 letters on 1-4 strands, and of 6 letters on 3 and 4 strands:
+    # c = s + c' + (number of even blocks) is the closure's component count, the pieces
+    # account for every strand, and each core's trace at q = 1 is a single power of z with
+    # coefficient 1
     from qlink.homfly import _markov_pieces
 
     homfly_module = sys.modules["qlink.homfly"]
@@ -737,14 +738,14 @@ def test_components_and_core_traces_from_the_pieces(monkeypatch):
     kinds: Counter = Counter()
     for n in range(1, 5):
         letters = [s * i for i in range(1, n) for s in (1, -1)]
-        for length in range(6):
+        for length in range(7 if n >= 3 else 6):
             for word in product(letters, repeat=length):
                 w = BraidWord(word, n)
                 tau, n_core, c_core, ks, p, m, s = _markov_pieces(w)
                 assert s >= 0 and n_core + s + len(ks) + p + m == n, w
                 assert s + c_core + sum(1 for k in ks if k % 2 == 0) == closure_stats(w).components, w
                 kinds[bool(n_core), bool(ks)] += 1
-    assert set(kinds) == {(False, False), (False, True), (True, False)}  # a core and a block take 6 letters
+    assert set(kinds) == {(False, False), (False, True), (True, False), (True, True)}  # a core and a block: 6 letters
     assert len(core_traces) > 1000
     for tau in core_traces:
         at_1 = Counter()
@@ -787,6 +788,164 @@ def test_destabilize_leaves_a_word_with_no_end_block_as_it_is():
         assert _destabilize(word, lo, hi) == ([], lo, hi, word, False)
     assert _destabilize([2, 1, -2, 1, 2, 2], 0, 3)[0] == []
     assert _destabilize([2, 1, 1, 2], 0, 3)[0] == [2, 2]  # a run across the ends
+
+
+def _cyclic(letters) -> tuple:
+    """The least rotation of a cyclic word."""
+    letters = tuple(letters)
+    return min((letters[i:] + letters[:i] for i in range(len(letters))), default=())
+
+
+def _count_moves(monkeypatch, limit: float = float("inf")) -> Counter:
+    """Counts the calls of `_gather` and `_exchange`; past `limit` rewrites in all, a call
+    fails, so that moves that never end fail a test instead of hanging it."""
+    homfly_module = sys.modules["qlink.homfly"]
+    moves: Counter = Counter()
+    for name in ("_gather", "_exchange"):
+        def counted(*args, name=name, fn=getattr(homfly_module, name)):
+            moves[name] += 1
+            assert sum(moves.values()) <= limit, "more rewrites than the limit"
+            return fn(*args)
+
+        monkeypatch.setattr(homfly_module, name, counted)
+    return moves
+
+
+@pytest.mark.parametrize("word, strands, rewritten", [
+    # g h g = h g h at sigma_2 on 3 strands, and its mirror; the other gaps hold two letters h
+    ((2, 1, 2, 1, 1, 2, 2, 1, 1), 3, (1, 1, 1, 2, 1, 1, 1, 2, 2)),
+    ((-2, -1, -2, -1, -1, -2, -2, -1, -1), 3, (-1, -1, -1, -2, -1, -1, -1, -2, -2)),
+    # g^a h^b g^-a = h^-a g^b h^a, for both b, and mirrors
+    ((2, 1, -2, 1, 1, 2, 2, -1, -1), 3, (-1, -1, -1, 2, 1, 1, 1, 2, 2)),
+    ((2, -1, -2, 1, 1, 2, 2, -1, -1), 3, (-1, -1, -1, -2, 1, 1, 1, 2, 2)),
+    ((-2, -1, 2, -1, -1, -2, -2, 1, 1), 3, (1, 1, 1, -2, -1, -1, -1, -2, -2)),
+    ((-2, 1, 2, -1, -1, -2, -2, 1, 1), 3, (1, 1, 1, 2, -1, -1, -1, -2, -2)),
+    # the exchange across commuting letters X = 1 and Y = 2 at sigma_4 on 5 strands
+    ((4, 1, 3, 2, 4, 3, 3, 2, 1, 3, -2, 3), 5, (1, 3, 4, 3, 2, 3, 3, 2, 1, 3, -2, 3)),
+    ((4, 1, 3, 2, -4, 3, 3, 2, 1, 3, -2, 3), 5, (1, -3, 4, 3, 2, 3, 3, 2, 1, 3, -2, 3)),
+    ((-4, -1, -3, -2, -4, -3, -3, -2, -1, -3, 2, -3), 5, (-1, -3, -4, -3, -2, -3, -3, -2, -1, -3, 2, -3)),
+    # a gather across 1 -2 1 -2, which commutes with sigma_4, on 5 strands; with opposite
+    # signs the two letters cancel and sigma_4 vanishes
+    ((4, 1, -2, 1, -2, 4, 3, 3, 2, 3, 3), 5, (4, 4, 1, -2, 1, -2, 3, 3, 2, 3, 3)),
+    ((-4, -1, 2, -1, 2, -4, -3, -3, -2, -3, -3), 5, (-4, -4, -1, 2, -1, 2, -3, -3, -2, -3, -3)),
+    ((4, 1, -2, 1, -2, -4, 3, 3, 2, 3, 3), 5, (1, -2, 1, -2, 3, 3, 2, 3, 3)),
+    # the bottom end, sigma_1 on 4 strands, where sigma_3 has no move
+    ((1, 2, 1, 2, 2, 3, 2, 2, 3), 4, (2, 1, 2, 2, 2, 3, 2, 2, 3)),
+    ((1, 2, -1, 2, 2, 3, 2, 2, 3), 4, (-2, 1, 2, 2, 2, 3, 2, 2, 3)),
+    ((1, -2, -1, 2, 2, 3, 2, 2, 3), 4, (-2, -1, 2, 2, 2, 3, 2, 2, 3)),
+    ((-1, -2, -1, -2, -2, -3, -2, -2, -3), 4, (-2, -1, -2, -2, -2, -3, -2, -2, -3)),
+    ((-1, -2, 1, -2, -2, -3, -2, -2, -3), 4, (2, -1, -2, -2, -2, -3, -2, -2, -3)),
+])
+def test_braid_moves_rewrite_each_identity_and_keep_the_trace(monkeypatch, word, strands, rewritten):
+    # a word with no end block and one move: `_braid_moves` applies it, once, and the
+    # rewritten word has the unreduced trace of the word
+    from qlink.homfly import _braid_moves, _destabilize
+
+    assert _destabilize(list(word), 0, strands) == ([], 0, strands, list(word), False)
+    moves = _count_moves(monkeypatch)
+    got = _braid_moves(list(word), 0, strands)
+    assert _cyclic(got) == _cyclic(rewritten), got
+    assert sum(moves.values()) == 1
+    w = BraidWord(word, strands)
+    assert _unreduced(BraidWord(tuple(got), strands)) == _unreduced(w) == markov_trace(w)
+
+
+def test_braid_moves_leave_the_figure_eight_pattern_alone(monkeypatch):
+    # g^a h^-a g^a is no braid relation: words whose every gap between runs of an end
+    # generator is that pattern or holds two letters h have no move, on 3 strands, across
+    # commuting letters on 5, and at both ends on 4
+    from qlink.homfly import _braid_moves
+
+    moves = _count_moves(monkeypatch)
+    for word, strands in (((1, -2, 1, -2), 3), ((2, -1, 2, 1, 1, 2, 2, 1, 1), 3),
+                          ((-2, 1, -2, -1, -1, -2, -2, -1, -1), 3), ((4, 1, -3, 2, 4, 3, 3, 2, 1, 3, -2, 3), 5),
+                          ((1, -2, 1, -2, 3, -2, 3), 4), ((3, -2, 3, -2, 1, -2, 1), 4)):
+        assert _braid_moves(list(word), 0, strands) is None, word
+        w = BraidWord(word, strands)
+        assert markov_trace(w) == _unreduced(w), word
+    assert not moves
+
+
+def test_markov_trace_matches_the_unreduced_trace_where_moves_cascade(monkeypatch):
+    # 6-7 strands and 12-20 letters: most letters commute with an end generator, so
+    # gathers and exchanges follow one another; markov_trace, homfly and `_closure_at`
+    # against the unreduced trace
+    moves = _count_moves(monkeypatch)
+    rng = random.Random(109)
+    kinds: Counter = Counter()
+    most = 0
+    for _ in range(200):
+        n = rng.randint(6, 7)
+        w = BraidWord(tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(12, 20))), n)
+        tau = _unreduced(w)
+        before = moves["_gather"]
+        assert markov_trace(w) == tau, w
+        most = max(most, moves["_gather"] - before)
+        _check_kinked_values(w, tau, kinds)
+    assert most >= 3 and moves["_exchange"]
+
+
+@pytest.mark.parametrize("letters, strands", [((1, 2, 2) * 200, 3), (None, 4)], ids=["(1 2 2)^200", "random 800"])
+def test_braid_moves_take_at_most_letters_times_strands_rewrites(monkeypatch, letters, strands):
+    # each exchange lowers the count of an end generator and each gather its runs, so the
+    # rewrites stay linear in the word; the long word's trace is the unreduced one
+    if letters is None:
+        rng = random.Random(1)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(800))
+    w = BraidWord(letters, strands)
+    tau = _unreduced(w)
+    moves = _count_moves(monkeypatch, len(letters) * strands)
+    assert markov_trace(w) == tau
+    assert 0 < moves["_exchange"] and sum(moves.values()) <= len(letters) * strands
+    assert strands < 4 or moves["_gather"]
+
+
+@pytest.mark.parametrize("k", [200, 400])
+def test_braid_moves_scan_gather_cascades_in_linear_steps(monkeypatch, k):
+    # (4 1)^k gathers sigma_4 into one run, and (-4 -1)^k then cancels it run by run; each
+    # gather goes on past the letters it crossed, so the lookups of a letter's generator
+    # stay linear in the word (a lap that rescanned the gathered letters made over 100
+    # lookups a letter at k = 200, and twice that at k = 400)
+    homfly_module = sys.modules["qlink.homfly"]
+    lookups = Counter()
+
+    class Counted(list):
+        def __getitem__(self, i):
+            lookups["gen"] += 1
+            return list.__getitem__(self, i)
+
+    init = homfly_module._Ring.__init__
+
+    def counted_init(ring, *args, **kwargs):
+        init(ring, *args, **kwargs)
+        ring.gen = Counted(ring.gen)
+
+    monkeypatch.setattr(homfly_module._Ring, "__init__", counted_init)
+    tail = (3, 2, -3, 2)
+    for letters, gathered in (((4, 1) * k + tail, (4,) * k + (1,) * k + tail), ((4, 1) * k + (-4, -1) * k + tail, tail)):
+        lookups.clear()
+        tau = markov_trace(BraidWord(letters, 5))
+        assert lookups["gen"] <= 8 * len(letters), lookups
+        assert tau == markov_trace(BraidWord(gathered, 5))
+
+
+def test_braid_moves_leave_few_cores_on_seeded_words(monkeypatch):
+    # 400 seeded words on 3-7 strands, 6-12 letters: with cancellation, splits and end
+    # blocks alone they left 197 cores and 1,767 Hecke multiplications; gathers and
+    # exchanges leave these counts
+    homfly_module = sys.modules["qlink.homfly"]
+    rng = random.Random(2024)
+    words = []
+    for _ in range(400):
+        n = rng.randint(3, 7)
+        words.append(BraidWord(tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(6, 12))), n))
+    expected = [_unreduced(w) for w in words]
+    calls = _count_hecke_mul_gen(monkeypatch)
+    trace = homfly_module.ocneanu_trace
+    monkeypatch.setattr(homfly_module, "ocneanu_trace", lambda e: calls.update(["core"]) or trace(e))
+    assert [markov_trace(w) for w in words] == expected
+    assert (calls["core"], calls["hecke_mul_gen"]) == (47, 356)
+    assert calls["core"] <= 60 and calls["hecke_mul_gen"] <= 500
 
 
 # ---------------------------------------------------------------------------
