@@ -16,10 +16,7 @@ from .exactalg import (
     RatFun,
     RatFun2,
     TruncSeries,
-    evaluate_at,
-    field_op,
     normalize,
-    nu_op,
     nu_power,
     series_expand,
     specialize_a,

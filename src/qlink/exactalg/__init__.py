@@ -2,14 +2,11 @@
 canonical fractions, truncated series and the quadratic v-extension."""
 
 from .laurent import IntLaurent, IntLaurent2, laurent_gcd
-from .nu import NuValue, nu_op, nu_power, specialize_a
+from .nu import NuValue, nu_power, specialize_a
 from .ratfun import (
     PoleError,
     RatFun,
     RatFun2,
-    evaluate_at,
-    field_op,
-    invert_q,
     normalize,
     normalize2,
 )
@@ -30,15 +27,11 @@ __all__ = [
     "IntLaurent2",
     "laurent_gcd",
     "NuValue",
-    "nu_op",
     "nu_power",
     "specialize_a",
     "PoleError",
     "RatFun",
     "RatFun2",
-    "evaluate_at",
-    "field_op",
-    "invert_q",
     "normalize",
     "normalize2",
     "TruncSeries",

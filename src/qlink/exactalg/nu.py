@@ -20,7 +20,7 @@ from __future__ import annotations
 from .laurent import IntLaurent, _power
 from .ratfun import RatFun, RatFun2, normalize
 
-__all__ = ["NuValue", "nu_op", "nu_power", "specialize_a"]
+__all__ = ["NuValue", "nu_power", "specialize_a"]
 
 
 class NuValue:
@@ -143,23 +143,6 @@ class NuValue:
         from .textio import format_nu
 
         return format_nu(self)
-
-
-def nu_op(kind: str, u: NuValue, v: NuValue | None = None) -> NuValue:
-    """Dispatch quadratic-extension arithmetic: kind in {add, sub, mul, div, inv}."""
-    if kind == "inv":
-        return u.inverse()
-    if v is None:
-        raise ValueError(f"operation {kind!r} needs two operands")
-    if kind == "add":
-        return u + v
-    if kind == "sub":
-        return u - v
-    if kind == "mul":
-        return u * v
-    if kind == "div":
-        return u / v
-    raise ValueError(f"unknown quadratic-extension operation {kind!r}")
 
 
 def nu_power(delta: RatFun, k: int) -> NuValue:

@@ -47,9 +47,6 @@ __all__ = [
     "PoleError",
     "normalize",
     "normalize2",
-    "field_op",
-    "invert_q",
-    "evaluate_at",
 ]
 
 
@@ -282,27 +279,6 @@ class RatFun(_Fraction):
 def normalize(num: IntLaurent, den: IntLaurent) -> RatFun:
     """Canonical fraction num/den; the denominator must be nonzero."""
     return RatFun(num, den)
-
-
-def field_op(kind: str, f: RatFun, g: RatFun) -> RatFun:
-    """Dispatch exact field arithmetic: kind in {add, sub, mul, div}."""
-    if kind == "add":
-        return f + g
-    if kind == "sub":
-        return f - g
-    if kind == "mul":
-        return f * g
-    if kind == "div":
-        return f / g
-    raise ValueError(f"unknown field operation {kind!r}")
-
-
-def invert_q(f: RatFun) -> RatFun:
-    return f.invert_q()
-
-
-def evaluate_at(f: RatFun, q0: Fraction | int) -> Fraction:
-    return f.evaluate(q0)
 
 
 # ---------------------------------------------------------------------------

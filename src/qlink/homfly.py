@@ -75,12 +75,15 @@ Two independent evaluators are provided and cross-checked in the tests:
     measure (count of sigma_1 plus count of sigma_(m-1), runs of sigma_1 plus
     runs of sigma_(m-1)), compared first by count.  On 3 strands h = sigma_1 is
     the other end generator: an exchange at sigma_1 would raise the count of
-    sigma_2 and the two ends could undo each other, so only sigma_2 moves.  The
-    moves run on the cyclic linked list `_destabilize` uses, `_Ring`, and a lap
-    of the runs of g goes on from each move, so that a cascade of gathers or
-    exchanges costs its own span (where a gather cancels a whole run, the lap
-    steps back across the gap before it).  The word then goes back to the
-    cancellation, splits and end blocks.
+    sigma_2 and the two ends could undo each other, so only sigma_2 moves.
+
+  End blocks and braid relations run on one cyclic linked list per piece,
+  `_Ring`, in `_destabilize`: strip an end block, else run the moves at the end
+  generators, until neither applies.  The ring cancels at every junction a move
+  makes, and a lap of the runs of g goes on from each move, keeping the run before
+  it, so a cascade of gathers or exchanges costs its own span.  A piece leaves the
+  ring as a core, or, once a generator has vanished, as a word that goes back to
+  the cancellation and splits.
 
 * Pieces in closure space.  `_markov_pieces(w)` runs the moves and returns
   what they leave: the product tau' of the cores' traces, the cores' n'
@@ -520,34 +523,36 @@ def _cyclically_reduced(word: list[int]) -> list[int]:
 
 
 def _destabilize(word: list[int], lo: int, hi: int) -> tuple[list[int], int, int, list[int], bool]:
-    """Remove end blocks from a cyclically reduced word on strands lo + 1 .. hi that uses
-    every generator lo + 1 .. hi - 1.  While all occurrences of sigma_(hi-1), or of
-    sigma_(lo+1), form one cyclic run g^k, the run is unlinked and its strand dropped;
-    pairs v, -v meeting across the gap cancel.  Stops when no end block is left or a
-    generator has vanished.  Returns the exponents k of the blocks, the new lo and hi,
-    the rest of the word in cyclic order, and whether a generator vanished (the rest
-    then splits).  The word is left as it is.
+    """Shrink a cyclically reduced word on strands lo + 1 .. hi that uses every generator
+    lo + 1 .. hi - 1 by end blocks and braid relations (module docstring).  While all
+    occurrences of sigma_(hi-1), or of sigma_(lo+1), form one cyclic run g^k, the run is
+    unlinked and its strand dropped; else gathers and exchanges run at the end generators
+    (`_end_moves`).  Pairs v, -v meeting at a junction cancel.  Stops when neither applies or
+    a generator has vanished.  Returns the exponents k of the blocks, the new lo and hi, the
+    rest of the word in cyclic order, and whether a generator vanished (the rest then splits;
+    else it is a core).  The word is left as it is.
 
-    The word is a `_Ring` that keeps each generator's nodes, so that a block costs its own
-    length, not the word's.  A word on two strands is one block, and a word with no end
-    block returns before the ring is built: in the plain letter list, the occurrences of
-    neither end generator span just their own number of places, nor are at both ends."""
+    The word is one `_Ring` that keeps each generator's nodes, so that a block costs its own
+    length, not the word's.  A word on two strands is one block.  On 3 strands a word with no
+    move is known from its plain letter list, and no ring is built: every letter is
+    g = sigma_(hi-1) or h = sigma_(hi-2), and a move is an exchange g^a h^b g^c, not
+    a = c = -b, so b has the sign of a or of c, and the word holds neighbours g h or h g of
+    one sign, whose product is g h.  With none, every change of generator between neighbours
+    has product -g h, and more than two changes leave each generator more than one run, so no
+    end block either.  The figure-eight is such a word."""
     if hi - lo == 2:  # one generator, so one run: the word is the block
         return [len(word) if word[0] > 0 else -len(word)], lo, hi - 1, [], False
-    gens = list(map(abs, word))
-    for g in (hi - 1, lo + 1):  # one run from the first g to the last one, or one that may wrap around
-        if len(gens) - gens[::-1].index(g) - gens.index(g) == gens.count(g) or gens[0] == g == gens[-1]:
-            break
-    else:
-        return [], lo, hi, word, False
-    ring = _Ring(word, occ=True)
+    if hi - lo == 3:
+        gh, pairs = (hi - 1) * (hi - 2), list(map(mul, word, word[1:] + word[:1]))
+        if gh not in pairs and pairs.count(-gh) > 2:
+            return [], lo, hi, word, False
+    ring = _Ring(word)
     val, gen, nxt, prv, occ = ring.val, ring.gen, ring.nxt, ring.prv, ring.occ
     ks: list[int] = []
-    head = 0
-    while ring.size:
+    while ring.size and not ring.vanished:
         for g in (hi - 1, lo + 1):
             ids = occ[g]
-            start = end = ids[0]
+            start = end = next(iter(ids))
             if len(ids) == ring.size:  # the word is the block
                 break
             run = 1
@@ -557,49 +562,50 @@ def _destabilize(word: list[int], lo: int, hi: int) -> tuple[list[int], int, int
                 end, run = nxt[end], run + 1
             if run == len(ids):
                 break
-        else:
-            break
+        else:  # no end block: the braid relations, at sigma_1 too on 4 or more strands
+            moved = _end_moves(ring, next(iter(occ[hi - 1])), hi - 1, hi - 2)
+            if hi - lo > 3 and not ring.vanished:
+                moved = _end_moves(ring, next(iter(occ[lo + 1])), lo + 1, lo + 2) or moved
+            if not moved:
+                break
+            continue
         ks.append(len(ids) if val[start] > 0 else -len(ids))  # a reduced run has one sign
-        del occ[g]
+        for i in occ.pop(g):
+            val[i] = gen[i] = 0
         lo, hi = (lo, hi - 1) if g == hi - 1 else (lo + 1, hi)
         ring.size -= len(ids)
         p, s = prv[start], nxt[end]
         nxt[p], prv[s] = s, p
-        head = nxt[ring.cancel(p, s)]
-        if ring.vanished:
-            break
-    return ks, lo, hi, ring.letters(head), ring.vanished
+        ring.cancel(p, s)
+    return ks, lo, hi, ring.letters(next(compress(count(), val), 0)), ring.vanished
 
 
 class _Ring:
     """A cyclic word as a doubly linked list over its positions, so that a rewrite costs its
     own span: `val[i]` is the letter at node i and `gen[i]` its generator, both 0 once it is
-    cancelled, and `nxt` and `prv` link the live nodes in cyclic order.  With `occ`, the
-    ring keeps each generator's live nodes, and `vanished` tells whether cancellation
-    removed a generator's last one, for `_destabilize`; the braid relations keep neither."""
+    cancelled or unlinked, and `nxt` and `prv` link the live nodes in cyclic order.  `occ`
+    keeps each generator's live nodes as the keys of a dict, so that a cancellation deletes
+    them in constant time, and `vanished` tells whether it removed a generator's last one."""
 
     __slots__ = ("val", "gen", "nxt", "prv", "size", "occ", "vanished")
 
-    def __init__(self, word: list[int], occ: bool = False) -> None:
+    def __init__(self, word: list[int]) -> None:
         size = len(word)
         self.val, self.gen, self.size = list(word), list(map(abs, word)), size
         self.nxt, self.prv = [*range(1, size), 0], [size - 1, *range(size - 1)]
-        self.occ: dict[int, list[int]] = {}
+        self.occ: dict[int, dict[int, None]] = {}
+        for i, g in enumerate(self.gen):
+            self.occ.setdefault(g, {})[i] = None
         self.vanished = False
-        if occ:
-            for i, g in enumerate(self.gen):
-                self.occ.setdefault(g, []).append(i)
 
     def cancel(self, p: int, s: int) -> int:
         """Cancel the pairs v, -v that meet at the linked junction p -> s; returns the live
         node left of the last junction (any node once the ring is empty)."""
         val, gen, nxt, prv, occ = self.val, self.gen, self.nxt, self.prv, self.occ
         while self.size > 1 and val[p] == -val[s]:
-            if occ:
-                ids = occ[gen[p]]
-                ids.remove(p)
-                ids.remove(s)
-                self.vanished = self.vanished or not ids
+            ids = occ[gen[p]]
+            del ids[p], ids[s]
+            self.vanished = self.vanished or not ids
             val[p] = val[s] = gen[p] = gen[s] = 0
             self.size -= 2
             p, s = prv[p], nxt[s]
@@ -618,36 +624,34 @@ class _Ring:
 
 def _gather(ring: _Ring, e1: int, s2: int, e2: int) -> tuple[int, int]:
     """g^a X g^c -> g^a g^c X: the run s2 .. e2 of g joins the run ending at e1, across the
-    letters X between them, which commute with g and hold no neighbour of it.  Returns the
-    end of the run of g at or left of what changed, or -1 where g is gone, and the node
-    where the scan of the gap after that run goes on: past what is left of X, where the
-    joined run kept its first letter and X some letters; else the gap is scanned whole."""
-    val, gen, nxt, prv = ring.val, ring.gen, ring.nxt, ring.prv
-    g, x1, x2, after = gen[e1], nxt[e1], prv[s2], nxt[e2]
+    letters X between them, which commute with g and hold no neighbour of it.  Returns a live
+    node, the last of the joined run where any of it is left, else one left of it, and the
+    node past what is left of X, or -1 where none of X is left."""
+    val, nxt, prv = ring.val, ring.nxt, ring.prv
+    x1, x2, after = nxt[e1], prv[s2], nxt[e2]
     nxt[e1], prv[s2], nxt[e2], prv[x1], nxt[x2], prv[after] = s2, e1, x1, e2, after, x2
-    left = ring.cancel(x2, after)
-    rest = nxt[left] if left != e2 and val[e2] else -1  # the node past what is left of X
-    end = ring.cancel(e1, s2) if val[e1] and val[e1] == -val[s2] else e2
-    if rest >= 0 and val[left] and gen[end] == g:
-        return end, rest
-    u = _run_end_at(ring, end if val[end] else left, g)
-    return u, nxt[u]
+    left = ring.cancel(x2, after)  # the last node of what is left of X, unless it reached e2
+    rest = nxt[left] if left != e2 and val[e2] else -1
+    end = ring.cancel(e1, s2) if val[e1] and val[e1] == -val[s2] else left
+    return (e2 if val[e2] else end), (rest if rest >= 0 and val[left] else -1)
 
 
 def _exchange(ring: _Ring, u: int, hn: int, v: int, g: int, h: int) -> int:
     """g^a X h^b Y g^c -> X h^c g^b h^a Y for single letters g^a at u, h^b at hn and g^c at
     v, with X and Y commuting with g: the braid relation, as g^a h^b g^-a = h^-a g^b h^a
     and g h g = h g h; for a = c = -b it is none, and the caller leaves that out.  Node v
-    takes g^b and node u h^a, both after hn.  Returns a live node at or left of what
-    changed."""
-    val, nxt, prv = ring.val, ring.nxt, ring.prv
+    takes g^b and node u h^a, both after hn, so u moves from g's nodes to h's.  Returns a
+    live node at or left of what changed."""
+    val, gen, nxt, prv, occ = ring.val, ring.gen, ring.nxt, ring.prv, ring.occ
     a, b, c = val[u] // g, val[hn] // h, val[v] // g
     p1, x1, x2, y2, after = prv[u], nxt[u], prv[hn], prv[v], nxt[v]
     nxt[p1], prv[x1] = x1, p1  # u and v out
     nxt[y2], prv[after] = after, y2
     y1 = nxt[hn]  # v and u in after hn
     nxt[hn], prv[v], nxt[v], prv[u], nxt[u], prv[y1] = v, hn, u, v, y1, u
-    val[hn], val[v], val[u], ring.gen[u] = c * h, b * g, a * h, h
+    val[hn], val[v], val[u], gen[u] = c * h, b * g, a * h, h
+    del occ[g][u]
+    occ[h][u] = None
     left = p1
     for p in (y2, u, x2, p1):  # the new junctions p -> nxt[p], right to left
         if val[p] and val[p] == -val[nxt[p]]:
@@ -674,63 +678,49 @@ def _run_end_at(ring: _Ring, x: int, g: int) -> int:
 
 def _end_moves(ring: _Ring, x: int, g: int, h: int) -> bool:
     """Gathers and exchanges at the end generator g, with h its one neighbour and every
-    other letter commuting with g, from the run of g at or left of the live node x, until
-    a lap of the runs of g finds none; whether any applied.  After an exchange the lap goes
-    on from the run at or left of what changed, and after a gather from the gathered run,
-    past the letters it crossed.  So a cascade of gathers, or of exchanges, costs its own
-    span; where a gather cancels a whole run, the lap steps back across the gap before it."""
+    other letter commuting with g, from the run of g at the live node x, until a lap of the
+    runs of g finds none; whether any applied.  The lap holds the last node u of a run and
+    scans the gap after it, counting its letters h, up to the next run.  After an exchange
+    it goes on from the run at or left of what changed, and after a gather from the joined
+    run, past the letters it crossed.  Where a gather cancels both runs, it goes back to the
+    run before them, whose gap and count of h it kept, and on past the crossed letters.  So
+    a cascade of gathers, or of exchanges, costs its own span."""
     val, gen, nxt = ring.val, ring.gen, ring.nxt
     u = _run_end_at(ring, x, g)
-    v, mark, moved = nxt[u], -1, False  # the gap after u's run is scanned from v
+    v, hs, hn = nxt[u], 0, -1  # the gap after u's run, scanned up to v, holds hs letters h, the last at hn
+    pu, phs, phn = -1, 0, -1  # the run before u's and its gap, where the lap knows them
+    mark, moved = -1, False
     while u >= 0:
-        hs, hn = 0, -1
-        while gen[v] != g:  # the gap after u's run, to the next run v .. e2
+        while gen[v] != g:
             if gen[v] == h:
                 hs, hn = hs + 1, v
             v = nxt[v]
-        e2 = v
+        e2 = v  # the next run is v .. e2
         while gen[nxt[e2]] == g:
             e2 = nxt[e2]
         if e2 == u:  # one run
             break
-        a, c = val[u] > 0, val[v] > 0
-        if hs > 1 or hs and a == c != (val[hn] > 0):  # two or more h, or g^a h^-a g^a: no move
+        if hs > 1 or hs and (val[u] > 0) == (val[v] > 0) != (val[hn] > 0):  # two or more h, or g^a h^-a g^a: no move
             if mark < 0:
                 mark = u
-            u, v = e2, nxt[e2]
+            pu, phs, phn, u, v, hs = u, hs, hn, e2, nxt[e2], 0
             if u == mark:
                 break
             continue
-        if hs:
-            u = _run_end_at(ring, _exchange(ring, u, hn, v, g, h), g)
-            v = nxt[u]
-        else:
-            u, v = _gather(ring, u, v, e2)
         mark, moved = -1, True
+        if hs:
+            u, pu = _run_end_at(ring, _exchange(ring, u, hn, v, g, h), g), -1
+            v, hs = nxt[u], 0
+            continue
+        end, v = _gather(ring, u, v, e2)
+        if v >= 0 and gen[end] == g:  # a run ends at end, and what is left of X follows it
+            u, pu = end, -1 if end == pu else pu
+        elif v >= 0 and pu >= 0 and val[pu]:  # both runs cancelled: pu's gap runs on past X
+            u, hs, hn, pu = pu, phs, phn, -1
+        else:
+            u, pu = _run_end_at(ring, end, g), -1
+            v = nxt[u]
     return moved
-
-
-def _braid_moves(word: list[int], lo: int, hi: int) -> list[int] | None:
-    """The word rewritten by gathers and exchanges (module docstring) at sigma_(hi-1), and
-    on 4 or more strands at sigma_(lo+1), from just after a run of sigma_(hi-1), or None
-    where neither end has one.  The braid is the same, so the trace and writhe are too.
-
-    Whether a move applies is the lap's to decide, but on 3 strands a word without one is
-    known from its neighbouring letters, and no ring is built: every letter is g or h, so
-    a move is an exchange g^a h^b g^c, not a = c = -b, and b has the sign of a or of c, so
-    the word holds neighbours g h or h g of one sign, whose product is g h.  The
-    figure-eight holds none."""
-    if hi - lo == 3 and (hi - 1) * (hi - 2) not in map(mul, word, word[1:] + word[:1]):
-        return None
-    ring = _Ring(word)
-    moved = _end_moves(ring, 0, hi - 1, hi - 2)
-    if hi - lo > 3 and ring.size:
-        moved = _end_moves(ring, next(compress(count(), ring.val)), lo + 1, lo + 2) or moved
-    if not moved:
-        return None
-    head = next(compress(count(), ring.val), 0)
-    end = _run_end_at(ring, head, hi - 1)
-    return ring.letters(ring.nxt[end] if end >= 0 else head)
 
 
 def markov_trace(w: BraidWord) -> Coeff:
@@ -752,12 +742,11 @@ def _markov_pieces(w: BraidWord) -> Pieces:
     strands.  A worklist of pieces (lo, hi, letters) drives the moves, the letters kept in
     w's numbering on strands lo + 1 .. hi; nothing recurses.  A piece is cyclically reduced
     and split at every generator it lacks in one pass (a piece with no letters is a single
-    strand), then stripped of end blocks (`_destabilize`).  What a vanished generator splits
-    goes back to the worklist, and so does a piece with no end block that gathers or
-    exchanges rewrite (`_braid_moves`).  A piece with no move left is a core, renumbered
-    from 1 and expanded by `ocneanu_trace`; a core with all of w's letters on all its
-    strands is w's braid, so w itself is expanded.  At q = 1 a core's trace is z^(n' - c')
-    (module docstring), which gives its components c'."""
+    strand), then shrunk by end blocks and braid relations on one ring (`_destabilize`).
+    What a vanished generator splits goes back to the worklist.  A piece with no move left
+    is a core, renumbered from 1 and expanded by `ocneanu_trace`; a core with all of w's
+    letters on all its strands is w's braid, so w itself is expanded.  At q = 1 a core's
+    trace is z^(n' - c') (module docstring), which gives its components c'."""
     cores: list[Coeff] = []
     ks: list[int] = []
     n = c = p = m = 0
@@ -779,8 +768,6 @@ def _markov_pieces(w: BraidWord) -> Pieces:
             ks += [k for k in blocks if k * k > 1]
             if split:
                 work.append((lo, hi, word))
-            elif word and (moved := _braid_moves(word, lo, hi)) is not None:
-                work.append((lo, hi, moved))
             elif word:
                 core = w  # no letter or strand removed: the moves kept w's braid
                 if len(word) < len(w.letters) or hi - lo < w.strands:

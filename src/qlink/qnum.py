@@ -20,9 +20,9 @@ order by order.
 
 At a point q = q0 the same ladder runs in integers (`_qdelta_pair`): each
 rung is a Moebius map of the tail, kept as a projective pair of integers, so
-delta_x(q0) costs no gcd and no polynomial; `qdelta_at` normalizes the pair
-into one fraction.  The symbolic `qdelta` stays
-the value for symbolic uses and the oracle of the point value.
+delta_x(q0) costs no gcd and no polynomial; `numeric_sweep` reads the pair.
+The symbolic `qdelta` stays the value for symbolic uses and the oracle of the
+point value.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "qint",
     "qrational",
     "qdelta",
-    "qdelta_at",
     "qbinomial",
     "qfactorial",
     "left_qrational",
@@ -204,17 +203,6 @@ def _qdelta_pair(x: Fraction | int, r: int, s: int, left: bool = False) -> tuple
             num, den = Vk * den - G * V * num, Uk * num
     top = (R - S) * num + S * den  # ((q^2 - 1) {x} + 1) / q^2
     return (top, R * den) if top and den else None
-
-
-def qdelta_at(x: Fraction | int, q0: Fraction, left: bool = False) -> Fraction | None:
-    """delta_x(q0), or the left one's, as one fraction: `_qdelta_pair`, which
-    `numeric_sweep` reads, normalized once.  None at a pole of delta_x and where
-    it is 0."""
-    q0 = Fraction(q0)
-    if not q0:
-        raise ValueError("q0 must be nonzero")
-    pair = _qdelta_pair(x, q0.numerator, q0.denominator, left)
-    return Fraction(*pair) if pair else None
 
 
 def qfactorial(k: int) -> RatFun:

@@ -780,14 +780,29 @@ def test_homfly_of_blocks_builds_no_trace_product_and_no_block_factor(monkeypatc
 
 
 def test_destabilize_leaves_a_word_with_no_end_block_as_it_is():
-    # the figure-eight returns before the linked lists are built; sigma_2 at both ends
-    # of 2 1 -2 1 2 may be one run across the ends, so the lists are built, and find none
+    # the figure-eight returns before the ring is built, on 3 strands in either numbering;
+    # 2 1 -2 1 2 has no end block, but an exchange at sigma_2 rewrites it, and the rest then
+    # has none and no move; a run of sigma_2 across the ends is a block
     from qlink.homfly import _destabilize
 
-    for word, lo, hi in (([1, -2, 1, -2], 0, 3), ([2, 1, -2, 1, 2], 0, 3), ([3, -4, 3, -4], 2, 5)):
+    for word, lo, hi in (([1, -2, 1, -2], 0, 3), ([3, -4, 3, -4], 2, 5)):
         assert _destabilize(word, lo, hi) == ([], lo, hi, word, False)
+    ks, lo, hi, rest, split = _destabilize([2, 1, -2, 1, 2], 0, 3)
+    assert (ks, lo, hi, _cyclic(rest), split) == ([], 0, 3, _cyclic([1, 1, 2, -1, 2]), False)
+    assert _unreduced(BraidWord(tuple(rest), 3)) == _unreduced(BraidWord((2, 1, -2, 1, 2), 3))
     assert _destabilize([2, 1, -2, 1, 2, 2], 0, 3)[0] == []
     assert _destabilize([2, 1, 1, 2], 0, 3)[0] == [2, 2]  # a run across the ends
+
+
+def _destabilized_trace(ks: list[int], lo: int, hi: int, rest: list[int]) -> dict:
+    """The unreduced trace of what `_destabilize` returns: the rest, renumbered onto
+    strands 1 .. hi - lo, times each end block's factor."""
+    from qlink.homfly import _block_factor
+
+    tau = _unreduced(BraidWord(tuple(v - lo if v > 0 else v + lo for v in rest), hi - lo))
+    for k in ks:
+        tau = _product(tau, _block_factor(k))
+    return tau
 
 
 def _cyclic(letters) -> tuple:
@@ -809,6 +824,35 @@ def _count_moves(monkeypatch, limit: float = float("inf")) -> Counter:
 
         monkeypatch.setattr(homfly_module, name, counted)
     return moves
+
+
+def _cyclic_runs(word, g: int) -> int:
+    """The number of cyclic runs of the generator g in word."""
+    gens = [abs(v) for v in word]
+    return sum(x == g != y for x, y in zip(gens, gens[1:] + gens[:1])) or int(g in gens)
+
+
+# what `_destabilize` returns on the words below, the rest up to rotation
+DESTABILIZED = {
+    (2, 1, 2, 1, 1, 2, 2, 1, 1): ([], 0, 3, _cyclic((1, 1, 1, 2, 1, 1, 1, 2, 2)), False),
+    (-2, -1, -2, -1, -1, -2, -2, -1, -1): ([], 0, 3, _cyclic((-1, -1, -1, -2, -1, -1, -1, -2, -2)), False),
+    (2, 1, -2, 1, 1, 2, 2, -1, -1): ([], 0, 3, _cyclic((-1, -1, -1, 2, 1, 1, 1, 2, 2)), False),
+    (2, -1, -2, 1, 1, 2, 2, -1, -1): ([], 0, 3, _cyclic((-1, -1, -1, -2, 1, 1, 1, 2, 2)), False),
+    (-2, -1, 2, -1, -1, -2, -2, 1, 1): ([], 0, 3, _cyclic((1, 1, 1, -2, -1, -1, -1, -2, -2)), False),
+    (-2, 1, 2, -1, -1, -2, -2, 1, 1): ([], 0, 3, _cyclic((1, 1, 1, 2, -1, -1, -1, -2, -2)), False),
+    (4, 1, 3, 2, 4, 3, 3, 2, 1, 3, -2, 3): ([1], 0, 4, _cyclic((2, 2, 3, 2, 1, -2, 1, 2, 3, 2, 2)), False),
+    (4, 1, 3, 2, -4, 3, 3, 2, 1, 3, -2, 3): ([1], 0, 4, _cyclic((1, 2, 2, 3, 2, 2, 1, -2, 3)), False),
+    (-4, -1, -3, -2, -4, -3, -3, -2, -1, -3, 2, -3):
+        ([-1], 0, 4, _cyclic((-2, -2, -3, -2, -1, 2, -1, -2, -3, -2, -2)), False),
+    (4, 1, -2, 1, -2, 4, 3, 3, 2, 3, 3): ([2], 0, 4, _cyclic((1, -2, 1, 3, 2, 2, 3)), False),
+    (-4, -1, 2, -1, 2, -4, -3, -3, -2, -3, -3): ([-2], 0, 4, _cyclic((-1, 2, -1, -3, -2, -2, -3)), False),
+    (4, 1, -2, 1, -2, -4, 3, 3, 2, 3, 3): ([], 0, 5, _cyclic((1, -2, 1, -2, 3, 3, 2, 3, 3)), True),
+    (1, 2, 1, 2, 2, 3, 2, 2, 3): ([1], 1, 4, _cyclic((2, 2, 2, 3, 2, 2, 3, 2)), False),
+    (1, 2, -1, 2, 2, 3, 2, 2, 3): ([1], 1, 4, _cyclic((2, 2, 3, 2, 2, 3)), False),
+    (1, -2, -1, 2, 2, 3, 2, 2, 3): ([-1], 1, 4, _cyclic((2, 2, 3, 2, 2, 3)), False),
+    (-1, -2, -1, -2, -2, -3, -2, -2, -3): ([-1], 1, 4, _cyclic((-2, -2, -2, -3, -2, -2, -3, -2)), False),
+    (-1, -2, 1, -2, -2, -3, -2, -2, -3): ([-1], 1, 4, _cyclic((-2, -2, -3, -2, -2, -3)), False),
+}
 
 
 @pytest.mark.parametrize("word, strands, rewritten", [
@@ -837,30 +881,42 @@ def _count_moves(monkeypatch, limit: float = float("inf")) -> Counter:
     ((-1, -2, 1, -2, -2, -3, -2, -2, -3), 4, (2, -1, -2, -2, -2, -3, -2, -2, -3)),
 ])
 def test_braid_moves_rewrite_each_identity_and_keep_the_trace(monkeypatch, word, strands, rewritten):
-    # a word with no end block and one move: `_braid_moves` applies it, once, and the
-    # rewritten word has the unreduced trace of the word
-    from qlink.homfly import _braid_moves, _destabilize
+    # a word with no end block and one move: `_end_moves` on its ring, at sigma_(n-1) and on
+    # 4 or more strands at sigma_1, applies it, once, and the rewritten word has the
+    # unreduced trace of the word; `_destabilize` goes on from there on the same ring, and
+    # on 4 and 5 strands drops a block (or splits, where sigma_4 vanishes)
+    from qlink.homfly import _destabilize, _end_moves, _Ring
 
-    assert _destabilize(list(word), 0, strands) == ([], 0, strands, list(word), False)
+    assert all(_cyclic_runs(word, g) > 1 for g in (1, strands - 1))  # no end block
     moves = _count_moves(monkeypatch)
-    got = _braid_moves(list(word), 0, strands)
-    assert _cyclic(got) == _cyclic(rewritten), got
+    ring = _Ring(list(word))
+    moved = _end_moves(ring, next(iter(ring.occ[strands - 1])), strands - 1, strands - 2)
+    if strands > 3 and not ring.vanished:
+        moved = _end_moves(ring, next(iter(ring.occ[1])), 1, 2) or moved
+    got = ring.letters(next(i for i, v in enumerate(ring.val) if v))
+    assert moved and _cyclic(got) == _cyclic(rewritten), got
     assert sum(moves.values()) == 1
     w = BraidWord(word, strands)
     assert _unreduced(BraidWord(tuple(got), strands)) == _unreduced(w) == markov_trace(w)
+    ks, lo, hi, rest, split = _destabilize(list(word), 0, strands)
+    assert (ks, lo, hi, _cyclic(rest), split) == DESTABILIZED[word]
+    assert _destabilized_trace(ks, lo, hi, rest) == _unreduced(w)
 
 
 def test_braid_moves_leave_the_figure_eight_pattern_alone(monkeypatch):
     # g^a h^-a g^a is no braid relation: words whose every gap between runs of an end
     # generator is that pattern or holds two letters h have no move, on 3 strands, across
-    # commuting letters on 5, and at both ends on 4
-    from qlink.homfly import _braid_moves
+    # commuting letters on 5, and at both ends on 4; `_end_moves` reports none at either end
+    from qlink.homfly import _end_moves, _Ring
 
     moves = _count_moves(monkeypatch)
     for word, strands in (((1, -2, 1, -2), 3), ((2, -1, 2, 1, 1, 2, 2, 1, 1), 3),
                           ((-2, 1, -2, -1, -1, -2, -2, -1, -1), 3), ((4, 1, -3, 2, 4, 3, 3, 2, 1, 3, -2, 3), 5),
                           ((1, -2, 1, -2, 3, -2, 3), 4), ((3, -2, 3, -2, 1, -2, 1), 4)):
-        assert _braid_moves(list(word), 0, strands) is None, word
+        ring = _Ring(list(word))
+        assert not _end_moves(ring, next(iter(ring.occ[strands - 1])), strands - 1, strands - 2), word
+        assert strands < 4 or not _end_moves(ring, next(iter(ring.occ[1])), 1, 2), word
+        assert ring.letters(0) == list(word)
         w = BraidWord(word, strands)
         assert markov_trace(w) == _unreduced(w), word
     assert not moves
@@ -869,14 +925,21 @@ def test_braid_moves_leave_the_figure_eight_pattern_alone(monkeypatch):
 def test_markov_trace_matches_the_unreduced_trace_where_moves_cascade(monkeypatch):
     # 6-7 strands and 12-20 letters: most letters commute with an end generator, so
     # gathers and exchanges follow one another; markov_trace, homfly and `_closure_at`
-    # against the unreduced trace
+    # against the unreduced trace.  On the two 5-strand words a gather that cancels both
+    # runs follows an exchange, whose h the lap no longer knows: a lap that went back to
+    # the run before with the count of h from before the exchange never ended
     moves = _count_moves(monkeypatch)
     rng = random.Random(109)
     kinds: Counter = Counter()
     most = 0
+    words = []
     for _ in range(200):
         n = rng.randint(6, 7)
-        w = BraidWord(tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(12, 20))), n)
+        words.append(BraidWord(tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(12, 20))), n))
+    for text in ("-2 4 1 1 2 4 -4 -1 4 4 -2 4 -4 2 -4 -2 2 3 -4 4 1 -1 1 1 3 -4 -1 -3",
+                 "2 1 -1 -1 -2 1 -1 -1 -1 -3 -1 2 1 1 -1 -3 4 -4 2 -4 4 -4 -4 -4 1 -1 -4 4 -1 4 -4 -1 1 4 -1 4 4 1 2"):
+        words.append(parse_braid(text, strands=5))
+    for w in words:
         tau = _unreduced(w)
         before = moves["_gather"]
         assert markov_trace(w) == tau, w
@@ -905,7 +968,10 @@ def test_braid_moves_scan_gather_cascades_in_linear_steps(monkeypatch, k):
     # (4 1)^k gathers sigma_4 into one run, and (-4 -1)^k then cancels it run by run; each
     # gather goes on past the letters it crossed, so the lookups of a letter's generator
     # stay linear in the word (a lap that rescanned the gathered letters made over 100
-    # lookups a letter at k = 200, and twice that at k = 400)
+    # lookups a letter at k = 200, and twice that at k = 400).  In (4 1 -4 1)^k each gather
+    # cancels both runs, and the lap goes back to the run before them with the count of h
+    # it kept for that gap (a lap that stepped back by scanning the gap made 157 lookups a
+    # letter at k = 200, and 307 at k = 400)
     homfly_module = sys.modules["qlink.homfly"]
     lookups = Counter()
 
@@ -922,7 +988,8 @@ def test_braid_moves_scan_gather_cascades_in_linear_steps(monkeypatch, k):
 
     monkeypatch.setattr(homfly_module._Ring, "__init__", counted_init)
     tail = (3, 2, -3, 2)
-    for letters, gathered in (((4, 1) * k + tail, (4,) * k + (1,) * k + tail), ((4, 1) * k + (-4, -1) * k + tail, tail)):
+    for letters, gathered in (((4, 1) * k + tail, (4,) * k + (1,) * k + tail), ((4, 1) * k + (-4, -1) * k + tail, tail),
+                              ((4, 1, -4, 1) * k + tail, (1,) * (2 * k) + tail)):
         lookups.clear()
         tau = markov_trace(BraidWord(letters, 5))
         assert lookups["gen"] <= 8 * len(letters), lookups

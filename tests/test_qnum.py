@@ -5,21 +5,23 @@ from fractions import Fraction
 
 import pytest
 
+from qlink.braid import BraidWord
 from qlink.exactalg import IntLaurent, PoleError, RatFun, TruncSeries, series_expand
 from qlink.qnum import (
     MAX_QDEGREE,
     EvenCF,
+    _qdelta_pair,
     even_cf,
     left_qdelta,
     left_qrational,
     q_adic_limit,
     qbinomial,
     qdelta,
-    qdelta_at,
     qfactorial,
     qint,
     qrational,
 )
+from qlink.xinv import numeric_sweep
 
 
 def qp(e):
@@ -186,9 +188,17 @@ def _delta_value(delta: RatFun, q0: Fraction) -> Fraction | None:
         return None
 
 
+def _qdelta_at(x: Fraction, q0: Fraction, left: bool = False) -> Fraction | None:
+    """delta_x(q0), or the left one's, as one fraction: the integer pair of
+    `_qdelta_pair` normalized; None at a pole and where it is 0."""
+    pair = _qdelta_pair(x, q0.numerator, q0.denominator, left)
+    return Fraction(*pair) if pair else None
+
+
 def test_qdelta_at_matches_the_symbolic_delta():
     # the integer ladder at q0 against the symbolic delta_x evaluated there,
-    # with a pole or a zero read as None; both flavors
+    # with a pole or a zero read as None; both flavors; numeric_sweep, which reads
+    # the ladder, refuses q0 = 0
     rng = random.Random(53)
     fib = [1, 1]
     while len(fib) < 202:
@@ -202,13 +212,13 @@ def test_qdelta_at_matches_the_symbolic_delta():
         for left, delta in ((False, qdelta(x)), (True, left_qdelta(x))):
             # the symbolic {1/2000} takes seconds to evaluate at 1000003/999
             for q0 in q0s[:-1] if x == Fraction(1, 2000) else q0s:
-                assert qdelta_at(x, q0, left) == _delta_value(delta, q0), (x, q0, left)
+                assert _qdelta_at(x, q0, left) == _delta_value(delta, q0), (x, q0, left)
     for x in (Fraction(2001), Fraction(1, 2001)):
         for left in (False, True):
             with pytest.raises(ValueError, match=f"^q-deformation too large: its q-degree may exceed {MAX_QDEGREE}$"):
-                qdelta_at(x, Fraction(2), left)
+                _qdelta_at(x, Fraction(2), left)
     with pytest.raises(ValueError, match="^q0 must be nonzero$"):
-        qdelta_at(Fraction(1, 2), Fraction(0))
+        numeric_sweep(BraidWord((1,), 2), Fraction(0), [Fraction(1, 2)])
 
 
 def gaussian_binomial(n: int, k: int) -> RatFun:
