@@ -20,8 +20,8 @@ from .exactalg.textio import quote_input
 
 __all__ = ["BraidWord", "ClosureStats", "MAX_STRANDS", "parse_braid", "mirror", "closure_stats"]
 
-# The most strands `parse_braid` accepts.  One letter on 2,000 strands takes
-# about 35 ms to trace and format; its value prints as some 1.8 MB.
+# The most strands `parse_braid` accepts.  One letter on 2,000 strands takes about 25 ms to
+# trace and format (Python 3.11, 2 shared cores); its value prints as some 1.8 MB.
 MAX_STRANDS = 2000
 
 

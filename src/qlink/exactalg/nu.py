@@ -12,7 +12,7 @@ context, times a framing power v^k if asked.  It runs in Z[q^±1]: a
 v-parity of the numerator's image is one polynomial over a common power of
 delta's numerator and denominator.  No pole can occur.  (A sweep row at a
 point q0 skips this image: `qlink.xinv.numeric_sweep` sums the closure value
-at q0 straight from the Markov pieces, through `qlink.homfly._closure_at`.)
+at q0 from the Markov pieces and the writhe, through `qlink.homfly._closure_at`.)
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ Two independent evaluators are provided and cross-checked in the tests:
   I^max(0, n - cycles(w) - k).  So with r = n - c and tau(w) = sum_k c_k z^k,
   (q^2 - 1)^(r-k) divides c_k, and c_r = 1 mod I.  The numerator is a binomial
   sum of the d_k = c_k (q^2 - 1)^(k-r), each formed once on integer lists in
-  q^2.  At q = +-1 it is +-W^c S(a) with W = a - a^-1 and S(1) = (-1)^r, so it
-  is free of q -+ 1: no two-variable product, division or gcd runs.
+  q^2: a trace has even q-exponents only, as `from_braid` starts at q^0 and
+  each letter moves the exponents by 2.  At q = +-1 it is +-W^c S(a) with
+  W = a - a^-1 and S(1) = (-1)^r, so it is free of q -+ 1: no two-variable product, division or gcd runs.
 
 * Packed coefficients.  A Hecke coefficient is one integer
   c = sum_i c_i 2^(bits i), standing for sum_i c_i q^(low + 2i), with signed
@@ -86,12 +87,12 @@ Two independent evaluators are provided and cross-checked in the tests:
   the cancellation and splits.
 
 * Pieces in closure space.  `_markov_pieces(w)` runs the moves and returns
-  what they leave: the product tau' of the cores' traces, the cores' n'
-  strands and c' components, the exponents k of the end blocks with
-  |k| >= 2, the numbers p and m of the blocks with k = 1 and k = -1 (kinks),
-  and the number s of single strands.  `markov_trace(w)` multiplies every
-  factor back in, for the tests.  The closure value is a product over the
-  pieces: with n0 = n' + s strands and the rest e0 of the writhe,
+  what they leave, a `Pieces` record: the product tau' of the cores' traces,
+  the cores' n' strands and c' components, the exponents k of the end blocks
+  with |k| >= 2, the numbers p and m of the blocks with k = 1 and k = -1
+  (kinks), and the number s of single strands.  `markov_trace(w)` multiplies
+  every factor back in, for the tests.  The closure value is a product over
+  the pieces: with n0 = n' + s strands and the rest e0 of the writhe,
   mu^n d^e tau = mu^n0 d^e0 tau' times, for each block, its factor
 
       beta_k = mu d^k (alpha_k z + 1 - alpha_k)
@@ -102,19 +103,21 @@ Two independent evaluators are provided and cross-checked in the tests:
   beta_-1 = q a^-1.  For odd k, alpha_k = 1 at q^2 = 1, so q^2 - 1 divides
   A_k and C_k and beta_k is a Laurent polynomial: the block joins its strand
   to another component.  For even k, alpha_k = 0 there, so the numerator is
-  +-(a - a^-1) and q^2 - 1 stays in the denominator: one more component.  So the closure has
-  c = s + c' + (number of even blocks) components, read off the pieces, and c'
-  is read off the cores' traces: at q = 1 a core's trace is z^(n' - c').  The
-  value of tau' on n0 strands is canonical as above with r = n' - c', and each
-  block's numerator, A_k a + C_k a^-1 or its quotient by q^2 - 1, is free of
-  q -+ 1, so the product is canonical as built.  `homfly` builds the value of
-  tau' and the single strands, multiplies each block's numerator into its rows
-  as two terms in a, and applies the kinks as an exponent offset;
-  `_closure_at` takes the same pieces.
+  +-(a - a^-1) and q^2 - 1 stays in the denominator: one more component.  So
+  the closure has c = s + c' + (number of even blocks) components, read off
+  the pieces, and c' is read off the cores' traces: at q = 1 a core's trace
+  is z^(n' - c').  The value of tau' on n0 strands is canonical as above with
+  r = n' - c', and each block's numerator, A_k a + C_k a^-1 or its quotient
+  by q^2 - 1, is free of q -+ 1, so the product is canonical as built.
+  `homfly(w)` is `_closure_value(_markov_pieces(w), w.writhe)`, which builds
+  the value of tau' and the single strands, multiplies each block's numerator
+  into its rows as two terms in a, and applies the kinks as an exponent
+  offset.
 
-* `_closure_at` evaluates the same value at one point q0, as a function of
-  A = a^2.  As z = -q a / mu and mu = a q X with X = (A - 1) / (A (q^2 - 1)),
-  mu^n z^k = mu^(n-k) (-q a)^k gives
+* `_closure_at(pieces, writhe, r, s)` evaluates the same value at one point
+  q0 = r/s, as a function of A = a^2.  As z = -q a / mu and
+  mu = a q X with X = (A - 1) / (A (q^2 - 1)), mu^n z^k = mu^(n-k) (-q a)^k
+  gives
 
       mu^n d^e tau = a^n (-1)^e q^(n-2e) sum_k (-1)^k c_k X^(n-k),
 
@@ -149,10 +152,10 @@ choices; tests pin the one above through the stabilized-unknot value.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Callable
 from functools import reduce
 from itertools import accumulate, compress, count, product
-from math import comb
 from operator import add, itemgetter, mul, sub
 
 from .braid import BraidWord
@@ -171,7 +174,11 @@ __all__ = [
 ]
 
 Coeff = dict[tuple[int, int], int]  # {(z-power, q-exponent): integer}, a trace or an unpacked coefficient
-Pieces = tuple[Coeff, int, int, list[int], int, int, int]  # (tau, n, c, ks, p, m, s) of `_markov_pieces`
+
+# What the Markov moves leave of a word (module docstring): the cores' trace tau' with z formal and
+# their n' strands and c' components, the end blocks' k with |k| >= 2, p kinks g, m kinks g^-1 and
+# s single strands.
+Pieces = namedtuple("Pieces", "tau strands components blocks pos_kinks neg_kinks singles")
 
 # The benchmark harness (`perfbench/`) still calls `default_trace_params()` and
 # reads `_DEFAULT_PARAMS` as a basis cache; the trace keeps no state to hand it.
@@ -370,80 +377,6 @@ def ocneanu_trace(e: HeckeElement) -> Coeff:
     return _coeff(next(iter(terms.values()), 0), bits, low, span + 1)
 
 
-def _divide_by_t_minus_1(p: list[int]) -> list[int]:
-    """p / (t - 1) for a dense coefficient list p in t, by synthetic division
-    from the top, b_i = p_(i+1) + b_(i+1); raises unless the remainder
-    p_0 + b_0 = p(1) is 0."""
-    b = list(accumulate(reversed(p)))
-    if b and b[-1]:
-        raise ArithmeticError("inexact polynomial division")
-    return b[-2::-1]
-
-
-def _closure_numerator(tau: Coeff, n: int, r: int, dq: int = 0, sign: int = 1, da: int = 0,
-                       ks: list[int] | tuple[int, ...] = ()) -> IntLaurent2:
-    """sign a^da q^dq N / (q^2 - 1)^r times the numerators of the end blocks g^k, k in ks,
-    without their signs (-1)^k, N = sum_k c_k U^k W^(n-k), for tau = sum_k c_k z^k from
-    `markov_trace` or `_markov_pieces` and n at least its z-degree.  As U = -a (q^2 - 1), it
-    is sum_k (-a)^k d_k W^(n-k) with d_k = c_k (q^2 - 1)^(k-r): its a^(n-2j) coefficient is
-    (-1)^j sum_k (-1)^k C(n-k, j) d_k.  Each d_k is formed once on dense integer lists in
-    t = q^2, one per parity of the q-exponents (closure traces have one): c_k is divided
-    r - k times by t - 1, or multiplied k - r times; an inexact division raises
-    ArithmeticError.  Each (j, parity) coefficient is summed as one dense row in t, kept in a
-    list at 2 j + parity.
-
-    A block multiplies the rows by q^(1-2k) t^o (A a + C a^-1) (`_block_lists`): row j of a
-    parity becomes A times itself plus C times row j - 1, and q^(1-2k) t^o goes to dq.
-    While the rows are single coefficients (as with no core) that is one product per row; otherwise
-    the parity's rows are laid out in one list and each nonzero term +-t^d of A or C is one
-    pass over it.  The offsets da and dq shift the exponents as the rows are read out:
-    `homfly` applies its kinks' monomial a^(p-m) q^(m-p) here."""
-    exps = [e for _, e in tau]
-    lo = min(exps, default=0)
-    width = (max(exps, default=lo) - lo) // 2 + 1
-    parts: dict[tuple[int, int], list[int]] = {}  # (k, s) -> the q^(lo + s) t^i coefficients of c_k
-    for (k, e), v in tau.items():
-        parts.setdefault((k, (e - lo) & 1), [0] * width)[(e - lo) >> 1] = v
-    for (k, s), p in parts.items():
-        for _ in range(r - k):
-            p = _divide_by_t_minus_1(p)
-        for _ in range(k - r):
-            p = [x - y for x, y in zip([0, *p], [*p, 0])]
-        parts[k, s] = p
-    size = max(map(len, parts.values()), default=0)
-    rows: list[list[int] | None] = [None] * (2 * n + 2)  # 2 j + s -> the q^(lo + s) t^i coefficients of a^(n-2j)
-    for (k, s), p in parts.items():
-        p += [0] * (size - len(p))
-        m = -sign if k & 1 else sign  # sign (-1)^(j+k) C(n-k, j), C(n-k, j+1) = C(n-k, j) (n-k-j) / (j+1)
-        for j in range(n - k + 1):
-            row = rows[2 * j + s]
-            rows[2 * j + s] = [m * x for x in p] if row is None else [x + m * y for x, y in zip(row, p)]
-            m = -m * (n - k - j) // (j + 1)
-    for k in ks:  # each parity's rows j = 0, 1, ... widen by the block's top t-power g
-        fa, fc = _block_lists(k)
-        g, rows = len(fa) - 1, rows + [None, None]
-        for s in (0, 1):
-            col = [row for row in rows[s::2] if row]
-            if col and size == 1:  # row j of single coefficients c_j becomes c_j A + c_(j-1) C
-                col = [[x * a + y * c for a, c in zip(fa, fc)] for (x,), (y,) in zip(col + [[0]], [[0]] + col)]
-            elif col:  # row j at j * w in one list, and one pass per term +-t^d of A or C
-                w = size + g
-                pad = [0] * (2 * w)
-                padded = pad + [x for row in col for x in row + [0] * g] + pad  # shifted by e: padded[2 w - e:]
-                span, terms = len(padded) - 3 * w, [*zip(fa, range(2 * w, w, -1)), *zip(fc, range(w, 0, -1))]
-                terms = sorted([t for t in terms if t[0]], reverse=True)  # a term with v = 1 first
-                acc = padded[terms[0][1] : terms[0][1] + span]
-                for v, o in terms[1:]:
-                    acc = map(add if v > 0 else sub, acc, padded[o : o + span])
-                flat = list(acc)
-                col = [flat[i : i + w] for i in range(0, len(flat), w)]
-            rows[s : s + 2 * len(col) : 2] = col
-        size, n, dq = size + g, n + 1, dq + 1 - 2 * max(k, 0)
-    da, dq = da + n, dq + lo
-    return IntLaurent2._new({(da - (i & -2), dq + (i & 1) + 2 * t): v
-                             for i, row in enumerate(rows) if row for t, v in enumerate(row) if v})
-
-
 def _block_lists(k: int) -> tuple[list[int], list[int]]:
     """(A, C) for an end block g^k with |k| >= 2: dense lists of one length in t = q^2, from
     t^0, such that (-1)^k q^(1-2k) t^o (A a + C a^-1), o = min(k, 0), is the numerator of its
@@ -462,27 +395,88 @@ def _block_lists(k: int) -> tuple[list[int], list[int]]:
 
 def _q2_minus_1_power(c: int) -> IntLaurent2:
     """(q^2 - 1)^c, the denominator of a c-component closure value: its q^(2i)
-    coefficient is (-1)^(c-i) C(c, i)."""
-    return IntLaurent2._new({(0, 2 * i): -comb(c, i) if (c - i) & 1 else comb(c, i) for i in range(c + 1)})
+    coefficient is (-1)^(c-i) C(c, i), by C(c, i+1) = C(c, i) (c-i) / (i+1)."""
+    out, b = {}, -1 if c & 1 else 1
+    for i in range(c + 1):
+        out[0, 2 * i] = b
+        b = -b * (c - i) // (i + 1)
+    return IntLaurent2._new(out)
 
 
 def homfly(w: BraidWord) -> RatFun2:
     """Framed HOMFLY-PT polynomial of the closure of a braid word, with the
     calibrated z, d and mu."""
-    return _closure_value(w, _markov_pieces(w))
+    return _closure_value(_markov_pieces(w), w.writhe)
 
 
-def _closure_value(w: BraidWord, pieces: Pieces) -> RatFun2:
-    """`homfly(w)` from pieces = _markov_pieces(w): the closure value of the cores and single
-    strands, on n' = n + s strands with the rest of w's writhe, times each end block's beta_k
-    and the kinks' monomial (q^-1 a)^p (q a^-1)^m.  It has c = s + c' + (number of even
-    blocks) components."""
-    tau, n, c, ks, p, m, s = pieces
-    e, r, n = w.writhe - p + m, n - c, n + s
-    c += s + len(ks) - sum(k & 1 for k in ks)
-    # mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n, and N / (q^2 - 1)^r is free of q -+ 1;
-    # the blocks' signs (-1)^k and the rest's (-1)^e make (-1)^(writhe - p + m)
-    num = _closure_numerator(tau, n, r, n - 2 * (e - sum(ks)) + m - p, -1 if e % 2 else 1, p - m, ks)
+def _closure_value(pieces: Pieces, writhe: int) -> RatFun2:
+    """`homfly(w)` from pieces = _markov_pieces(w) and writhe = w.writhe: the closure value of
+    the cores and single strands, on n = n' + s strands with the rest e of the writhe, times
+    each end block's beta_k and the kinks' monomial (q^-1 a)^p (q a^-1)^m, over (q^2 - 1)^c
+    with c = s + c' + (number of even blocks) (module docstring).
+
+    mu^n d^e tau = (-1)^e q^(n-2e) N / (q^2 - 1)^n with N = sum_k c_k U^k W^(n-k) for the
+    cores' tau = sum_k c_k z^k, and N / (q^2 - 1)^r, r = n' - c', is free of q -+ 1.  As
+    U = -a (q^2 - 1), N / (q^2 - 1)^r = sum_k (-a)^k d_k W^(n-k) with
+    d_k = c_k (q^2 - 1)^(k-r): its a^(n-2j) coefficient is (-1)^j sum_k (-1)^k C(n-k, j) d_k.
+    Each d_k is formed once on a dense integer list in t = q^2 (a trace has even q-exponents
+    only): c_k is divided r - k times by t - 1, or multiplied k - r times; an inexact
+    division raises ArithmeticError.  Each coefficient of a^(n-2j) is summed as one dense
+    row j in t.
+
+    A block multiplies the rows by (-1)^k q^(1-2k) t^o (A a + C a^-1) (`_block_lists`): row j
+    becomes A times itself plus C times row j - 1, and (-1)^k q^(1-2k) t^o joins the sign and
+    q-offset of the read-out, as the kinks' monomial a^(p-m) q^(m-p) does.  While the rows
+    are single coefficients (as with no core) that is one product per row; otherwise the rows
+    are laid out in one list and each nonzero term +-t^d of A or C is one pass over it."""
+    tau, ks, p, m = pieces.tau, pieces.blocks, pieces.pos_kinks, pieces.neg_kinks
+    r, n, e = pieces.strands - pieces.components, pieces.strands + pieces.singles, writhe - p + m
+    exps = [x for _, x in tau]
+    lo = min(exps, default=0)
+    width = (max(exps, default=lo) - lo) // 2 + 1
+    parts: dict[int, list[int]] = {}  # k -> the q^lo t^i coefficients of c_k
+    for (k, x), v in tau.items():
+        parts.setdefault(k, [0] * width)[(x - lo) >> 1] = v
+    for k, d in parts.items():  # c_k becomes d_k
+        for _ in range(r - k):  # d / (t - 1) from the top, b_i = d_(i+1) + b_(i+1), if d(1) = 0
+            b = list(accumulate(reversed(d)))
+            if b and b[-1]:
+                raise ArithmeticError("inexact polynomial division")
+            d = b[-2::-1]
+        for _ in range(k - r):
+            d = [x - y for x, y in zip([0, *d], [*d, 0])]
+        parts[k] = d
+    size = max(map(len, parts.values()), default=0)
+    rows: list = [None] * (n + 1 - min(parts, default=n + 1))  # j -> the q^lo t^i coefficients of a^(n-2j)
+    sign = -1 if e & 1 else 1  # the rest's (-1)^(e - sum ks) times the blocks' (-1)^k
+    for k, d in parts.items():
+        d += [0] * (size - len(d))
+        b = -sign if k & 1 else sign  # sign (-1)^(j+k) C(n-k, j), C(n-k, j+1) = C(n-k, j) (n-k-j) / (j+1)
+        for j in range(n - k + 1):
+            row = rows[j]
+            rows[j] = [b * x for x in d] if row is None else [x + b * y for x, y in zip(row, d)]
+            b = -b * (n - k - j) // (j + 1)
+    da, dq = n + p - m, lo + n - 2 * (e - sum(ks)) + m - p
+    for k in ks:  # the rows j = 0, 1, ... widen by the block's top t-power g
+        fa, fc = _block_lists(k)
+        g = len(fa) - 1
+        # size picks the layout: on single coefficients one product per row beats the one list
+        if size == 1:  # row j of single coefficients c_j becomes c_j A + c_(j-1) C
+            rows = [[x * a + y * c for a, c in zip(fa, fc)] for (x,), (y,) in zip(rows + [[0]], [[0]] + rows)]
+        elif rows:  # row j at j * w in one list, and one pass per term +-t^d of A or C
+            w = size + g
+            pad = [0] * (2 * w)
+            padded = pad + [x for row in rows for x in row + [0] * g] + pad  # shifted by d: padded[2 w - d:]
+            span, terms = len(padded) - 3 * w, [*zip(fa, range(2 * w, w, -1)), *zip(fc, range(w, 0, -1))]
+            terms = sorted([t for t in terms if t[0]], reverse=True)  # a term with v = 1 first
+            acc = padded[terms[0][1] : terms[0][1] + span]
+            for v, o in terms[1:]:
+                acc = map(add if v > 0 else sub, acc, padded[o : o + span])
+            flat = list(acc)
+            rows = [flat[i : i + w] for i in range(0, len(flat), w)]
+        size, da, dq = size + g, da + 1, dq + 1 - 2 * max(k, 0)
+    num = IntLaurent2._new({(da - 2 * j, dq + 2 * t): v for j, row in enumerate(rows) for t, v in enumerate(row) if v})
+    c = pieces.singles + pieces.components + len(ks) - sum(k & 1 for k in ks)
     # canonical as built: (q^2 - 1)^c is free of a, with constant term +-1, leading coefficient 1
     return RatFun2._make(num, _q2_minus_1_power(c))
 
@@ -542,7 +536,7 @@ def _destabilize(word: list[int], lo: int, hi: int) -> tuple[list[int], int, int
     end block either.  The figure-eight is such a word."""
     if hi - lo == 2:  # one generator, so one run: the word is the block
         return [len(word) if word[0] > 0 else -len(word)], lo, hi - 1, [], False
-    if hi - lo == 3:
+    if hi - lo == 3:  # no ring for a word with no move: ~9 us less per small figure-eight word (Python 3.11)
         gh, pairs = (hi - 1) * (hi - 2), list(map(mul, word, word[1:] + word[:1]))
         if gh not in pairs and pairs.count(-gh) > 2:
             return [], lo, hi, word, False
@@ -729,24 +723,21 @@ def markov_trace(w: BraidWord) -> Coeff:
     the cores' trace times every end block's factor, z for a positive kink and
     q^-2 z + 1 - q^-2 for a negative one.  The cores are what cancellation, splits, end
     blocks and the braid relations of the module docstring leave of w."""
-    tau, _, _, ks, p, m, _ = _markov_pieces(w)
-    factors = [_block_factor(k) for k in ks] + [_block_factor(-1)] * m
-    return reduce(_mul, factors, {(k + p, e): v for (k, e), v in tau.items()})
+    pieces = _markov_pieces(w)
+    factors = [_block_factor(k) for k in pieces.blocks] + [_block_factor(-1)] * pieces.neg_kinks
+    return reduce(_mul, factors, {(k + pieces.pos_kinks, e): v for (k, e), v in pieces.tau.items()})
 
 
 def _markov_pieces(w: BraidWord) -> Pieces:
-    """(tau, n, c, ks, p, m, s): w reduced by the Markov moves of the module docstring to
-    its pieces.  tau is the product of the cores' traces with z formal, n and c the cores'
-    strands and closure components, ks the exponents of the end blocks g^k with |k| >= 2, p
-    and m the numbers of the end blocks g and g^-1 (kinks), and s the number of single
-    strands.  A worklist of pieces (lo, hi, letters) drives the moves, the letters kept in
-    w's numbering on strands lo + 1 .. hi; nothing recurses.  A piece is cyclically reduced
-    and split at every generator it lacks in one pass (a piece with no letters is a single
-    strand), then shrunk by end blocks and braid relations on one ring (`_destabilize`).
-    What a vanished generator splits goes back to the worklist.  A piece with no move left
-    is a core, renumbered from 1 and expanded by `ocneanu_trace`; a core with all of w's
-    letters on all its strands is w's braid, so w itself is expanded.  At q = 1 a core's
-    trace is z^(n' - c') (module docstring), which gives its components c'."""
+    """w reduced by the Markov moves of the module docstring to its pieces.  A worklist of
+    pieces (lo, hi, letters) drives the moves, the letters kept in w's numbering on strands
+    lo + 1 .. hi; nothing recurses.  A piece is cyclically reduced and split at every
+    generator it lacks in one pass (a piece with no letters is a single strand), then shrunk
+    by end blocks and braid relations on one ring (`_destabilize`).  What a vanished
+    generator splits goes back to the worklist.  A piece with no move left is a core,
+    renumbered from 1 and expanded by `ocneanu_trace`; a core with all of w's letters on all
+    its strands is w's braid, so w itself is expanded.  At q = 1 a core's trace is
+    z^(n' - c') (module docstring), which gives its components c'."""
     cores: list[Coeff] = []
     ks: list[int] = []
     n = c = p = m = 0
@@ -757,11 +748,11 @@ def _markov_pieces(w: BraidWord) -> Pieces:
         used = set(map(abs, word))
         cuts = [g for g in range(lo + 1, hi) if g not in used]
         if cuts:
-            pieces: list[list[int]] = [[] for _ in range(len(cuts) + 1)]
+            parts: list[list[int]] = [[] for _ in range(len(cuts) + 1)]
             for v in word:
-                pieces[bisect_left(cuts, abs(v))].append(v)
+                parts[bisect_left(cuts, abs(v))].append(v)
             bounds = [lo, *cuts, hi]
-            work.extend((bounds[i], bounds[i + 1], piece) for i, piece in enumerate(pieces) if piece)
+            work.extend((bounds[i], bounds[i + 1], part) for i, part in enumerate(parts) if part)
         elif word:
             blocks, lo, hi, word, split = _destabilize(word, lo, hi)
             p, m = p + blocks.count(1), m + blocks.count(-1)
@@ -776,28 +767,30 @@ def _markov_pieces(w: BraidWord) -> Pieces:
                 # at q = 1 the core's trace is z^(n' - c'), so sum_k k c_k = n' - c'
                 n, c = n + hi - lo, c + hi - lo - sum(map(mul, map(itemgetter(0), cores[-1]), cores[-1].values()))
     s = w.strands - n - len(ks) - p - m  # each end block takes one strand
-    return (reduce(_mul, cores) if cores else {(0, 0): 1}), n, c, ks, p, m, s
+    # tuple.__new__ skips the record's generated __new__, which costs as much again
+    return tuple.__new__(Pieces, ((reduce(_mul, cores) if cores else {(0, 0): 1}), n, c, ks, p, m, s))
 
 
-def _closure_at(pieces: Pieces, n: int, e: int, r: int, s: int,
-                dq: int = 0) -> Callable[[int, int], tuple[int, int] | None]:
-    """q0^dq homfly(w) / a^n at q = q0 = r/s, r^2 != s^2, for a word w on n strands with
-    writhe e and pieces = _markov_pieces(w), as a function of a^2: it maps an integer pair
-    (An, Ad), An / Ad = a^2 != 0, to an integer pair (num, den), not reduced, or to None where
-    the value is 0.  By the identity in the module docstring, the sum runs over tau on the
-    cores' and single strands, with the rest of the writhe, and the other pieces are factors
-    of a row.  The kinks' monomial a^(p-m) q^(m-p) adds m - p to dq and leaves (Ad / An)^m.
-    An end block's beta_k / a is (-1)^k q0^(1-2k) t0^o (A(t0) An + C(t0) Ad) / An over
-    (t0 - 1)^[k even], with (A, C) = _block_lists(k) and t0 = q0^2 = R / S: S^g A(t0) and
-    S^g C(t0), g the top t-power, are integers, the block's pair, and a row multiplies in the
-    sum of the pair times An and Ad.  All that depends on q0 alone is done here, once.
+def _closure_at(pieces: Pieces, writhe: int, r: int, s: int) -> Callable[[int, int], tuple[int, int] | None]:
+    """q0^N homfly(w) / a^N at q = q0 = r/s, r^2 != s^2, for a word w on N strands with
+    pieces = _markov_pieces(w) and writhe = w.writhe, as a function of a^2: it maps an integer
+    pair (An, Ad), An / Ad = a^2 != 0, to an integer pair (num, den), not reduced, or to None
+    where the value is 0.  By the identity in the module docstring, the sum runs over tau on
+    the cores' and single strands, n of them, with the rest e of the writhe, and the other
+    pieces are factors of a row.  The kinks' monomial a^(p-m) q^(m-p) leaves (Ad / An)^m and a
+    power of q0, which joins q0^N as dq.  An end block's beta_k / a is
+    (-1)^k q0^(1-2k) t0^o (A(t0) An + C(t0) Ad) / An over (t0 - 1)^[k even], with
+    (A, C) = _block_lists(k) and t0 = q0^2 = R / S: S^g A(t0) and S^g C(t0), g the top
+    t-power, are integers, the block's pair, and a row multiplies in the sum of the pair times
+    An and Ad.  All that depends on q0 alone is done here, once.
 
     c_k(q0) = C_k r^elo / s^ehi for the integer C_k = sum_E c r^(E-elo) s^(ehi-E) over c_k's
     terms c q^E.  X is the projective pair (Xn, Xd) = ((An - Ad) s^2, An (r^2 - s^2)), and
     sum_k (-1)^k c_k X^(n-k) is r^elo / s^ehi times T / Xd^n, T = sum_k C_k Xn^(n-k) (-Xd)^k
     by Horner; the value is (-1)^e T r^p / (s^t Xd^n), p - elo = t - ehi = n - 2e + dq."""
-    tau, nc, _, ks, kp, km, ns = pieces
-    n, e, dq = nc + ns, e - kp + km, dq + km - kp
+    tau, ks, kp, km = pieces.tau, pieces.blocks, pieces.pos_kinks, pieces.neg_kinks
+    n, e = pieces.strands + pieces.singles, writhe - kp + km
+    dq = n + len(ks) + 2 * km  # q0^(N + m - p), N = n + len(ks) + p + m
     R, S = r * r, s * s
     pairs, u, v = [], -1 if e & 1 else 1, 1  # (-1)^e of the rest times the blocks' (-1)^k
     for k in ks:  # beta_k / a = q0^(1-2k) t0^o (S^g A(t0) An + S^g C(t0) Ad) / (S^g An), over t0 - 1 if k is even

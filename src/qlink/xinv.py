@@ -226,13 +226,12 @@ def numeric_sweep(
     reported as diagnostics.
 
     A row is the closure value at q = q0 and a^2 = q0^2 delta_x(q0), summed in
-    integers.  Once per call: the Markov moves' pieces (`homfly._markov_pieces`:
-    the cores' trace, the end blocks and the kinks), and from them everything
-    that depends on q0 alone, each block's factor as an integer pair
-    (`homfly._closure_at`).  Per row: delta_x(q0) from x's
-    ladder as an integer pair P / Q (`qnum._qdelta_pair`), the value for
-    a^2 = r^2 P / (s^2 Q) as an integer pair, and the factors below, multiplied
-    into one numerator and one denominator that one `Fraction` normalizes.
+    integers.  Once per call: the Markov moves' pieces (`homfly._markov_pieces`),
+    and from them and the writhe all of q0^n homfly(w) / a^n that depends on q0
+    alone (`homfly._closure_at`).  Per row: delta_x(q0) from x's ladder as an
+    integer pair P / Q (`qnum._qdelta_pair`), that sum for a^2 = r^2 P / (s^2 Q)
+    as an integer pair, and delta^m below, multiplied into one numerator and
+    one denominator that one `Fraction` normalizes.
     Under a = q v delta, a^n v^framing is v^p q^n delta^m, m = n - (n + framing
     - p)/2, p = (n + framing) mod 2, so the row has v-parity p; a 'squared' row
     is value^2 / delta.  Where q0^2 = 1, delta_x(q0) is 0 or infinite, or the
@@ -249,7 +248,7 @@ def numeric_sweep(
     framing = e if normalized else 0
     r, s = q0.numerator, q0.denominator
     R, S = r * r, s * s
-    at = _closure_at(pieces, n, e, r, s, n) if R != S else None  # q0^n homfly(w) / a^n
+    at = _closure_at(pieces, e, r, s) if R != S else None  # q0^n homfly(w) / a^n
     parity = (n + framing) & 1
     m, squared = n - (n + framing - parity) // 2, parity and not normalized
     for x in xs:
@@ -266,7 +265,7 @@ def numeric_sweep(
                 rows.append(SweepRow(x, Fraction(num, den), "squared" if squared else ""))
                 continue
             # the symbolic row: (parity, value) as a fraction in q
-            h = _closure_value(w, pieces) if h is None else h
+            h = _closure_value(pieces, e) if h is None else h
             ctx = x_context(x) if flavor == "right" else flat_context(x)
             v = specialize_closure(h, ctx, framing)
             value = v.nu_free_part()

@@ -354,7 +354,7 @@ def test_sweep_text_equals_the_symbolic_rows(tmp_path, capsys, monkeypatch):
                 for refuse in (False, True):
                     with monkeypatch.context() as m:
                         if refuse:
-                            m.setattr(xinv, "_closure_at", lambda *args: None)
+                            m.setattr(xinv, "_closure_at", lambda pieces, writhe, r, s: None)
                         texts.append((run(capsys, *argv), out.read_bytes()))
                 assert texts[0] == texts[1], argv
                 skipped.add(texts[0][0][2])

@@ -14,6 +14,7 @@ from qlink.braid import MAX_STRANDS, BraidWord, closure_stats, mirror, parse_bra
 from qlink.exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2, specialize_a
 from qlink.homfly import (
     HeckeElement,
+    Pieces,
     hecke_mul_gen,
     homfly,
     homfly_twist_coeff,
@@ -516,9 +517,9 @@ def _product(a: dict, b: dict) -> dict:
     return {key: v for key, v in acc.items() if v}
 
 
-def _unreduced_pieces(w: BraidWord, tau: dict) -> tuple:
+def _unreduced_pieces(w: BraidWord, tau: dict) -> Pieces:
     """The Markov pieces of w with no move applied: the whole word as one core with trace tau."""
-    return tau, w.strands, closure_stats(w).components, [], 0, 0, 0
+    return Pieces(tau, w.strands, closure_stats(w).components, [], 0, 0, 0)
 
 
 def _check_kinked_values(w: BraidWord, tau: dict, kinds: Counter, at_points: bool = True) -> None:
@@ -529,13 +530,12 @@ def _check_kinked_values(w: BraidWord, tau: dict, kinds: Counter, at_points: boo
     from qlink.homfly import _closure_at, _closure_value, _markov_pieces
 
     pieces, unreduced = _markov_pieces(w), _unreduced_pieces(w, tau)
-    assert homfly(w) == _closure_value(w, unreduced), w
-    kinds[bool(pieces[4]), bool(pieces[5])] += 1
+    assert homfly(w) == _closure_value(unreduced, w.writhe), w
+    kinds[bool(pieces.pos_kinks), bool(pieces.neg_kinks)] += 1
     if at_points:
-        n, e = w.strands, w.writhe
-        for r, s, dq in ((2, 1, n), (-3, 2, 0)):
+        for r, s in ((2, 1), (-3, 2)):
             for a2 in ((5, 3), (-1, 4)):
-                got, want = (_closure_at(t, n, e, r, s, dq)(*a2) for t in (pieces, unreduced))
+                got, want = (_closure_at(t, w.writhe, r, s)(*a2) for t in (pieces, unreduced))
                 assert (got and Fraction(*got)) == (want and Fraction(*want)), (w, r, s, a2)
 
 
@@ -741,10 +741,11 @@ def test_components_and_core_traces_from_the_pieces(monkeypatch):
         for length in range(7 if n >= 3 else 6):
             for word in product(letters, repeat=length):
                 w = BraidWord(word, n)
-                tau, n_core, c_core, ks, p, m, s = _markov_pieces(w)
-                assert s >= 0 and n_core + s + len(ks) + p + m == n, w
-                assert s + c_core + sum(1 for k in ks if k % 2 == 0) == closure_stats(w).components, w
-                kinds[bool(n_core), bool(ks)] += 1
+                pieces = _markov_pieces(w)
+                s, ks = pieces.singles, pieces.blocks
+                assert s >= 0 and pieces.strands + s + len(ks) + pieces.pos_kinks + pieces.neg_kinks == n, w
+                assert s + pieces.components + sum(1 for k in ks if k % 2 == 0) == closure_stats(w).components, w
+                kinds[bool(pieces.strands), bool(ks)] += 1
     assert set(kinds) == {(False, False), (False, True), (True, False), (True, True)}  # a core and a block: 6 letters
     assert len(core_traces) > 1000
     for tau in core_traces:
@@ -763,7 +764,7 @@ def test_homfly_of_blocks_builds_no_trace_product_and_no_block_factor(monkeypatc
 
     letters = [v for i in range(1, 31) for v in ([i] * 3 if i % 2 else [-i] * 2)]
     w = BraidWord(tuple(letters), 62)
-    expected = _closure_value(w, _unreduced_pieces(w, markov_trace(w)))
+    expected = _closure_value(_unreduced_pieces(w, markov_trace(w)), w.writhe)
     homfly_module = sys.modules["qlink.homfly"]
     calls = _count_hecke_mul_gen(monkeypatch)
     originals = {"_mul": _mul, "_block_factor": _block_factor, "closure_stats": closure_stats}
@@ -1125,7 +1126,7 @@ def test_a_parity_matches_strand_count():
 
 def _times_mu_power(coeffs: tuple[IntLaurent, ...], m: int) -> IntLaurent2:
     """sum_k c_k U^k W^(m-k) = (q - q^-1)^m mu^m sum_k c_k z^k (m >= k), by Horner
-    in U over IntLaurent2 products: the oracle of `_closure_numerator`."""
+    in U over IntLaurent2 products: the oracle of `_closure_value`'s numerator."""
     acc, wk = IntLaurent2.zero(), W ** (m + 1 - len(coeffs))
     for c in reversed(coeffs):
         acc = acc * U + IntLaurent2.from_q(c) * wk
@@ -1270,27 +1271,32 @@ def test_flat_trace_sum_matches_polynomial_sum():
 
 
 def test_closure_numerator_matches_products_and_kronecker_division():
+    # the numerator of the closure value of each oracle word's trace as one core, and with a
+    # positive or a negative kink more, which multiplies it by q^-1 a or q a^-1
     from qlink.exactalg.laurent import laurent2_divide_exact
-    from qlink.homfly import _closure_numerator
+    from qlink.homfly import _closure_value
 
     for w in _oracle_words():
         n, e, c = w.strands, w.writhe, closure_stats(w).components
         coeffs = _z_coeffs(_reference_trace(HeckeElement.from_braid(w)))
         expected = laurent2_divide_exact(
             _times_mu_power(coeffs, n).shift(0, n - 2 * e), Q2_MINUS_1 ** (n - c)
-        )
-        assert _closure_numerator(_flat(coeffs), n, n - c, n - 2 * e) == expected, w
-        assert _closure_numerator(_flat(coeffs), n, n - c, n - 2 * e, -1) == -expected, w
+        ).scale(-1 if e & 1 else 1)
+        pieces = Pieces(_flat(coeffs), n, c, [], 0, 0, 0)
+        assert _closure_value(pieces, e).num == expected, w
+        assert _closure_value(pieces._replace(pos_kinks=1), e + 1).num == expected.shift(1, -1), w
+        assert _closure_value(pieces._replace(neg_kinks=1), e - 1).num == expected.shift(-1, 1), w
 
 
 def test_closure_numerator_raises_on_an_inexact_division():
-    from qlink.homfly import _closure_numerator
+    from qlink.homfly import _closure_value
 
     with pytest.raises(ArithmeticError):
-        _closure_numerator({(0, 0): 1}, 1, 1)  # N = W = a - a^-1
+        _closure_value(Pieces({(0, 0): 1}, 1, 0, [], 0, 0, 0), 0)  # N = W = a - a^-1
     with pytest.raises(ArithmeticError):
-        _closure_numerator({(0, 1): 1, (1, 0): 1}, 2, 1)  # N = q W^2 + U W, both q-parities
-    assert _closure_numerator({(1, 0): 1}, 1, 1) == IntLaurent2.term(-1, 1, 0)  # U / (q^2 - 1)
+        _closure_value(Pieces({(0, 2): 1, (1, 0): 1}, 2, 1, [], 0, 0, 0), 0)  # N = q^2 W^2 + U W
+    value = _closure_value(Pieces({(1, 0): 1}, 1, 0, [], 0, 0, 0), 0)  # q U / (q^2 - 1)
+    assert (value.num, value.den) == (IntLaurent2.term(-1, 1, 1), IntLaurent2.one())
 
 
 def test_q2_minus_1_power_is_the_binomial_expansion():
@@ -1304,40 +1310,55 @@ def test_q2_minus_1_power_is_the_binomial_expansion():
     assert _q2_minus_1_power(5) == Q2_MINUS_1 ** 5
 
 
-laurents = st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=4).map(IntLaurent)
+def test_traces_have_even_q_exponents_only():
+    # the closure rows hold one dense list in t = q^2 per power of z, which relies on this:
+    # `from_braid` starts at q^0 and each letter moves the exponents by 2
+    from qlink.homfly import _markov_pieces
+
+    rng = random.Random(97)
+    words = _oracle_words() + [random_word(rng, 12, 7) for _ in range(300)]
+    for w in words:
+        for tau in (ocneanu_trace(HeckeElement.from_braid(w)), markov_trace(w), _markov_pieces(w).tau):
+            assert all(e % 2 == 0 for _, e in tau), w
+
+
+evens = st.dictionaries(st.integers(-3, 3).map(lambda e: 2 * e), st.integers(-9, 9), max_size=4).map(IntLaurent)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 7).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(laurents, min_size=1, max_size=n + 1))
+        lambda n: st.tuples(st.just(n), st.lists(evens, min_size=1, max_size=n + 1), st.integers(0, min(n, 4)))
     ),
-    st.integers(0, 4),
-    st.integers(-4, 4),
-    st.sampled_from((1, -1)),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 2),
     st.integers(-4, 4),
 )
-@example((3, [IntLaurent(), IntLaurent()]), 2, 0, 1, 0)  # all zero
-@example((2, [IntLaurent({-3: 1}), IntLaurent({1: 2, 2: -1})]), 1, 1, -1, 3)  # odd exponents
-@example((3, [IntLaurent({0: -1, 2: 1}), IntLaurent({1: 2, 2: -1})]), 1, 0, 1, -2)  # only c_0 is divided
-def test_closure_numerator_on_random_coefficients(n_coeffs, r, dq, sign, da):
-    # with a planted factor (q^2 - 1)^r the quotient is the undivided sum of
-    # the original coefficients; without it, the builder raises exactly when
-    # some c_k with k < r is not divisible by (q^2 - 1)^(r - k), and otherwise
-    # equals the Kronecker quotient; the offsets shift it by a^da q^dq
+@example((3, [IntLaurent(), IntLaurent()], 2), 0, 0, 0, 0)  # all zero
+@example((2, [IntLaurent({-4: 1}), IntLaurent({2: 2, 4: -1})], 1), 1, 1, 2, 3)  # single strands and kinks
+@example((3, [IntLaurent({0: -1, 2: 1}), IntLaurent({2: 2, 4: -1})], 1), 0, 0, 0, 0)  # only c_0 is divided
+def test_closure_numerator_on_random_coefficients(n_coeffs_r, s, p, m, writhe):
+    # pieces with a core of n strands and r = n - c, s single strands, p and m kinks, and
+    # a writhe: with a planted factor (q^2 - 1)^r the numerator is the undivided sum of the
+    # original coefficients on n + s strands, times the sign and monomial of the writhe and
+    # the kinks; without it, `_closure_value` raises exactly when some c_k with k < r is not
+    # divisible by (q^2 - 1)^(r - k), and otherwise equals the Kronecker quotient
     from qlink.exactalg.laurent import _divide_or_none, laurent2_divide_exact
-    from qlink.homfly import _closure_numerator
+    from qlink.homfly import _closure_value
 
-    n, coeffs = n_coeffs
+    n, coeffs, r = n_coeffs_r
     t_minus_1 = IntLaurent({0: -1, 2: 1})
-    got = _closure_numerator(_flat(tuple(c * t_minus_1**r for c in coeffs)), n, r, dq, sign, da)
-    assert got == _times_mu_power(coeffs, n).shift(da, dq).scale(sign)
+    rest = writhe - p + m
+    planted = _times_mu_power(coeffs, n + s).shift(p - m, n + s - 2 * rest + m - p).scale(-1 if rest & 1 else 1)
+    pieces = Pieces(_flat(tuple(c * t_minus_1**r for c in coeffs)), n, n - r, [], p, m, s)
+    assert _closure_value(pieces, writhe).num == planted
+    pieces = pieces._replace(tau=_flat(coeffs))
     if any(_divide_or_none(c, t_minus_1 ** (r - k)) is None for k, c in enumerate(coeffs[:r])):
         with pytest.raises(ArithmeticError):
-            _closure_numerator(_flat(coeffs), n, r, dq, sign, da)
+            _closure_value(pieces, writhe)
     else:
-        expected = laurent2_divide_exact(_times_mu_power(coeffs, n).shift(da, dq), Q2_MINUS_1**r)
-        assert _closure_numerator(_flat(coeffs), n, r, dq, sign, da) == expected.scale(sign)
+        assert _closure_value(pieces, writhe).num == laurent2_divide_exact(planted, Q2_MINUS_1**r)
 
 
 def test_homfly_runs_no_kronecker_division_and_no_two_variable_product(monkeypatch):
@@ -1372,15 +1393,15 @@ def test_homfly_runs_no_kronecker_division_and_no_two_variable_product(monkeypat
 
 def homfly_at(w: BraidWord, tau: dict, q0: Fraction, a2: Fraction) -> Fraction | None:
     """homfly(w) / a^n at q = q0 and a^2 = a2 != 0, from tau = markov_trace(w): `_closure_at`,
-    which `numeric_sweep` reads, on w as one core, normalized once.  None where q0^2 = 1 or
+    which `numeric_sweep` reads, on w as one core, over q0^n and normalized once.  None where q0^2 = 1 or
     the value is 0.  The oracle of the pointwise closure value."""
     from qlink.homfly import _closure_at
 
     r, s = q0.numerator, q0.denominator
     if r * r == s * s:
         return None
-    pair = _closure_at(_unreduced_pieces(w, tau), w.strands, w.writhe, r, s)(a2.numerator, a2.denominator)
-    return Fraction(*pair) if pair else None
+    pair = _closure_at(_unreduced_pieces(w, tau), w.writhe, r, s)(a2.numerator, a2.denominator)
+    return Fraction(*pair) / q0**w.strands if pair else None
 
 
 def test_homfly_at_matches_the_closure_value_at_a_power_of_q():

@@ -399,8 +399,8 @@ def _inject_homfly(monkeypatch, F: RatFun2) -> None:
     import qlink.xinv as xinv
 
     monkeypatch.setattr(xinv, "homfly", lambda w: F)
-    monkeypatch.setattr(xinv, "_closure_value", lambda w, tau: F)
-    monkeypatch.setattr(xinv, "_closure_at", lambda *args: None)
+    monkeypatch.setattr(xinv, "_closure_value", lambda pieces, writhe: F)
+    monkeypatch.setattr(xinv, "_closure_at", lambda pieces, writhe, r, s: None)
 
 
 def _cf_rational(rng: random.Random, length: int) -> Fraction:
@@ -495,7 +495,7 @@ def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
 
     for owner, name in ((laurent, "laurent_gcd"), (ratfun, "laurent_gcd"), (nu, "_specialize_poly"), (qnum, "_ladder"),
-                        (xinv, "_closure_value"), (homfly_module, "_closure_numerator"), (xinv, "specialize_closure")):
+                        (xinv, "_closure_value"), (homfly_module, "_q2_minus_1_power"), (xinv, "specialize_closure")):
         counted(owner, name)
     # every polynomial is built by _Laurent.__init__ or _new, or from an IntLaurent2, and
     # every fraction by _Fraction.__init__ or _make: count the class of each
@@ -513,8 +513,8 @@ def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
                     numeric_sweep(w, q0, xs, normalized, flavor)
     assert not calls
     numeric_sweep(TREFOIL, Fraction(1), [Fraction(1, 2)])  # a symbolic row
-    assert set(calls) == {"_closure_value", "_closure_numerator", "specialize_closure", "_specialize_poly", "laurent_gcd",
-                          "_ladder", "IntLaurent", "IntLaurent2", "RatFun", "RatFun2"}  # the counters work
+    assert set(calls) == {"_closure_value", "_q2_minus_1_power", "specialize_closure", "_specialize_poly",
+                          "laurent_gcd", "_ladder", "IntLaurent", "IntLaurent2", "RatFun", "RatFun2"}  # the counters work
 
 
 def test_sweep_squared_row_falls_back_to_the_fraction(monkeypatch):
@@ -556,7 +556,8 @@ def test_sweep_takes_one_trace_and_builds_homfly_only_for_a_symbolic_row(monkeyp
     for owner in (xinv, homfly_module):
         monkeypatch.setattr(owner, "_markov_pieces", lambda w: traces.append(w) or trace(w))
     closure_value = xinv._closure_value
-    monkeypatch.setattr(xinv, "_closure_value", lambda w, tau: calls.append(w) or closure_value(w, tau))
+    monkeypatch.setattr(xinv, "_closure_value",
+                        lambda pieces, writhe: calls.append((pieces, writhe)) or closure_value(pieces, writhe))
     symbolic = _count_symbolic_rows(monkeypatch)
     for w in (TREFOIL, FIG8, UNKNOT, HOPF):
         for q0 in (Fraction(-2, 3), Fraction(1)):
@@ -566,7 +567,7 @@ def test_sweep_takes_one_trace_and_builds_homfly_only_for_a_symbolic_row(monkeyp
                         log.clear()
                     rows, diagnostics = numeric_sweep(w, q0, xs, normalized, flavor)
                     assert traces == [w]
-                    assert calls == ([w] if symbolic else [])
+                    assert calls == ([(trace(w), w.writhe)] if symbolic else [])
                     assert symbolic == (xs if q0 == 1 else [0] if flavor == "right" else [])
                     expected = _per_point_sweep(w, q0, xs, normalized, flavor)
                     assert ([(r.x, r.value, r.flag) for r in rows], diagnostics) == expected
