@@ -20,9 +20,9 @@ from ._record import Record, setfield
 from .braid import BraidWord, mirror, parse_braid
 from .exactalg import PoleError, RatFun2, format_ratfun, format_ratfun2, format_nu
 from .exactalg.textio import QUOTE_LIMIT, quote_input
-from .homfly import homfly
+from .homfly import _markov_pieces, homfly
 from .qnum import left_qrational, qrational
-from .xinv import XContext, flat_context, numeric_sweep, specialize_closure, x_context
+from .xinv import XContext, _x_value, flat_context, numeric_sweep, x_context
 
 __all__ = ["main", "KnotTable", "CollisionReport", "load_knot_table", "builtin_mini_table"]
 
@@ -184,20 +184,29 @@ def _cmd_qrat(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _context(kind: str, x: Fraction | None) -> XContext | None:
-    """The specialization context of a mode; None for homfly."""
-    return None if kind == "homfly" else x_context(x) if kind == "x" else flat_context(x)
+def _context(kind: str, x: Fraction | None) -> XContext | Exception | None:
+    """The specialization context of a mode; None for homfly, and the exception where it
+    cannot be built, which each word's invariant raises once the word is traced."""
+    try:
+        return None if kind == "homfly" else x_context(x) if kind == "x" else flat_context(x)
+    except Exception as exc:
+        return exc
 
 
-def _invariant_text(h: RatFun2, writhe: int, ctx: XContext | None, normalized: bool) -> str:
-    """Canonical text of the invariant of a closure of value h in context ctx (None:
-    the HOMFLY-PT value itself); `normalized` removes the framing."""
+def _invariant_text(w: BraidWord, ctx: XContext | Exception | None, normalized: bool, h: RatFun2 | None = None) -> str:
+    """Canonical text of the invariant of w's closure in context ctx (None: the HOMFLY-PT
+    value itself, h = homfly(w) where given); `normalized` removes the framing.  An x-value
+    traces w and folds its pieces at {x} (`xinv._x_value`); no HOMFLY-PT value is built."""
     if ctx is None:
+        h = homfly(w) if h is None else h
         if normalized:
             # each positive kink carries q^-1 a
-            h = h * RatFun2.monomial(1, -1, 1) ** writhe
+            h = h * RatFun2.monomial(1, -1, 1) ** w.writhe
         return format_ratfun2(h)
-    value = specialize_closure(h, ctx, writhe if normalized else 0)
+    pieces = _markov_pieces(w)  # first: a word's own error comes before its context's
+    if isinstance(ctx, Exception):
+        raise ctx
+    value = _x_value(w, ctx, w.writhe if normalized else 0, pieces)
     return format_ratfun(value.nu_free_part()) if normalized else format_nu(value.value)
 
 
@@ -205,7 +214,7 @@ def _cmd_inv(args: argparse.Namespace) -> int:
     w = _braid_from_args(args)
     kind, x = _parse_mode(args.mode)
     try:
-        print(_invariant_text(homfly(w), w.writhe, _context(kind, x), args.normalized))
+        print(_invariant_text(w, _context(kind, x), args.normalized))
     except PoleError as exc:
         raise CliError(f"specialization pole: {exc}", EXIT_POLE) from None
     except ValueError as exc:
@@ -260,21 +269,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
         except (ValueError, csv.Error) as exc:
             raise CliError(f"cannot load table: {exc}", EXIT_PARSE) from None
     kind, x = _parse_mode(args.mode)
-    try:  # one context for every entry; a failure is each entry's error
-        ctx = _context(kind, x)
-    except Exception as exc:
-        ctx = exc
+    ctx = _context(kind, x)  # one context for every entry; a failure is each entry's error
     by_value: dict[str, list[str]] = {}
     errors = []
     for name, w in table.entries:
         h = None
-        for n, sign in ((name, 1), (name + "!", -1)) if args.with_mirrors else ((name, 1),):
+        for n, v in ((name, w), (name + "!", mirror(w))) if args.with_mirrors else ((name, w),):
             try:
-                h = homfly(w) if h is None else h
-                if isinstance(ctx, Exception):
-                    raise ctx
-                # the mirror's value is h under a -> a^-1, q -> q^-1; its writhe is -writhe
-                text = _invariant_text(h if sign == 1 else h.subs_bar(), sign * w.writhe, ctx, True)
+                if ctx is None:  # one trace per entry: the mirror's value is h under a -> a^-1, q -> q^-1
+                    h = homfly(w) if h is None else h.subs_bar()
+                text = _invariant_text(v, ctx, True, h)
             except Exception as exc:  # per-entry failures land in the report
                 errors.append((n, str(exc)))
             else:

@@ -56,7 +56,9 @@ class _Laurent:
 
     Subclasses fix the exponent key (an int for q, an (a, q) pair for a and
     q): `_ONE` (the coefficient map of 1), the other constructors and
-    everything that reads the key's structure.
+    everything that reads the key's structure.  An int operand of + and of
+    `IntLaurent`'s *, on either side, and of - on the right, is the constant
+    polynomial: a fold written for integers then runs over Z[q^+-1] unchanged.
     """
 
     __slots__ = ("_c",)
@@ -121,6 +123,8 @@ class _Laurent:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, int):  # an int operand is the constant polynomial
+            other = self.one().scale(other)
         c = dict(self._c)
         for e, v in other._c.items():
             w = c.get(e, 0) + v
@@ -129,6 +133,8 @@ class _Laurent:
             elif e in c:
                 del c[e]
         return self._new(c)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self + (-other)
@@ -199,7 +205,9 @@ class IntLaurent(_Laurent):
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __mul__(self, other: IntLaurent) -> IntLaurent:
+    def __mul__(self, other: IntLaurent | int) -> IntLaurent:
+        if isinstance(other, int):
+            return self.scale(other)
         a, b = self._c, other._c
         if not a or not b:
             return IntLaurent()
@@ -215,6 +223,8 @@ class IntLaurent(_Laurent):
                 elif e in c:
                     del c[e]
         return self._new(c)
+
+    __rmul__ = __mul__
 
     def shift(self, k: int) -> IntLaurent:
         """Multiply by q^k."""

@@ -10,9 +10,11 @@ to q*delta*v, turning a two-variable fraction into a NuValue of its
 context, times a framing power v^k if asked.  It runs in Z[q^±1]: a
 `RatFun2`'s denominator is free of a, so it is its own image, and each
 v-parity of the numerator's image is one polynomial over a common power of
-delta's numerator and denominator.  No pole can occur.  (A sweep row at a
-point q0 skips this image: `qlink.xinv.numeric_sweep` sums the closure value
-at q0 from the Markov pieces and the writhe, through `qlink.homfly._closure_at`.)
+delta's numerator and denominator.  No pole can occur.  (An x-value of a
+braid closure skips this image: `qlink.xinv` folds the Markov pieces at
+{x}, in integers at a point q0 or over Z[q^±1], through
+`qlink.homfly._closure_at`.  `specialize_a` stays the tests' oracle of that
+fold, and `digon_specialize` reads it.)
 """
 
 from __future__ import annotations

@@ -114,17 +114,25 @@ Two independent evaluators are provided and cross-checked in the tests:
   into its rows as two terms in a, and applies the kinks as an exponent
   offset.
 
-* `_closure_at(pieces, writhe, r, s)` evaluates the same value at one point
-  q0 = r/s, as a function of A = a^2.  As z = -q a / mu and
-  mu = a q X with X = (A - 1) / (A (q^2 - 1)), mu^n z^k = mu^(n-k) (-q a)^k
-  gives
+* `_closure_at(pieces, writhe, r, s)` folds the same value at a = q v delta_x, the
+  paper's substitution, as a function of {x}: it is the one evaluator of x-values.  As
+  z = -q a / mu and mu = a q X with X = (a^2 - 1) / (a^2 (q^2 - 1)),
+  mu^n z^k = mu^(n-k) (-q a)^k gives
 
       mu^n d^e tau = a^n (-1)^e q^(n-2e) sum_k (-1)^k c_k X^(n-k),
 
-  with no pole at A = 1 (n - k >= 1).  At q = q0 it is a sum of integers over
-  one scale: no polynomial in a is built.  `_closure_at` does the part that
-  depends on q0 alone once, and returns the sum as a function of A, so that
-  `numeric_sweep` reuses it for every row.
+  with no pole at a^2 = 1 (n - k >= 1).  Under a^2 = q^2 delta_x = (q^2 - 1) {x} + 1,
+  X = {x} / a^2, and as A_k + C_k = -(q^2 - 1) alpha_k an end block's factor is
+
+      a beta_k = (-1)^k q^(1-2k) (A_k {x} - alpha_k),
+
+  so no factor keeps q^2 - 1 in a denominator, and the value is regular at q = +-1.
+  With {x} = Xn / Xd and xd = (q^2 - 1) Xn + Xd, a^2 = xd / Xd, X = Xn / xd and
+  delta_x = xd / (q^2 Xd): a power of delta_x, as a^N v^framing leaves, changes only the
+  exponent of xd.  At q = q0 the fold is a sum of integers over one scale, and over
+  Z[q^+-1] (r = q, s = 1) it is the x-value as one fraction; no polynomial in a is built.
+  `_closure_at` does the part that depends on q0 alone once, and returns the sum as a
+  function of {x}, so that `numeric_sweep` reuses it for every row.
 
 * `rt_invariant` contracts an explicit R-matrix on the n-dimensional
   vector representation against quantum-trace weights, and must agree with
@@ -771,36 +779,46 @@ def _markov_pieces(w: BraidWord) -> Pieces:
     return tuple.__new__(Pieces, ((reduce(_mul, cores) if cores else {(0, 0): 1}), n, c, ks, p, m, s))
 
 
-def _closure_at(pieces: Pieces, writhe: int, r: int, s: int) -> Callable[[int, int], tuple[int, int] | None]:
-    """q0^N homfly(w) / a^N at q = q0 = r/s, r^2 != s^2, for a word w on N strands with
-    pieces = _markov_pieces(w) and writhe = w.writhe, as a function of a^2: it maps an integer
-    pair (An, Ad), An / Ad = a^2 != 0, to an integer pair (num, den), not reduced, or to None
-    where the value is 0.  By the identity in the module docstring, the sum runs over tau on
-    the cores' and single strands, n of them, with the rest e of the writhe, and the other
-    pieces are factors of a row.  The kinks' monomial a^(p-m) q^(m-p) leaves (Ad / An)^m and a
-    power of q0, which joins q0^N as dq.  An end block's beta_k / a is
-    (-1)^k q0^(1-2k) t0^o (A(t0) An + C(t0) Ad) / An over (t0 - 1)^[k even], with
-    (A, C) = _block_lists(k) and t0 = q0^2 = R / S: S^g A(t0) and S^g C(t0), g the top
-    t-power, are integers, the block's pair, and a row multiplies in the sum of the pair times
-    An and Ad.  All that depends on q0 alone is done here, once.
+def _closure_at(pieces: Pieces, writhe: int, r, s, framing: int = 0) -> Callable:
+    """The x-value of a word w on N strands at q = q0 = r/s, times v^framing, folded from
+    pieces = _markov_pieces(w) and writhe = w.writhe as a function of {x}.  Under
+    a = q v delta_x, a^N v^framing = v^b q^N delta_x^m with b = (N + framing) mod 2 and
+    m = N - floor((N + framing) / 2), so the value is v^b times q0^N homfly(w) delta_x^m / a^N.
+    The function returned maps (Xn, Xd), with Xn / Xd = {x}(q0) and delta_x(q0) neither 0 nor
+    infinite, to that coefficient as a pair (num, den), not reduced, or to None where it is 0.
+    r, s, Xn and Xd are integers, or elements of Z[q^+-1] with r = q and s = 1, where the pair
+    is the x-value as a fraction in q.
 
-    c_k(q0) = C_k r^elo / s^ehi for the integer C_k = sum_E c r^(E-elo) s^(ehi-E) over c_k's
-    terms c q^E.  X is the projective pair (Xn, Xd) = ((An - Ad) s^2, An (r^2 - s^2)), and
-    sum_k (-1)^k c_k X^(n-k) is r^elo / s^ehi times T / Xd^n, T = sum_k C_k Xn^(n-k) (-Xd)^k
-    by Horner; the value is (-1)^e T r^p / (s^t Xd^n), p - elo = t - ehi = n - 2e + dq."""
+    With R, S = r^2, s^2 and xd = (R - S) Xn + S Xd: a^2 = (q^2 - 1) {x} + 1 = xd / (S Xd),
+    delta_x = xd / (R Xd), and X = {x} / a^2 = S Xn / xd (module docstring).  By the identity
+    there, the sum runs over tau on the cores' and single strands, n of them, with the rest e of
+    the writhe, and the other pieces are factors of a row.  The kinks' monomial
+    a^(kp-km) q^(km-kp), for kp positive and km negative kinks, leaves (S Xd / xd)^km and a
+    power of q0, which joins q0^N as dq.  An end block's beta_k / a = a beta_k / a^2 is
+    (-1)^k q0^(1-2k) t0^o (A_k(t0) Xn - alpha_k(t0) Xd) S / xd with o = min(k, 0) and
+    t0 = q0^2 = R / S.  In closed form, (A_k, alpha_k) = (alpha_k + (-t)^k, alpha_k) for k > 0,
+    and t^j (A_k, alpha_k) = -(-1)^j (alpha_j - 1, alpha_j) for k = -j; S^|k| times them at t0,
+    integers, are the block's pair, and a row multiplies in the pair against (Xn, -Xd).  So xd
+    and Xd are only ever powers, and delta_x^m changes their exponents.  All that depends on q0
+    alone is done here, once.
+
+    c_k(q0) = C_k r^elo / s^ehi for C_k = sum_E c r^(E-elo) s^(ehi-E) over c_k's terms c q^E,
+    and sum_k (-1)^k c_k X^(n-k) is r^elo / s^ehi times T / xd^n, T = sum_k C_k xn^(n-k) (-xd)^k
+    with xn = S Xn, by Horner; the value is (-1)^e T r^p / (s^t xd^n) times the other pieces,
+    p - elo = t - ehi = n - 2e + dq.  No factor has q^2 - 1 in a denominator, so q0 = +-1 needs
+    no case of its own."""
     tau, ks, kp, km = pieces.tau, pieces.blocks, pieces.pos_kinks, pieces.neg_kinks
     n, e = pieces.strands + pieces.singles, writhe - kp + km
-    dq = n + len(ks) + 2 * km  # q0^(N + m - p), N = n + len(ks) + p + m
-    R, S = r * r, s * s
-    pairs, u, v = [], -1 if e & 1 else 1, 1  # (-1)^e of the rest times the blocks' (-1)^k
-    for k in ks:  # beta_k / a = q0^(1-2k) t0^o (S^g A(t0) An + S^g C(t0) Ad) / (S^g An), over t0 - 1 if k is even
-        x, y, rd = 0, 0, 1
-        for a, c in zip(*_block_lists(k)):  # S^g A(t0) = sum_d A_d R^d S^(g-d), by Horner
-            x, y, rd = x * S + a * rd, y * S + c * rd, rd * R
-        pairs.append((x, y))
-        e, dq, v = e - k, dq + 1 - 2 * max(k, 0), v * S ** (abs(k) & -2)
-        if not k & 1:
-            u, v = u * S, v * (R - S)
+    N, dq = n + len(ks) + kp + km, n + len(ks) + 2 * km  # q0^(N + km - kp)
+    m, R, S = N - (N + framing) // 2, r * r, s * s
+    pairs, u, v = [], (-1 if e & 1 else 1) * S**km, 1  # (-1)^e of the rest times the blocks' (-1)^k
+    for k in ks:
+        j, g, sj = abs(k), 0, 1
+        for _ in range(j):  # g = S^j alpha_j(t0) = sum_(d<j) (-R)^d S^(j-d), by Horner
+            sj *= S
+            g = -g * R + sj
+        pairs.append((g + (-R) ** j, g) if k > 0 else (g - sj, g) if j & 1 else (-g + sj, -g))
+        e, dq, v = e - k, dq + 1 - 2 * max(k, 0), v * S ** (j - 1)
     exps = [E for _, E in tau]
     elo, ehi = min(exps, default=0), max(exps, default=0)
     cs = [0] * n  # C_k; a trace on n strands has z-degree below n
@@ -808,20 +826,21 @@ def _closure_at(pieces: Pieces, writhe: int, r: int, s: int) -> Callable[[int, i
         cs[k] += c * r ** (E - elo) * s ** (ehi - E)
     cs.reverse()
     p, t = elo + n - 2 * e + dq, ehi + n - 2 * e + dq
-    u *= r ** max(p, 0) * s ** max(-t, 0)
-    v *= r ** max(-p, 0) * s ** max(t, 0)
+    u *= r ** max(p, 0) * s ** max(-t, 0) * R ** max(-m, 0)  # and R^-m of delta_x^m = xd^m / (R Xd)^m
+    v *= r ** max(-p, 0) * s ** max(t, 0) * R ** max(m, 0)
+    dd, dx = km - m, m - n - len(ks) - km  # the powers of Xd and xd
 
-    def at(An: int, Ad: int) -> tuple[int, int] | None:
-        xn, xd = (An - Ad) * S, An * (R - S)
-        total, xp, mxd = 0, xn, -xd
+    def at(Xn, Xd):
+        xn, xd = S * Xn, (R - S) * Xn + S * Xd
+        total, xp, mxd = 0, 1, -xd
         for c in cs:
-            total = total * mxd + c * xp
             xp *= xn
-        num, den = u * total, v * xd**n
-        if km or pairs:
-            num, den = num * Ad**km, den * An ** (km + len(pairs))
-            for x, y in pairs:
-                num *= x * An + y * Ad
+            total = total * mxd + c * xp
+        num, den = u * total, v
+        for x, y in pairs:
+            num *= x * Xn - y * Xd
+        num, den = (num * Xd**dd, den) if dd >= 0 else (num, den * Xd**-dd)
+        num, den = (num * xd**dx, den) if dx >= 0 else (num, den * xd**-dx)
         return (num, den) if num else None
 
     return at

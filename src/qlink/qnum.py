@@ -18,11 +18,11 @@ q-adic limit of {m} as m -> infinity).  The limit oracle `q_adic_limit`
 stays the source of truth: the closed form is checked against it in tests
 order by order.
 
-At a point q = q0 the same ladder runs in integers (`_qdelta_pair`): each
+At a point q = q0 the same ladder runs in integers (`_qrational_pair`): each
 rung is a Moebius map of the tail, kept as a projective pair of integers, so
-delta_x(q0) costs no gcd and no polynomial; `numeric_sweep` reads the pair.
-The symbolic `qdelta` stays the value for symbolic uses and the oracle of the
-point value.
+{x}(q0) costs no gcd and no polynomial; `numeric_sweep` reads the pair, and
+derives delta_x(q0) from it.  The symbolic `qrational` and `qdelta` stay the
+values for symbolic uses and the oracles of the point value.
 """
 
 from __future__ import annotations
@@ -180,15 +180,15 @@ def left_qdelta(x: Fraction | int) -> RatFun:
     return _delta(left_qrational(Fraction(x)))
 
 
-def _qdelta_pair(x: Fraction | int, r: int, s: int, left: bool = False) -> tuple[int, int] | None:
-    """delta_x(q0), or the left one's, at q0 = r/s != 0 as an integer pair (P, Q) with
-    P / Q = delta_x(q0), P and Q nonzero and not reduced: `_ladder`'s rungs at q^2 = R/S.
+def _qrational_pair(x: Fraction | int, r: int, s: int, left: bool = False) -> tuple[int, int] | None:
+    """{x}(q0), or {x}^b(q0), at q0 = r/s != 0 as an integer pair (num, den), not reduced:
+    `_ladder`'s rungs at q^2 = R/S.
 
     Each rung's u = q^2 or q^-2 is U/V = R/S or S/R, and the tail is a projective
     pair (num, den), seeded at infinity (1, 0) or at 1 / (1 - q^2): a rung is a
     Moebius map, so no common factor is removed.  The pair is the coprime ladder
     fraction times monomials, nonzero at q0 != 0, so den = 0 exactly at a pole.
-    None at a pole of delta_x and where it is 0.
+    None where delta_x(q0) = ((R - S) num + S den) / (R den) is 0 or infinite.
     """
     terms = _ladder_terms(x)
     R, S = r * r, s * s
@@ -201,8 +201,7 @@ def _qdelta_pair(x: Fraction | int, r: int, s: int, left: bool = False) -> tuple
             num, den = G * V * num + Uk * den, Vk * num
         else:  # {a}_u = -V G / U^-a, u^a = V^-a / U^-a
             num, den = Vk * den - G * V * num, Uk * num
-    top = (R - S) * num + S * den  # ((q^2 - 1) {x} + 1) / q^2
-    return (top, R * den) if top and den else None
+    return (num, den) if den and (R - S) * num + S * den else None
 
 
 def qfactorial(k: int) -> RatFun:

@@ -14,6 +14,12 @@ evaluates to v {x}).  Consequently the framing-corrected invariant
 v^writhe * [closure] is a genuine invariant of the underlying link, and
 its single nonzero component is the v-free rational function reported by
 `normalized_invariant`.
+
+No x-value is built from the HOMFLY-PT value.  Under a = q v delta_x every
+Markov piece of a word contributes a fraction in q alone, so `_x_value` folds
+the pieces at {x} over Z[q^+-1] (`homfly._closure_at`) and normalizes once, and
+`numeric_sweep` runs the same fold in integers at {x}(q0).  The substitution
+into the HOMFLY-PT value, `specialize_closure`, stays as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ from .exactalg import (
     nu_power,
     specialize_a,
 )
-from .homfly import _closure_at, _closure_value, _markov_pieces, homfly
-from .qnum import _qdelta_pair, left_qdelta, left_qrational, qbinomial, qdelta, qrational
+from .homfly import Pieces, _closure_at, _markov_pieces
+from .qnum import _delta, _qrational_pair, left_qdelta, left_qrational, qbinomial, qdelta, qrational
 
 __all__ = [
     "XContext",
@@ -127,9 +133,23 @@ def specialize_closure(h: RatFun2, ctx: XContext, writhe: int = 0) -> XValue:
     return XValue(value, ctx)
 
 
+def _x_value(w: BraidWord, ctx: XContext, framing: int = 0, pieces: Pieces | None = None) -> XValue:
+    """The closure value of w at a = q v delta_x, times v^framing: `homfly._closure_at` over
+    Z[q^+-1] (r = q, s = 1), on pieces = _markov_pieces(w) unless given, at {x} = N / D from
+    x's ladder, normalized once.  Raises ValueError for a context whose delta is not delta_x
+    of that {x}."""
+    f = (qrational if ctx.flavor == "right" else left_qrational)(ctx.x)
+    if _delta(f) != ctx.delta:
+        raise ValueError("the context's delta is not delta_x")
+    at = _closure_at(_markov_pieces(w) if pieces is None else pieces, w.writhe, IntLaurent.q_power(1), 1, framing)
+    pair, zero = at(f.num, f.den), RatFun.zero()
+    value = RatFun(*pair) if pair else zero
+    return XValue(NuValue(zero, value, ctx.delta) if (w.strands + framing) & 1 else NuValue(value, zero, ctx.delta), ctx)
+
+
 def x_invariant(w: BraidWord, ctx: XContext) -> XValue:
     """Specialization of the HOMFLY-PT polynomial of the closure of w."""
-    return specialize_closure(homfly(w), ctx)
+    return _x_value(w, ctx)
 
 
 def flat_invariant(w: BraidWord, x: Fraction | int) -> XValue:
@@ -146,7 +166,7 @@ def normalized_invariant(w: BraidWord, ctx: XContext) -> RatFun:
     Its v-parity equals the component count mod 2 (odd for knots), hence
     the value returned is the component of that parity.
     """
-    return specialize_closure(homfly(w), ctx, w.writhe).nu_free_part()
+    return _x_value(w, ctx, w.writhe).nu_free_part()
 
 
 def colored_unknot_u(ctx: XContext, k: int) -> XValue:
@@ -227,54 +247,46 @@ def numeric_sweep(
 
     A row is the closure value at q = q0 and a^2 = q0^2 delta_x(q0), summed in
     integers.  Once per call: the Markov moves' pieces (`homfly._markov_pieces`),
-    and from them and the writhe all of q0^n homfly(w) / a^n that depends on q0
-    alone (`homfly._closure_at`).  Per row: delta_x(q0) from x's ladder as an
-    integer pair P / Q (`qnum._qdelta_pair`), that sum for a^2 = r^2 P / (s^2 Q)
-    as an integer pair, and delta^m below, multiplied into one numerator and
-    one denominator that one `Fraction` normalizes.
-    Under a = q v delta, a^n v^framing is v^p q^n delta^m, m = n - (n + framing
-    - p)/2, p = (n + framing) mod 2, so the row has v-parity p; a 'squared' row
-    is value^2 / delta.  Where q0^2 = 1, delta_x(q0) is 0 or infinite, or the
-    value is 0 (its v-parity is then unknown), the row is the symbolic one:
-    `homfly(w)`, built once per call from the same trace, specialized with the
-    context's symbolic delta_x, with its 0/0 points and poles.
+    and from them and the writhe all of q0^n homfly(w) delta^m / a^n that depends on
+    q0 alone (`homfly._closure_at`).  Per row: {x}(q0) from x's ladder as an integer
+    pair (`qnum._qrational_pair`), and that sum at it as an integer pair, which one
+    `Fraction` normalizes.  Under a = q v delta, a^n v^framing is v^p q^n delta^m,
+    m = n - (n + framing - p)/2, p = (n + framing) mod 2, so the row has v-parity p;
+    a 'squared' row is value^2 / delta, delta = ((q0^2 - 1) {x}(q0) + 1) / q0^2.  No
+    factor has q^2 - 1 in a denominator (X = {x} / (q^2 delta_x)), so rows at q0 = +-1
+    are integer rows too.  Where delta_x(q0) is 0 or infinite, or the value is 0 (its
+    v-parity is then unknown), the row is the symbolic one: the same fold over Z[q^+-1]
+    (`_x_value`) at the context's {x}, evaluated at q0, with its 0/0 points and poles.
     """
     if q0 == 0:
         raise ValueError("q0 must be nonzero")
     rows: list[SweepRow] = []
     diagnostics: list[str] = []
-    pieces, h = _markov_pieces(w), None  # h = homfly(w), built for the first symbolic row
+    pieces = _markov_pieces(w)
     n, e, left = w.strands, w.writhe, flavor != "right"
     framing = e if normalized else 0
     r, s = q0.numerator, q0.denominator
     R, S = r * r, s * s
-    at = _closure_at(pieces, e, r, s) if R != S else None  # q0^n homfly(w) / a^n
-    parity = (n + framing) & 1
-    m, squared = n - (n + framing - parity) // 2, parity and not normalized
+    at = _closure_at(pieces, e, r, s, framing)  # q0^n homfly(w) delta^m / a^n
+    squared = (n + framing) & 1 and not normalized
     for x in xs:
         if not isinstance(x, Fraction):
             x = Fraction(x)
         try:
-            pq = _qdelta_pair(x, r, s, left)
-            value = at(R * pq[0], S * pq[1]) if pq and at else None
+            pq = _qrational_pair(x, r, s, left)
+            value = at(*pq) if pq else None
             if value is not None:
-                (num, den), (P, Q) = value, pq
-                num, den = (num * P**m, den * Q**m) if m >= 0 else (num * Q**-m, den * P**-m)
-                if squared:
-                    num, den = num * num * Q, den * den * P
+                (num, den), (Xn, Xd) = value, pq
+                if squared:  # delta = ((R - S) Xn + S Xd) / (R Xd)
+                    num, den = num * num * R * Xd, den * den * ((R - S) * Xn + S * Xd)
                 rows.append(SweepRow(x, Fraction(num, den), "squared" if squared else ""))
                 continue
             # the symbolic row: (parity, value) as a fraction in q
-            h = _closure_value(pieces, e) if h is None else h
             ctx = x_context(x) if flavor == "right" else flat_context(x)
-            v = specialize_closure(h, ctx, framing)
+            v = _x_value(w, ctx, framing, pieces)
             value = v.nu_free_part()
             if v.nu_parity() and not normalized:
-                try:  # value(q0)^2 / delta(q0) wherever value, delta are regular and delta(q0) != 0
-                    sq = value.evaluate(q0) ** 2 / (Fraction(*pq) if pq else 0)
-                except ZeroDivisionError:  # PoleError included
-                    sq = (value * value / ctx.delta).evaluate(q0)
-                rows.append(SweepRow(x, sq, "squared"))
+                rows.append(SweepRow(x, (value * value / ctx.delta).evaluate(q0), "squared"))
             else:
                 rows.append(SweepRow(x, value.evaluate(q0), ""))
         except (PoleError, ZeroDivisionError, ValueError) as exc:

@@ -335,10 +335,11 @@ def test_sweep_on_a_deep_braid_runs_no_gcd(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_text_equals_the_symbolic_rows(tmp_path, capsys, monkeypatch):
-    # the oracle is the same sweep with every pointwise row refused, so that each
-    # row comes from the symbolic specialization; q0 = 1 takes that path anyway,
-    # and x = 2001 is skipped for its q-deformation's size
+    # the oracle is the same sweep with every pointwise row refused, and each symbolic
+    # row read from specialize_closure(homfly(w), ctx, framing) instead of the fold;
+    # x = 2001 is skipped for its q-deformation's size
     import qlink.xinv as xinv
+    from qlink.homfly import homfly
 
     half = MAX_QDEGREE // 2
     out = tmp_path / "s.csv"
@@ -354,7 +355,9 @@ def test_sweep_text_equals_the_symbolic_rows(tmp_path, capsys, monkeypatch):
                 for refuse in (False, True):
                     with monkeypatch.context() as m:
                         if refuse:
-                            m.setattr(xinv, "_closure_at", lambda pieces, writhe, r, s: None)
+                            m.setattr(xinv, "_closure_at", lambda pieces, writhe, r, s, framing=0: lambda *args: None)
+                            m.setattr(xinv, "_x_value", lambda w, ctx, framing=0, pieces=None:
+                                      xinv.specialize_closure(homfly(w), ctx, framing))
                         texts.append((run(capsys, *argv), out.read_bytes()))
                 assert texts[0] == texts[1], argv
                 skipped.add(texts[0][0][2])
@@ -389,12 +392,15 @@ def test_table_x2_groups_figure_eight_with_mirror(capsys):
 
 
 def test_table_mirrors_match_traced_mirrors(tmp_path, capsys, monkeypatch):
-    # each mirror's value is derived from its braid's HOMFLY-PT value; the
-    # reference traces the mirror braid itself and normalizes by its writhe
+    # in homfly mode each mirror's value is derived from its braid's HOMFLY-PT value,
+    # and in x: and flat: modes each mirror is traced as its own word, with no
+    # HOMFLY-PT value built; the reference traces the mirror braid itself, specializes
+    # its HOMFLY-PT value and normalizes by its writhe
     import qlink.cli as cli
     from qlink.braid import mirror, parse_braid
+    from qlink.exactalg import RatFun2, format_ratfun, format_ratfun2
     from qlink.homfly import homfly
-    from qlink.xinv import flat_context, x_context
+    from qlink.xinv import flat_context, specialize_closure, x_context
 
     entries = {"3_1": "1 1 1", "4_1": "1 -2 1 -2", "hopf": "1 1", "kinked": "1 2 -1 2 2", "split": "1 1 1 3"}
     path = tmp_path / "knots.csv"
@@ -404,16 +410,58 @@ def test_table_mirrors_match_traced_mirrors(tmp_path, capsys, monkeypatch):
     for mode in ("homfly", "x:2", "x:1/2", "flat:2", "flat:-3/2"):
         calls.clear()
         code, out, _ = run(capsys, "table", str(path), "--mode", mode, "--with-mirrors")
-        assert code == 0 and len(calls) == len(entries)
         kind, x = cli._parse_mode(mode)
+        assert code == 0 and len(calls) == (len(entries) if kind == "homfly" else 0)
         by_value = {}
         for name, text in entries.items():
             for n, w in ((name, parse_braid(text)), (name + "!", mirror(parse_braid(text)))):
-                ctx = None if kind == "homfly" else x_context(x) if kind == "x" else flat_context(x)
-                by_value.setdefault(cli._invariant_text(homfly(w), w.writhe, ctx, True), []).append(n)
+                if kind == "homfly":
+                    value = format_ratfun2(homfly(w) * RatFun2.monomial(1, -1, 1) ** w.writhe)
+                else:
+                    ctx = x_context(x) if kind == "x" else flat_context(x)
+                    value = format_ratfun(specialize_closure(homfly(w), ctx, w.writhe).nu_free_part())
+                by_value.setdefault(value, []).append(n)
         label = mode + (" normalized" if kind != "homfly" else "")
         groups = tuple(sorted(tuple(sorted(g)) for g in by_value.values()))
         assert out == CollisionReport(label, groups, ()).to_json() + "\n"
+
+
+def test_x_modes_build_no_homfly_value_and_no_two_variable_polynomial(capsys, monkeypatch):
+    # an x-value folds the Markov pieces over Z[q^+-1]: `inv` and `table` in x: and flat:
+    # modes, and normalized_invariant, build no IntLaurent2 or RatFun2, and neither
+    # specialize a HOMFLY-PT value (`specialize_a`) nor build one (`_closure_value`)
+    import qlink.exactalg.laurent as laurent
+    import qlink.exactalg.nu as nu
+    import qlink.exactalg.ratfun as ratfun
+    from qlink.xinv import normalized_invariant
+
+    homfly_module = sys.modules["qlink.homfly"]  # `qlink.homfly` as an attribute is the function
+    calls = []
+    for owner, name in ((nu, "specialize_a"), (nu, "_specialize_poly"), (homfly_module, "_closure_value")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
+    # every polynomial is built by _Laurent.__init__ or _new, and every fraction by
+    # _Fraction.__init__ or _make: count the class of each
+    for owner, name in ((laurent._Laurent, "__init__"), (ratfun._Fraction, "__init__")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda self, *args, fn=fn: calls.append(type(self).__name__) or fn(self, *args))
+    for owner, name in ((laurent._Laurent, "_new"), (ratfun._Fraction, "_make")):
+        fn = getattr(owner, name).__func__
+        monkeypatch.setattr(owner, name, classmethod(lambda cls, *args, fn=fn: calls.append(cls.__name__) or fn(cls, *args)))
+    for argv in (["inv", "1 -2 1 -2 3 3 5 5 5", "--strands", "7", "--mode", "x:2"],
+                 ["inv", "1 1 1", "--mode", "flat:5/2", "--normalized"],
+                 ["inv", "1 2 -1 2 2", "--mode", "flat:5/2", "--mirror"],
+                 ["table", "--mode", "x:2", "--with-mirrors"]):
+        calls.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out, argv
+        assert "IntLaurent" in calls and "RatFun" in calls, argv
+        assert not {"IntLaurent2", "RatFun2", "specialize_a", "_specialize_poly", "_closure_value"} & set(calls), argv
+    calls.clear()
+    normalized_invariant(parse_braid("1 -2 1 -2 3 3"), x_context(Fraction(-7, 4)))
+    assert "RatFun" in calls and not {"IntLaurent2", "RatFun2", "specialize_a", "_specialize_poly", "_closure_value"} & set(calls)
+    run(capsys, "inv", "1 1 1", "--mode", "homfly")
+    assert {"IntLaurent2", "RatFun2", "_closure_value"} <= set(calls)  # the counters work
 
 
 def test_table_builds_one_context_for_all_entries(capsys, monkeypatch):

@@ -149,6 +149,18 @@ def test_rings_stay_apart_and_hash_consistently():
     assert hash(IntLaurent2({(1, 2): 5})) == hash(IntLaurent2.term(5, 1, 2))
 
 
+def test_an_int_operand_is_the_constant_polynomial():
+    # so that `homfly._closure_at`, written for integers, runs over Z[q^+-1] unchanged
+    p = L({-1: 2, 3: -1})
+    for n in (0, 1, -3):
+        c = IntLaurent.term(n)
+        assert p + n == n + p == p + c and p - n == p - c
+        assert p * n == n * p == p * c == p.scale(n)
+        assert IntLaurent2.term(1, 1, 2) + n == n + IntLaurent2.term(1, 1, 2) == IntLaurent2({(1, 2): 1, (0, 0): n})
+    assert 0 * p == IntLaurent.zero() and not (0 * p)
+    assert sum([p, p, 1]) == L({-1: 4, 3: -2, 0: 1})
+
+
 def test_every_entrance_refuses_a_denominator_in_a(monkeypatch):
     import qlink.exactalg.ratfun as ratfun
 

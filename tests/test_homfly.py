@@ -534,8 +534,9 @@ def _check_kinked_values(w: BraidWord, tau: dict, kinds: Counter, at_points: boo
     kinds[bool(pieces.pos_kinks), bool(pieces.neg_kinks)] += 1
     if at_points:
         for r, s in ((2, 1), (-3, 2)):
-            for a2 in ((5, 3), (-1, 4)):
-                got, want = (_closure_at(t, w.writhe, r, s)(*a2) for t in (pieces, unreduced))
+            for a2 in (Fraction(5, 3), Fraction(-1, 4)):
+                x = (a2 - 1) / (Fraction(r, s) ** 2 - 1)  # a^2 = (q0^2 - 1) {x} + 1
+                got, want = (_closure_at(t, w.writhe, r, s)(x.numerator, x.denominator) for t in (pieces, unreduced))
                 assert (got and Fraction(*got)) == (want and Fraction(*want)), (w, r, s, a2)
 
 
@@ -1393,15 +1394,18 @@ def test_homfly_runs_no_kronecker_division_and_no_two_variable_product(monkeypat
 
 def homfly_at(w: BraidWord, tau: dict, q0: Fraction, a2: Fraction) -> Fraction | None:
     """homfly(w) / a^n at q = q0 and a^2 = a2 != 0, from tau = markov_trace(w): `_closure_at`,
-    which `numeric_sweep` reads, on w as one core, over q0^n and normalized once.  None where q0^2 = 1 or
-    the value is 0.  The oracle of the pointwise closure value."""
+    which `numeric_sweep` reads, on w as one core, at {x} = (a^2 - 1) / (q0^2 - 1) and framing 0,
+    over q0^n delta^m, delta = a^2 / q0^2 and m = n - floor(n / 2), and normalized once.  None
+    where q0^2 = 1, as a^2 does not fix {x} there, and where the value is 0.  The oracle of the
+    pointwise closure value."""
     from qlink.homfly import _closure_at
 
-    r, s = q0.numerator, q0.denominator
+    r, s, n = q0.numerator, q0.denominator, w.strands
     if r * r == s * s:
         return None
-    pair = _closure_at(_unreduced_pieces(w, tau), w.writhe, r, s)(a2.numerator, a2.denominator)
-    return Fraction(*pair) / q0**w.strands if pair else None
+    x = (a2 - 1) / (q0 * q0 - 1)
+    pair = _closure_at(_unreduced_pieces(w, tau), w.writhe, r, s)(x.numerator, x.denominator)
+    return Fraction(*pair) / q0**n / (a2 / (q0 * q0)) ** (n - n // 2) if pair else None
 
 
 def test_homfly_at_matches_the_closure_value_at_a_power_of_q():

@@ -10,7 +10,7 @@ from qlink.exactalg import IntLaurent, PoleError, RatFun, TruncSeries, series_ex
 from qlink.qnum import (
     MAX_QDEGREE,
     EvenCF,
-    _qdelta_pair,
+    _qrational_pair,
     even_cf,
     left_qdelta,
     left_qrational,
@@ -189,10 +189,10 @@ def _delta_value(delta: RatFun, q0: Fraction) -> Fraction | None:
 
 
 def _qdelta_at(x: Fraction, q0: Fraction, left: bool = False) -> Fraction | None:
-    """delta_x(q0), or the left one's, as one fraction: the integer pair of
-    `_qdelta_pair` normalized; None at a pole and where it is 0."""
-    pair = _qdelta_pair(x, q0.numerator, q0.denominator, left)
-    return Fraction(*pair) if pair else None
+    """delta_x(q0), or the left one's, as one fraction: ((q0^2 - 1) {x}(q0) + 1) / q0^2 from
+    the integer pair Xn / Xd = {x}(q0) of `_qrational_pair`; None at a pole and where it is 0."""
+    pair = _qrational_pair(x, q0.numerator, q0.denominator, left)
+    return ((q0 * q0 - 1) * Fraction(*pair) + 1) / (q0 * q0) if pair else None
 
 
 def test_qdelta_at_matches_the_symbolic_delta():

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from qlink.braid import BraidWord, closure_stats, parse_braid
-from qlink.exactalg import IntLaurent, IntLaurent2, PoleError, RatFun, RatFun2, specialize_a
+from qlink.exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2, specialize_a
 from qlink.homfly import homfly, homfly_twist_coeff
-from qlink.qnum import MAX_QDEGREE, left_qdelta, left_qrational, qbinomial, qdelta, qint, qrational
+from qlink.qnum import MAX_QDEGREE, _delta, left_qdelta, left_qrational, qbinomial, qdelta, qint, qrational
 from qlink.xinv import (
     XContext,
     colored_stab_unknot,
@@ -18,6 +19,7 @@ from qlink.xinv import (
     flat_invariant,
     normalized_invariant,
     numeric_sweep,
+    specialize_closure,
     twist_coeff_x,
     verify_uniqueness_constraint,
     x_context,
@@ -292,6 +294,61 @@ def test_flat_normalized_is_markov_invariant():
 
 
 # ---------------------------------------------------------------------------
+# x-values from the Markov pieces
+# ---------------------------------------------------------------------------
+
+FOLD_XS = [Fraction(2), Fraction(-3), Fraction(2, 3), Fraction(5, 2), Fraction(-7, 4), Fraction(1), Fraction(0)]
+
+# words with a core and end blocks, some with single strands, as (letters, strands); the last
+# one has blocks, a kink and a single strand and no core
+CORE_AND_BLOCK_WORDS = [("1 -2 1 -2 3 3 5 5 5", 7), ("1 -2 1 -2 3 3 3 4 4", 5), ("2 -1 2 -1 -3 -3 -4 -4", 5),
+                        ("1 1 2 -1 2 3 3 3 -4 -4", 6), ("-1 -1 -1 2 -3 2 -3 4 4", 5),
+                        ("1 -2 1 -2 1 -2 3 3 -4 -4 -4 -4 -4", 5), ("1 2 -1 2 2 -3 -3 -4 -4 -4 -4", 5)]
+
+
+def test_x_values_equal_the_specialized_homfly_value():
+    # x_invariant and normalized_invariant, which fold the Markov pieces over Z[q^+-1], against
+    # the oracle specialize_closure(homfly(w), ctx, framing): every word of up to 5 letters on
+    # 1-4 strands, one per (strands, writhe, trace), and words with cores and blocks
+    from qlink.homfly import _markov_pieces, markov_trace
+
+    words = {}
+    for n in range(1, 5):
+        letters = [s * i for i in range(1, n) for s in (1, -1)]
+        for length in range(6):
+            for word in product(letters, repeat=length):
+                w = BraidWord(word, n)
+                words.setdefault((n, w.writhe, frozenset(markov_trace(w).items())), w)
+    assert len(words) > 100
+    deep = [parse_braid(text, strands) for text, strands in CORE_AND_BLOCK_WORDS]
+    pieces = [_markov_pieces(w) for w in deep]
+    assert all(p.blocks for p in pieces) and all(p.strands for p in pieces[:-1])  # the last one has no core
+    contexts = [make(x) for x in FOLD_XS for make in (x_context, flat_context)]
+    zeros = 0
+    for w in [*words.values(), *deep]:
+        h = homfly(w)
+        for ctx in contexts:
+            value = x_invariant(w, ctx)
+            assert value == specialize_closure(h, ctx), (w, ctx.x, ctx.flavor)
+            assert normalized_invariant(w, ctx) == specialize_closure(h, ctx, w.writhe).nu_free_part(), (w, ctx.x)
+            zeros += value.value.is_zero()
+    assert zeros
+
+
+def test_x_value_refuses_a_context_whose_delta_is_not_that_of_its_x():
+    # `_x_value` reads {x} from x's ladder in the context's flavor; a context that pairs x
+    # with another delta (only a hand-built one can) has no such {x}
+    from qlink.xinv import _x_value
+
+    for ctx in (XContext(Fraction(2), "right", qdelta(3)), XContext(Fraction(2), "flat", qdelta(2)),
+                XContext(Fraction(1, 2), "right", left_qdelta(Fraction(1, 2)))):
+        for fn in (lambda: _x_value(TREFOIL, ctx), lambda: x_invariant(TREFOIL, ctx), lambda: normalized_invariant(FIG8, ctx)):
+            with pytest.raises(ValueError, match="^the context's delta is not delta_x$"):
+                fn()
+    assert _x_value(TREFOIL, XContext(Fraction(2), "flat", left_qdelta(2))) == flat_invariant(TREFOIL, 2)
+
+
+# ---------------------------------------------------------------------------
 # numeric sweep
 # ---------------------------------------------------------------------------
 
@@ -337,22 +394,22 @@ def test_sweep_evaluates_at_classical_point():
     assert not diagnostics
 
 
-def _per_point_sweep(w, q0, xs, normalized, flavor):
-    """The sweep as one symbolic invariant per x, each with its own `homfly`
-    call: the oracle of `numeric_sweep`'s pointwise rows.  It reads `homfly`
-    and the contexts from `qlink.xinv`, so a monkeypatched value or context
-    reaches the oracle too."""
+def _per_point_sweep(w, q0, xs, normalized, flavor, h=None):
+    """The sweep as one symbolic specialization per x, specialize_closure(h, ctx, framing) with
+    h = homfly(w) unless given: the oracle of `numeric_sweep`'s rows, independent of the fold
+    that `numeric_sweep` runs.  It reads the contexts from `qlink.xinv`, so a monkeypatched
+    context reaches the oracle too."""
     import qlink.xinv as xinv
 
+    h = homfly(w) if h is None else h
     rows, diagnostics = [], []
     for x in xs:
         try:
             ctx = xinv.x_context(x) if flavor == "right" else xinv.flat_context(x)
+            v = specialize_closure(h, ctx, w.writhe if normalized else 0)
             if normalized:
-                rows.append((x, normalized_invariant(w, ctx).evaluate(q0), ""))
-                continue
-            v = x_invariant(w, ctx)
-            if v.odd.is_zero():
+                rows.append((x, v.nu_free_part().evaluate(q0), ""))
+            elif v.odd.is_zero():
                 rows.append((x, v.even.evaluate(q0), ""))
             else:
                 rows.append((x, (v.odd * v.odd / ctx.delta).evaluate(q0), "squared"))
@@ -367,40 +424,39 @@ def _sweep(w, q0, xs, normalized=False, flavor="right"):
 
 
 def _count_symbolic_rows(monkeypatch) -> list:
-    """Record the x of each symbolic row `numeric_sweep` computes."""
+    """Record the x of each symbolic row `numeric_sweep` computes: one `_x_value` call each."""
     import qlink.xinv as xinv
 
     calls = []
-    symbolic = xinv.specialize_closure
-    monkeypatch.setattr(xinv, "specialize_closure", lambda h, ctx, *k: calls.append(ctx.x) or symbolic(h, ctx, *k))
+    fold = xinv._x_value
+    monkeypatch.setattr(xinv, "_x_value", lambda w, ctx, *k: calls.append(ctx.x) or fold(w, ctx, *k))
     return calls
 
 
-def _inject_delta(monkeypatch, delta: RatFun) -> None:
-    """Make `numeric_sweep` see delta_x = delta on both paths: the symbolic
-    context and the point value delta_x(q0)."""
+def _inject_x(monkeypatch, f: RatFun) -> None:
+    """Make `numeric_sweep` see {x} = f in right contexts, on both paths: the ladder at q0
+    (None where delta(q0) is 0 or infinite), the ladder that `_x_value` reads, and the
+    context, whose delta is delta_x of f."""
     import qlink.xinv as xinv
 
-    def at(x, r, s, left=False):
-        try:
-            value = delta.evaluate(Fraction(r, s))
-        except PoleError:
-            return None
-        return (value.numerator, value.denominator) if value else None
+    def pair(x, r, s, left=False):
+        q0 = Fraction(r, s)
+        num, den = f.num.evaluate(q0), f.den.evaluate(q0)
+        xn, xd = num.numerator * den.denominator, den.numerator * num.denominator
+        return (xn, xd) if xd and (q0 * q0 - 1) * xn + xd else None
 
-    monkeypatch.setattr(xinv, "x_context", lambda x: XContext(Fraction(x), "right", delta))
-    monkeypatch.setattr(xinv, "_qdelta_pair", at)
+    monkeypatch.setattr(xinv, "x_context", lambda x: XContext(Fraction(x), "right", _delta(f)))
+    monkeypatch.setattr(xinv, "qrational", lambda x: f)
+    monkeypatch.setattr(xinv, "_qrational_pair", pair)
 
 
-def _inject_homfly(monkeypatch, F: RatFun2) -> None:
-    """Make `numeric_sweep`, and the invariants that `_per_point_sweep` reads, see
-    the closure value F: a pointwise row sums the word's own Markov trace, so it
-    is refused and every row is the symbolic one."""
+def _inject_value(monkeypatch, F: RatFun2) -> None:
+    """Make `numeric_sweep` see the closure value F: every integer row is refused, so every
+    row is the symbolic one, and `_x_value` specializes F."""
     import qlink.xinv as xinv
 
-    monkeypatch.setattr(xinv, "homfly", lambda w: F)
-    monkeypatch.setattr(xinv, "_closure_value", lambda pieces, writhe: F)
-    monkeypatch.setattr(xinv, "_closure_at", lambda pieces, writhe, r, s: None)
+    monkeypatch.setattr(xinv, "_closure_at", lambda pieces, writhe, r, s, framing=0: lambda *args: None)
+    monkeypatch.setattr(xinv, "_x_value", lambda w, ctx, framing=0, pieces=None: specialize_closure(F, ctx, framing))
 
 
 def _cf_rational(rng: random.Random, length: int) -> Fraction:
@@ -416,9 +472,9 @@ SWEEP_Q0S = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2), Fraction(
 
 
 def test_sweep_rows_equal_the_symbolic_oracle(monkeypatch):
-    # the pointwise rows equal the symbolic ones; the symbolic row runs exactly
-    # where the closure value's denominator (q^2 - 1)^c vanishes (q0 = +-1) and
-    # where the value is 0 (such as right x = 0: {0} = 0 makes a^2 = q^2 delta = 1)
+    # the pointwise rows equal the symbolic ones, at q0 = +-1 too; the symbolic row
+    # runs exactly where the value is 0 (such as right x = 0: {0} = 0 makes
+    # a^2 = q^2 delta = 1)
     symbolic = _count_symbolic_rows(monkeypatch)
     zero_rows = 0
     rng = random.Random(61)
@@ -433,22 +489,21 @@ def test_sweep_rows_equal_the_symbolic_oracle(monkeypatch):
                     symbolic.clear()
                     got = _sweep(w, q0, xs, normalized, flavor)
                     zeros = [x for x, value, _ in got[0] if value == 0]
-                    assert symbolic == (xs if abs(q0) == 1 else zeros), (w, q0, normalized, flavor)
+                    assert symbolic == zeros, (w, q0, normalized, flavor)
                     assert got == _per_point_sweep(w, q0, xs, normalized, flavor), (w, q0, normalized, flavor)
-                    if abs(q0) != 1:
-                        assert flavor == "flat" or zeros[:1] == [0]
-                        zero_rows += len(zeros)
+                    assert flavor == "flat" or zeros[:1] == [0]
+                    zero_rows += len(zeros)
     assert zero_rows
 
 
 def test_sweep_falls_back_where_delta_or_the_denominator_is_irregular(monkeypatch):
     # crafted, since no closure value or context on the tested grids has such a point:
-    # delta = (q - 2)^2 / (q - 3) is 0 at q0 = 2 and a pole at q0 = 3; the value
-    # (a^2 - q^4) / (q - 2) has a denominator that vanishes at q0 = 2 (its rows
-    # are poles, except at right x = 2, where a^2 = q^2 delta = q^4 makes it 0)
+    # {x} = (q - 1) / (3q - 9) makes delta = ((q^2 - 1) {x} + 1) / q^2 0 at q0 = 2 and a
+    # pole at q0 = 3; the value (a^2 - q^4) / (q - 2) has a denominator that vanishes at
+    # q0 = 2 (its rows are poles, except at right x = 2, where a^2 = q^2 delta = q^4 makes
+    # it 0)
+    _inject_x(monkeypatch, RatFun(IntLaurent({0: -1, 1: 1}), IntLaurent({0: -9, 1: 3})))
     symbolic = _count_symbolic_rows(monkeypatch)
-    delta = RatFun(IntLaurent({0: 4, 1: -4, 2: 1}), IntLaurent({0: -3, 1: 1}))
-    _inject_delta(monkeypatch, delta)
     xs = [Fraction(1, 2)]
     for q0 in (Fraction(2), Fraction(3), Fraction(5)):
         for normalized in (False, True):
@@ -457,24 +512,23 @@ def test_sweep_falls_back_where_delta_or_the_denominator_is_irregular(monkeypatc
             assert symbolic == ([] if q0 == 5 else xs), (q0, normalized)
             assert got == _per_point_sweep(TREFOIL, q0, xs, normalized, "right")
     monkeypatch.undo()
-    symbolic = _count_symbolic_rows(monkeypatch)
     F = RatFun2(IntLaurent2({(2, 0): 1, (0, 4): -1}), IntLaurent2({(0, 1): 1, (0, 0): -2}))
-    _inject_homfly(monkeypatch, F)
+    _inject_value(monkeypatch, F)
+    symbolic = _count_symbolic_rows(monkeypatch)
     for normalized in (False, True):
         for flavor in ("right", "flat"):
             symbolic.clear()
             xs = [Fraction(-5, 3), Fraction(1, 2), Fraction(2)]
             got = _sweep(UNKNOT, Fraction(2), xs, normalized, flavor)
             assert symbolic == xs
-            assert got == _per_point_sweep(UNKNOT, Fraction(2), xs, normalized, flavor)
+            assert got == _per_point_sweep(UNKNOT, Fraction(2), xs, normalized, flavor, F)
 
 
-def test_sweep_rejects_a_value_of_both_v_parities(monkeypatch):
-    # closure values have one v-parity, and a pointwise row is homogeneous by
-    # construction; the symbolic row raises on a crafted value 1 + a that has both
-    _inject_homfly(monkeypatch, RatFun2(IntLaurent2({(0, 0): 1, (1, 0): 1})))
+def test_sweep_rejects_a_value_of_both_v_parities():
+    # closure values have one v-parity, and the fold builds one by construction; the
+    # symbolic specialization raises on a crafted value 1 + a that has both
     with pytest.raises(AssertionError, match="^specialized closure value is not homogeneous in v$"):
-        numeric_sweep(UNKNOT, Fraction(2), [Fraction(1, 2)])
+        specialize_closure(RatFun2(IntLaurent2({(0, 0): 1, (1, 0): 1})), x_context(Fraction(1, 2)))
 
 
 def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
@@ -495,7 +549,8 @@ def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
 
     for owner, name in ((laurent, "laurent_gcd"), (ratfun, "laurent_gcd"), (nu, "_specialize_poly"), (qnum, "_ladder"),
-                        (xinv, "_closure_value"), (homfly_module, "_q2_minus_1_power"), (xinv, "specialize_closure")):
+                        (homfly_module, "_closure_value"), (homfly_module, "_q2_minus_1_power"),
+                        (xinv, "specialize_closure"), (xinv, "_x_value")):
         counted(owner, name)
     # every polynomial is built by _Laurent.__init__ or _new, or from an IntLaurent2, and
     # every fraction by _Fraction.__init__ or _make: count the class of each
@@ -507,13 +562,15 @@ def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
         monkeypatch.setattr(owner, name, classmethod(lambda cls, *args, fn=fn: calls.append(cls.__name__) or fn(cls, *args)))
     xs = [Fraction(-7, 3), Fraction(1, 2), Fraction(2), Fraction(5, 8), Fraction(13, 5)]
     for w in (UNKNOT, S1, HOPF, TREFOIL, FIG8, parse_braid("1 2 -1 2 3 -2")):
-        for q0 in (Fraction(2), Fraction(-1, 2), Fraction(3, 2)):
+        for q0 in (Fraction(2), Fraction(-1, 2), Fraction(3, 2), Fraction(1), Fraction(-1)):
             for normalized in (False, True):
                 for flavor in ("right", "flat"):
                     numeric_sweep(w, q0, xs, normalized, flavor)
     assert not calls
-    numeric_sweep(TREFOIL, Fraction(1), [Fraction(1, 2)])  # a symbolic row
-    assert set(calls) == {"_closure_value", "_q2_minus_1_power", "specialize_closure", "_specialize_poly",
+    numeric_sweep(TREFOIL, Fraction(1), [Fraction(0), Fraction(1, 2)])  # right x = 0 is a symbolic row
+    assert set(calls) == {"_x_value", "_ladder", "IntLaurent", "RatFun"}
+    xinv.specialize_closure(homfly(TREFOIL), x_context(Fraction(5, 8)))  # the symbolic specialization
+    assert set(calls) == {"_x_value", "_closure_value", "_q2_minus_1_power", "specialize_closure", "_specialize_poly",
                           "laurent_gcd", "_ladder", "IntLaurent", "IntLaurent2", "RatFun", "RatFun2"}  # the counters work
 
 
@@ -523,10 +580,12 @@ def test_sweep_squared_row_falls_back_to_the_fraction(monkeypatch):
     # odd part q (q - 2) / (q - 3).  At q0 = 2 odd(q0)^2 / delta(q0) is 0/0
     # and the fraction odd^2 / delta = q^2 / (q - 3)^2 reads 4; at q0 = 3 both
     # raise.
+    import qlink.xinv as xinv
+
     F = RatFun2(IntLaurent2({(1, 0): 1}), IntLaurent2({(0, 2): 1, (0, 1): -5, (0, 0): 6}))
     delta = RatFun(IntLaurent({0: 4, 1: -4, 2: 1}))
-    _inject_homfly(monkeypatch, F)
-    _inject_delta(monkeypatch, delta)
+    _inject_value(monkeypatch, F)
+    monkeypatch.setattr(xinv, "x_context", lambda x: XContext(Fraction(x), "right", delta))
     odd = specialize_a(F, delta).odd
     outcomes = []
     for q0 in (Fraction(2), Fraction(3)):
@@ -542,9 +601,10 @@ def test_sweep_squared_row_falls_back_to_the_fraction(monkeypatch):
     assert outcomes == [([(Fraction(1, 2), Fraction(4), "squared")], []), ([], ["x=1/2: pole at q = 3"])]
 
 
-def test_sweep_takes_one_trace_and_builds_homfly_only_for_a_symbolic_row(monkeypatch):
-    # the symbolic value is built from the trace the sweep already holds, so
-    # `_markov_pieces` runs once, counted under both names it is called by
+def test_sweep_takes_one_trace_and_builds_no_homfly_value(monkeypatch):
+    # the symbolic rows fold the pieces the sweep already holds, so `_markov_pieces`
+    # runs once, counted under both names it is called by, and neither `homfly` nor
+    # `_closure_value` runs
     import sys
 
     import qlink.xinv as xinv
@@ -555,9 +615,9 @@ def test_sweep_takes_one_trace_and_builds_homfly_only_for_a_symbolic_row(monkeyp
     trace = homfly_module._markov_pieces
     for owner in (xinv, homfly_module):
         monkeypatch.setattr(owner, "_markov_pieces", lambda w: traces.append(w) or trace(w))
-    closure_value = xinv._closure_value
-    monkeypatch.setattr(xinv, "_closure_value",
-                        lambda pieces, writhe: calls.append((pieces, writhe)) or closure_value(pieces, writhe))
+    for name in ("homfly", "_closure_value"):
+        fn = getattr(homfly_module, name)
+        monkeypatch.setattr(homfly_module, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
     symbolic = _count_symbolic_rows(monkeypatch)
     for w in (TREFOIL, FIG8, UNKNOT, HOPF):
         for q0 in (Fraction(-2, 3), Fraction(1)):
@@ -566,9 +626,9 @@ def test_sweep_takes_one_trace_and_builds_homfly_only_for_a_symbolic_row(monkeyp
                     for log in (traces, calls, symbolic):
                         log.clear()
                     rows, diagnostics = numeric_sweep(w, q0, xs, normalized, flavor)
-                    assert traces == [w]
-                    assert calls == ([(trace(w), w.writhe)] if symbolic else [])
-                    assert symbolic == (xs if q0 == 1 else [0] if flavor == "right" else [])
+                    assert traces == [w] and not calls
+                    # x = 0 has value 0 where {0} = 0: always, and {0}^b = 0 at q0 = 1
+                    assert symbolic == ([0] if flavor == "right" or q0 == 1 else [])
                     expected = _per_point_sweep(w, q0, xs, normalized, flavor)
                     assert ([(r.x, r.value, r.flag) for r in rows], diagnostics) == expected
 
@@ -598,10 +658,11 @@ def test_integer_sweep_rows_equal_the_symbolic_oracle_on_every_branch(monkeypatc
                     if grid is not xs:
                         assert got[1] == [f"x={half + 1}: q-deformation too large: its q-degree may exceed {MAX_QDEGREE}"]
     assert flags == {"", "squared"}
-    # delta_x(q0) > 0 at every real q0 on the contexts above, so a crafted
-    # delta = 1 - q^2 gives delta(q0) < 0 for |q0| > 1, in 'squared' rows and
+    # delta_x(q0) > 0 at every real q0 on the contexts above, so a crafted {x} = -1,
+    # delta = (2 - q^2) / q^2, gives delta(q0) < 0 for q0^2 > 2, in 'squared' rows and
     # under a negative delta power
-    _inject_delta(monkeypatch, RatFun(IntLaurent({0: 1, 2: -1})))
+    monkeypatch.undo()
+    _inject_x(monkeypatch, RatFun.from_int(-1))
     symbolic = _count_symbolic_rows(monkeypatch)
     for w in (UNKNOT, FIG8, kinks):
         for q0 in (Fraction(2), Fraction(-3, 2)):
