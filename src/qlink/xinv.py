@@ -38,6 +38,7 @@ from .exactalg import (
     nu_power,
     specialize_a,
 )
+from .exactalg.textio import QUOTE_LIMIT, quote_input
 from .homfly import Pieces, _closure_at, _markov_pieces
 from .qnum import _delta, _qrational_pair, left_qdelta, left_qrational, qbinomial, qdelta, qrational
 
@@ -243,7 +244,8 @@ def numeric_sweep(
     when the value has v-degree 0; odd-degree values are reported through
     their square (flag column 'squared'), which avoids choosing a square
     root of delta(q0).  Rows whose evaluation hits a pole are skipped and
-    reported as diagnostics.
+    reported as diagnostics, which quote an x past QUOTE_LIMIT characters as a
+    prefix and its length.
 
     A row is the closure value at q = q0 and a^2 = q0^2 delta_x(q0), summed in
     integers.  Once per call: the Markov moves' pieces (`homfly._markov_pieces`),
@@ -290,5 +292,6 @@ def numeric_sweep(
             else:
                 rows.append(SweepRow(x, value.evaluate(q0), ""))
         except (PoleError, ZeroDivisionError, ValueError) as exc:
-            diagnostics.append(f"x={x}: {exc}")
+            text = str(x)
+            diagnostics.append(f"x={text if len(text) <= QUOTE_LIMIT else quote_input(text)}: {exc}")
     return rows, diagnostics

@@ -130,6 +130,21 @@ def test_error_lines_quote_a_bounded_prefix_of_the_input(capsys, tmp_path, monke
     )
 
 
+def test_sweep_skipped_rows_quote_a_bounded_prefix_of_x(capsys, tmp_path):
+    # 1,000 rows of 3,998-4,001 digits, each over the q-deformation cap: each diagnostic line
+    # quotes 40 characters of its x and the length, as the error lines do
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, "sweep", "1", "--q0", "1", "--from", "0", "--to", "1e4000", "--steps", "1000",
+                            "--out", str(out))
+    lines = err.splitlines()
+    assert (code, stdout, len(lines)) == (0, "", 1000)
+    assert len(err) < 150 * 1000, len(err)
+    tail = f": q-deformation too large: its q-degree may exceed {MAX_QDEGREE}"
+    assert lines[0] == f"sweep: skipped x={'1' + '0' * 39!r}... (3998 characters){tail}"
+    assert lines[-1] == f"sweep: skipped x={'1' + '0' * 39!r}... (4001 characters){tail}"
+    assert out.read_text().splitlines() == ["x,value,flag", "0,0,"]
+
+
 def test_q_deformations_and_sweeps_over_their_caps_exit_2(capsys, tmp_path):
     half = MAX_QDEGREE // 2  # {n} and {1/n} have q-degree bound 2n
     assert run(capsys, "qrat", str(half))[0] == 0

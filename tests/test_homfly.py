@@ -4,7 +4,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -520,6 +520,36 @@ def _product(a: dict, b: dict) -> dict:
 def _unreduced_pieces(w: BraidWord, tau: dict) -> Pieces:
     """The Markov pieces of w with no move applied: the whole word as one core with trace tau."""
     return Pieces(tau, w.strands, closure_stats(w).components, [], 0, 0, 0)
+
+
+def test_core_free_start_equals_the_core_path():
+    # Every core-free shape of the `trace` workload and more: 0-3 end blocks with k in
+    # +-2..+-5 and 0-2 kinks of each sign, as one chain sigma_1^k1 sigma_2^k2 ..., which the
+    # moves strip down to one single strand, with 0-6 free strands beside it (1-7 single
+    # strands); and as disjoint sigma_i^k, each on its own two strands, with 0-1 free strands
+    # (up to 8 single strands).  The start from the binomial rows of W^n against the core
+    # path on the whole word as one core, and at a = q^2 against the R-matrix on up to 4
+    # strands.
+    from qlink.homfly import _closure_value, _markov_pieces
+
+    every_ks = [ks for b in range(4) for ks in combinations_with_replacement((2, -2, 3, -3, 4, -4, 5, -5), b)]
+    shapes = set()
+    for ks, p, m, step, free in product(every_ks, range(3), range(3), (1, 2), range(7)):
+        if step == 2 and free > 1:
+            continue
+        groups = [*ks, *[1] * p, *[-1] * m]
+        letters = tuple(v for i, k in enumerate(groups) for v in [(step * i + 1) * (k // abs(k))] * abs(k))
+        w = BraidWord(letters, len(groups) + 1 + free if step == 1 else 2 * len(groups) + free or 1)
+        pieces = _markov_pieces(w)
+        assert not pieces.strands and sorted(pieces.blocks) == sorted(ks), w
+        assert (pieces.pos_kinks, pieces.neg_kinks) == (p, m), w
+        shapes.add((pieces.singles, ks, p, m))
+        got = _closure_value(pieces, w.writhe)
+        want = _closure_value(_unreduced_pieces(w, markov_trace(w)), w.writhe)
+        assert (got.num, got.den) == (want.num, want.den), w
+        if w.strands <= 4:
+            assert got.subs_a_power_of_q(2) == rt_invariant(w, 2), w
+    assert {shape for shape in shapes if shape[0] <= 7} == set(product(range(1, 8), every_ks, range(3), range(3)))
 
 
 def _check_kinked_values(w: BraidWord, tau: dict, kinds: Counter, at_points: bool = True) -> None:
