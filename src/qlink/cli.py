@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 parse/usage error or a cap exceeded (MAX_STEPS,
 MAX_EXPONENT, `braid.MAX_STRANDS`, `qnum.MAX_QDEGREE`, the Hecke-term budget
-`homfly.MAX_HECKE_TERMS`), 3 specialization pole, 4 unwritable output path.
+`homfly.MAX_HECKE_TERMS`), 3 a pole of `qrat --at`, 4 unwritable output path.
 All output is deterministic; table entries are evaluated in order and the
 groups are sorted before the report is assembled.
 """
@@ -169,10 +169,7 @@ def _braid_from_args(args: argparse.Namespace) -> BraidWord:
 
 def _cmd_qrat(args: argparse.Namespace) -> int:
     x = _parse_rational(args.x)
-    try:
-        f = qrational(x) if args.flavor == "right" else left_qrational(x)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from None
+    f = qrational(x) if args.flavor == "right" else left_qrational(x)
     print(format_ratfun(f))
     if args.at is not None:
         q0 = _parse_rational(args.at)
@@ -213,12 +210,7 @@ def _invariant_text(w: BraidWord, ctx: XContext | Exception | None, normalized: 
 def _cmd_inv(args: argparse.Namespace) -> int:
     w = _braid_from_args(args)
     kind, x = _parse_mode(args.mode)
-    try:
-        print(_invariant_text(w, _context(kind, x), args.normalized))
-    except PoleError as exc:
-        raise CliError(f"specialization pole: {exc}", EXIT_POLE) from None
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from None
+    print(_invariant_text(w, _context(kind, x), args.normalized))
     return EXIT_OK
 
 
@@ -234,15 +226,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(f"steps must be <= {MAX_STEPS}", EXIT_PARSE)
     if not lo < hi:
         raise CliError("empty sweep range (need from < to)", EXIT_PARSE)
-    if q0 == 0:
-        raise CliError("q0 must be nonzero", EXIT_PARSE)
     xs = [lo + (hi - lo) * Fraction(i, args.steps) for i in range(args.steps + 1)]
     buf = io.StringIO()
     with _exact_output():
-        try:
-            rows, diagnostics = numeric_sweep(w, q0, xs, normalized=args.normalized)
-        except ValueError as exc:  # `homfly.MAX_HECKE_TERMS`
-            raise CliError(str(exc), EXIT_PARSE) from None
+        rows, diagnostics = numeric_sweep(w, q0, xs, normalized=args.normalized)
         for line in diagnostics:
             print(f"sweep: skipped {line}", file=sys.stderr)
         writer = csv.writer(buf)
@@ -377,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"qlink: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:  # a cap exceeded, or q0 = 0
+        print(f"qlink: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except PoleError as exc:
         print(f"qlink: specialization pole: {exc}", file=sys.stderr)
         return EXIT_POLE

@@ -85,21 +85,15 @@ def even_cf(x: Fraction | int) -> EvenCF:
     algorithm plus the tail parity fix [..., a] -> [..., a-1, 1]."""
     if not isinstance(x, Fraction):
         x = Fraction(x)
-    if x.denominator == 1:
-        return EvenCF((x.numerator - 1, 1))
     p, d = x.numerator, x.denominator
     terms: list[int] = []
     while d:
         a = p // d
         terms.append(a)
         p, d = d, p - a * d
-    if len(terms) % 2:
-        if terms[-1] == 1 and len(terms) > 1:
-            terms[-2] += 1
-            terms.pop()
-        else:
-            terms[-1] -= 1
-            terms.append(1)
+    if len(terms) % 2:  # a last quotient of 1 ends only an integer's expansion, where it is the head
+        terms[-1] -= 1
+        terms.append(1)
     cf = EvenCF(tuple(terms))
     p, q = cf._convergent()
     assert p * x.denominator == q * x.numerator, "continued fraction failed to re-fold"

@@ -18,8 +18,10 @@ its single nonzero component is the v-free rational function reported by
 No x-value is built from the HOMFLY-PT value.  Under a = q v delta_x every
 Markov piece of a word contributes a fraction in q alone, so `_x_value` folds
 the pieces at {x} over Z[q^+-1] (`homfly._closure_at`) and normalizes once, and
-`numeric_sweep` runs the same fold in integers at {x}(q0).  The substitution
-into the HOMFLY-PT value, `specialize_closure`, stays as the tests' oracle.
+`numeric_sweep` runs the same fold in integers at {x}(q0).  `_x_value` reads {x}
+off the context's delta_x alone: a^2 = q^2 delta_x = (q^2 - 1) {x} + 1.  The
+substitution into the HOMFLY-PT value, `specialize_closure`, stays as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ from .exactalg import (
     nu_power,
     specialize_a,
 )
+from .exactalg.laurent import _divide_or_none
 from .exactalg.textio import QUOTE_LIMIT, quote_input
 from .homfly import Pieces, _closure_at, _markov_pieces
-from .qnum import _delta, _qrational_pair, left_qdelta, left_qrational, qbinomial, qdelta, qrational
+from .qnum import _qrational_pair, left_qdelta, left_qrational, qbinomial, qdelta, qrational
 
 __all__ = [
     "XContext",
@@ -136,14 +139,17 @@ def specialize_closure(h: RatFun2, ctx: XContext, writhe: int = 0) -> XValue:
 
 def _x_value(w: BraidWord, ctx: XContext, framing: int = 0, pieces: Pieces | None = None) -> XValue:
     """The closure value of w at a = q v delta_x, times v^framing: `homfly._closure_at` over
-    Z[q^+-1] (r = q, s = 1), on pieces = _markov_pieces(w) unless given, at {x} = N / D from
-    x's ladder, normalized once.  Raises ValueError for a context whose delta is not delta_x
-    of that {x}."""
-    f = (qrational if ctx.flavor == "right" else left_qrational)(ctx.x)
-    if _delta(f) != ctx.delta:
-        raise ValueError("the context's delta is not delta_x")
+    Z[q^+-1] (r = q, s = 1), on pieces = _markov_pieces(w) unless given, normalized once.
+    {x} is read off ctx.delta = P / Q, as q^2 delta_x = (q^2 - 1) {x} + 1: {x} = Xn / Q with
+    Xn = (q^2 P - Q) / (q^2 - 1) exactly, which is x's ladder pair (N, D) for a delta that
+    `qnum._delta` builds.  Raises ValueError where delta(1) != 1 or delta(-1) != 1, as then
+    q^2 - 1 does not divide q^2 P - Q."""
+    P, Q = ctx.delta.num, ctx.delta.den
+    Xn = _divide_or_none(P.shift(2) - Q, IntLaurent({0: -1, 2: 1}))
+    if Xn is None:
+        raise ValueError("the context's delta is not delta_x: delta(1) and delta(-1) must be 1")
     at = _closure_at(_markov_pieces(w) if pieces is None else pieces, w.writhe, IntLaurent.q_power(1), 1, framing)
-    pair, zero = at(f.num, f.den), RatFun.zero()
+    pair, zero = at(Xn, Q), RatFun.zero()
     value = RatFun(*pair) if pair else zero
     return XValue(NuValue(zero, value, ctx.delta) if (w.strands + framing) & 1 else NuValue(value, zero, ctx.delta), ctx)
 

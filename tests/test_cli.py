@@ -65,6 +65,12 @@ def test_qrat_at_prints_a_value_of_any_length(capsys):
     assert err.startswith("qlink: bad rational") and err.count("\n") == 1
 
 
+def test_qrat_at_a_pole_prints_the_value_and_exits_3(capsys):
+    # {0}^b = 1 - q^-2 has a negative power of q, so it has a pole at q = 0
+    code, out, err = run(capsys, "qrat", "0", "--flavor", "left", "--at", "0")
+    assert (code, out, err) == (3, "-q^-2+1\n", "qlink: evaluation at q = 0 of negative-exponent terms\n")
+
+
 def test_qrat_bad_rational(capsys):
     code, _, err = run(capsys, "qrat", "1/0")
     assert code == 2
@@ -321,6 +327,16 @@ def test_sweep_unwritable(capsys, tmp_path):
         "--out", str(target),
     )
     assert code == 4
+
+
+def test_sweep_at_q0_zero_exits_2_and_writes_nothing(capsys, tmp_path):
+    target = tmp_path / "s.csv"
+    code, out, err = run(
+        capsys, "sweep", "1", "--q0", "0", "--from", "0", "--to", "1", "--steps", "2",
+        "--out", str(target),
+    )
+    assert (code, out, err) == (2, "", "qlink: q0 must be nonzero\n")
+    assert not target.exists()
 
 
 def test_sweep_matches_per_point_invariants(tmp_path, capsys):

@@ -282,6 +282,18 @@ def test_series_mul_compatible_with_exact_mul():
     assert prod_series == prod_exact.truncate(prod_series.order)
 
 
+def test_series_sums_and_differences_are_those_of_the_expansions():
+    f = rf({2: 1}, {0: 1, 2: 1})  # q^2/(1+q^2)
+    g = rf({-2: 1, 0: 3}, {0: 1, 2: -1})  # (q^-2 + 3)/(1 - q^2)
+    sf, sg = series_expand(f, 8), series_expand(g, 8)
+    assert series_expand(f + g, 8) == sf + sg
+    assert series_expand(f - g, 8) == sf - sg
+    assert series_expand(-g, 8) == -sg
+    assert sf + series_expand(g, 4) == series_expand(f + g, 4)  # the lower order wins
+    assert (sf - sf).is_zero() and str(sf - sf) == "O(q^9)"
+    assert str(sf) == "1*q^2 + -1*q^4 + 1*q^6 + -1*q^8 + O(q^9)"
+
+
 # ---------------------------------------------------------------------------
 # quadratic extension
 # ---------------------------------------------------------------------------
@@ -308,6 +320,20 @@ def test_nu_x2_context_square():
     sq = val * val
     assert sq.odd.is_zero()
     assert sq.even == rf({-4: 1})
+
+
+def test_nu_sums_differences_and_constructors_are_componentwise():
+    x = Fraction(3, 2)
+    delta = qdelta(x)
+    e1, o1, e2, o2 = qrational(x), rf({1: 1}), rf({0: 1}, {0: 1, 2: 1}), rf({-2: 3, 0: -1})
+    u, w = NuValue(e1, o1, delta), NuValue(e2, o2, delta)
+    assert u + w == NuValue(e1 + e2, o1 + o2, delta)
+    assert u - w == NuValue(e1 - e2, o1 - o2, delta)
+    assert -u == NuValue(-e1, -o1, delta)
+    zero = NuValue.zero(delta)
+    assert zero == NuValue(RatFun.zero(), RatFun.zero(), delta) == u - u == u + -u and zero.is_zero()
+    assert NuValue.scalar(e2, delta) == NuValue(e2, RatFun.zero(), delta)
+    assert NuValue.scalar(e2, delta) * u == NuValue(e2 * e1, e2 * o1, delta)
 
 
 def test_nu_mismatched_contexts():

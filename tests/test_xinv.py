@@ -335,17 +335,64 @@ def test_x_values_equal_the_specialized_homfly_value():
     assert zeros
 
 
-def test_x_value_refuses_a_context_whose_delta_is_not_that_of_its_x():
-    # `_x_value` reads {x} from x's ladder in the context's flavor; a context that pairs x
-    # with another delta (only a hand-built one can) has no such {x}
+def test_x_value_reads_x_off_the_delta_and_refuses_a_delta_of_no_x():
+    # `_x_value` reads {x} off the context's delta alone, through q^2 delta = (q^2 - 1) {x} + 1,
+    # so a context that pairs x with another delta (only a hand-built one can) gets the
+    # oracle's value at that delta; a delta with delta(1) != 1 or delta(-1) != 1 is delta_x of
+    # no {x}, as q^2 - 1 does not divide q^2 P - Q, and is refused
     from qlink.xinv import _x_value
 
     for ctx in (XContext(Fraction(2), "right", qdelta(3)), XContext(Fraction(2), "flat", qdelta(2)),
                 XContext(Fraction(1, 2), "right", left_qdelta(Fraction(1, 2)))):
+        for w in (TREFOIL, FIG8):
+            h = homfly(w)
+            assert x_invariant(w, ctx) == specialize_closure(h, ctx), (w, ctx)
+            assert normalized_invariant(w, ctx) == specialize_closure(h, ctx, w.writhe).nu_free_part(), (w, ctx)
+    for delta in (RatFun.from_int(2), RatFun.q_power(1)):  # delta(1) = 2; delta(-1) = -1
+        ctx = XContext(Fraction(2), "right", delta)
         for fn in (lambda: _x_value(TREFOIL, ctx), lambda: x_invariant(TREFOIL, ctx), lambda: normalized_invariant(FIG8, ctx)):
-            with pytest.raises(ValueError, match="^the context's delta is not delta_x$"):
+            with pytest.raises(ValueError, match=r"^the context's delta is not delta_x: delta\(1\) and delta\(-1\) must be 1$"):
                 fn()
     assert _x_value(TREFOIL, XContext(Fraction(2), "flat", left_qdelta(2))) == flat_invariant(TREFOIL, 2)
+
+
+def test_an_x_value_runs_the_ladder_once_in_its_context(monkeypatch):
+    # {x} is read off the context's delta, so x's continued-fraction ladder runs once per
+    # x_invariant(w, x_context(x)), in the context, and once per symbolic sweep row; `_x_value`
+    # itself builds no q-rational and no delta
+    import qlink.qnum as qnum
+    import qlink.xinv as xinv
+
+    ladders = []
+    ladder = qnum._ladder
+    monkeypatch.setattr(qnum, "_ladder", lambda *args: ladders.append(args) or ladder(*args))
+    xs = [Fraction(0), Fraction(2), Fraction(-7, 4), Fraction(5, 2), Fraction(13, 5)]
+    for x in xs:
+        for make in (x_context, flat_context):
+            for w in (UNKNOT, TREFOIL, FIG8, parse_braid("1 -2 1 -2 3 3 5 5 5", 7)):
+                ladders.clear()
+                x_invariant(w, make(x))
+                assert len(ladders) == 1, (w, x, make)
+    symbolic = _count_symbolic_rows(monkeypatch)
+    for flavor in ("right", "flat"):
+        for w in (TREFOIL, FIG8):
+            symbolic.clear()
+            ladders.clear()
+            numeric_sweep(w, Fraction(1), xs, flavor=flavor)
+            assert symbolic == [0] and len(ladders) == 1, (w, flavor)  # x = 0 has value 0 at q0 = 1
+    contexts = [make(x) for x in xs for make in (x_context, flat_context)]
+
+    def forbidden(*args):
+        raise AssertionError("an x-value built a q-rational or a delta")
+
+    for owner, name in ((xinv, "qrational"), (xinv, "left_qrational"), (qnum, "qrational"), (qnum, "left_qrational"),
+                        (qnum, "_delta")):
+        monkeypatch.setattr(owner, name, forbidden)
+    ladders.clear()
+    for ctx in contexts:
+        xinv._x_value(FIG8, ctx)
+        normalized_invariant(TREFOIL, ctx)
+    assert not ladders
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +482,8 @@ def _count_symbolic_rows(monkeypatch) -> list:
 
 def _inject_x(monkeypatch, f: RatFun) -> None:
     """Make `numeric_sweep` see {x} = f in right contexts, on both paths: the ladder at q0
-    (None where delta(q0) is 0 or infinite), the ladder that `_x_value` reads, and the
-    context, whose delta is delta_x of f."""
+    (None where delta(q0) is 0 or infinite), and the context, whose delta is delta_x of f,
+    which `_x_value` reads {x} off."""
     import qlink.xinv as xinv
 
     def pair(x, r, s, left=False):
@@ -446,7 +493,6 @@ def _inject_x(monkeypatch, f: RatFun) -> None:
         return (xn, xd) if xd and (q0 * q0 - 1) * xn + xd else None
 
     monkeypatch.setattr(xinv, "x_context", lambda x: XContext(Fraction(x), "right", _delta(f)))
-    monkeypatch.setattr(xinv, "qrational", lambda x: f)
     monkeypatch.setattr(xinv, "_qrational_pair", pair)
 
 
