@@ -367,9 +367,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # a cap exceeded, or q0 = 0
         print(f"qlink: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except PoleError as exc:
-        print(f"qlink: specialization pole: {exc}", file=sys.stderr)
-        return EXIT_POLE
 
 
 if __name__ == "__main__":

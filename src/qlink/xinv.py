@@ -34,7 +34,6 @@ from .exactalg import (
     IntLaurent,
     IntLaurent2,
     NuValue,
-    PoleError,
     RatFun,
     RatFun2,
     nu_power,
@@ -297,7 +296,7 @@ def numeric_sweep(
                 rows.append(SweepRow(x, (value * value / ctx.delta).evaluate(q0), "squared"))
             else:
                 rows.append(SweepRow(x, value.evaluate(q0), ""))
-        except (PoleError, ZeroDivisionError, ValueError) as exc:
+        except (ZeroDivisionError, ValueError) as exc:  # a PoleError is a ZeroDivisionError
             text = str(x)
             diagnostics.append(f"x={text if len(text) <= QUOTE_LIMIT else quote_input(text)}: {exc}")
     return rows, diagnostics

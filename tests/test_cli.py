@@ -188,20 +188,21 @@ def test_strand_and_exponent_caps_exit_2_before_any_work(capsys, tmp_path, monke
 
 
 def test_hecke_term_budget_exits_2_and_is_a_table_entry_error(capsys, tmp_path, monkeypatch):
-    # a small budget stands in for MAX_HECKE_TERMS: the figure-eight's core passes it and
-    # the trefoil, one end block, builds no Hecke term
+    # a small budget stands in for MAX_HECKE_TERMS: the 4-strand core 1 -2 1 3 -2 3 passes it;
+    # the trefoil, one end block, builds no Hecke term, and the figure-eight, a 3-strand
+    # core, is folded on the six-element basis of H_3 with no Hecke element
     homfly_module = sys.modules["qlink.homfly"]
     monkeypatch.setattr(homfly_module, "MAX_HECKE_TERMS", 2)
     over = "braid too large: its Hecke expansion passes 2 terms"
+    core = "1 -2 1 3 -2 3"
     sweep = ["sweep", "--q0", "2", "--from", "0", "--to", "1", "--steps", "1", "--out", str(tmp_path / "s.csv")]
-    for argv in (("inv", "1 -2 1 -2"), ("inv", "1 -2 1 -2", "--mode", "x:2"), (*sweep, "1 -2 1 -2"),
-                 (*sweep, "1 -2 1 -2", "--q0", "1")):
+    for argv in (("inv", core), ("inv", core, "--mode", "x:2"), (*sweep, core), (*sweep, core, "--q0", "1")):
         assert run(capsys, *argv) == (2, "", f"qlink: {over}\n"), argv
     assert not (tmp_path / "s.csv").exists()
-    (tmp_path / "t.csv").write_text('a,"1 -2 1 -2"\nb,"1 1 1"\n')
+    (tmp_path / "t.csv").write_text(f'a,"{core}"\nb,"1 1 1"\nc,"1 -2 1 -2"\n')
     code, out, err = run(capsys, "table", str(tmp_path / "t.csv"), "--mode", "homfly")
     assert (code, err) == (0, "") and json.loads(out)["errors"] == [{"name": "a", "message": over}]
-    assert run(capsys, "inv", "1 1 1")[0] == 0
+    assert run(capsys, "inv", "1 1 1")[0] == run(capsys, "inv", "1 -2 1 -2")[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -712,9 +713,11 @@ def test_startup_loads_the_traced_modules_and_no_library_it_does_not_use():
 def test_benchmark_tracer_resolves_every_layer_and_counts_the_trace():
     # the benchmark's traced mode wraps each name in `perfbench/tracer.py`'s
     # LAYERS; one that no longer resolves makes it raise before it measures.
-    # The figure-eight word admits no Markov move, so `markov_trace` expands all
-    # of it (4 letters, then 1 step of the coset chain); the trefoil on two
-    # strands is one end block, traced with no Hecke term at all
+    # The figure-eight word admits no Markov move, and its 3-strand core is
+    # folded on the six-element basis of H_3, with no Hecke element; the core
+    # 1 -2 1 3 -2 3 on 4 strands is expanded (6 letters, then 2 steps of the
+    # coset chain); the trefoil on two strands is one end block, traced with no
+    # Hecke term at all
     root = Path(__file__).resolve().parents[1]
     script = (
         "import sys; sys.path[:0] = sys.argv[1:3]; import qlink.cli, tracer; t = tracer.Tracer(); t.install(); "
@@ -722,12 +725,13 @@ def test_benchmark_tracer_resolves_every_layer_and_counts_the_trace():
         "import json; print(json.dumps(t.snapshot()['calls']))"
     )
     counts = {}
-    for word in ("1 -2 1 -2", "1 1 1"):
+    for word in ("1 -2 1 -2", "1 -2 1 3 -2 3", "1 1 1"):
         proc = subprocess.run([sys.executable, "-B", "-c", script, str(root / "src"), str(root / "perfbench"), word],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         counts[word] = json.loads(proc.stdout)
-    assert counts == {"1 -2 1 -2": {"homfly.homfly": 1, "homfly.trace": 1, "homfly.hecke_mul": 5},
+    assert counts == {"1 -2 1 -2": {"homfly.homfly": 1},
+                      "1 -2 1 3 -2 3": {"homfly.homfly": 1, "homfly.trace": 1, "homfly.hecke_mul": 8},
                       "1 1 1": {"homfly.homfly": 1}}
 
 

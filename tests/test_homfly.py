@@ -613,6 +613,54 @@ def test_markov_trace_matches_the_unreduced_trace_on_longer_words():
     assert set(kinds) == {(False, False), (True, False), (False, True), (True, True)}
 
 
+def test_h3_fold_equals_the_unreduced_trace_on_every_short_3_strand_word():
+    # every word of at most 7 letters on 3 strands, the fold against the general expansion
+    from qlink.homfly import _h3_trace
+
+    count = 0
+    for length in range(8):
+        for word in product((1, -1, 2, -2), repeat=length):
+            assert _h3_trace(list(word)) == _unreduced(BraidWord(word, 3)), word
+            count += 1
+    assert count == 21845
+
+
+def test_h3_fold_equals_the_unreduced_trace_where_the_width_steps_and_on_a_long_word():
+    # the fold takes from_braid's width: 64 bits up to 38 letters, 128 bits from 39 on,
+    # so seeded words of 36-44 letters take both; and one word of 600 letters
+    from qlink.homfly import _h3_trace, _width
+
+    rng = random.Random(30)
+    words = [tuple(rng.choice((1, -1, 2, -2)) for _ in range(length)) for length in range(36, 45) for _ in range(6)]
+    words.append(tuple(rng.choice((1, -1, 2, -2)) for _ in range(600)))
+    assert {_width(1, len(word) + 1) for word in words} == {64, 128, 960}
+    for word in words:
+        assert _h3_trace(list(word)) == _unreduced(BraidWord(word, 3)), word
+
+
+def test_figure_eight_builds_no_hecke_element_and_runs_no_general_trace(monkeypatch):
+    # the figure-eight is a 3-strand core that no move shrinks: `homfly` and `numeric_sweep`
+    # fold it on the basis of H_3, and neither multiplies a Hecke element nor runs the
+    # general trace
+    from qlink.homfly import _closure_value
+    from qlink.xinv import numeric_sweep
+
+    w = BraidWord((1, -2, 1, -2), 3)
+    expected = _closure_value(_unreduced_pieces(w, _unreduced(w)), w.writhe)
+    homfly_module = sys.modules["qlink.homfly"]
+    calls, trace = _count_hecke_mul_gen(monkeypatch), homfly_module.ocneanu_trace
+    monkeypatch.setattr(homfly_module, "ocneanu_trace", lambda e: calls.update(["ocneanu_trace"]) or trace(e))
+    h = homfly(w)
+    xs = [Fraction(2), Fraction(3, 2), Fraction(-5, 7)]
+    rows = [numeric_sweep(w, q0, xs, normalized=normalized, flavor=flavor)
+            for q0 in (Fraction(3, 2), Fraction(1)) for normalized in (False, True) for flavor in ("right", "flat")]
+    assert not calls
+    assert h == expected
+    assert all(len(r) == len(xs) and not d for r, d in rows)
+    homfly(BraidWord((1, -2, 1, 3, -2, 3), 4))
+    assert calls.keys() == {"hecke_mul_gen", "ocneanu_trace"}  # the counters see a core on 4 strands
+
+
 def test_split_trace_is_the_product_of_the_pieces():
     # x on strands 1..i and y on strands 1..j, shifted up by i and shuffled into x:
     # the trace is tau(x) tau(y), each piece traced on its own strands
@@ -680,25 +728,27 @@ def test_moves_exhaust_words_of_one_block_per_generator(monkeypatch):
     calls = _count_hecke_mul_gen(monkeypatch)
     assert [markov_trace(w) for w in words] == expected
     assert not calls
-    markov_trace(BraidWord((1, -2, 1, -2), 3))
-    assert calls["hecke_mul_gen"]  # the counter sees a core: the figure-eight, which no move shrinks
+    markov_trace(BraidWord((1, -2, 1, 3, -2, 3), 4))
+    assert calls["hecke_mul_gen"]  # the counter sees a core on 4 strands, which no move shrinks
 
 
 def test_an_end_block_across_the_ends_of_the_word_is_removed(monkeypatch):
     # sigma_3^2 or sigma_1^2, split between the last and the first letter or not,
-    # around a figure-eight that no move shrinks: only the figure-eight is expanded
+    # around a figure-eight that no move shrinks: only the figure-eight is traced, as a
+    # 3-strand core (a rotation of it), and no Hecke term is built
     from qlink.homfly import _block_factor
 
-    calls = _count_hecke_mul_gen(monkeypatch)
+    homfly_module = sys.modules["qlink.homfly"]
+    calls, cores, h3_trace = _count_hecke_mul_gen(monkeypatch), [], homfly_module._h3_trace
+    monkeypatch.setattr(homfly_module, "_h3_trace", lambda letters: cores.append(tuple(letters)) or h3_trace(letters))
     for letters, core in (((3, 1, -2, 1, -2, 3), (1, -2, 1, -2)), ((1, -2, 1, -2, 3, 3), (1, -2, 1, -2)),
                           ((1, 3, -2, 3, -2, 1), (2, -1, 2, -1)), ((3, -2, 3, -2, 1, 1), (2, -1, 2, -1))):
         w = BraidWord(letters, 4)
-        calls.clear()
         expected = _product(_block_factor(2), _unreduced(BraidWord(core, 3)))
-        core_calls = calls["hecke_mul_gen"]
         calls.clear()
+        cores.clear()
         tau = markov_trace(w)
-        assert calls["hecke_mul_gen"] == core_calls, w
+        assert not calls and len(cores) == 1 and cores[0] in {core[i:] + core[:i] for i in range(4)}, w
         assert tau == expected == _unreduced(w), w
 
 
@@ -733,8 +783,8 @@ def test_homfly_of_kinks_on_max_strands_builds_no_hecke_term_and_no_trace_produc
     h = homfly(BraidWord(tuple(sign * g for g in range(n - 1, 0, -1)), n))
     assert not calls
     assert h == RatFun2(W.shift(sign * (n - 1), 1 - sign * (n - 1)), Q2_MINUS_1)
-    homfly(BraidWord((1, -2, 1, -2, 4, -5, 4, -5), 6))
-    assert calls["_mul"] and calls["hecke_mul_gen"]  # the counters see two cores and their product
+    homfly(BraidWord((1, -2, 1, 3, -2, 3, 5, -6, 5, -6), 7))
+    assert calls["_mul"] and calls["hecke_mul_gen"]  # the counters see two cores, one on 4 strands, and their product
 
 
 def test_block_factor_in_closure_space_is_the_closed_form():
@@ -764,8 +814,9 @@ def test_components_and_core_traces_from_the_pieces(monkeypatch):
     from qlink.homfly import _markov_pieces
 
     homfly_module = sys.modules["qlink.homfly"]
-    core_traces, trace = [], homfly_module.ocneanu_trace
+    core_traces, trace, h3_trace = [], homfly_module.ocneanu_trace, homfly_module._h3_trace
     monkeypatch.setattr(homfly_module, "ocneanu_trace", lambda e: core_traces.append(trace(e)) or core_traces[-1])
+    monkeypatch.setattr(homfly_module, "_h3_trace", lambda v: core_traces.append(h3_trace(v)) or core_traces[-1])
     kinds: Counter = Counter()
     for n in range(1, 5):
         letters = [s * i for i in range(1, n) for s in (1, -1)]
@@ -807,7 +858,7 @@ def test_homfly_of_blocks_builds_no_trace_product_and_no_block_factor(monkeypatc
     assert not calls
     homfly_module.markov_trace(w)
     sys.modules["qlink.braid"].closure_stats(w)
-    homfly(BraidWord((1, -2, 1, -2), 3))
+    homfly(BraidWord((1, -2, 1, 3, -2, 3), 4))
     assert calls.keys() == {"_mul", "_block_factor", "closure_stats", "hecke_mul_gen"}  # the counters work
 
 
@@ -1031,7 +1082,9 @@ def test_braid_moves_scan_gather_cascades_in_linear_steps(monkeypatch, k):
 def test_braid_moves_leave_few_cores_on_seeded_words(monkeypatch):
     # 400 seeded words on 3-7 strands, 6-12 letters: with cancellation, splits and end
     # blocks alone they left 197 cores and 1,767 Hecke multiplications; gathers and
-    # exchanges leave these counts
+    # exchanges leave 47 cores, which took 356 multiplications while every core was
+    # expanded.  The 42 cores on 3 strands are folded on the basis of H_3 with none, so
+    # the other 5 take 60
     homfly_module = sys.modules["qlink.homfly"]
     rng = random.Random(2024)
     words = []
@@ -1040,10 +1093,11 @@ def test_braid_moves_leave_few_cores_on_seeded_words(monkeypatch):
         words.append(BraidWord(tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(6, 12))), n))
     expected = [_unreduced(w) for w in words]
     calls = _count_hecke_mul_gen(monkeypatch)
-    trace = homfly_module.ocneanu_trace
+    trace, h3_trace = homfly_module.ocneanu_trace, homfly_module._h3_trace
     monkeypatch.setattr(homfly_module, "ocneanu_trace", lambda e: calls.update(["core"]) or trace(e))
+    monkeypatch.setattr(homfly_module, "_h3_trace", lambda v: calls.update(["core", "3 strands"]) or h3_trace(v))
     assert [markov_trace(w) for w in words] == expected
-    assert (calls["core"], calls["hecke_mul_gen"]) == (47, 356)
+    assert (calls["core"], calls["3 strands"], calls["hecke_mul_gen"]) == (47, 42, 60)
     assert calls["core"] <= 60 and calls["hecke_mul_gen"] <= 500
 
 
