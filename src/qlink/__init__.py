@@ -7,7 +7,7 @@ coefficients.  Floating point never appears; numeric output is an exact
 rational produced at the command-line boundary.
 """
 
-from .braid import BraidWord, ClosureStats, closure_stats, mirror, parse_braid
+from .braid import BraidWord, mirror, parse_braid
 from .exactalg import (
     IntLaurent,
     IntLaurent2,
@@ -44,7 +44,6 @@ from .qnum import (
 )
 from .xinv import (
     XContext,
-    XValue,
     colored_stab_unknot,
     colored_unknot_u,
     digon_specialize,

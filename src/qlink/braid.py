@@ -5,12 +5,13 @@ Artin generator sigma_i crossing strands i and i+1, letter -i for its
 inverse.  The closure of a word on n strands is the framed link obtained
 by joining the top of each strand to its bottom; the blackboard framing of
 that diagram is recorded by the writhe (positive letters minus negative
-letters).  A word is never simplified here.  `homfly.markov_trace` applies
+letters).  A word is never simplified here.  `homfly._markov_pieces` applies
 Markov moves (free cancellation, splits, destabilization) and braid relations
-at the end generators internally, before its Hecke expansion; the invariance
-tests stay meaningful because they also
-run evaluators that apply no move: the unreduced trace
-`ocneanu_trace(HeckeElement.from_braid(w))` and the R-matrix `rt_invariant`.
+at the end generators, before the Hecke expansion of the cores they leave
+(`homfly.markov_trace` is the product of those pieces); the invariance tests
+stay meaningful because they also run evaluators that apply no move: the
+unreduced trace `ocneanu_trace(HeckeElement.from_braid(w))` and the R-matrix
+`rt_invariant`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from ._record import Record, setfield
 from .exactalg.textio import quote_input
 
-__all__ = ["BraidWord", "ClosureStats", "MAX_STRANDS", "parse_braid", "mirror", "closure_stats"]
+__all__ = ["BraidWord", "MAX_STRANDS", "parse_braid", "mirror"]
 
 # The most strands `parse_braid` accepts.  One letter on 2,000 strands takes about 25 ms to
 # trace and format (Python 3.11, 2 shared cores); its value prints as some 1.8 MB.
@@ -53,22 +54,6 @@ class BraidWord(Record):
         n = max(self.strands, other.strands)
         return BraidWord(self.letters + other.letters, n)
 
-    def shifted(self, offset: int, strands: int) -> BraidWord:
-        """Re-embed with all strand indices moved up by `offset`."""
-        letters = tuple(v + offset if v > 0 else v - offset for v in self.letters)
-        return BraidWord(letters, strands)
-
-
-class ClosureStats(Record):
-    """Writhe, closure component count and top permutation of a braid word."""
-
-    __slots__ = ("writhe", "components", "permutation")
-
-    def __init__(self, writhe: int, components: int, permutation: tuple[int, ...]) -> None:
-        setfield(self, "writhe", writhe)
-        setfield(self, "components", components)
-        setfield(self, "permutation", permutation)
-
 
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     """Parse whitespace- or comma-separated signed letters.
@@ -97,26 +82,3 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
 def mirror(w: BraidWord) -> BraidWord:
     """Mirror image: every crossing reversed."""
     return BraidWord(tuple(-v for v in w.letters), w.strands)
-
-
-def closure_stats(w: BraidWord) -> ClosureStats:
-    """Writhe, permutation and number of closure components of a word."""
-    n = w.strands
-    perm = list(range(n))  # perm[i] = strand position occupied after the word, 0-based
-    for v in w.letters:
-        i = abs(v) - 1
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    seen = [False] * n
-    components = 0
-    for i in range(n):
-        if not seen[i]:
-            components += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return ClosureStats(
-        writhe=w.writhe,
-        components=components,
-        permutation=tuple(p + 1 for p in perm),
-    )

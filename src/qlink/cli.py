@@ -74,16 +74,6 @@ class CollisionReport(Record):
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> CollisionReport:
-        import json
-        doc = json.loads(text)
-        return CollisionReport(
-            invariant=doc["invariant"],
-            groups=tuple(tuple(g) for g in doc["groups"]),
-            errors=tuple((e["name"], e["message"]) for e in doc["errors"]),
-        )
-
 
 def load_knot_table(path: str) -> KnotTable:
     """Load a `name,braid` CSV; `#` lines are comments, braids are quoted
@@ -204,7 +194,7 @@ def _invariant_text(w: BraidWord, ctx: XContext | Exception | None, normalized: 
     if isinstance(ctx, Exception):
         raise ctx
     value = _x_value(w, ctx, w.writhe if normalized else 0, pieces)
-    return format_ratfun(value.nu_free_part()) if normalized else format_nu(value.value)
+    return format_ratfun(value.nu_free_part()) if normalized else format_nu(value)
 
 
 def _cmd_inv(args: argparse.Namespace) -> int:

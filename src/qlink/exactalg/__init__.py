@@ -8,7 +8,6 @@ from .ratfun import (
     RatFun,
     RatFun2,
     normalize,
-    normalize2,
 )
 from .series import TruncSeries, series_expand
 from .textio import (
@@ -33,7 +32,6 @@ __all__ = [
     "RatFun",
     "RatFun2",
     "normalize",
-    "normalize2",
     "TruncSeries",
     "series_expand",
     "format_laurent",

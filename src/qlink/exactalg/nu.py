@@ -19,23 +19,24 @@ fold, and `digon_specialize` reads it.)
 
 from __future__ import annotations
 
+from .._record import Record, setfield
 from .laurent import IntLaurent, _power
 from .ratfun import RatFun, RatFun2, normalize
 
 __all__ = ["NuValue", "nu_power", "specialize_a"]
 
 
-class NuValue:
+class NuValue(Record):
     """Element e + o*v of the quadratic extension with v^2 = delta^-1."""
 
     __slots__ = ("even", "odd", "delta")
 
-    def __init__(self, even: RatFun, odd: RatFun, delta: RatFun):
+    def __init__(self, even: RatFun, odd: RatFun, delta: RatFun) -> None:
         if delta.is_zero():
             raise ZeroDivisionError("delta of a quadratic extension must be nonzero")
-        self.even = even
-        self.odd = odd
-        self.delta = delta
+        setfield(self, "even", even)
+        setfield(self, "odd", odd)
+        setfield(self, "delta", delta)
 
     # -- constructors ------------------------------------------------------
 
@@ -76,20 +77,13 @@ class NuValue:
             return 1
         raise ValueError("value is not homogeneous in v")
 
+    def nu_free_part(self) -> RatFun:
+        """The single nonzero component of a homogeneous value."""
+        return (self.even, self.odd)[self.nu_parity()]
+
     def norm(self) -> RatFun:
         """Field norm e^2 - o^2/delta."""
         return self.even ** 2 - self.odd ** 2 / self.delta
-
-    def conjugate(self) -> NuValue:
-        return NuValue(self.even, -self.odd, self.delta)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NuValue):
-            return NotImplemented
-        return self.delta == other.delta and self.even == other.even and self.odd == other.odd
-
-    def __hash__(self) -> int:
-        return hash((self.even, self.odd, self.delta))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -130,11 +124,6 @@ class NuValue:
         if n < 0:
             return self.inverse() ** (-n)
         return _power(self, n, NuValue.one(self.delta))
-
-    def substitute_nu(self, nu_value: RatFun) -> RatFun:
-        """Collapse the extension by substituting a concrete square root of
-        delta^-1 (valid when delta is a perfect square, e.g. integer contexts)."""
-        return self.even + self.odd * nu_value
 
     def __repr__(self) -> str:
         from .textio import format_nu

@@ -46,7 +46,6 @@ __all__ = [
     "RatFun2",
     "PoleError",
     "normalize",
-    "normalize2",
 ]
 
 
@@ -257,10 +256,6 @@ class RatFun(_Fraction):
 
     # -- substitutions ----------------------------------------------------------
 
-    def invert_q(self) -> RatFun:
-        """Substitute q -> q^-1 and renormalize (an involution)."""
-        return RatFun._reduced(self.num.subs_qinv(), self.den.subs_qinv())
-
     def evaluate(self, q0: Fraction | int) -> Fraction:
         """Exact evaluation at a nonzero rational point; raises PoleError at
         zeros of the denominator."""
@@ -335,7 +330,3 @@ class RatFun2(_Fraction):
         """Parities of the value's a-exponents, those of its numerator."""
         return self.num.a_parities()
 
-
-def normalize2(num: IntLaurent2, den: IntLaurent2) -> RatFun2:
-    """Canonical fraction num/den, num in Z[a^{±1}, q^{±1}] and den in a^k Z[q^{±1}]."""
-    return RatFun2(num, den)

@@ -25,12 +25,6 @@ class TruncSeries:
         self.order = order
         self.coeffs = {e: Fraction(v) for e, v in (coeffs or {}).items() if v and e <= order}
 
-    @property
-    def tail_start(self) -> int | None:
-        """Lowest known exponent with a nonzero coefficient (None if the
-        series vanishes through the truncation order)."""
-        return min(self.coeffs) if self.coeffs else None
-
     def coefficient(self, e: int) -> Fraction:
         if e > self.order:
             raise ValueError(f"coefficient at exponent {e} exceeds truncation order {self.order}")

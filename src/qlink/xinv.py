@@ -5,7 +5,8 @@ quadratic extension generated by v with v^2 = delta_x^-1.  Substituting
 a = q v delta_x into the HOMFLY-PT value of a braid closure yields the
 x-invariant; the flat variant does the same with the left deformation's
 delta.  At integer x = n the extension collapses (v = q^(1-n)) and the
-invariant recovers the rank-n R-matrix invariant.
+invariant recovers the rank-n R-matrix invariant.  Every x-value is a
+`NuValue` of the context's delta_x.
 
 Values of closures are homogeneous in v, with parity equal to
 (components + writhe) mod 2: a positive kink contributes the factor
@@ -46,7 +47,6 @@ from .qnum import _qrational_pair, left_qdelta, left_qrational, qbinomial, qdelt
 
 __all__ = [
     "XContext",
-    "XValue",
     "x_context",
     "flat_context",
     "x_invariant",
@@ -78,12 +78,6 @@ class XContext(Record):
         setfield(self, "flavor", flavor)
         setfield(self, "delta", delta)
 
-    def nu(self) -> NuValue:
-        return NuValue.nu(self.delta)
-
-    def nu_pow(self, k: int) -> NuValue:
-        return nu_power(self.delta, k)
-
 
 def x_context(x: Fraction | int) -> XContext:
     x = Fraction(x)
@@ -95,48 +89,16 @@ def flat_context(x: Fraction | int) -> XContext:
     return XContext(x, "flat", left_qdelta(x))
 
 
-class XValue(Record):
-    """A quadratic-extension value bound to its specialization context."""
-
-    __slots__ = ("value", "context")
-
-    def __init__(self, value: NuValue, context: XContext) -> None:
-        setfield(self, "value", value)
-        setfield(self, "context", context)
-
-    @property
-    def even(self) -> RatFun:
-        return self.value.even
-
-    @property
-    def odd(self) -> RatFun:
-        return self.value.odd
-
-    def nu_parity(self) -> int:
-        return self.value.nu_parity()
-
-    def nu_free_part(self) -> RatFun:
-        """The single nonzero component of a homogeneous value."""
-        return (self.value.even, self.value.odd)[self.value.nu_parity()]
-
-    def at_integer(self) -> RatFun:
-        """Collapse the extension at an integer context via v = q^(1-n)."""
-        if self.context.flavor != "right" or self.context.x.denominator != 1:
-            raise ValueError("only right contexts at integer x collapse to rational functions")
-        n = int(self.context.x)
-        return self.value.substitute_nu(RatFun.q_power(1 - n))
-
-
-def specialize_closure(h: RatFun2, ctx: XContext, writhe: int = 0) -> XValue:
+def specialize_closure(h: RatFun2, ctx: XContext, writhe: int = 0) -> NuValue:
     """A closure's HOMFLY-PT value h at a = q v delta_x, framing-corrected
     by v^writhe."""
     value = specialize_a(h, ctx.delta, writhe)
     if not value.is_homogeneous():
         raise AssertionError("specialized closure value is not homogeneous in v")
-    return XValue(value, ctx)
+    return value
 
 
-def _x_value(w: BraidWord, ctx: XContext, framing: int = 0, pieces: Pieces | None = None) -> XValue:
+def _x_value(w: BraidWord, ctx: XContext, framing: int = 0, pieces: Pieces | None = None) -> NuValue:
     """The closure value of w at a = q v delta_x, times v^framing: `homfly._closure_at` over
     Z[q^+-1] (r = q, s = 1), on pieces = _markov_pieces(w) unless given, normalized once.
     {x} is read off ctx.delta = P / Q, as q^2 delta_x = (q^2 - 1) {x} + 1: {x} = Xn / Q with
@@ -150,15 +112,15 @@ def _x_value(w: BraidWord, ctx: XContext, framing: int = 0, pieces: Pieces | Non
     at = _closure_at(_markov_pieces(w) if pieces is None else pieces, w.writhe, IntLaurent.q_power(1), 1, framing)
     pair, zero = at(Xn, Q), RatFun.zero()
     value = RatFun(*pair) if pair else zero
-    return XValue(NuValue(zero, value, ctx.delta) if (w.strands + framing) & 1 else NuValue(value, zero, ctx.delta), ctx)
+    return NuValue(zero, value, ctx.delta) if (w.strands + framing) & 1 else NuValue(value, zero, ctx.delta)
 
 
-def x_invariant(w: BraidWord, ctx: XContext) -> XValue:
+def x_invariant(w: BraidWord, ctx: XContext) -> NuValue:
     """Specialization of the HOMFLY-PT polynomial of the closure of w."""
     return _x_value(w, ctx)
 
 
-def flat_invariant(w: BraidWord, x: Fraction | int) -> XValue:
+def flat_invariant(w: BraidWord, x: Fraction | int) -> NuValue:
     """The left-deformation (flat) specialization at rational x."""
     return x_invariant(w, flat_context(Fraction(x)))
 
@@ -175,10 +137,9 @@ def normalized_invariant(w: BraidWord, ctx: XContext) -> RatFun:
     return _x_value(w, ctx, w.writhe).nu_free_part()
 
 
-def colored_unknot_u(ctx: XContext, k: int) -> XValue:
+def colored_unknot_u(ctx: XContext, k: int) -> NuValue:
     """Value of a k-labeled circle: q^(k(k-1)) v^k {x choose k}."""
-    scalar = colored_stab_unknot(ctx, k)
-    return XValue(ctx.nu_pow(k) * scalar, ctx)
+    return nu_power(ctx.delta, k) * colored_stab_unknot(ctx, k)
 
 
 def colored_stab_unknot(ctx: XContext, k: int) -> RatFun:
@@ -188,15 +149,14 @@ def colored_stab_unknot(ctx: XContext, k: int) -> RatFun:
     return RatFun.q_power(k * (k - 1)) * qbinomial(ctx.x, k)
 
 
-def twist_coeff_x(ctx: XContext, k: int, sign: int) -> XValue:
+def twist_coeff_x(ctx: XContext, k: int, sign: int) -> NuValue:
     """Coefficient v^(sk) q^(2sk(k-1)) of a k-labeled twist of sign s."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    scalar = RatFun.q_power(sign * 2 * k * (k - 1))
-    return XValue(ctx.nu_pow(sign * k) * scalar, ctx)
+    return nu_power(ctx.delta, sign * k) * RatFun.q_power(sign * 2 * k * (k - 1))
 
 
-def digon_specialize(r: int, ctx: XContext) -> XValue:
+def digon_specialize(r: int, ctx: XContext) -> NuValue:
     """Specialize (a q^-r - a^-1 q^r)/(q - q^-1); equals q^r v {x - r}.
 
     Both routes are computed and compared, so every call re-verifies the
@@ -206,10 +166,10 @@ def digon_specialize(r: int, ctx: XContext) -> XValue:
     den = IntLaurent2.term(1, 0, 1) - IntLaurent2.term(1, 0, -1)
     raw = specialize_a(RatFun2(num, den), ctx.delta)
     deform = qrational if ctx.flavor == "right" else left_qrational
-    closed = ctx.nu() * (RatFun.q_power(r) * deform(ctx.x - r))
+    closed = NuValue.nu(ctx.delta) * (RatFun.q_power(r) * deform(ctx.x - r))
     if raw != closed:
         raise AssertionError(f"digon specialization mismatch at r={r}, x={ctx.x}")
-    return XValue(raw, ctx)
+    return raw
 
 
 def verify_uniqueness_constraint(alpha_lo: int, alpha_hi: int) -> set[tuple[int, int]]:
@@ -265,6 +225,8 @@ def numeric_sweep(
     v-parity is then unknown), the row is the symbolic one: the same fold over Z[q^+-1]
     (`_x_value`) at the context's {x}, evaluated at q0, with its 0/0 points and poles.
     """
+    if flavor not in ("right", "flat"):
+        raise ValueError("flavor must be 'right' or 'flat'")
     if q0 == 0:
         raise ValueError("q0 must be nonzero")
     rows: list[SweepRow] = []

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import invert_q
 from qlink.braid import BraidWord, mirror, parse_braid
 from qlink.exactalg import IntLaurent, RatFun, RatFun2, series_expand, specialize_a
 from qlink.homfly import homfly, rt_invariant
@@ -71,7 +72,7 @@ def test_criterion_01_qrational_identities():
             x = random_rational(rng)
             assert qrational(x + 1) == q2 * qrational(x) + one
             if x > 0:
-                assert qrational(1 / x) == qrational(x).invert_q().inverse()
+                assert qrational(1 / x) == invert_q(qrational(x)).inverse()
 
 
 def test_criterion_02_classical_limit():
@@ -94,7 +95,7 @@ def test_criterion_03_value_regressions():
         # nested formula vs pure recursion chain for 5/2
         five_halves = (RatFun.q_power(2) * (RatFun.q_power(2) * qrational(Fraction(1, 2)) + 1)) + 1
         assert qrational(Fraction(5, 2)) == five_halves
-        assert qrational(Fraction(1, 2)) == qrational(2).invert_q().inverse()
+        assert qrational(Fraction(1, 2)) == invert_q(qrational(2)).inverse()
         for n in range(0, 13):
             for k in range(0, n + 1):
                 gauss = RatFun.one()
@@ -193,7 +194,7 @@ def test_criterion_07_trefoil_example():
             v = x_invariant(tref, ctx)
             assert v.odd.is_zero() and v.even == closed_even
             vm = x_invariant(mirr, ctx)
-            assert vm.value == specialize_a(homfly(tref).subs_bar(), ctx.delta)
+            assert vm == specialize_a(homfly(tref).subs_bar(), ctx.delta)
         # at x = 2 the even part is the framed Jones value (rank-2 oracle)
         v2 = x_invariant(tref, x_context(Fraction(2)))
         assert v2.even == rt_invariant(tref, 2)
@@ -232,7 +233,7 @@ def test_criterion_10_flat_invariant():
     with criterion(10, "flat invariant detects trefoil chirality"):
         a = flat_invariant(parse_braid("1 1 1"), 2)
         b = flat_invariant(parse_braid("-1 -1 -1"), 2)
-        assert a.value != b.value
+        assert a != b
         ctx = flat_context(Fraction(2))
         assert normalized_invariant(parse_braid("1 1 1"), ctx) != normalized_invariant(
             parse_braid("-1 -1 -1"), ctx

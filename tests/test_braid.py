@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlink.braid import MAX_STRANDS, BraidWord, closure_stats, mirror, parse_braid
+from helpers import closure_stats, shifted
+from qlink.braid import MAX_STRANDS, BraidWord, mirror, parse_braid
 
 
 def test_parse_examples():
@@ -78,7 +79,7 @@ def test_disjoint_union_adds_components():
         w2 = BraidWord(
             tuple(rng.choice([1, -1]) * rng.randint(1, n2 - 1) for _ in range(rng.randint(0, 6))), n2
         )
-        stacked = w1 * w2.shifted(n1, n1 + n2)
+        stacked = w1 * shifted(w2, n1, n1 + n2)
         assert (
             closure_stats(stacked).components
             == closure_stats(w1).components + closure_stats(w2).components

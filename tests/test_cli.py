@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlink.braid import MAX_STRANDS, BraidWord, closure_stats, mirror, parse_braid
+from qlink.braid import MAX_STRANDS, BraidWord, mirror, parse_braid
 from qlink.cli import MAX_EXPONENT, MAX_STEPS, CollisionReport, KnotTable, builtin_mini_table, main
 from qlink.exactalg import RatFun
 from qlink.qnum import MAX_QDEGREE, EvenCF, even_cf, qdelta, qrational
@@ -26,6 +26,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def report_from_json(text):
+    """The `CollisionReport` that `qlink table` printed as JSON."""
+    doc = json.loads(text)
+    errors = tuple((e["name"], e["message"]) for e in doc["errors"])
+    return CollisionReport(doc["invariant"], tuple(tuple(g) for g in doc["groups"]), errors)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +411,7 @@ def test_sweep_text_equals_the_symbolic_rows(tmp_path, capsys, monkeypatch):
 def test_table_flat2_separates_trefoil_mirror(capsys):
     code, out, _ = run(capsys, "table", "--mode", "flat:2", "--with-mirrors")
     assert code == 0
-    report = CollisionReport.from_json(out)
+    report = report_from_json(out)
     assert not report.errors
     groups = {frozenset(g) for g in report.groups}
     # chiral knots split from their mirrors; the amphichiral 4_1 cannot
@@ -418,7 +425,7 @@ def test_table_flat2_separates_trefoil_mirror(capsys):
 def test_table_x2_groups_figure_eight_with_mirror(capsys):
     code, out, _ = run(capsys, "table", "--mode", "x:2", "--with-mirrors")
     assert code == 0
-    report = CollisionReport.from_json(out)
+    report = report_from_json(out)
     groups = {frozenset(g) for g in report.groups}
     assert frozenset({"4_1", "4_1!"}) in groups
 
@@ -510,7 +517,7 @@ def test_table_builds_one_context_for_all_entries(capsys, monkeypatch):
         calls.clear()
         code, out, _ = run(capsys, "table", "--mode", mode, "--with-mirrors")
         assert code == 0 and len(calls) == built, mode
-        report = CollisionReport.from_json(out)
+        report = report_from_json(out)
         if mode.endswith(str(half + 1)):
             over = f"q-deformation too large: its q-degree may exceed {MAX_QDEGREE}"
             names = [n + m for n in ("3_1", "4_1", "5_1") for m in ("", "!")]
@@ -521,14 +528,14 @@ def test_table_builds_one_context_for_all_entries(capsys, monkeypatch):
 
 def test_table_collisions_filter(capsys):
     code, out, _ = run(capsys, "table", "--mode", "x:2", "--with-mirrors", "--collisions")
-    report = CollisionReport.from_json(out)
+    report = report_from_json(out)
     assert all(len(g) > 1 for g in report.groups)
 
 
 def test_table_json_round_trip(capsys):
     code, out, _ = run(capsys, "table", "--mode", "flat:2")
-    report = CollisionReport.from_json(out)
-    assert CollisionReport.from_json(report.to_json()) == report
+    report = report_from_json(out)
+    assert report_from_json(report.to_json()) == report
 
 
 def test_table_deterministic(capsys):
@@ -542,7 +549,7 @@ def test_table_from_file(tmp_path, capsys):
     path.write_text('# comment line\n3_1,"1 1 1"\nunknot,"1"\n')
     code, out, _ = run(capsys, "table", str(path), "--mode", "x:2")
     assert code == 0
-    report = CollisionReport.from_json(out)
+    report = report_from_json(out)
     assert {n for g in report.groups for n in g} == {"3_1", "unknot"}
 
 
@@ -710,6 +717,26 @@ def test_startup_loads_the_traced_modules_and_no_library_it_does_not_use():
         assert TRACED_MODULES <= loaded, module
 
 
+def test_every_module_exports_names_that_resolve():
+    # a name deleted from a module but left in its __all__ fails here, not at a user's
+    # `from qlink.<module> import *`
+    import importlib
+    import pkgutil
+
+    import qlink
+
+    names = ["qlink", *(m.name for m in pkgutil.walk_packages(qlink.__path__, "qlink."))]
+    assert {"qlink.cli", "qlink.xinv", "qlink.exactalg", "qlink.exactalg.nu"} <= set(names)
+    for name in names:
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", [])
+        assert len(set(exported)) == len(exported), name
+        assert [n for n in exported if not hasattr(module, n)] == [], name
+        namespace = {}
+        exec(f"from {name} import *", namespace)
+        assert set(exported) <= namespace.keys(), name
+
+
 def test_benchmark_tracer_resolves_every_layer_and_counts_the_trace():
     # the benchmark's traced mode wraps each name in `perfbench/tracer.py`'s
     # LAYERS; one that no longer resolves makes it raise before it measures.
@@ -757,9 +784,9 @@ def test_records_validate_compare_and_refuse_assignment():
     assert repr(even_cf(Fraction(5, 2))) == "EvenCF(terms=(2, 2))"
 
     ctx = x_context(2)
-    records = [(w, "strands"), (closure_stats(w), "components"), (builtin_mini_table(), "entries"),
+    records = [(w, "strands"), (builtin_mini_table(), "entries"),
                (CollisionReport("x:2", (("3_1",),), (("4_1", "pole"),)), "groups"), (even_cf(Fraction(5, 2)), "terms"),
-               (ctx, "delta"), (x_invariant(w, ctx), "value"), (SweepRow(Fraction(1, 2), Fraction(3), ""), "flag")]
+               (ctx, "delta"), (x_invariant(w, ctx), "even"), (SweepRow(Fraction(1, 2), Fraction(3), ""), "flag")]
     for record, field in records:
         with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
             setattr(record, field, None)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import qlink.exactalg.laurent as laurent
 import qlink.exactalg.nu as nu_module
+from helpers import invert_q
 from qlink.braid import BraidWord, mirror, parse_braid
 from qlink.exactalg import (
     IntLaurent,
@@ -23,7 +24,6 @@ from qlink.exactalg import (
     TruncSeries,
     laurent_gcd,
     normalize,
-    normalize2,
     nu_power,
     parse_nu,
     parse_ratfun,
@@ -170,7 +170,7 @@ def test_every_entrance_refuses_a_denominator_in_a(monkeypatch):
     entrances = [
         lambda: RatFun2(a * a - one, a - one),  # (a^2 - 1)/(a - 1)
         lambda: RatFun2(IntLaurent2.zero(), a + q),
-        lambda: normalize2(one, (a + q) * (q * q - one)),
+        lambda: RatFun2(one, (a + q) * (q * q - one)),
         lambda: RatFun2._reduced(one, a.shift(-2, 0) + q),
         lambda: in_a.inverse(),
         lambda: value / in_a,
@@ -191,10 +191,10 @@ def test_every_entrance_refuses_a_denominator_in_a(monkeypatch):
 
 def test_invert_q_examples():
     f = rf({0: 1, 2: 1})
-    assert f.invert_q() == rf({0: 1, 2: 1}, {2: 1})
-    assert rf({2: 1}).invert_q() == rf({-2: 1})
+    assert invert_q(f) == rf({0: 1, 2: 1}, {2: 1})
+    assert invert_q(rf({2: 1})) == rf({-2: 1})
     g = rf({0: 1, 2: 2, 4: 1, 6: 1}, {0: 1, 2: 1})
-    assert g.invert_q().invert_q() == g
+    assert invert_q(invert_q(g)) == g
 
 
 def test_evaluate_at_examples():
@@ -270,7 +270,7 @@ def test_series_long_division():
 
 def test_series_laurent_tail():
     s = series_expand(rf({-2: 1}), 2)
-    assert s.tail_start == -2
+    assert min(s.coeffs) == -2
     assert s.coeffs == {-2: Fraction(1)}
 
 
@@ -461,7 +461,7 @@ def _general_specialize(F: RatFun2, delta: RatFun) -> NuValue:
     both substituted and divided in the extension (the differential oracle)."""
     num = nu_module._specialize_poly(F.num, delta)
     den = nu_module._specialize_poly(F.den, delta)
-    return num * den.conjugate() * den.norm().inverse()
+    return num * NuValue(den.even, -den.odd, delta) * den.norm().inverse()
 
 
 def _framed_outcomes(F: RatFun2, delta: RatFun, k: int):
@@ -603,7 +603,7 @@ def test_canonical_form_invariants(f):
         assert f.den.min_exp() == 0
         assert f.den.leading_coefficient() > 0
         assert f * f.inverse() == RatFun.one()
-    assert f.invert_q().invert_q() == f
+    assert invert_q(invert_q(f)) == f
 
 
 @settings(max_examples=40, deadline=None)
@@ -662,7 +662,7 @@ def test_arithmetic_with_shared_unit_or_int_denominators(data, ring, kind, swap)
     polys, nonzero, norm = (
         (small_laurent, nonzero_laurent, normalize)
         if ring == "q"
-        else (small_laurent2, nonzero_laurent.map(IntLaurent2.from_q), normalize2)
+        else (small_laurent2, nonzero_laurent.map(IntLaurent2.from_q), RatFun2)
     )
     f = norm(data.draw(polys), data.draw(nonzero))
     g = _shared_unit_or_int(data.draw, f, polys, norm, kind)
@@ -681,9 +681,7 @@ def test_arithmetic_with_shared_unit_or_int_denominators(data, ring, kind, swap)
 @settings(max_examples=40, deadline=None)
 @given(a_free_ratfun2s)
 def test_two_variable_canonical_form(f):
-    from qlink.exactalg import normalize2
-
-    assert normalize2(f.num, f.den) == f
+    assert RatFun2(f.num, f.den) == f
     if not f.is_zero():
         assert f.den.min_exps() == (0, 0)
         assert f.den.leading_coefficient() > 0
@@ -731,7 +729,7 @@ def test_power_is_repeated_product_in_canonical_form(f, n):
         return
     g = f ** n
     assert g == repeated_product(f, n)
-    assert (normalize if isinstance(g, RatFun) else normalize2)(g.num, g.den) == g
+    assert (normalize if isinstance(g, RatFun) else RatFun2)(g.num, g.den) == g
 
 
 def test_power_of_zero():
@@ -974,7 +972,7 @@ def test_fallbacks_run_and_agree_with_the_heuristics(monkeypatch):
 def test_normalize2_of_coprime_powers(n):
     f = F2({(0, 4): 5, (2, 0): -3, (4, 1): 1}, {(0, 0): 1, (0, 1): -4, (0, 3): 2})
     g = f ** n
-    assert normalize2(g.num, g.den) == g
+    assert RatFun2(g.num, g.den) == g
 
 
 def test_integer_kernels_run_no_fraction_operation(monkeypatch):

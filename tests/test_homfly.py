@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlink.braid import MAX_STRANDS, BraidWord, closure_stats, mirror, parse_braid
+from helpers import closure_stats, shifted
+from qlink.braid import MAX_STRANDS, BraidWord, mirror, parse_braid
 from qlink.exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2, specialize_a
 from qlink.homfly import (
     HeckeElement,
@@ -673,7 +674,7 @@ def test_split_trace_is_the_product_of_the_pieces():
     for _ in range(80):
         i, j = rng.randint(1, 4), rng.randint(1, 4)
         x, y = word(i), word(j)
-        xs, ys, letters = list(x.letters), list(y.shifted(i, i + j).letters), []
+        xs, ys, letters = list(x.letters), list(shifted(y, i, i + j).letters), []
         while xs or ys:
             letters.append((xs if xs and (not ys or rng.random() < 0.5) else ys).pop(0))
         w = BraidWord(tuple(letters), i + j)
@@ -840,7 +841,7 @@ def test_components_and_core_traces_from_the_pieces(monkeypatch):
 def test_homfly_of_blocks_builds_no_trace_product_and_no_block_factor(monkeypatch):
     # 30 end blocks sigma_i^3 (i odd) and sigma_i^-2 (i even) on 62 strands: homfly
     # multiplies their closure factors in and reads the components off the pieces, with no
-    # Hecke term, trace product, trace factor or closure_stats; its value is the closure
+    # Hecke term, trace product or trace factor; its value is the closure
     # value of the whole trace
     from qlink.homfly import _block_factor, _closure_value, _mul
 
@@ -849,7 +850,7 @@ def test_homfly_of_blocks_builds_no_trace_product_and_no_block_factor(monkeypatc
     expected = _closure_value(_unreduced_pieces(w, markov_trace(w)), w.writhe)
     homfly_module = sys.modules["qlink.homfly"]
     calls = _count_hecke_mul_gen(monkeypatch)
-    originals = {"_mul": _mul, "_block_factor": _block_factor, "closure_stats": closure_stats}
+    originals = {"_mul": _mul, "_block_factor": _block_factor}
     for name, module in list(sys.modules.items()):
         for attr, fn in originals.items():
             if name.startswith("qlink") and getattr(module, attr, None) is fn:
@@ -857,9 +858,8 @@ def test_homfly_of_blocks_builds_no_trace_product_and_no_block_factor(monkeypatc
     assert homfly(w) == expected
     assert not calls
     homfly_module.markov_trace(w)
-    sys.modules["qlink.braid"].closure_stats(w)
     homfly(BraidWord((1, -2, 1, 3, -2, 3), 4))
-    assert calls.keys() == {"_mul", "_block_factor", "closure_stats", "hecke_mul_gen"}  # the counters work
+    assert calls.keys() == {"_mul", "_block_factor", "hecke_mul_gen"}  # the counters work
 
 
 def test_destabilize_leaves_a_word_with_no_end_block_as_it_is():

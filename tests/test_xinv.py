@@ -6,8 +6,9 @@ from itertools import product
 
 import pytest
 
-from qlink.braid import BraidWord, closure_stats, parse_braid
-from qlink.exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2, specialize_a
+from helpers import closure_stats
+from qlink.braid import BraidWord, parse_braid
+from qlink.exactalg import IntLaurent, IntLaurent2, NuValue, RatFun, RatFun2, specialize_a
 from qlink.homfly import homfly, homfly_twist_coeff
 from qlink.qnum import MAX_QDEGREE, _delta, left_qdelta, left_qrational, qbinomial, qdelta, qint, qrational
 from qlink.xinv import (
@@ -69,7 +70,8 @@ def test_integer_context_recovers_rank_n_invariant():
     for n in (2, 3):
         ctx = x_context(Fraction(n))
         for w in corpus:
-            collapsed = x_invariant(w, ctx).at_integer()
+            v = x_invariant(w, ctx)
+            collapsed = v.even + v.odd * RatFun.q_power(1 - n)  # v = q^(1-n) at x = n
             assert collapsed == homfly(w).subs_a_power_of_q(n)
             assert collapsed == rt_invariant(w, n)
 
@@ -85,7 +87,7 @@ def test_trefoil_mirror_is_bar_image():
     for x in [Fraction(2), Fraction(1, 2)]:
         v = x_invariant(TREFOIL_MIRROR, x_context(x))
         w = specialize_a(homfly(TREFOIL).subs_bar(), qdelta(x))
-        assert v.value == w
+        assert v == w
 
 
 def test_two_thirds_chirality_and_printed_fractions():
@@ -185,7 +187,7 @@ def test_colored_unknot_closed_form_and_recursion():
                 assert u.even.is_zero() and u.odd == qrational(x)
             if u_prev is not None:
                 step = RatFun.q_power(2 * k - 2) * (qrational(x - k + 1) / RatFun.from_laurent(qint(k)))
-                assert u.value == u_prev.value * ctx.nu() * step
+                assert u == u_prev * NuValue.nu(ctx.delta) * step
             u_prev = u
 
 
@@ -206,7 +208,7 @@ def test_colored_unknot_matches_specialized_circle_value():
     for x in (Fraction(2), Fraction(5, 2), Fraction(2, 3)):
         ctx = x_context(x)
         for k in range(1, 6):
-            assert specialize_a(mu_colored(k), ctx.delta) == colored_unknot_u(ctx, k).value
+            assert specialize_a(mu_colored(k), ctx.delta) == colored_unknot_u(ctx, k)
 
 
 def test_colored_stab_unknot():
@@ -231,7 +233,7 @@ def test_twist_coeff_consistent_with_homfly_curl():
         for k in range(1, 5):
             for sign in (1, -1):
                 raw = specialize_a(homfly_twist_coeff(k, sign), ctx.delta)
-                assert raw == twist_coeff_x(ctx, k, sign).value
+                assert raw == twist_coeff_x(ctx, k, sign)
 
 
 def test_digon_specialize_range():
@@ -281,7 +283,7 @@ def test_flat_unknot():
 def test_flat_detects_trefoil_chirality():
     a = flat_invariant(TREFOIL, 2)
     b = flat_invariant(TREFOIL_MIRROR, 2)
-    assert a.value != b.value
+    assert a != b
     ctx = flat_context(Fraction(2))
     assert normalized_invariant(TREFOIL, ctx) != normalized_invariant(TREFOIL_MIRROR, ctx)
 
@@ -331,7 +333,7 @@ def test_x_values_equal_the_specialized_homfly_value():
             value = x_invariant(w, ctx)
             assert value == specialize_closure(h, ctx), (w, ctx.x, ctx.flavor)
             assert normalized_invariant(w, ctx) == specialize_closure(h, ctx, w.writhe).nu_free_part(), (w, ctx.x)
-            zeros += value.value.is_zero()
+            zeros += value.is_zero()
     assert zeros
 
 
@@ -439,6 +441,23 @@ def test_sweep_evaluates_at_classical_point():
     assert by_x[Fraction(1, 2)].value == Fraction(1, 2)
     assert by_x[Fraction(2)].value == 2
     assert not diagnostics
+
+
+def test_sweep_refuses_a_flavor_that_no_context_has(monkeypatch):
+    # any flavor but right and flat is refused as XContext refuses it, before the word is
+    # traced; such a flavor once computed the flat rows (61/65 here) in silence
+    import qlink.xinv as xinv
+
+    refused = "^flavor must be 'right' or 'flat'$"
+    with pytest.raises(ValueError, match=refused):
+        XContext(Fraction(1, 2), "bogus", qdelta(Fraction(1, 2)))
+    args = (TREFOIL_MIRROR, Fraction(2), [Fraction(1, 2)])
+    assert [r.value for r in numeric_sweep(*args, flavor="flat")[0]] == [Fraction(61, 65)]
+    assert [r.value for r in numeric_sweep(*args, flavor="right")[0]] == [Fraction(269, 340)]
+    monkeypatch.setattr(xinv, "_markov_pieces", lambda w: pytest.fail("the word was traced"))
+    for flavor in ("bogus", "left", "Right", ""):
+        with pytest.raises(ValueError, match=refused):
+            numeric_sweep(*args, flavor=flavor)
 
 
 def _per_point_sweep(w, q0, xs, normalized, flavor, h=None):
