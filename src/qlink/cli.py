@@ -1,8 +1,8 @@
 """Command-line surface: qrat | inv | sweep | table.
 
 Exit codes: 0 success, 2 parse/usage error or a cap exceeded (MAX_STEPS,
-MAX_EXPONENT, `braid.MAX_STRANDS`, `qnum.MAX_QDEGREE`, the Hecke-term budget
-`homfly.MAX_HECKE_TERMS`), 3 a pole of `qrat --at`, 4 unwritable output path.
+MAX_DIGITS, MAX_EXPONENT, `braid.MAX_STRANDS`, `qnum.MAX_QDEGREE`, the Hecke-term
+budget `homfly.MAX_HECKE_TERMS`), 3 a pole of `qrat --at`, 4 unwritable output path.
 All output is deterministic; table entries are evaluated in order and the
 groups are sorted before the report is assembled.
 """
@@ -33,6 +33,11 @@ EXIT_UNWRITABLE = 4
 
 # The largest `sweep --steps`: the steps + 1 rows are all held in memory.
 MAX_STEPS = 1000
+
+# The most decimal digits of `qrat --at`'s value, bounded before it is evaluated as the
+# q-span of {x} times the digits of max(|r|, |s|) at Q0 = r/s: evaluating and printing
+# the value take time quadratic in its length.
+MAX_DIGITS = 200_000
 
 # The largest decimal exponent of a rational (the interpreter's default digit
 # limit): `Fraction` would expand 1e<huge> before any cap looks at the value.
@@ -163,11 +168,16 @@ def _cmd_qrat(args: argparse.Namespace) -> int:
     print(format_ratfun(f))
     if args.at is not None:
         q0 = _parse_rational(args.at)
-        try:
-            with _exact_output():
+        exps = [e for p in (f.num, f.den) for e, _ in p.items()]
+        with _exact_output():
+            digits = len(str(max(abs(q0.numerator), q0.denominator)))
+            if (max(exps) - min(exps)) * digits > MAX_DIGITS:
+                raise CliError(f"value at q = {quote_input(args.at)} too large: it may exceed {MAX_DIGITS} digits",
+                               EXIT_PARSE)
+            try:
                 print(f.evaluate(q0))
-        except PoleError as exc:
-            raise CliError(str(exc), EXIT_POLE) from None
+            except PoleError as exc:
+                raise CliError(str(exc), EXIT_POLE) from None
     return EXIT_OK
 
 

@@ -2,8 +2,8 @@
 
 Polynomials are stored as finitely supported exponent -> coefficient maps
 with arbitrary-precision integer coefficients; zero coefficients are never
-stored.  Values are immutable after construction: every operation returns a
-fresh object, so they are safe to share between threads.
+stored.  Values are immutable after construction: no operation changes its
+operands, so they are safe to share between threads.
 
 The gcd and exact-division kernels at the bottom back the canonical-fraction
 machinery in `ratfun`, and work on plain integers:
@@ -124,6 +124,8 @@ class _Laurent:
 
     def __add__(self, other):
         if isinstance(other, int):  # an int operand is the constant polynomial
+            if not other:
+                return self
             other = self.one().scale(other)
         c = dict(self._c)
         for e, v in other._c.items():
@@ -148,6 +150,8 @@ class _Laurent:
         return _power(self, n, self.one())
 
     def scale(self, k: int):
+        if k == 1:
+            return self
         if k == 0:
             return self._new({})
         return self._new({e: k * v for e, v in self._c.items()})
@@ -213,6 +217,9 @@ class IntLaurent(_Laurent):
             return IntLaurent()
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:  # a monomial: no two products share an exponent
+            ((e1, v1),) = a.items()
+            return self._new({e1 + e: v1 * v for e, v in b.items()})
         c: dict[int, int] = {}
         for e1, v1 in a.items():
             for e2, v2 in b.items():

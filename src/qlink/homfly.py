@@ -175,7 +175,7 @@ from struct import unpack
 
 from .braid import BraidWord
 from .exactalg import IntLaurent, IntLaurent2, RatFun, RatFun2
-from .qnum import qfactorial
+from .qnum import _delta, qfactorial
 
 __all__ = [
     "HeckeElement",
@@ -868,17 +868,17 @@ def _closure_at(pieces: Pieces, writhe: int, r, s, framing: int = 0) -> Callable
     pieces = _markov_pieces(w) and writhe = w.writhe as a function of {x}.  Under
     a = q v delta_x, a^N v^framing = v^b q^N delta_x^m with b = (N + framing) mod 2 and
     m = N - floor((N + framing) / 2), so the value is v^b times q0^N homfly(w) delta_x^m / a^N.
-    The function returned maps (Xn, Xd), with Xn / Xd = {x}(q0) and delta_x(q0) neither 0 nor
-    infinite, to that coefficient as a pair (num, den), not reduced, or to None where it is 0.
+    The function returned maps (Xn, Xd), with Xn / Xd = {x}(q0), to that coefficient as a pair
+    (num, den), not reduced, or to None where it is 0 or delta_x(q0) is 0 or infinite.
     r, s, Xn and Xd are integers, or elements of Z[q^+-1] with r = q and s = 1, where the pair
     is the x-value as a fraction in q.
 
-    With R, S = r^2, s^2 and xd = (R - S) Xn + S Xd: a^2 = (q^2 - 1) {x} + 1 = xd / (S Xd),
-    delta_x = xd / (R Xd), and X = {x} / a^2 = S Xn / xd (module docstring).  By the identity
-    there, the sum runs over tau on the cores' and single strands, n of them, with the rest e of
-    the writhe, and the other pieces are factors of a row.  The kinks' monomial
-    a^(kp-km) q^(km-kp), for kp positive and km negative kinks, leaves (S Xd / xd)^km and a
-    power of q0, which joins q0^N as dq.  An end block's beta_k / a = a beta_k / a^2 is
+    With R, S = r^2, s^2 and delta_x = xd / (R Xd), the pair of `qnum._delta`:
+    a^2 = (q^2 - 1) {x} + 1 = xd / (S Xd), and X = {x} / a^2 = S Xn / xd (module docstring).
+    By the identity there, the sum runs over tau on the cores' and single strands, n of
+    them, with the rest e of the writhe, and the other pieces are factors of a row.  The
+    kinks' monomial a^(kp-km) q^(km-kp), for kp positive and km negative kinks, leaves
+    (S Xd / xd)^km and a power of q0, which joins q0^N as dq.  An end block's beta_k / a = a beta_k / a^2 is
     (-1)^k q0^(1-2k) t0^o (A_k(t0) Xn - alpha_k(t0) Xd) S / xd with o = min(k, 0) and
     t0 = q0^2 = R / S.  In closed form, (A_k, alpha_k) = (alpha_k + (-t)^k, alpha_k) for k > 0,
     and t^j (A_k, alpha_k) = -(-1)^j (alpha_j - 1, alpha_j) for k = -j; S^|k| times them at t0,
@@ -915,7 +915,9 @@ def _closure_at(pieces: Pieces, writhe: int, r, s, framing: int = 0) -> Callable
     dd, dx = km - m, m - n - len(ks) - km  # the powers of Xd and xd
 
     def at(Xn, Xd):
-        xn, xd = S * Xn, (R - S) * Xn + S * Xd
+        xn, (xd, _) = S * Xn, _delta(Xn, Xd, R, S)
+        if not (xd and Xd):  # delta_x(q0) is 0 or infinite
+            return None
         total, xp, mxd = 0, 1, -xd
         for c in cs:
             xp *= xn

@@ -18,11 +18,13 @@ q-adic limit of {m} as m -> infinity).  The limit oracle `q_adic_limit`
 stays the source of truth: the closed form is checked against it in tests
 order by order.
 
-At a point q = q0 the same ladder runs in integers (`_qrational_pair`): each
-rung is a Moebius map of the tail, kept as a projective pair of integers, so
-{x}(q0) costs no gcd and no polynomial; `numeric_sweep` reads the pair, and
-derives delta_x(q0) from it.  The symbolic `qrational` and `qdelta` stay the
-values for symbolic uses and the oracles of the point value.
+One ladder, `_ladder`, serves every ring: each rung is a Moebius map of the
+tail, kept as a projective pair, in integers at a point q = q0 = r/s or over
+Z[q^+-1] at r = q, s = 1.  So {x}(q0) costs no gcd and no polynomial, and
+`qrational` is the same pair over Z[q^+-1], made canonical.  delta_x =
+((q^2 - 1) {x} + 1) / q^2 is one pair formula, `_delta`, on the ladder's pair:
+`qdelta`, `numeric_sweep` and `homfly._closure_at` all read it.  The tests
+check both against the recursion on the two defining identities.
 """
 
 from __future__ import annotations
@@ -107,95 +109,75 @@ def qint(n: int) -> IntLaurent:
     return IntLaurent({-2 * i: -1 for i in range(1, -n + 1)})
 
 
-def _ladder_terms(x: Fraction | int) -> tuple[int, ...]:
-    """The even continued fraction of x, refused where {x} may pass MAX_QDEGREE."""
+def _ladder(x: Fraction | int, r, s, left: bool = False) -> tuple:
+    """{x}, or {x}^b where left, at q = r/s as a pair (num, den), not reduced: r and s are
+    nonzero integers, or r = q and s = 1 over Z[q^+-1], where the pair is {x} itself.
+    ValueError where {x} may pass MAX_QDEGREE.
+
+    The even continued fraction is folded bottom-up, at q^2 = R/S.  A rung at an odd
+    position (1-indexed) is {a}_u + u^a / tail with u = q^2 = U/V = R/S, one at an even
+    position the same with u = q^-2 = S/R, and {k}_u = G / V^(k-1) with
+    G = sum_(j<k) U^j V^(k-1-j).  G is symmetric in U and V, so it is one sum in R and S,
+    built with R^k and S^k by square-and-multiply (G_2j = G_j (R^j + S^j),
+    G_(j+1) = G_j R + S^j): no division, and q0 = +-1 needs no case of its own.  The
+    tail is a projective pair, seeded at infinity (1, 0) or, for {x}^b, at the q-adic
+    limit 1 / (1 - q^2) = -S / (R - S) of {m}: a rung is a Moebius map, so no common
+    factor is removed.  Over Z[q^+-1] the ladder fractions are coprime up to monomials by
+    construction, so `RatFun._reduced` makes the pair canonical without a gcd.  At
+    q0 != 0 the pair is that fraction times monomials, so den = 0 exactly at a pole.
+    """
     terms = even_cf(x).terms
     if 2 * sum(map(abs, terms)) > MAX_QDEGREE:
         raise ValueError(f"q-deformation too large: its q-degree may exceed {MAX_QDEGREE}")
-    return terms
+    R, S = r * r, s * s
+    num, den = (-S, R - S) if left else (1, 0)
+    for i, a in enumerate(reversed(terms)):  # an even length: odd positions have odd i
+        Rk, Sk, G = (R, S, 1) if a else (1, 1, 0)
+        for bit in bin(abs(a))[3:]:  # (R^k, S^k, G) for k = |a|, from the top bit down
+            G, Rk, Sk = G * (Rk + Sk), Rk * Rk, Sk * Sk
+            if bit == "1":
+                G, Rk, Sk = G * R + Sk, Rk * R, Sk * S
+        V, Uk, Vk = (S, Rk, Sk) if i & 1 else (R, Sk, Rk)
+        if a >= 0:  # {a}_u + u^a / tail
+            num, den = G * V * num + Uk * den, Vk * num
+        else:  # {a}_u = -V G / U^-a, u^a = V^-a / U^-a
+            num, den = Vk * den - G * V * num, Uk * num
+    return num, den
 
 
-def _ladder(terms: tuple[int, ...], seed: tuple[IntLaurent, IntLaurent]) -> RatFun:
-    """Evaluate the nested continued-fraction formula bottom-up.
-
-    Rungs at odd positions (1-indexed) contribute {a} + q^2a / tail, rungs
-    at even positions {a}_{q^-2} + q^-2a / tail.  `seed` is the innermost
-    tail as a raw fraction: infinity for {x}, whose innermost rung is then
-    the closing {a}_{q^-2}, or 1 / (1 - q^2) for the left deformation.  The
-    intermediate fractions generated here are coprime up to monomials by
-    construction, so the final fraction skips the gcd.
-    """
-    num, den = seed
-    for i in range(len(terms), 0, -1):
-        a = terms[i - 1]
-        if i % 2:  # plain rung
-            head, q_shift = qint(a), 2 * a
-        else:  # inverted rung
-            head, q_shift = qint(a).subs_qinv(), -2 * a
-        num, den = head * num + den.shift(q_shift), num
-        if den.is_zero():
-            raise ZeroDivisionError("degenerate continued fraction ladder")
-    return RatFun._reduced(num, den)
+_Q = IntLaurent.q_power(1)
 
 
 def qrational(x: Fraction | int) -> RatFun:
     """The q-deformation {x} of a rational number."""
-    return _ladder(_ladder_terms(x), (IntLaurent.one(), IntLaurent.zero()))
-
-
-# q-adic limit of {m} for m -> infinity: the innermost rung of every left
-# deformation.  As a raw fraction: 1 / (1 - q^2).
-_LEFT_SEED = (IntLaurent.one(), IntLaurent({0: 1, 2: -1}))
+    return RatFun._reduced(*_ladder(x, _Q, 1))
 
 
 def left_qrational(x: Fraction | int) -> RatFun:
     """The left q-deformation {x}^b: the q-adic limit of {x - 1/k}."""
-    return _ladder(_ladder_terms(x), _LEFT_SEED)
+    return RatFun._reduced(*_ladder(x, _Q, 1, True))
 
 
-def _delta(f: RatFun) -> RatFun:
-    """((q^2 - 1) f + 1) / q^2 as one canonical fraction, for f = N/D = {x} or {x}^b.
+def _delta(Xn, Xd, R, S) -> tuple:
+    """delta_x = ((q^2 - 1) {x} + 1) / q^2 at q^2 = R/S, for {x} = Xn / Xd, as the pair
+    ((R - S) Xn + S Xd, R Xd), not reduced: integers, or elements of Z[q^+-1].
 
-    N and D are coprime, so a common factor of (q^2 - 1) N + D and q^2 D divides
-    q^2 - 1; it divides D too, and D(+-1) != 0 because f tends to x as q^2 -> 1.
-    So the fraction is coprime as built, and needs no gcd."""
-    return RatFun._reduced(f.num.shift(2) - f.num + f.den, f.den.shift(2))
+    Over Z[q^+-1] (R = q^2, S = 1) a common factor of the pair, for Xn and Xd coprime up
+    to monomials, divides q^2 - 1 and Xd; Xd(+-1) != 0 as {x} and {x}^b tend to x when
+    q^2 -> 1, so `RatFun._reduced` makes it canonical without a gcd."""
+    return (R - S) * Xn + S * Xd, R * Xd
 
 
 def qdelta(x: Fraction | int) -> RatFun:
     """delta_x = {x} - {x - 1} = ((q^2 - 1) {x} + 1) / q^2 by the shift
     identity {x} = q^2 {x - 1} + 1; reduces to q^(2n-2) at integers."""
-    return _delta(qrational(Fraction(x)))
+    return RatFun._reduced(*_delta(*_ladder(x, _Q, 1), _Q * _Q, 1))
 
 
 def left_qdelta(x: Fraction | int) -> RatFun:
     """The left analogue {x}^b - {x-1}^b = ((q^2 - 1) {x}^b + 1) / q^2: the
     shift identity passes to the q-adic limit, so it holds for {x}^b too."""
-    return _delta(left_qrational(Fraction(x)))
-
-
-def _qrational_pair(x: Fraction | int, r: int, s: int, left: bool = False) -> tuple[int, int] | None:
-    """{x}(q0), or {x}^b(q0), at q0 = r/s != 0 as an integer pair (num, den), not reduced:
-    `_ladder`'s rungs at q^2 = R/S.
-
-    Each rung's u = q^2 or q^-2 is U/V = R/S or S/R, and the tail is a projective
-    pair (num, den), seeded at infinity (1, 0) or at 1 / (1 - q^2): a rung is a
-    Moebius map, so no common factor is removed.  The pair is the coprime ladder
-    fraction times monomials, nonzero at q0 != 0, so den = 0 exactly at a pole.
-    None where delta_x(q0) = ((R - S) num + S den) / (R den) is 0 or infinite.
-    """
-    terms = _ladder_terms(x)
-    R, S = r * r, s * s
-    num, den = (S, S - R) if left else (1, 0)
-    for i in range(len(terms), 0, -1):
-        a, (U, V) = terms[i - 1], ((R, S) if i % 2 else (S, R))
-        Uk, Vk = U ** abs(a), V ** abs(a)
-        G = (Uk - Vk) // (U - V) if U != V else abs(a)  # {|a|}_u = G / V^(|a|-1); U = V = 1 at q0 = +-1
-        if a >= 0:  # {a}_u + u^a / tail
-            num, den = G * V * num + Uk * den, Vk * num
-        else:  # {a}_u = -V G / U^-a, u^a = V^-a / U^-a
-            num, den = Vk * den - G * V * num, Uk * num
-    return (num, den) if den and (R - S) * num + S * den else None
+    return RatFun._reduced(*_delta(*_ladder(x, _Q, 1, True), _Q * _Q, 1))
 
 
 def qfactorial(k: int) -> RatFun:

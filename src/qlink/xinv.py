@@ -43,7 +43,7 @@ from .exactalg import (
 from .exactalg.laurent import _divide_or_none
 from .exactalg.textio import QUOTE_LIMIT, quote_input
 from .homfly import Pieces, _closure_at, _markov_pieces
-from .qnum import _qrational_pair, left_qdelta, left_qrational, qbinomial, qdelta, qrational
+from .qnum import _delta, _ladder, left_qdelta, left_qrational, qbinomial, qdelta, qrational
 
 __all__ = [
     "XContext",
@@ -102,9 +102,9 @@ def _x_value(w: BraidWord, ctx: XContext, framing: int = 0, pieces: Pieces | Non
     """The closure value of w at a = q v delta_x, times v^framing: `homfly._closure_at` over
     Z[q^+-1] (r = q, s = 1), on pieces = _markov_pieces(w) unless given, normalized once.
     {x} is read off ctx.delta = P / Q, as q^2 delta_x = (q^2 - 1) {x} + 1: {x} = Xn / Q with
-    Xn = (q^2 P - Q) / (q^2 - 1) exactly, which is x's ladder pair (N, D) for a delta that
-    `qnum._delta` builds.  Raises ValueError where delta(1) != 1 or delta(-1) != 1, as then
-    q^2 - 1 does not divide q^2 P - Q."""
+    Xn = (q^2 P - Q) / (q^2 - 1) exactly: the pair formula `qnum._delta` run backwards, so
+    x's ladder runs once, in the context.  Raises ValueError where delta(1) != 1 or
+    delta(-1) != 1, as then q^2 - 1 does not divide q^2 P - Q."""
     P, Q = ctx.delta.num, ctx.delta.den
     Xn = _divide_or_none(P.shift(2) - Q, IntLaurent({0: -1, 2: 1}))
     if Xn is None:
@@ -216,10 +216,10 @@ def numeric_sweep(
     integers.  Once per call: the Markov moves' pieces (`homfly._markov_pieces`),
     and from them and the writhe all of q0^n homfly(w) delta^m / a^n that depends on
     q0 alone (`homfly._closure_at`).  Per row: {x}(q0) from x's ladder as an integer
-    pair (`qnum._qrational_pair`), and that sum at it as an integer pair, which one
+    pair (`qnum._ladder` at r, s), and that sum at it as an integer pair, which one
     `Fraction` normalizes.  Under a = q v delta, a^n v^framing is v^p q^n delta^m,
     m = n - (n + framing - p)/2, p = (n + framing) mod 2, so the row has v-parity p;
-    a 'squared' row is value^2 / delta, delta = ((q0^2 - 1) {x}(q0) + 1) / q0^2.  No
+    a 'squared' row is value^2 / delta, with delta_x(q0) the pair of `qnum._delta`.  No
     factor has q^2 - 1 in a denominator (X = {x} / (q^2 delta_x)), so rows at q0 = +-1
     are integer rows too.  Where delta_x(q0) is 0 or infinite, or the value is 0 (its
     v-parity is then unknown), the row is the symbolic one: the same fold over Z[q^+-1]
@@ -242,12 +242,13 @@ def numeric_sweep(
         if not isinstance(x, Fraction):
             x = Fraction(x)
         try:
-            pq = _qrational_pair(x, r, s, left)
-            value = at(*pq) if pq else None
+            Xn, Xd = _ladder(x, r, s, left)
+            value = at(Xn, Xd)
             if value is not None:
-                (num, den), (Xn, Xd) = value, pq
-                if squared:  # delta = ((R - S) Xn + S Xd) / (R Xd)
-                    num, den = num * num * R * Xd, den * den * ((R - S) * Xn + S * Xd)
+                num, den = value
+                if squared:  # value^2 / delta
+                    dn, dd = _delta(Xn, Xd, R, S)
+                    num, den = num * num * dd, den * den * dn
                 rows.append(SweepRow(x, Fraction(num, den), "squared" if squared else ""))
                 continue
             # the symbolic row: (parity, value) as a fraction in q

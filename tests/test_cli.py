@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlink.braid import MAX_STRANDS, BraidWord, mirror, parse_braid
-from qlink.cli import MAX_EXPONENT, MAX_STEPS, CollisionReport, KnotTable, builtin_mini_table, main
+from qlink.cli import MAX_DIGITS, MAX_EXPONENT, MAX_STEPS, CollisionReport, KnotTable, builtin_mini_table, main
 from qlink.exactalg import RatFun
 from qlink.qnum import MAX_QDEGREE, EvenCF, even_cf, qdelta, qrational
 from qlink.xinv import SweepRow, XContext, x_context, x_invariant
@@ -70,6 +70,24 @@ def test_qrat_at_prints_a_value_of_any_length(capsys):
     code, out, err = run(capsys, "qrat", "1" * 5000)
     assert code == 2 and not out
     assert err.startswith("qlink: bad rational") and err.count("\n") == 1
+
+
+def test_qrat_at_refuses_a_value_past_max_digits(capsys, monkeypatch):
+    # {1998} at q = 10^1000 has some 4 million digits, with x and q0 each within its cap; the
+    # value is bounded before it is evaluated, as the q-span of {x} times the digits of
+    # max(|r|, |s|) at q0 = r/s
+    import qlink.cli as cli
+
+    code, out, err = run(capsys, "qrat", "1998", "--at", "1e1000")
+    assert (code, out.count("\n")) == (2, 1)
+    assert err == f"qlink: value at q = '1e1000' too large: it may exceed {MAX_DIGITS} digits\n"
+    # {2} = 1 + q^2 has q-span 2, so its bound at q0 = 1000 and at -1/1000 is 2 * 4 digits
+    monkeypatch.setattr(cli, "MAX_DIGITS", 8)
+    assert run(capsys, "qrat", "2", "--at", "1000") == (0, "1+q^2\n1000001\n", "")
+    assert run(capsys, "qrat", "2", "--at", "-1/1000") == (0, "1+q^2\n1000001/1000000\n", "")
+    monkeypatch.setattr(cli, "MAX_DIGITS", 7)
+    for at in ("1000", "-1/1000"):
+        assert run(capsys, "qrat", "2", "--at", at) == (2, "1+q^2\n", f"qlink: value at q = '{at}' too large: it may exceed 7 digits\n")
 
 
 def test_qrat_at_a_pole_prints_the_value_and_exits_3(capsys):

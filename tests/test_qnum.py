@@ -1,5 +1,6 @@
 """q-deformed rationals: continued fractions, recursions, left deformation, limits."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from qlink.exactalg import IntLaurent, PoleError, RatFun, TruncSeries, series_ex
 from qlink.qnum import (
     MAX_QDEGREE,
     EvenCF,
-    _qrational_pair,
+    _delta,
+    _ladder,
     even_cf,
     left_qdelta,
     left_qrational,
@@ -36,16 +38,21 @@ def qint_closed(n: int) -> RatFun:
     return RatFun(num, den)
 
 
-def qrational_recursive(x: Fraction) -> RatFun:
-    """Recursion-route oracle: only the two defining identities."""
+def qrational_recursive(x: Fraction, integer=qint_closed) -> RatFun:
+    """Recursion-route oracle: only the two defining identities, from the values at the
+    integers (`integer`, {n} by default).  The shift identity runs |n| times at once, as
+    {y + n} = q^2n {y} + {n}."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return qint_closed(x.numerator)
-    if x >= 1:
-        return qp(2) * qrational_recursive(x - 1) + RatFun.one()
-    if x < 0:
-        return (qrational_recursive(x + 1) - RatFun.one()) * qp(-2)
-    return invert_q(qrational_recursive(1 / x)).inverse()
+    n = math.floor(x)
+    if x == n:
+        return integer(n)
+    tail = invert_q(qrational_recursive(1 / (x - n), integer)).inverse()  # {x - n}, 0 < x - n < 1
+    return qp(2 * n) * tail + qint_closed(n)
+
+
+def left_qint(n: int) -> RatFun:
+    """{n}^b = {n - 1} + q^2n: the integers of the left deformation."""
+    return qint_closed(n - 1) + qp(2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +197,18 @@ def _delta_value(delta: RatFun, q0: Fraction) -> Fraction | None:
 
 
 def _qdelta_at(x: Fraction, q0: Fraction, left: bool = False) -> Fraction | None:
-    """delta_x(q0), or the left one's, as one fraction: ((q0^2 - 1) {x}(q0) + 1) / q0^2 from
-    the integer pair Xn / Xd = {x}(q0) of `_qrational_pair`; None at a pole and where it is 0."""
-    pair = _qrational_pair(x, q0.numerator, q0.denominator, left)
-    return ((q0 * q0 - 1) * Fraction(*pair) + 1) / (q0 * q0) if pair else None
+    """delta_x(q0), or the left one's, as one fraction: the pair of `qnum._delta` at the
+    integer ladder pair Xn / Xd = {x}(q0) of `qnum._ladder`; None at a pole and where it is 0."""
+    r, s = q0.numerator, q0.denominator
+    num, den = _delta(*_ladder(x, r, s, left), r * r, s * s)
+    return Fraction(num, den) if num and den else None
 
 
 def test_qdelta_at_matches_the_symbolic_delta():
-    # the integer ladder at q0 against the symbolic delta_x evaluated there,
-    # with a pole or a zero read as None; both flavors; numeric_sweep, which reads
-    # the ladder, refuses q0 = 0
+    # the integer ladder at q0 against delta_x = ((q^2 - 1) {x} + 1) / q^2 of the recursion
+    # oracle, which uses only the defining identities, evaluated there, with a pole or a zero
+    # read as None; both flavors, and the symbolic qdelta and left_qdelta against it too;
+    # numeric_sweep, which reads the ladder, refuses q0 = 0
     rng = random.Random(53)
     fib = [1, 1]
     while len(fib) < 202:
@@ -210,8 +219,11 @@ def test_qdelta_at_matches_the_symbolic_delta():
     q0s = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)]
     q0s.append(Fraction(1000003, 999))
     for x in xs + [Fraction(2000), Fraction(1, 2000), Fraction(-1999, 2)]:  # the last three at the q-degree cap
-        for left, delta in ((False, qdelta(x)), (True, left_qdelta(x))):
-            # the symbolic {1/2000} takes seconds to evaluate at 1000003/999
+        for left, symbolic in ((False, qdelta), (True, left_qdelta)):
+            f = qrational_recursive(x, left_qint if left else qint_closed)
+            delta = ((qp(2) - 1) * f + 1) * qp(-2)
+            assert symbolic(x) == delta, (x, left)
+            # {1/2000} takes seconds to evaluate at 1000003/999
             for q0 in q0s[:-1] if x == Fraction(1, 2000) else q0s:
                 assert _qdelta_at(x, q0, left) == _delta_value(delta, q0), (x, q0, left)
     for x in (Fraction(2001), Fraction(1, 2001)):

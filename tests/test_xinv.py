@@ -365,23 +365,30 @@ def test_an_x_value_runs_the_ladder_once_in_its_context(monkeypatch):
     import qlink.qnum as qnum
     import qlink.xinv as xinv
 
-    ladders = []
+    ladders = []  # one entry per run of the ladder, under either name: True over Z[q^+-1]
     ladder = qnum._ladder
-    monkeypatch.setattr(qnum, "_ladder", lambda *args: ladders.append(args) or ladder(*args))
+
+    def counted(x, r, s, left=False):
+        ladders.append(not isinstance(r, int))
+        return ladder(x, r, s, left)
+
+    for owner in (qnum, xinv):
+        monkeypatch.setattr(owner, "_ladder", counted)
     xs = [Fraction(0), Fraction(2), Fraction(-7, 4), Fraction(5, 2), Fraction(13, 5)]
     for x in xs:
         for make in (x_context, flat_context):
             for w in (UNKNOT, TREFOIL, FIG8, parse_braid("1 -2 1 -2 3 3 5 5 5", 7)):
                 ladders.clear()
                 x_invariant(w, make(x))
-                assert len(ladders) == 1, (w, x, make)
+                assert ladders == [True], (w, x, make)
     symbolic = _count_symbolic_rows(monkeypatch)
     for flavor in ("right", "flat"):
         for w in (TREFOIL, FIG8):
             symbolic.clear()
             ladders.clear()
             numeric_sweep(w, Fraction(1), xs, flavor=flavor)
-            assert symbolic == [0] and len(ladders) == 1, (w, flavor)  # x = 0 has value 0 at q0 = 1
+            # one integer ladder per row; x = 0 has value 0 at q0 = 1, and its context runs it over Z[q^+-1]
+            assert symbolic == [0] and ladders == [False, True] + [False] * (len(xs) - 1), (w, flavor)
     contexts = [make(x) for x in xs for make in (x_context, flat_context)]
 
     def forbidden(*args):
@@ -500,19 +507,19 @@ def _count_symbolic_rows(monkeypatch) -> list:
 
 
 def _inject_x(monkeypatch, f: RatFun) -> None:
-    """Make `numeric_sweep` see {x} = f in right contexts, on both paths: the ladder at q0
-    (None where delta(q0) is 0 or infinite), and the context, whose delta is delta_x of f,
+    """Make `numeric_sweep` see {x} = f in right contexts, on both paths: the ladder at q0,
+    whose pair has den = 0 at a pole of f, and the context, whose delta is delta_x of f,
     which `_x_value` reads {x} off."""
     import qlink.xinv as xinv
 
-    def pair(x, r, s, left=False):
+    def ladder(x, r, s, left=False):
         q0 = Fraction(r, s)
         num, den = f.num.evaluate(q0), f.den.evaluate(q0)
-        xn, xd = num.numerator * den.denominator, den.numerator * num.denominator
-        return (xn, xd) if xd and (q0 * q0 - 1) * xn + xd else None
+        return num.numerator * den.denominator, den.numerator * num.denominator
 
-    monkeypatch.setattr(xinv, "x_context", lambda x: XContext(Fraction(x), "right", _delta(f)))
-    monkeypatch.setattr(xinv, "_qrational_pair", pair)
+    delta = RatFun(*_delta(f.num, f.den, IntLaurent.q_power(2), 1))
+    monkeypatch.setattr(xinv, "x_context", lambda x: XContext(Fraction(x), "right", delta))
+    monkeypatch.setattr(xinv, "_ladder", ladder)
 
 
 def _inject_value(monkeypatch, F: RatFun2) -> None:
@@ -613,10 +620,18 @@ def test_sweep_runs_no_symbolic_specialization_on_regular_points(monkeypatch):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
 
-    for owner, name in ((laurent, "laurent_gcd"), (ratfun, "laurent_gcd"), (nu, "_specialize_poly"), (qnum, "_ladder"),
+    for owner, name in ((laurent, "laurent_gcd"), (ratfun, "laurent_gcd"), (nu, "_specialize_poly"),
                         (homfly_module, "_closure_value"), (homfly_module, "_q2_minus_1_power"),
                         (xinv, "specialize_closure"), (xinv, "_x_value")):
         counted(owner, name)
+
+    def ladder(x, r, s, left=False, run=qnum._ladder):  # counts the runs over Z[q^+-1]; a row runs it in integers
+        if not isinstance(r, int):
+            calls.append("_ladder")
+        return run(x, r, s, left)
+
+    for owner in (qnum, xinv):
+        monkeypatch.setattr(owner, "_ladder", ladder)
     # every polynomial is built by _Laurent.__init__ or _new, or from an IntLaurent2, and
     # every fraction by _Fraction.__init__ or _make: count the class of each
     for owner, name in ((laurent._Laurent, "__init__"), (ratfun._Fraction, "__init__")):
